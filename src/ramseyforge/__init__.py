@@ -17,6 +17,7 @@ from .algebra import (
     gf2k_add,
     gf2k_mul,
     gf2k_pow,
+    is_generator,
     mod_inv,
     poincare_distance,
     predicted_intersections,

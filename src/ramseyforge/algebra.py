@@ -65,8 +65,10 @@ def find_nonsquare(q: int) -> int:
     raise BadParameter(f"no non-square mod {q}; q must be an odd prime")
 
 
-def find_generator(q: int) -> int:
-    """Smallest primitive root modulo the odd prime q."""
+def is_generator(g: int, q: int) -> bool:
+    """g generates F_q^* (q an odd prime): g^((q-1)/p) != 1 for every prime p | q-1."""
+    if g % q == 0:
+        return False
     order = q - 1
     factors = []
     rest, f = order, 2
@@ -78,8 +80,13 @@ def find_generator(q: int) -> int:
         f += 1
     if rest > 1:
         factors.append(rest)
+    return all(pow(g, order // p, q) != 1 for p in factors)
+
+
+def find_generator(q: int) -> int:
+    """Smallest primitive root modulo the odd prime q."""
     for g in range(2, q):
-        if all(pow(g, order // p, q) != 1 for p in factors):
+        if is_generator(g, q):
             return g
     raise BadParameter(f"no generator mod {q}; q must be an odd prime")
 
@@ -134,10 +141,6 @@ def count_intersections_bruteforce(x_pt, y_pt, i: int, j: int, q: int) -> int:
 
 
 # --- quadratic extension F_q(sqrt(sigma)) -----------------------------------
-
-def quad_add(z, w, q):
-    return ((z[0] + w[0]) % q, (z[1] + w[1]) % q)
-
 
 def quad_sub(z, w, q):
     return ((z[0] - w[0]) % q, (z[1] - w[1]) % q)
@@ -227,7 +230,7 @@ def gf2k_pow(a: int, e: int, k: int) -> int:
 def modular_sqrts(q: int):
     """roots[r] = sorted list of t in F_q with t^2 = r, by exhaustive search.
 
-    Intended for moderate q (say q <= 10^4); builders and tests only.
+    Intended for moderate q (say q <= 10^4).
     """
     roots = [[] for _ in range(q)]
     for t in range(q):

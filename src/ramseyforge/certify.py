@@ -26,6 +26,7 @@ import numpy as np
 from . import limits
 from .algebra import (
     find_nonsquare,
+    is_generator,
     is_odd_prime,
     predicted_intersections,
     predicted_intersections_null,
@@ -157,17 +158,6 @@ def primes_in(lo: int, hi: int, residue: Optional[dict] = None) -> list:
             continue
         out.append(q)
     return out
-
-
-def _is_generator(g: int, q: int) -> bool:
-    order = 1
-    acc = g % q
-    while acc != 1:
-        acc = (acc * g) % q
-        order += 1
-        if order > q:
-            return False
-    return order == q - 1
 
 
 # --- circle lemma -------------------------------------------------------------
@@ -380,7 +370,7 @@ def _non_euclidean_girth_diameter_claims(q: int, sigma: int) -> list:
             "whether sigma generates the multiplicative group (non-squareness "
             "is all the construction uses)",
             "recorded",
-            {"is_generator": _ev(_is_generator(sigma, q), "computed-exact")},
+            {"is_generator": _ev(is_generator(sigma, q), "computed-exact")},
         ),
     ]
     return claims
@@ -658,7 +648,7 @@ def verify_mt1(q: int) -> Certificate:
             "whether sigma = 3 generates the multiplicative group "
             "(non-squareness is all the construction uses)",
             "recorded",
-            {"is_generator": _ev(_is_generator(sigma, q), "computed-exact")},
+            {"is_generator": _ev(is_generator(sigma, q), "computed-exact")},
         ),
         Claim(
             "girth_four",
@@ -881,6 +871,13 @@ def verify_code_graphs(k: int) -> Certificate:
 
 # --- Ramsey certificates --------------------------------------------------------
 
+def _exact_alpha_cap(family: Optional[FamilySpec]) -> int:
+    """Largest n on which certificates try an exact independence search."""
+    if family is not None and family.kind in ("bch", "alon"):
+        return limits.VERIFY_ALPHA_CAP_CODE
+    return limits.VERIFY_ALPHA_CAP_GEOMETRIC
+
+
 def ramsey_certificate(graph: Graph) -> Certificate:
     """R(3, t) > n record for a triangle-free graph: t = floor(alpha_bound)+1
     where alpha_bound is the exact independence number when feasible, else a
@@ -890,10 +887,8 @@ def ramsey_certificate(graph: Graph) -> Certificate:
         raise NotTriangleFree(f"graph has {triangles} triangles")
     n = graph.n
     fam = graph.family
-    is_code = fam is not None and fam.kind in ("bch", "alon")
-    alpha_cap = limits.VERIFY_ALPHA_CAP_CODE if is_code else limits.VERIFY_ALPHA_CAP_GEOMETRIC
     alpha_bound, method, witness = None, None, None
-    if n <= alpha_cap:
+    if n <= _exact_alpha_cap(fam):
         res = exact_independence(graph)
         if res.exact:
             alpha_bound, method, witness = float(res.size), "exact", res.witness
@@ -1076,12 +1071,7 @@ def _sweep_row(spec: FamilySpec):
             )
             if summary.lam > 0:
                 row["toughness_lower"] = alon_toughness_bound(g.degree, summary.lam)
-        alpha_cap = (
-            limits.VERIFY_ALPHA_CAP_CODE
-            if spec.kind in ("bch", "alon")
-            else limits.VERIFY_ALPHA_CAP_GEOMETRIC
-        )
-        if g.n <= alpha_cap:
+        if g.n <= _exact_alpha_cap(spec):
             res = exact_independence(g)
             if res.exact:
                 row["alpha_exact"] = res.size

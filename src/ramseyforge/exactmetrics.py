@@ -183,29 +183,29 @@ def _triangles_bitset(graph) -> int:
     return total // 3
 
 
-def _triangles_transitive(graph) -> int:
-    nbrs = graph.neighbors(0)
-    through_root = sum(
-        1
-        for i, u in enumerate(nbrs)
-        for v in nbrs[i + 1:]
-        if graph.adjacency_oracle(int(u), int(v))
-    )
-    total = graph.n * through_root
-    if total % 3:
-        raise AssertionError("transitive triangle total not divisible by 3")
-    return total // 3
+def _triangles_through_identity(graph) -> int:
+    """n*P/6 for a Cayley graph Cay(G, S) with vertex 0 the identity.
+
+    P counts the ordered pairs (s, t) in S x S with t adjacent to s, i.e.
+    twice the triangles through vertex 0; transitivity gives every vertex
+    the same number, and each triangle has three vertices.
+    """
+    nbr = graph.indices.reshape(graph.n, graph.degree)
+    in_conn = np.zeros(graph.n, dtype=bool)
+    in_conn[nbr[0]] = True
+    pairs = int(in_conn[nbr[nbr[0]]].sum())
+    total = graph.n * pairs
+    if total % 6:
+        raise AssertionError("Cayley triangle total not divisible by 6")
+    return total // 6
 
 
 def triangle_count(graph) -> int:
-    """Exact triangle count by packed-bitset neighbor intersections; for
-    transitive families too large for bitsets, n/3 times the count through
-    one vertex."""
-    if graph.n <= _BITSET_TRIANGLE_CAP:
-        return _triangles_bitset(graph)
+    """Exact triangle count: through the identity for family (Cayley) graphs,
+    by packed-bitset neighbor intersections (size-capped) for ad-hoc graphs."""
     if _is_transitive_family(graph):
-        return _triangles_transitive(graph)
-    raise TooLarge(f"triangle count capped at {_BITSET_TRIANGLE_CAP} vertices")
+        return _triangles_through_identity(graph)
+    return _triangles_bitset(graph)
 
 
 def connected_components(graph):

@@ -24,7 +24,6 @@ from .algebra import (
     GF2K_MODULI,
     gf2k_pow,
     is_odd_prime,
-    modular_sqrts,
     quadratic_character,
 )
 from .errors import BadParameter, BadSigma, DegenerateDistance, SizeLimitExceeded
@@ -153,28 +152,30 @@ class Graph:
         return us[keep], vs[keep]
 
     def decode(self, idx: int):
-        """Domain point for a vertex index."""
+        """Domain point for a vertex index; code and ad-hoc graphs use the index."""
         fam = self.family
-        if fam.kind == "euclidean":
+        kind = getattr(fam, "kind", None)
+        if kind == "euclidean":
             coords = []
             for _ in range(fam.m):
                 coords.append(idx % fam.q)
                 idx //= fam.q
             return tuple(coords)
-        if fam.kind == "noneuclidean":
+        if kind == "noneuclidean":
             return (idx // (fam.q - 1), idx % (fam.q - 1) + 1)
         return int(idx)
 
     def encode(self, point) -> int:
         fam = self.family
-        if fam.kind == "euclidean":
+        kind = getattr(fam, "kind", None)
+        if kind == "euclidean":
             if len(point) != fam.m:
                 raise BadParameter(f"point has dimension {len(point)}, expected {fam.m}")
             idx = 0
             for i, c in enumerate(point):
                 idx += (c % fam.q) * fam.q**i
             return idx
-        if fam.kind == "noneuclidean":
+        if kind == "noneuclidean":
             x, y = point
             if y % fam.q == 0:
                 raise BadParameter("half-plane points need y != 0")
@@ -226,6 +227,7 @@ def euclidean_degree(q: int, m: int, a: int) -> int:
 
 
 def _coords_matrix(n: int, q: int, m: int) -> np.ndarray:
+    """(n, m) coordinates of every point of F_q^m, in codec order."""
     idx = np.arange(n, dtype=np.int64)
     coords = np.empty((n, m), dtype=np.int64)
     for i in range(m):
@@ -233,53 +235,67 @@ def _coords_matrix(n: int, q: int, m: int) -> np.ndarray:
     return coords
 
 
+def _cayley_graph(family: FamilySpec, neighbor_rows) -> Graph:
+    """Cayley graph Cay(G, S) on the family's group G.
+
+    Vertex 0 is the identity of G in every codec, so S is its neighbor set.
+    ``neighbor_rows()`` returns the (n, |S|) matrix whose row g lists the
+    products g*s, s in S; it runs only after the size check.
+    """
+    n = family.n
+    _check_size(n)
+    rows = neighbor_rows()
+    degree = rows.shape[1]
+    indptr, indices = _csr_from_rows(rows)
+    return Graph(family, n, indptr, indices, degree=degree)
+
+
 def build_euclidean(q: int, m: int = 2, a: int = 1) -> Graph:
     """Cayley graph on (F_q^m, +) whose connection set is the sphere Q = a."""
     family = FamilySpec(kind="euclidean", q=q, m=m, a=a)
-    n = family.n
-    _check_size(n)
-    coords = _coords_matrix(n, q, m)
-    sphere = np.flatnonzero((coords**2).sum(axis=1) % q == family.a)
-    weights = q ** np.arange(m, dtype=np.int64)
-    rows = np.empty((n, len(sphere)), dtype=np.int64)
-    for col, s_idx in enumerate(sphere):
-        rows[:, col] = ((coords + coords[s_idx]) % q) @ weights
-    indptr, indices = _csr_from_rows(rows)
-    expected = euclidean_degree(q, m, family.a)
-    if len(sphere) != expected:
-        raise AssertionError(f"sphere size {len(sphere)} != formula {expected}")
-    return Graph(family, n, indptr, indices, degree=len(sphere))
+
+    def translates():
+        coords = _coords_matrix(family.n, q, m)
+        sphere = np.flatnonzero((coords**2).sum(axis=1) % q == family.a)
+        expected = euclidean_degree(q, m, family.a)
+        if len(sphere) != expected:
+            raise AssertionError(f"sphere size {len(sphere)} != formula {expected}")
+        weights = q ** np.arange(m, dtype=np.int64)
+        rows = np.empty((family.n, len(sphere)), dtype=np.int64)
+        # one column at a time keeps the temporaries at (n, m)
+        for col, s_idx in enumerate(sphere):
+            rows[:, col] = ((coords + coords[s_idx]) % q) @ weights
+        return rows
+
+    return _cayley_graph(family, translates)
 
 
 def build_non_euclidean(q: int, sigma: int, a: int) -> Graph:
     """Graph on the finite half-plane with edges at Poincare distance a.
 
-    d(z, w) = a unfolds to (x-u)^2 = a*y*v + sigma*(y-v)^2; for each (y, v)
-    pair the right side is a constant whose square roots give the x-u offsets.
+    The maps z -> y*z + x act simply transitively on the half-plane and keep
+    d(z, w), so this is a Cayley graph on Aff(1, q) with product
+    (x, y)*(t, v) = (x + y*t, y*v) and identity (0, 1).  Its connection set is
+    the circle d((0, 1), (t, v)) = a, i.e. t^2 = a*v + sigma*(1 - v)^2.
     """
     family = FamilySpec(kind="noneuclidean", q=q, sigma=sigma, a=a)
-    n = family.n
-    _check_size(n)
-    sigma, a = family.sigma, family.a
-    roots = modular_sqrts(q)
-    xs = np.arange(q, dtype=np.int64)
-    us_parts, vs_parts = [], []
-    for y in range(1, q):
-        for v in range(1, q):
-            c = (a * y * v + sigma * (y - v) ** 2) % q
-            for t in roots[c]:
-                # edge ((u+t) mod q, y) -- (u, v) for every u
-                src = ((xs + t) % q) * (q - 1) + (y - 1)
-                dst = xs * (q - 1) + (v - 1)
-                us_parts.append(src)
-                vs_parts.append(dst)
-    us = np.concatenate(us_parts)
-    vs = np.concatenate(vs_parts)
-    indptr, indices = _csr_from_coo(n, us, vs)
-    degrees = np.diff(indptr)
-    if degrees.min() != degrees.max() or degrees[0] != q + 1:
-        raise AssertionError(f"half-plane graph is not (q+1)-regular: {set(np.unique(degrees))}")
-    return Graph(family, n, indptr, indices, degree=q + 1)
+
+    def affine_images():
+        x, y = np.divmod(np.arange(family.n, dtype=np.int64), q - 1)
+        y += 1
+        circle = np.flatnonzero(
+            (x * x - family.a * y - family.sigma * (1 - y) ** 2) % q == 0
+        )
+        if len(circle) != q + 1:
+            raise AssertionError(f"half-plane circle has {len(circle)} points, not q+1")
+        t, v = x[circle], y[circle]
+        return (
+            ((x[:, None] + y[:, None] * t) % q) * (q - 1)
+            + (y[:, None] * v) % q
+            - 1
+        )
+
+    return _cayley_graph(family, affine_images)
 
 
 def bch_connection_set(k: int) -> list:
@@ -307,19 +323,18 @@ def alon_connection_set(k: int) -> list:
     return sorted(sums)
 
 
-def _build_xor_cayley(family: FamilySpec, conn: list) -> Graph:
-    n = family.n
-    _check_size(n)
-    verts = np.arange(n, dtype=np.int64)
-    rows = verts[:, None] ^ np.asarray(conn, dtype=np.int64)[None, :]
-    indptr, indices = _csr_from_rows(rows)
-    return Graph(family, n, indptr, indices, degree=len(conn))
+def _xor_cayley_graph(family: FamilySpec, conn: list) -> Graph:
+    """Cayley graph on (GF(2)^t, XOR) with connection set conn."""
+    return _cayley_graph(
+        family,
+        lambda: np.arange(family.n, dtype=np.int64)[:, None] ^ np.asarray(conn, dtype=np.int64),
+    )
 
 
 def build_code_graph_bch(k: int) -> Graph:
     """Cayley graph on GF(2)^{2k} with connection set {(z, z^3)}; (2^k - 1)-regular."""
     family = FamilySpec(kind="bch", k=k)
-    return _build_xor_cayley(family, bch_connection_set(k))
+    return _xor_cayley_graph(family, bch_connection_set(k))
 
 
 def build_code_graph_alon(k: int) -> Graph:
@@ -332,7 +347,7 @@ def build_code_graph_alon(k: int) -> Graph:
     conn = alon_connection_set(k)
     w0s, w1s = alon_split(k)
     claimed = (1 << (k - 1)) * ((1 << (k - 1)) - 1)
-    graph = _build_xor_cayley(family, conn)
+    graph = _xor_cayley_graph(family, conn)
     graph.meta.update(
         {
             "w0_size": len(w0s),

@@ -5,7 +5,6 @@ environment variable; everything else is a keyword argument on the function
 that enforces it.
 """
 import os
-from dataclasses import dataclass
 
 DEFAULT_MAX_VERTICES = 200_000
 
@@ -20,7 +19,6 @@ NODE_BUDGET = 10**8
 # larger graphs get a recorded bound instead of an open-ended search.
 VERIFY_ALPHA_CAP_GEOMETRIC = 100
 VERIFY_ALPHA_CAP_CODE = 64
-VERIFY_TRIANGLE_CAP = 5000
 
 
 def max_vertices() -> int:
@@ -34,14 +32,3 @@ def max_vertices() -> int:
         return DEFAULT_MAX_VERTICES
     return value if value > 0 else DEFAULT_MAX_VERTICES
 
-
-@dataclass(frozen=True)
-class ResourceLimits:
-    """Resource caps threaded through sweeps and verifiers."""
-
-    max_n: int = DEFAULT_MAX_VERTICES
-    spectrum_cap: int = DENSE_SPECTRUM_CAP
-    toughness_cap: int = TOUGHNESS_CAP
-    independence_cap: int = INDEPENDENCE_CAP
-    cut_cap: int = CUT_CAP
-    node_budget: int = NODE_BUDGET

@@ -30,6 +30,7 @@ from .errors import (
     UnsupportedFamily,
     ZeroVector,
 )
+from .graphs import Graph, _coords_matrix, build_family
 
 
 @dataclass(frozen=True)
@@ -78,11 +79,8 @@ def dense_spectrum(graph, cap: int = limits.DENSE_SPECTRUM_CAP) -> SpectralSumma
 
 def _character_spectrum_euclidean(graph) -> np.ndarray:
     fam = graph.family
-    q, m, n = fam.q, fam.m, graph.n
-    idx = np.arange(n, dtype=np.int64)
-    coords = np.empty((n, m), dtype=np.int64)
-    for i in range(m):
-        coords[:, i] = (idx // q**i) % q
+    q = fam.q
+    coords = _coords_matrix(graph.n, q, fam.m)
     conn = coords[graph.neighbors(0)]  # sphere through the origin
     cos_table = np.cos(2.0 * np.pi * np.arange(q) / q)
     phases = (coords @ conn.T) % q
@@ -110,8 +108,6 @@ def cayley_spectrum_abelian(family) -> SpectralSummary:
     Accepts a FamilySpec or an already-built Graph.  The half-plane family
     lives on a non-abelian affine group and is rejected.
     """
-    from .graphs import Graph, build_family
-
     graph = family if isinstance(family, Graph) else None
     fam = graph.family if graph is not None else family
     if fam is None:

@@ -24,6 +24,7 @@ from ramseyforge.certify import (
     verify_degree_formula,
 )
 from ramseyforge.exactmetrics import (
+    _triangles_bitset,
     diameter,
     eccentricity_uniformity_check,
     exact_independence,
@@ -179,15 +180,16 @@ def test_criterion_05_ramanujan_bound():
 def test_criterion_06_triangle_freeness_at_scale():
     t0 = time.perf_counter()
     ok = True
-    for q in [7, 19, 31, 43, 67, 79, 103]:
-        ok &= triangle_count(euclid(q)) == 0
-    for q in [17, 29, 41, 53, 89, 101]:
-        ok &= triangle_count(halfplane(q, 3, 6)) == 0
-    ok &= triangle_count(euclid(13)) == 676
+    graphs = [euclid(q) for q in [7, 19, 31, 43, 67, 79, 103]]
+    graphs += [halfplane(q, 3, 6) for q in [17, 29, 41, 53, 89, 101]]
+    for g in graphs:
+        ok &= triangle_count(g) == 0 and _triangles_bitset(g) == 0
+    d13 = euclid(13)
+    ok &= triangle_count(d13) == 676 and _triangles_bitset(d13) == 676
     ok = report(
         6, ok,
         "triangle count 0 for D_q(1) up to q=103 and V_q(3,6) up to q=101 "
-        "(bitset route); 676 triangles in D_13(1)",
+        "(through-identity count and bitset route); 676 triangles in D_13(1)",
         t0, 300,
     )
     assert ok

@@ -11,6 +11,7 @@ from ramseyforge.algebra import (
     gf2k_add,
     gf2k_mul,
     gf2k_pow,
+    is_generator,
     is_odd_prime,
     mobius_action,
     mod_inv,
@@ -109,6 +110,17 @@ def test_find_generator():
         g = find_generator(q)
         powers = {pow(g, e, q) for e in range(q - 1)}
         assert powers == set(range(1, q))
+
+
+def test_is_generator_matches_multiplicative_order():
+    for q in [p for p in range(3, 60) if is_odd_prime(p)]:
+        for g in range(2 * q):
+            order, acc = 1, g % q
+            while acc not in (0, 1):
+                acc = acc * g % q
+                order += 1
+            brute = acc == 1 and order == q - 1
+            assert is_generator(g, q) == brute, (g, q)
 
 
 # ---------------------------------------------------------------------------

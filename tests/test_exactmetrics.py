@@ -22,7 +22,6 @@ from ramseyforge.exactmetrics import (
     triangle_count,
 )
 from ramseyforge.graphs import FamilySpec, build_family, graph_from_edges
-from ramseyforge.limits import ResourceLimits
 
 
 def build(kind, **kw):
@@ -111,17 +110,20 @@ def test_triangle_count_frozen():
 
 
 def test_triangle_routes_agree():
-    """Bitset route and transitive-neighborhood route count the same graphs."""
-    from ramseyforge.exactmetrics import _triangles_bitset, _triangles_transitive
+    """The bitset oracle and the through-identity count agree on family graphs."""
+    from ramseyforge.exactmetrics import _triangles_bitset
 
     for spec in [
         FamilySpec(kind="euclidean", q=3, a=1),
         FamilySpec(kind="euclidean", q=13, a=1),
+        FamilySpec(kind="euclidean", q=7, m=3, a=2),
         FamilySpec(kind="noneuclidean", q=13, sigma=2, a=2),
+        FamilySpec(kind="noneuclidean", q=29, sigma=3, a=6),
         FamilySpec(kind="bch", k=3),
+        FamilySpec(kind="alon", k=4),
     ]:
         g = build_family(spec)
-        assert _triangles_bitset(g) == _triangles_transitive(g)
+        assert _triangles_bitset(g) == triangle_count(g)
 
 
 def test_girth_three_iff_triangles():

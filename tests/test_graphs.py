@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ramseyforge.algebra import quadrance
+from ramseyforge.algebra import poincare_distance, quadrance, quadratic_character
 from ramseyforge.errors import (
     BadParameter,
     BadSigma,
@@ -189,6 +189,27 @@ def test_adjacency_oracle_euclidean():
         g.adjacency_oracle(-1, 0)
 
 
+def test_half_plane_adjacency_matches_poincare_distance():
+    """Every valid (sigma, a): u ~ v exactly when d(decode(u), decode(v)) = a."""
+    for q in [5, 7, 13]:
+        for sigma in range(1, q):
+            if quadratic_character(sigma, q) != -1:
+                continue
+            decode = build("noneuclidean", q=q, sigma=sigma, a=1).decode
+            dist = np.array(
+                [[poincare_distance(decode(u), decode(v), sigma, q) for v in range(q * (q - 1))]
+                 for u in range(q * (q - 1))]
+            )
+            for a in range(1, q):
+                if a == (4 * sigma) % q:
+                    continue
+                g = build("noneuclidean", q=q, sigma=sigma, a=a)
+                adj = np.zeros((g.n, g.n), dtype=bool)
+                us, vs = g.edge_arrays()
+                adj[us, vs] = adj[vs, us] = True
+                assert (adj == (dist == a)).all(), (q, sigma, a)
+
+
 def test_adjacency_matches_quadrance():
     g = build("euclidean", q=7, a=2)
     for u in [0, 5, 17, 30, 48]:
@@ -298,6 +319,16 @@ def test_edge_jsonl_export():
         assert g.adjacency_oracle(row["u"], row["v"])
         assert tuple(row["pu"]) == g.decode(row["u"])
         assert tuple(row["pv"]) == g.decode(row["v"])
+
+
+def test_edge_jsonl_export_adhoc():
+    g = graph_from_edges(5, [(0, 1), (1, 2), (3, 1), (4, 0)])
+    rows = [json.loads(l) for l in export_graph(g, "edge-jsonl").decode().splitlines()]
+    assert len(rows) == g.num_edges
+    for row in rows:
+        assert row["pu"] == row["u"] and row["pv"] == row["v"]
+        assert g.adjacency_oracle(row["u"], row["v"])
+    assert g.encode(3) == 3
 
 
 def test_export_bad_format():
