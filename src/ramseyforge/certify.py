@@ -124,13 +124,13 @@ def _ev(value, provenance: str) -> dict:
     return {"value": value, "provenance": provenance}
 
 
-def _jsonable(x):
+def jsonable(x):
     """Make a value JSON-safe: infinities to strings, exact rationals to
     strings, numpy scalars/arrays to Python values."""
     if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
+        return {k: jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+        return [jsonable(v) for v in x]
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, np.generic):
@@ -140,12 +140,12 @@ def _jsonable(x):
             return "inf" if x > 0 else "-inf"
         return x
     if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
+        return [jsonable(v) for v in x.tolist()]
     return x
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    return json.dumps(_jsonable(cert.to_dict()), indent=2)
+    return json.dumps(jsonable(cert.to_dict()), indent=2)
 
 
 def primes_in(lo: int, hi: int, residue: Optional[dict] = None) -> list:
@@ -964,23 +964,56 @@ class SweepConfig:
     threads: int = 1
 
     @staticmethod
-    def from_dict(d: dict) -> "SweepConfig":
-        known = {f for f in ("q_min", "q_max", "families", "residue", "ks", "out_dir", "threads")}
-        bad = set(d) - known
+    def from_dict(d, **overrides) -> "SweepConfig":
+        """Validated config from parsed JSON; non-None overrides (command-line
+        flags) replace the file's values.  Bad input raises BadParameter."""
+        if not isinstance(d, dict):
+            raise BadParameter(f"sweep config must be a JSON object, not {type(d).__name__}")
+        cfg = dict(d)
+        cfg.update((k, v) for k, v in overrides.items() if v is not None)
+        known = {"q_min", "q_max", "families", "residue", "ks", "out_dir", "threads"}
+        bad = set(cfg) - known
         if bad:
             raise BadParameter(f"unknown sweep config keys: {sorted(bad)}")
-        cfg = dict(d)
-        if "families" in cfg:
-            cfg["families"] = tuple(cfg["families"])
-        if "ks" in cfg:
-            cfg["ks"] = tuple(cfg["ks"])
-        out = SweepConfig(**cfg)
-        for fam in out.families:
-            if fam not in _FAMILY_ORDER:
-                raise BadParameter(f"unknown family {fam!r} in sweep config")
-        if out.residue is not None and set(out.residue) != {"mod", "value"}:
-            raise BadParameter("residue filter needs exactly the keys mod and value")
-        return out
+        for key in ("q_min", "q_max", "threads"):
+            if key in cfg:
+                _check_int(cfg[key], f"sweep config key {key!r}")
+        if cfg.get("threads", 1) < 1:
+            raise BadParameter(f"sweep config key 'threads' must be >= 1, got {cfg['threads']}")
+        for key in ("families", "ks"):
+            if key in cfg:
+                if not isinstance(cfg[key], (list, tuple)):
+                    raise BadParameter(
+                        f"sweep config key {key!r} must be a list, got {cfg[key]!r}"
+                    )
+                cfg[key] = tuple(cfg[key])
+        for k in cfg.get("ks", ()):
+            _check_int(k, "entry of sweep config key 'ks'")
+        for fam in cfg.get("families", ()):
+            if not isinstance(fam, str) or fam not in _FAMILY_ORDER:
+                raise BadParameter(f"unknown family {fam!r} in sweep config key 'families'")
+        residue = cfg.get("residue")
+        if residue is not None:
+            if not isinstance(residue, dict) or set(residue) != {"mod", "value"}:
+                raise BadParameter(
+                    "sweep config key 'residue' needs exactly the keys mod and value"
+                )
+            _check_int(residue["mod"], "sweep config key 'residue.mod'")
+            _check_int(residue["value"], "sweep config key 'residue.value'")
+            if residue["mod"] < 1:
+                raise BadParameter(
+                    f"sweep config key 'residue.mod' must be positive, got {residue['mod']}"
+                )
+        if "out_dir" in cfg and not isinstance(cfg["out_dir"], str):
+            raise BadParameter(
+                f"sweep config key 'out_dir' must be a string, got {cfg['out_dir']!r}"
+            )
+        return SweepConfig(**cfg)
+
+
+def _check_int(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadParameter(f"{what} must be an integer, got {value!r}")
 
 
 def _default_halfplane_params(q: int):
@@ -1114,6 +1147,7 @@ def run_sweep(config: SweepConfig) -> dict:
     """Run every qualifying graph job, write one certificate JSON per graph
     plus summary.csv; failures are recorded per row, never abort the sweep.
     Output bytes are independent of the thread count."""
+    limits.max_vertices()  # a bad override fails the sweep, not every row
     jobs = _sweep_jobs(config)
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:

@@ -12,8 +12,8 @@ import sys
 from .algebra import find_nonsquare
 from .certify import (
     SweepConfig,
-    _jsonable,
     certificate_to_json,
+    jsonable,
     ramsey_certificate,
     run_sweep,
     verify_circle_lemma,
@@ -65,7 +65,7 @@ def _spec_from_args(args) -> FamilySpec:
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(_jsonable(payload), indent=2))
+    print(json.dumps(jsonable(payload), indent=2))
 
 
 def _cmd_build(args) -> int:
@@ -158,11 +158,7 @@ def _cmd_certify_ramsey(args) -> int:
 def _cmd_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    if args.threads is not None:
-        raw["threads"] = args.threads
-    if args.out_dir is not None:
-        raw["out_dir"] = args.out_dir
-    config = SweepConfig.from_dict(raw)
+    config = SweepConfig.from_dict(raw, threads=args.threads, out_dir=args.out_dir)
     result = run_sweep(config)
     _print_json(result)
     bad = [s for s in result["statuses"] if s not in ("pass", "recorded")]

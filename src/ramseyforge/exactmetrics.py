@@ -9,6 +9,13 @@ Graphs built by the family constructors are Cayley graphs, hence vertex
 transitive: girth and eccentricity are measured from a single root there,
 and the total triangle count is n/3 times the count through one vertex.
 ``eccentricity_uniformity_check`` spot-checks the transitivity assumption.
+
+BFS has two routes, chosen by what is asked for.  One root (family girth
+and diameter, ``bfs_distances``, ``connected_components``) takes a
+frontier-list BFS.  A set of roots (girth and diameter of ad-hoc graphs, the
+sampled roots of the spot check) takes one bit-parallel BFS in which every
+vertex carries a bit per root; roots run in blocks whose bit arrays stay
+within ``_BFS_WORD_BUDGET`` 64-bit words, so memory is bounded up front.
 """
 import math
 from collections import deque
@@ -69,8 +76,8 @@ def bfs_distances(graph, root: int) -> np.ndarray:
             cand = cand[dist[cand] < 0]
             if cand.size == 0:
                 break
-            frontier = np.unique(cand)
-            dist[frontier] = level
+            dist[cand] = level
+            frontier = np.flatnonzero(dist == level)
         return dist
     queue = deque([root])
     while queue:
@@ -114,37 +121,147 @@ def _root_cycle_bound(graph, root: int, best: float) -> float:
     return best
 
 
+# --- bit-parallel BFS from a set of roots ------------------------------------
+#
+# Every vertex carries a row of w uint64 words; bit j of word i stands for
+# root 64*i + j of the current block.  One level ORs the frontier rows of the
+# neighbours into each vertex, column by column of the (n, dmax) neighbour
+# matrix (kept transposed, so a column is contiguous), so a level costs
+# n*dmax*w word operations whatever the number of roots.  Bit arrays have
+# n + 1 rows: irregular graphs pad short neighbour rows with the sentinel
+# vertex n, whose row stays 0.  Roots run in blocks small
+# enough that one (n + 1, w) array stays within _BFS_WORD_BUDGET words
+# (32 MiB), fixed before anything is allocated; a single word per vertex is
+# the floor.
+
+_BFS_WORD_BUDGET = 1 << 22
+
+
+def _neighbor_columns(graph) -> np.ndarray:
+    """The (dmax, n) transposed neighbour matrix, short rows padded with n."""
+    n = graph.n
+    if graph.degree is not None:
+        return np.ascontiguousarray(graph.indices.reshape(n, graph.degree).T)
+    counts = np.diff(graph.indptr)
+    dmax = int(counts.max()) if n else 0
+    cols = np.full((dmax, n), n, dtype=np.int64)
+    rows = np.repeat(np.arange(n, dtype=np.int64), counts)
+    slots = np.arange(len(graph.indices)) - np.repeat(graph.indptr[:-1], counts)
+    cols[slots, rows] = graph.indices
+    return cols
+
+
+def _root_blocks(n: int, roots: np.ndarray):
+    """Roots in blocks whose (n + 1, w) bit arrays fit the word budget."""
+    step = 64 * max(1, _BFS_WORD_BUDGET // (n + 1))
+    for lo in range(0, len(roots), step):
+        yield roots[lo:lo + step]
+
+
+def _root_bits(n: int, block: np.ndarray) -> np.ndarray:
+    """(n + 1, w) array with bit i set on row block[i]: the level-0 frontier."""
+    words = np.zeros((n + 1, (len(block) + 63) // 64), dtype=np.uint64)
+    i = np.arange(len(block))
+    words[block, i >> 6] = np.left_shift(np.uint64(1), (i & 63).astype(np.uint64))
+    return words
+
+
+def _bit_flags(words: np.ndarray, count: int) -> np.ndarray:
+    """Boolean flag per root from a row of w words, roots 0..count-1."""
+    i = np.arange(count)
+    return ((words[i >> 6] >> (i & 63).astype(np.uint64)) & np.uint64(1)).astype(bool)
+
+
+def _eccentricities(graph, roots) -> list:
+    """Exact eccentricity of each root (math.inf when it misses a vertex)."""
+    n = graph.n
+    roots = np.asarray(roots, dtype=np.int64)
+    cols = _neighbor_columns(graph)
+    out = []
+    for block in _root_blocks(n, roots):
+        frontier = _root_bits(n, block)
+        seen = frontier.copy()
+        ecc = np.zeros(len(block), dtype=np.int64)
+        level = 0
+        while True:
+            nxt = np.zeros((n, frontier.shape[1]), dtype=np.uint64)
+            for col in cols:
+                nxt |= frontier[col]
+            nxt &= ~seen[:n]
+            reached = np.bitwise_or.reduce(nxt, axis=0)
+            if not reached.any():
+                break
+            level += 1
+            ecc[_bit_flags(reached, len(block))] = level
+            frontier[:n] = nxt
+            seen[:n] |= nxt
+        complete = _bit_flags(np.bitwise_and.reduce(seen[:n], axis=0), len(block))
+        out.extend(int(e) if ok else math.inf for e, ok in zip(ecc.tolist(), complete.tolist()))
+    return out
+
+
+def _shortest_cycle(graph) -> float:
+    """Girth by BFS from every root at once (Itai-Rodeh cycle detection).
+
+    At level k, an edge between two frontier vertices of one root closes a
+    walk of length 2k + 1; an unseen vertex with two frontier neighbours of
+    one root closes one of length 2k + 2.  Per root that is the bound
+    ``_root_cycle_bound`` finds, and the minimum over roots is the girth.
+    """
+    n = graph.n
+    cols = _neighbor_columns(graph)
+    best = math.inf
+    for block in _root_blocks(n, np.arange(n, dtype=np.int64)):
+        if best == 3:
+            break
+        frontier = _root_bits(n, block)
+        seen = frontier.copy()
+        level = 0
+        while 2 * level + 1 < best:
+            once = np.zeros((n, frontier.shape[1]), dtype=np.uint64)
+            twice = np.zeros_like(once)
+            for col in cols:
+                hit = frontier[col]
+                twice |= once & hit
+                once |= hit
+            if (once & frontier[:n]).any():
+                best = 2 * level + 1
+                break
+            unseen = ~seen[:n]
+            if (twice & unseen).any():
+                best = 2 * level + 2
+                break
+            once &= unseen
+            if not once.any():
+                break
+            frontier[:n] = once
+            seen[:n] |= once
+            level += 1
+    return best
+
+
 def girth(graph) -> float:
     """Length of a shortest cycle, math.inf for forests.
 
     Single-root BFS when the graph is a known vertex-transitive family
-    (every vertex then lies on some shortest cycle), all roots otherwise.
+    (every vertex then lies on some shortest cycle), bit-parallel BFS from
+    all roots otherwise.
     """
-    best = math.inf
     if _is_transitive_family(graph):
-        return _root_cycle_bound(graph, 0, best)
-    for root in range(graph.n):
-        best = _root_cycle_bound(graph, root, best)
-        if best == 3:
-            break
-    return best
+        return _root_cycle_bound(graph, 0, math.inf)
+    return _shortest_cycle(graph)
 
 
 def diameter(graph) -> float:
     """Diameter, math.inf when disconnected.
 
     Vertex-transitive graphs have all eccentricities equal, so one BFS
-    suffices for the known families.
+    suffices for the known families; other graphs take the maximum over a
+    bit-parallel BFS from all roots.
     """
     if _is_transitive_family(graph):
         return eccentricity(graph, 0)
-    worst = 0
-    for root in range(graph.n):
-        ecc = eccentricity(graph, root)
-        if ecc == math.inf:
-            return math.inf
-        worst = max(worst, ecc)
-    return worst
+    return max(_eccentricities(graph, np.arange(graph.n)), default=0)
 
 
 def eccentricity_uniformity_check(graph, samples: int = 8) -> bool:
@@ -152,8 +269,7 @@ def eccentricity_uniformity_check(graph, samples: int = 8) -> bool:
     if graph.n == 0:
         return True
     roots = np.unique(np.linspace(0, graph.n - 1, num=min(samples, graph.n)).astype(np.int64))
-    eccs = {eccentricity(graph, int(r)) for r in roots}
-    return len(eccs) == 1
+    return len(set(_eccentricities(graph, roots))) == 1
 
 
 def _triangles_bitset(graph) -> int:

@@ -6,6 +6,8 @@ that enforces it.
 """
 import os
 
+from .errors import BadParameter
+
 DEFAULT_MAX_VERTICES = 200_000
 
 DENSE_SPECTRUM_CAP = 2500
@@ -22,13 +24,16 @@ VERIFY_ALPHA_CAP_CODE = 64
 
 
 def max_vertices() -> int:
-    """Vertex limit for graph construction, overridable via RAMSEY_FORGE_MAX_N."""
+    """Vertex limit for graph construction, overridable via RAMSEY_FORGE_MAX_N;
+    an override that is not a positive integer raises BadParameter."""
     raw = os.environ.get("RAMSEY_FORGE_MAX_N")
     if raw is None:
         return DEFAULT_MAX_VERTICES
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_MAX_VERTICES
-    return value if value > 0 else DEFAULT_MAX_VERTICES
+        raise BadParameter(f"RAMSEY_FORGE_MAX_N={raw!r} is not an integer") from None
+    if value <= 0:
+        raise BadParameter(f"RAMSEY_FORGE_MAX_N={raw!r} must be positive")
+    return value
 

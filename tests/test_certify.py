@@ -12,8 +12,8 @@ from ramseyforge.algebra import quadratic_character
 from ramseyforge.certify import (
     CSV_COLUMNS,
     SweepConfig,
-    _jsonable,
     certificate_to_json,
+    jsonable,
     primes_in,
     ramsey_certificate,
     run_sweep,
@@ -343,12 +343,12 @@ def test_ramsey_certificate_rejects_triangles():
 # ---------------------------------------------------------------------------
 
 def test_jsonable_scalars():
-    assert _jsonable(math.inf) == "inf"
-    assert _jsonable(-math.inf) == "-inf"
-    assert _jsonable(Fraction(3, 2)) == "3/2"
-    assert _jsonable(np.int64(7)) == 7
-    assert _jsonable(np.float64(2.5)) == 2.5
-    assert _jsonable({"x": [np.int32(1), Fraction(2)]}) == {"x": [1, "2"]}
+    assert jsonable(math.inf) == "inf"
+    assert jsonable(-math.inf) == "-inf"
+    assert jsonable(Fraction(3, 2)) == "3/2"
+    assert jsonable(np.int64(7)) == 7
+    assert jsonable(np.float64(2.5)) == 2.5
+    assert jsonable({"x": [np.int32(1), Fraction(2)]}) == {"x": [1, "2"]}
 
 
 def test_certificate_json_shape():

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 BASE = [sys.executable, "-m", "ramseyforge"]
 
 
@@ -187,6 +189,47 @@ def test_sweep_threads_override(tmp_path):
 def test_sweep_missing_config_is_io_error(tmp_path):
     res = run("sweep", "--config", str(tmp_path / "absent.json"))
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ([1, 2], "object"),
+        ({"threads": "4"}, "threads"),
+        ({"threads": True}, "threads"),
+        ({"threads": 0}, "threads"),
+        ({"q_max": "x"}, "q_max"),
+        ({"q_min": 3.5}, "q_min"),
+        ({"ks": [2, "3"]}, "ks"),
+        ({"ks": "23"}, "ks"),
+        ({"families": "euclidean"}, "families"),
+        ({"residue": {"mod": 0, "value": 1}}, "residue"),
+        ({"residue": {"mod": "12", "value": 7}}, "residue"),
+    ],
+)
+def test_sweep_bad_config_is_usage_error(tmp_path, config, key):
+    if isinstance(config, dict):
+        config = dict(config, out_dir=str(tmp_path / "out"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    res = run("sweep", "--config", str(cfg))
+    assert res.returncode == 2
+    errors = [line for line in res.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and key in errors[0], res.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_vertex_limit_env_is_usage_error(tmp_path):
+    env = dict(os.environ, RAMSEY_FORGE_MAX_N="lots")
+    res = run("stats", "--family", "euclidean", "--q", "7", env=env)
+    assert res.returncode == 2
+    assert "error: RAMSEY_FORGE_MAX_N" in res.stderr
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q_max": 5, "out_dir": str(tmp_path / "out")}))
+    res = run("sweep", "--config", str(cfg), env=env)
+    assert res.returncode == 2
+    assert "error: RAMSEY_FORGE_MAX_N" in res.stderr
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

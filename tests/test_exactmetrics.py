@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ramseyforge import exactmetrics
 from ramseyforge.errors import TooLarge
 from ramseyforge.exactmetrics import (
     bfs_distances,
@@ -95,6 +96,101 @@ def test_eccentricity_uniformity():
     assert eccentricity_uniformity_check(build("euclidean", q=7, a=1))
     star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
     assert not eccentricity_uniformity_check(star)
+
+
+# ---------------------------------------------------------------------------
+# bit-parallel BFS from a set of roots, against oracles that share no code
+# with it: distances from boolean matrix powers, girth from single-root BFS
+# ---------------------------------------------------------------------------
+
+def _oracle_distances(n, edges):
+    """All-pairs hop distances, -1 when unreachable, from powers of the
+    boolean adjacency matrix built from the edge list."""
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = 1
+    reach = np.eye(n, dtype=bool)
+    dist = np.where(reach, 0, -1)
+    k = 0
+    while True:
+        k += 1
+        new = ((reach.astype(np.int64) @ adj) > 0) & ~reach
+        if not new.any():
+            return dist
+        dist[new] = k
+        reach |= new
+
+
+def _kernel_cases():
+    """(label, n, edges): tiny and disconnected graphs, odd and even girth,
+    and seeded random graphs with more than 64 vertices."""
+    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    cube = [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)]
+    cases = [
+        ("n=0", 0, []),
+        ("n=1", 1, []),
+        ("isolated", 5, []),
+        ("path+cycle", 8, [(0, 1), (1, 2)] + [(3 + i, 3 + (i + 1) % 5) for i in range(5)]),
+        ("petersen", 10, petersen),
+        ("cube", 8, cube),
+        ("C7+tail", 10, [(i, (i + 1) % 7) for i in range(7)] + [(6, 7), (7, 8), (8, 9)]),
+        ("C8", 8, [(i, (i + 1) % 8) for i in range(8)]),
+        # past the first 64 roots only: a later block must still run
+        ("C64+C5", 69,
+         [(i, (i + 1) % 64) for i in range(64)] + [(64 + i, 64 + (i + 1) % 5) for i in range(5)]),
+    ]
+    rng = np.random.default_rng(20081)
+    for i in range(16):
+        n = int(rng.integers(70, 200))
+        tree = int(rng.integers(n // 2, n + 1))  # vertices past the tree stay isolated
+        edges = [(v, int(rng.integers(0, v))) for v in range(1, tree)]
+        for _ in range(int(rng.integers(0, 4))):
+            u, v = (int(x) for x in rng.choice(tree, size=2, replace=False))
+            if (u, v) not in edges and (v, u) not in edges:
+                edges.append((u, v))
+        cases.append((f"tree+chords {i}", n, edges))
+    for i in range(4):
+        n = int(rng.integers(70, 130))
+        upper = np.argwhere(np.triu(rng.random((n, n)) < 0.04, 1))
+        cases.append((f"G(n, 0.04) {i}", n, [(int(u), int(v)) for u, v in upper]))
+    return cases
+
+
+@pytest.mark.parametrize("budget", [None, 1, 300])
+def test_root_set_bfs_matches_oracles(monkeypatch, budget):
+    """girth, diameter, eccentricities and the spot check on ad-hoc graphs;
+    a small word budget splits the roots into several blocks."""
+    if budget is not None:
+        monkeypatch.setattr(exactmetrics, "_BFS_WORD_BUDGET", budget)
+    most_blocks = 0
+    girths = set()
+    for label, n, edges in _kernel_cases():
+        g = graph_from_edges(n, edges)
+        most_blocks = max(most_blocks, len(list(exactmetrics._root_blocks(n, np.arange(n)))))
+        dist = _oracle_distances(n, edges)
+        ecc = [math.inf if (row < 0).any() else int(row.max()) for row in dist]
+        assert exactmetrics._eccentricities(g, np.arange(n)) == ecc, label
+        assert diameter(g) == max(ecc, default=0), label
+        want_girth = min(
+            (exactmetrics._root_cycle_bound(g, r, math.inf) for r in range(n)), default=math.inf
+        )
+        assert girth(g) == want_girth, label
+        girths.add(want_girth)
+        sampled = np.unique(np.linspace(0, n - 1, num=min(8, n)).astype(np.int64))
+        assert eccentricity_uniformity_check(g) == (len({ecc[r] for r in sampled}) <= 1), label
+    assert {3, 4, 5, 7, 8, math.inf} <= girths
+    assert (most_blocks > 1) == (budget is not None)
+
+
+def test_spot_check_eccentricities_match_single_root_bfs():
+    for g in (
+        build("euclidean", q=13, a=1),
+        build("bch", k=3),
+        build("noneuclidean", q=13, sigma=2, a=2),
+    ):
+        roots = [0, 5, g.n // 2, g.n - 1]
+        assert exactmetrics._eccentricities(g, roots) == [eccentricity(g, r) for r in roots]
 
 
 # ---------------------------------------------------------------------------

@@ -369,3 +369,10 @@ def test_size_limit_env(monkeypatch):
         build_family(FamilySpec(kind="euclidean", q=11, a=1))
     # 9 vertices still fits
     build_family(FamilySpec(kind="euclidean", q=3, a=1))
+
+
+@pytest.mark.parametrize("raw", ["lots", "1.5", "", "0", "-3"])
+def test_size_limit_env_rejects_bad_values(monkeypatch, raw):
+    monkeypatch.setenv("RAMSEY_FORGE_MAX_N", raw)
+    with pytest.raises(BadParameter, match="RAMSEY_FORGE_MAX_N"):
+        build_family(FamilySpec(kind="euclidean", q=3, a=1))
