@@ -103,10 +103,7 @@ def _cmd_stats(args) -> int:
 def _cmd_spectrum(args) -> int:
     spec = _spec_from_args(args)
     graph = build_family(spec)
-    method = args.method
-    if method == "auto":
-        method = "dense" if spec.kind == "noneuclidean" else "character"
-    if method == "dense":
+    if args.method == "dense":
         summary = dense_spectrum(graph)
     else:
         summary = cayley_spectrum_abelian(graph)
@@ -193,7 +190,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("spectrum", help="print the adjacency spectrum as JSON")
     _add_selectors(p)
-    p.add_argument("--method", choices=("dense", "character", "auto"), default="auto")
+    p.add_argument(
+        "--method", choices=("dense", "character", "auto"), default="auto",
+        help="auto and character use the family's group irreps; dense "
+        "diagonalizes the n x n adjacency (at most 2500 vertices)",
+    )
     p.set_defaults(func=_cmd_spectrum)
 
     p = subs.add_parser("verify", help="run a theorem-verification suite")

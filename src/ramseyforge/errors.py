@@ -42,7 +42,8 @@ class BadResidue(ValueError):
 
 
 class SizeLimitExceeded(ValueError):
-    """The requested graph exceeds the configured vertex limit."""
+    """The requested graph exceeds the vertex limit or the neighbor-matrix
+    entry limit."""
 
 
 class TooLarge(ValueError):

@@ -183,10 +183,18 @@ class Graph:
         return int(point)
 
 
-def _check_size(n: int):
+def _check_size(n: int, degree: int):
+    """Refuse a graph past the vertex limit, or whose (n, degree) neighbor
+    matrix would exceed limits.MAX_NEIGHBOR_ENTRIES, before allocating it."""
     cap = limits.max_vertices()
     if n > cap:
         raise SizeLimitExceeded(f"graph on {n} vertices exceeds the limit {cap}")
+    entries = n * degree
+    if entries > limits.MAX_NEIGHBOR_ENTRIES:
+        raise SizeLimitExceeded(
+            f"neighbor matrix of n*d = {n}*{degree} = {entries} entries exceeds "
+            f"limits.MAX_NEIGHBOR_ENTRIES = {limits.MAX_NEIGHBOR_ENTRIES}"
+        )
 
 
 def _csr_from_rows(rows: np.ndarray) -> tuple:
@@ -235,17 +243,16 @@ def _coords_matrix(n: int, q: int, m: int) -> np.ndarray:
     return coords
 
 
-def _cayley_graph(family: FamilySpec, neighbor_rows) -> Graph:
-    """Cayley graph Cay(G, S) on the family's group G.
+def _cayley_graph(family: FamilySpec, degree: int, neighbor_rows) -> Graph:
+    """Cayley graph Cay(G, S) on the family's group G, with |S| = degree.
 
     Vertex 0 is the identity of G in every codec, so S is its neighbor set.
     ``neighbor_rows()`` returns the (n, |S|) matrix whose row g lists the
-    products g*s, s in S; it runs only after the size check.
+    products g*s, s in S; it runs only after the size checks.
     """
     n = family.n
-    _check_size(n)
+    _check_size(n, degree)
     rows = neighbor_rows()
-    degree = rows.shape[1]
     indptr, indices = _csr_from_rows(rows)
     return Graph(family, n, indptr, indices, degree=degree)
 
@@ -253,11 +260,11 @@ def _cayley_graph(family: FamilySpec, neighbor_rows) -> Graph:
 def build_euclidean(q: int, m: int = 2, a: int = 1) -> Graph:
     """Cayley graph on (F_q^m, +) whose connection set is the sphere Q = a."""
     family = FamilySpec(kind="euclidean", q=q, m=m, a=a)
+    expected = euclidean_degree(q, m, family.a)
 
     def translates():
         coords = _coords_matrix(family.n, q, m)
         sphere = np.flatnonzero((coords**2).sum(axis=1) % q == family.a)
-        expected = euclidean_degree(q, m, family.a)
         if len(sphere) != expected:
             raise AssertionError(f"sphere size {len(sphere)} != formula {expected}")
         weights = q ** np.arange(m, dtype=np.int64)
@@ -267,7 +274,7 @@ def build_euclidean(q: int, m: int = 2, a: int = 1) -> Graph:
             rows[:, col] = ((coords + coords[s_idx]) % q) @ weights
         return rows
 
-    return _cayley_graph(family, translates)
+    return _cayley_graph(family, expected, translates)
 
 
 def build_non_euclidean(q: int, sigma: int, a: int) -> Graph:
@@ -295,7 +302,7 @@ def build_non_euclidean(q: int, sigma: int, a: int) -> Graph:
             - 1
         )
 
-    return _cayley_graph(family, affine_images)
+    return _cayley_graph(family, q + 1, affine_images)
 
 
 def bch_connection_set(k: int) -> list:
@@ -327,6 +334,7 @@ def _xor_cayley_graph(family: FamilySpec, conn: list) -> Graph:
     """Cayley graph on (GF(2)^t, XOR) with connection set conn."""
     return _cayley_graph(
         family,
+        len(conn),
         lambda: np.arange(family.n, dtype=np.int64)[:, None] ^ np.asarray(conn, dtype=np.int64),
     )
 

@@ -1,14 +1,17 @@
 """Size caps for builders and exact oracles.
 
 The vertex limit can be raised or lowered through the RAMSEY_FORGE_MAX_N
-environment variable; everything else is a keyword argument on the function
-that enforces it.
+environment variable; the neighbor-matrix entry limit is fixed; everything
+else is a keyword argument on the function that enforces it.
 """
 import os
 
 from .errors import BadParameter
 
 DEFAULT_MAX_VERTICES = 200_000
+# Cayley builders refuse an (n, d) int64 neighbor matrix above this many
+# entries (1 GiB) before allocating it.
+MAX_NEIGHBOR_ENTRIES = 2**27
 
 DENSE_SPECTRUM_CAP = 2500
 TOUGHNESS_CAP = 16

@@ -1,9 +1,17 @@
 """Adjacency spectra and the spectral bounds derived from them.
 
-Eigenvalues come by two independent routes: dense symmetric diagonalization
-of the adjacency matrix, and exact character sums for the abelian Cayley
-families (cosine sums over (Z_p)^m, a Walsh-Hadamard transform over
-(Z_2)^t).  Tests cross-check the routes against each other.
+Eigenvalues come by three routes:
+
+  * affine irreps   half-plane graphs are Cayley graphs on Aff(1, q); the
+                    q - 1 linear characters and the one (q - 1)-dimensional
+                    irrep give two (q - 1) x (q - 1) eigenproblems
+  * character sums  the abelian Cayley families: cosine sums over (Z_p)^m,
+                    a Walsh-Hadamard transform over (Z_2)^t
+  * dense           symmetric diagonalization of the n x n adjacency matrix,
+                    capped at 2500 vertices; used for ad-hoc graphs, for
+                    ``spectrum --method dense`` and as the test oracle
+
+Tests cross-check the group routes against the dense one.
 
 Bound conventions, for a d-regular graph on n vertices with adjacency
 eigenvalues d = lambda_1 >= ... >= lambda_n and Laplacian eigenvalues
@@ -102,32 +110,52 @@ def _character_spectrum_xor(graph) -> np.ndarray:
     return vec.astype(np.float64)
 
 
-def cayley_spectrum_abelian(family) -> SpectralSummary:
-    """Exact eigenvalues by additive characters; abelian families only.
+def _character_spectrum_affine(graph) -> np.ndarray:
+    """Spectrum of Cay(Aff(1, q), S) from the irreps of Aff(1, q).
 
-    Accepts a FamilySpec or an already-built Graph.  The half-plane family
-    lives on a non-abelian affine group and is rejected.
+    With S decoded as (t, v) by the half-plane codec, M_j[c, c*v] sums
+    exp(2 pi i j c t / q) over S for c in F_q*.  M_0 carries the q - 1 linear
+    characters (multiplicity 1 each); M_1 is the (q - 1)-dimensional irrep,
+    whose eigenvalues each occur q - 1 times: (q - 1) + (q - 1)^2 = n.
+    """
+    q = graph.family.q
+    t, v = np.divmod(graph.neighbors(0), q - 1)
+    c = np.arange(1, q, dtype=np.int64)[:, None]
+    rows = np.broadcast_to(c - 1, (q - 1, len(t)))
+    cols = (c * (v + 1)) % q - 1
+    m0 = np.zeros((q - 1, q - 1))
+    np.add.at(m0, (rows, cols), 1.0)
+    m1 = np.zeros((q - 1, q - 1), dtype=np.complex128)
+    np.add.at(m1, (rows, cols), np.exp(2j * np.pi * ((c * t) % q) / q))
+    try:
+        linear, irrep = np.linalg.eigvalsh(m0), np.linalg.eigvalsh(m1)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"irrep eigensolver failed: {exc}") from exc
+    return np.concatenate([linear, np.tile(irrep, q - 1)])
+
+
+def cayley_spectrum_abelian(family) -> SpectralSummary:
+    """Exact eigenvalues of a Cayley family graph from its group's irreps.
+
+    Covers all four Cayley families: additive characters for the Euclidean
+    and code families, the Aff(1, q) irreps for half-plane graphs.  Accepts a
+    FamilySpec or an already-built Graph; ad-hoc graphs (family None) are
+    rejected.
     """
     graph = family if isinstance(family, Graph) else None
     fam = graph.family if graph is not None else family
     if fam is None:
-        raise UnsupportedFamily("character spectra need a known family")
-    if fam.kind == "noneuclidean":
-        raise UnsupportedFamily(
-            "half-plane graphs live on a non-abelian group; use dense_spectrum"
-        )
-    if fam.kind not in ("euclidean", "bch", "alon"):
-        raise UnsupportedFamily(f"unknown family kind {fam.kind!r}")
+        raise UnsupportedFamily("group spectra need a known family")
     if graph is None:
         graph = build_family(fam)
     if fam.kind == "euclidean":
-        eig = _character_spectrum_euclidean(graph)
+        eig, method = _character_spectrum_euclidean(graph), "character-sum"
+    elif fam.kind == "noneuclidean":
+        eig, method = _character_spectrum_affine(graph), "affine-irreps"
     else:
-        eig = _character_spectrum_xor(graph)
+        eig, method = _character_spectrum_xor(graph), "character-sum"
     eig = np.sort(eig)[::-1]
-    return SpectralSummary(
-        n=graph.n, d=graph.degree, eigenvalues=eig, method="character-sum"
-    )
+    return SpectralSummary(n=graph.n, d=graph.degree, eigenvalues=eig, method=method)
 
 
 def alon_toughness_bound(d: float, lam: float) -> float:

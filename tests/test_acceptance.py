@@ -167,11 +167,16 @@ def test_criterion_05_ramanujan_bound():
             s = dense_spectrum(halfplane(q, sigma, a))
             ok &= ramanujan_check(s, q)
             graphs += 1
+    # past the dense cap: the Aff(1, q) irrep route only
+    for q in [53, 89, 101]:
+        s = cayley_spectrum_abelian(halfplane(q, 3, 6))
+        ok &= s.method == "affine-irreps" and s.n == q * (q - 1)
+        ok &= ramanujan_check(s, q)
     ok = report(
         5, ok,
         "every nontrivial eigenvalue obeys |lambda| <= 2*sqrt(q) + 1e-6 for "
-        f"D_q(1) q <= 31 and {graphs} half-plane graphs q <= 17; "
-        "dense and character-sum spectra agree within 1e-6",
+        f"D_q(1) q <= 31, {graphs} half-plane graphs q <= 17 and V_q(3,6) "
+        "q in {53, 89, 101}; dense and character-sum spectra agree within 1e-6",
         t0, 600,
     )
     assert ok

@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ramseyforge import certify
 from ramseyforge.algebra import quadratic_character
 from ramseyforge.certify import (
     CSV_COLUMNS,
@@ -24,6 +27,7 @@ from ramseyforge.certify import (
     verify_main_theorem,
     verify_mt1,
 )
+from ramseyforge.cli import main
 from ramseyforge.errors import (
     BadParameter,
     BadResidue,
@@ -255,6 +259,20 @@ def test_mt1_q17_layout():
     }
 
 
+def test_mt1_q53_past_the_dense_cap(capsys):
+    # n = 2756 > 2500: the spectrum comes from the Aff(1, 53) irreps
+    cert = verify_mt1(53)
+    assert cert.overall == "pass"
+    assert cert.ramsey["method"] == "spectral-ratio"
+    code = main([
+        "certify-ramsey", "--family", "noneuclidean", "--q", "53", "--sigma", "3", "--a", "6",
+    ])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ramsey"]["n"] == 2756
+    assert doc["ramsey"]["method"] == "spectral-ratio"
+
+
 def test_mt1_residue_gate():
     for q in [13, 7, 5, 12]:
         with pytest.raises(BadResidue):
@@ -479,6 +497,33 @@ def test_sweep_records_errors_per_row(tmp_path, monkeypatch):
     assert doc["kind"] == "sweep-error"
 
 
+def test_sweep_interrupted_csv_write_leaves_no_result_file(tmp_path, monkeypatch):
+    cfg = SweepConfig(
+        q_min=3, q_max=11, families=("euclidean",), out_dir=str(tmp_path / "out"),
+    )
+    cells, visible = [], []
+
+    def failing_cell(value):
+        cells.append(value)
+        if len(cells) > 2 * len(CSV_COLUMNS):  # fail inside the second data row
+            visible.append(os.path.exists(os.path.join(cfg.out_dir, "summary.csv")))
+            raise OSError("disk full")
+        return str(value)
+
+    monkeypatch.setattr(certify, "_csv_cell", failing_cell)
+    with pytest.raises(OSError, match="disk full"):
+        run_sweep(cfg)
+    assert visible == [False]  # the partial table never had the result name
+    files = sorted(os.listdir(cfg.out_dir))
+    assert "summary.csv" not in files
+    # only the complete certificates remain, each a readable result
+    assert files == sorted(
+        f"euclidean_q{q}_a1.json" for q in primes_in(3, 11)
+    )
+    for name in files:
+        json.loads((tmp_path / "out" / name).read_text())
+
+
 def test_sweep_csv_is_rfc4180(tmp_path):
     cfg = SweepConfig(
         q_min=3, q_max=5, families=("euclidean",), out_dir=str(tmp_path / "out"),
@@ -500,3 +545,31 @@ def test_sweep_config_validation():
         SweepConfig.from_dict({"residue": [12]})
     cfg = SweepConfig.from_dict({"q_min": 5, "q_max": 11, "threads": 2})
     assert cfg.q_min == 5 and cfg.threads == 2
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_FIELD = (
+    _JSON
+    | st.lists(st.sampled_from(["euclidean", "noneuclidean", "bch", "alon"]) | _JSON, max_size=4)
+    | st.fixed_dictionaries({"mod": _JSON, "value": _JSON})
+)
+_CONFIG_KEYS = ("q_min", "q_max", "families", "residue", "ks", "out_dir", "threads", "extra")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON | st.fixed_dictionaries({}, optional={key: _FIELD for key in _CONFIG_KEYS}))
+def test_sweep_config_from_any_json_is_config_or_bad_parameter(doc):
+    # builds no graph: only parsing and validation run
+    try:
+        cfg = SweepConfig.from_dict(doc)
+    except BadParameter:
+        return
+    assert isinstance(cfg, SweepConfig)
+    assert isinstance(cfg.q_min, int) and isinstance(cfg.q_max, int)
+    assert isinstance(cfg.threads, int) and cfg.threads >= 1
+    assert isinstance(cfg.families, tuple) and isinstance(cfg.ks, tuple)
+    assert isinstance(cfg.out_dir, str)

@@ -71,15 +71,16 @@ def test_spectrum_character_route():
     assert len(doc["eigenvalues"]) == 16
 
 
-def test_spectrum_auto_defaults_to_dense_for_half_plane():
-    res = run(
-        "spectrum", "--family", "noneuclidean", "--q", "5", "--sigma", "2",
-        "--a", "1",
-    )
+def test_spectrum_auto_uses_affine_irreps_for_half_plane():
+    args = ("spectrum", "--family", "noneuclidean", "--q", "5", "--sigma", "2", "--a", "1")
+    res = run(*args)
     assert res.returncode == 0
     doc = json.loads(res.stdout)
-    assert doc["method"] == "dense"
+    assert doc["method"] == "affine-irreps"
     assert abs(doc["eigenvalues"][0] - 6.0) < 1e-8
+    dense = run(*args, "--method", "dense")
+    assert dense.returncode == 0
+    assert json.loads(dense.stdout)["method"] == "dense"
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ramseyforge import limits
 from ramseyforge.algebra import poincare_distance, quadrance, quadratic_character
 from ramseyforge.errors import (
     BadParameter,
@@ -15,6 +16,7 @@ from ramseyforge.errors import (
 from ramseyforge.exactmetrics import diameter, girth, triangle_count
 from ramseyforge.graphs import (
     FamilySpec,
+    _check_size,
     alon_connection_set,
     alon_split,
     bch_connection_set,
@@ -376,3 +378,31 @@ def test_size_limit_env_rejects_bad_values(monkeypatch, raw):
     monkeypatch.setenv("RAMSEY_FORGE_MAX_N", raw)
     with pytest.raises(BadParameter, match="RAMSEY_FORGE_MAX_N"):
         build_family(FamilySpec(kind="euclidean", q=3, a=1))
+
+
+def test_neighbor_entry_limit_refuses_before_building(monkeypatch):
+    spec = FamilySpec(kind="euclidean", q=7, m=3, a=1)
+    entries = spec.n * euclidean_degree(7, 3, 1)
+    monkeypatch.setattr(limits, "MAX_NEIGHBOR_ENTRIES", entries - 1)
+    with pytest.raises(SizeLimitExceeded, match=rf"MAX_NEIGHBOR_ENTRIES.*{entries - 1}") as exc:
+        build_family(spec)
+    assert str(entries) in str(exc.value)
+    for other in (
+        FamilySpec(kind="noneuclidean", q=29, sigma=3, a=6),  # 812 * 30 entries
+        FamilySpec(kind="bch", k=5),  # 1024 * 31 entries
+    ):
+        with pytest.raises(SizeLimitExceeded, match="MAX_NEIGHBOR_ENTRIES"):
+            build_family(other)
+    monkeypatch.setattr(limits, "MAX_NEIGHBOR_ENTRIES", entries)
+    assert build_family(spec).num_edges * 2 == entries
+
+
+def test_neighbor_entry_limit_default_refuses_large_euclidean():
+    # arithmetic only: these graphs would need gigabytes, so none is built
+    assert 19**4 <= limits.DEFAULT_MAX_VERTICES and 53**3 <= limits.DEFAULT_MAX_VERTICES
+    for q, m in ((19, 4), (53, 3)):
+        with pytest.raises(SizeLimitExceeded, match="MAX_NEIGHBOR_ENTRIES"):
+            _check_size(q**m, euclidean_degree(q, m, 1))
+    assert 19**4 * euclidean_degree(19, 4, 1) == 891_395_640
+    # the largest graph the tests and the benchmark build stays under it
+    _check_size(31**3, euclidean_degree(31, 3, 1))

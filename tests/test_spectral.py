@@ -1,8 +1,12 @@
 """Tests for eigenvalue computation and the spectral bound formulas."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
+from ramseyforge.algebra import find_nonsquare
 from ramseyforge.errors import (
     BadParameter,
     TooLarge,
@@ -109,9 +113,46 @@ def test_character_route_is_exact_for_xor_graphs():
     assert s.eigenvalues[-1] == -5.0
 
 
-def test_character_route_rejects_half_plane():
+def test_group_route_rejects_adhoc_graph():
     with pytest.raises(UnsupportedFamily):
-        cayley_spectrum_abelian(FamilySpec(kind="noneuclidean", q=5, sigma=2, a=1))
+        cayley_spectrum_abelian(cycle(6))
+
+
+def _irrep_blocks(graph):
+    """M_0 and M_1 of Aff(1, q) from their definition: for (t, v) in S and c
+    in F_q*, M_j[c, c*v] += exp(2 pi i j c t / q)."""
+    q = graph.family.q
+    m0 = np.zeros((q - 1, q - 1))
+    m1 = np.zeros((q - 1, q - 1), dtype=complex)
+    for s in graph.neighbors(0).tolist():
+        t, v = graph.decode(s)
+        for c in range(1, q):
+            m0[c - 1, c * v % q - 1] += 1.0
+            m1[c - 1, c * v % q - 1] += cmath.exp(2j * math.pi * c * t / q)
+    return m0, m1
+
+
+def _half_plane_cases():
+    cases = []
+    for q in (3, 5, 7, 11, 13, 17, 19, 23):
+        sigma = find_nonsquare(q)
+        cases += [(q, sigma, a) for a in range(1, q) if a != (4 * sigma) % q]
+    return cases + [(29, 3, 6), (41, 3, 6)]
+
+
+@pytest.mark.parametrize("q,sigma,a", _half_plane_cases())
+def test_affine_route_matches_dense(q, sigma, a):
+    g = build("noneuclidean", q=q, sigma=sigma, a=a)
+    dense = dense_spectrum(g).eigenvalues
+    affine = cayley_spectrum_abelian(g)
+    assert affine.method == "affine-irreps"
+    assert affine.n == g.n and affine.d == q + 1
+    assert np.max(np.abs(affine.eigenvalues - dense)) < 1e-9
+    # q - 1 linear characters once each, the (q - 1)-dimensional irrep q - 1 times
+    m0, m1 = _irrep_blocks(g)
+    assert np.array_equal(m0, m0.T) and np.allclose(m1, m1.conj().T, atol=1e-12)
+    blocks = np.concatenate([np.linalg.eigvalsh(m0)] + [np.linalg.eigvalsh(m1)] * (q - 1))
+    assert np.max(np.abs(np.sort(blocks)[::-1] - dense)) < 1e-9
 
 
 def test_dense_spectrum_gates():
