@@ -46,12 +46,12 @@ from .exactmetrics import (
     exact_independence,
     exact_toughness,
     girth,
-    metrics_report,
     triangle_count,
 )
 from .graphs import (
     FamilySpec,
     Graph,
+    _bounded_power,
     alon_split,
     build_euclidean,
     build_family,
@@ -248,13 +248,49 @@ def verify_circle_lemma(q: int) -> Certificate:
     )
 
 
+# --- per-graph measurements ---------------------------------------------------
+
+class _Measured:
+    """One graph and its measurements: ``m(oracle)`` runs ``oracle(m.graph)``
+    once and returns the stored result on every later call."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self._results = {}
+
+    def __call__(self, oracle):
+        if oracle not in self._results:
+            self._results[oracle] = oracle(self.graph)
+        return self._results[oracle]
+
+
+def _spectrum(graph):
+    """The group route for the four families, the dense one for ad-hoc graphs."""
+    return dense_spectrum(graph) if graph.family is None else cayley_spectrum_abelian(graph)
+
+
+def _exact_alpha(graph):
+    """Exact independence result, or None past the certificates' cap for the
+    graph's kind or when the node budget runs out."""
+    code = graph.family is not None and graph.family.kind in ("bch", "alon")
+    if graph.n > (limits.VERIFY_ALPHA_CAP_CODE if code else limits.VERIFY_ALPHA_CAP_GEOMETRIC):
+        return None
+    res = exact_independence(graph)
+    return res if res.exact else None
+
+
+def _ratio_bound(m) -> float:
+    summary = m(_spectrum)
+    return ratio_independence_bound(summary.n, summary.d, summary.theta_n)
+
+
 # --- girth / diameter theorems ------------------------------------------------
 
-def _euclidean_girth_diameter_claims(q: int) -> list:
-    g = build_euclidean(q, 2, 1)
-    measured_girth = girth(g)
-    uniform = eccentricity_uniformity_check(g, samples=8)
-    measured_diam = diameter(g)
+def _euclidean_girth_diameter(m) -> Certificate:
+    q = m.graph.family.q
+    measured_girth = m(girth)
+    uniform = m(eccentricity_uniformity_check)
+    measured_diam = m(diameter)
     chi3 = quadratic_character(3, q)
     expected_girth = 3 if chi3 >= 0 else 4
     claims = [
@@ -297,7 +333,8 @@ def _euclidean_girth_diameter_claims(q: int) -> list:
             },
         )
     )
-    return claims
+    fam, params = m.graph.family.to_dict(), {"q": q, "family": "euclidean"}
+    return Certificate(kind="girth-diameter", family=fam, params=params, claims=claims)
 
 
 def _non_euclidean_girth_diameter_claims(q: int, sigma: int) -> list:
@@ -382,16 +419,13 @@ def verify_girth_diameter(q: int, family: str = "euclidean") -> Certificate:
     if not is_odd_prime(q):
         raise BadParameter(f"q={q} is not an odd prime")
     if family == "euclidean":
-        claims = _euclidean_girth_diameter_claims(q)
-        fam = {"kind": "euclidean", "q": q, "m": 2, "a": 1}
-        params = {"q": q, "family": family}
-    elif family == "noneuclidean":
-        sigma = find_nonsquare(q)
-        claims = _non_euclidean_girth_diameter_claims(q, sigma)
-        fam = {"kind": "noneuclidean", "q": q, "sigma": sigma}
-        params = {"q": q, "family": family, "sigma": sigma}
-    else:
+        return _euclidean_girth_diameter(_Measured(build_euclidean(q, 2, 1)))
+    if family != "noneuclidean":
         raise UnsupportedFamily(f"no girth/diameter theorems for family {family!r}")
+    sigma = find_nonsquare(q)
+    claims = _non_euclidean_girth_diameter_claims(q, sigma)
+    fam = {"kind": "noneuclidean", "q": q, "sigma": sigma}
+    params = {"q": q, "family": family, "sigma": sigma}
     return Certificate(kind="girth-diameter", family=fam, params=params, claims=claims)
 
 
@@ -404,9 +438,7 @@ def verify_degree_formula(q: int, m: int) -> Certificate:
         raise BadParameter(f"q={q} is not an odd prime")
     if m < 2:
         raise BadParameter(f"dimension m={m} must be >= 2")
-    n = q**m
-    if n > limits.max_vertices():
-        raise TooLarge(f"q^m = {n} exceeds the vertex limit")
+    n = _bounded_power(q, m)
     idx = np.arange(n, dtype=np.int64)
     total = np.zeros(n, dtype=np.int64)
     for i in range(m):
@@ -544,12 +576,16 @@ def verify_main_theorem(q: int) -> Certificate:
     independence bounds, the edge-count corollary, and a Ramsey record."""
     if not is_odd_prime(q) or q % 12 != 7:
         raise BadResidue(f"q={q} is not a prime of the form 12k + 7")
-    g = build_euclidean(q, 2, 1)
-    n, d = g.n, g.degree
-    triangles = triangle_count(g)
-    uniform = eccentricity_uniformity_check(g, samples=8)
-    diam = diameter(g)
-    summary = cayley_spectrum_abelian(g)
+    return _main_theorem(_Measured(build_euclidean(q, 2, 1)))
+
+
+def _main_theorem(m) -> Certificate:
+    g = m.graph
+    n, d, q = g.n, g.degree, g.family.q
+    triangles = m(triangle_count)
+    uniform = m(eccentricity_uniformity_check)
+    diam = m(diameter)
+    summary = m(_spectrum)
 
     claims = [
         Claim(
@@ -574,7 +610,7 @@ def verify_main_theorem(q: int) -> Certificate:
         )
     )
 
-    ratio = ratio_independence_bound(n, d, summary.theta_n)
+    ratio = _ratio_bound(m)
     cap = 2.0 * q ** 1.5
     claims.append(
         Claim(
@@ -592,25 +628,24 @@ def verify_main_theorem(q: int) -> Certificate:
     )
 
     alpha_bound, method, witness = ratio, "spectral-ratio", None
-    if n <= limits.VERIFY_ALPHA_CAP_GEOMETRIC:
-        res = exact_independence(g)
-        if res.exact:
-            ok = res.size <= ratio + 1e-6 and res.size <= cap + _EPS
-            claims.append(
-                Claim(
-                    "independence_exact",
-                    "the exact independence number is at most the ratio bound "
-                    "and at most 2*q^(3/2)",
-                    "pass" if ok else "fail",
-                    {
-                        "alpha": _ev(res.size, "computed-exact"),
-                        "witness": _ev(list(res.witness), "computed-exact"),
-                        "ratio_bound": _ev(ratio, "computed-float"),
-                        "cap": _ev(cap, "paper-bound"),
-                    },
-                )
+    res = m(_exact_alpha)
+    if res is not None:
+        ok = res.size <= ratio + 1e-6 and res.size <= cap + _EPS
+        claims.append(
+            Claim(
+                "independence_exact",
+                "the exact independence number is at most the ratio bound "
+                "and at most 2*q^(3/2)",
+                "pass" if ok else "fail",
+                {
+                    "alpha": _ev(res.size, "computed-exact"),
+                    "witness": _ev(list(res.witness), "computed-exact"),
+                    "ratio_bound": _ev(ratio, "computed-float"),
+                    "cap": _ev(cap, "paper-bound"),
+                },
             )
-            alpha_bound, method, witness = res.size, "exact", res.witness
+        )
+        alpha_bound, method, witness = res.size, "exact", res.witness
 
     ramsey = _ramsey_record(n, alpha_bound, method, witness) if triangles == 0 else None
     return Certificate(
@@ -627,14 +662,17 @@ def verify_mt1(q: int) -> Certificate:
     the graph V_q(3, 6) with sigma = 3 non-square and a = 2*sigma."""
     if not is_odd_prime(q) or q % 12 != 5 or q < 17:
         raise BadResidue(f"q={q} is not a prime of the form 12k + 5 with k >= 1")
-    sigma, a = 3, 6
-    g = build_non_euclidean(q, sigma, a)
-    n, d = g.n, g.degree
-    triangles = triangle_count(g)
-    measured_girth = girth(g)
-    uniform = eccentricity_uniformity_check(g, samples=8)
-    diam = diameter(g)
-    summary = cayley_spectrum_abelian(g)
+    return _mt1(_Measured(build_non_euclidean(q, 3, 6)))
+
+
+def _mt1(m) -> Certificate:
+    g = m.graph
+    n, d, q, sigma, a = g.n, g.degree, g.family.q, g.family.sigma, g.family.a
+    triangles = m(triangle_count)
+    measured_girth = m(girth)
+    uniform = m(eccentricity_uniformity_check)
+    diam = m(diameter)
+    summary = m(_spectrum)
 
     claims = [
         Claim(
@@ -678,7 +716,7 @@ def verify_mt1(q: int) -> Certificate:
         )
     )
 
-    ratio = ratio_independence_bound(n, d, summary.theta_n)
+    ratio = _ratio_bound(m)
     cap_form = 2.0 * n ** 0.75
     claims.append(
         Claim(
@@ -716,29 +754,18 @@ def _greedy_independent_size(graph) -> int:
     return int(chosen.sum())
 
 
-def _code_alpha_claims(g, prefix, cap_value, cap_label, assert_cap) -> Claim:
-    n = g.n
-    greedy_lower = _greedy_independent_size(g)
+def _code_alpha_claims(m, prefix, cap_value, cap_label, assert_cap) -> Claim:
     evidence = {
-        "greedy_lower": _ev(greedy_lower, "computed-exact"),
+        "greedy_lower": _ev(m(_greedy_independent_size), "computed-exact"),
         "cap_form": _ev(cap_value, "paper-bound"),
     }
-    if n <= limits.VERIFY_ALPHA_CAP_CODE:
-        res = exact_independence(g)
-        if res.exact:
-            evidence["alpha"] = _ev(res.size, "computed-exact")
-            upper = float(res.size)
-            method = "exact"
-        else:
-            summary = cayley_spectrum_abelian(g)
-            upper = ratio_independence_bound(n, g.degree, summary.theta_n)
-            evidence["ratio_bound"] = _ev(upper, "computed-float")
-            method = "spectral-ratio"
+    res = m(_exact_alpha)
+    if res is not None:
+        evidence["alpha"] = _ev(res.size, "computed-exact")
+        upper, method = float(res.size), "exact"
     else:
-        summary = cayley_spectrum_abelian(g)
-        upper = ratio_independence_bound(n, g.degree, summary.theta_n)
+        upper, method = _ratio_bound(m), "spectral-ratio"
         evidence["ratio_bound"] = _ev(upper, "computed-float")
-        method = "spectral-ratio"
     evidence["method"] = _ev(method, "computed-exact")
     if assert_cap:
         status = "pass" if upper <= cap_value + _EPS else "fail"
@@ -755,11 +782,10 @@ def _code_alpha_claims(g, prefix, cap_value, cap_label, assert_cap) -> Claim:
     return Claim(f"{prefix}_independence", statement, status, evidence)
 
 
-def _verify_bch(k: int) -> Certificate:
-    family = FamilySpec(kind="bch", k=k)
-    g = build_family(family)
-    n = g.n
-    triangles = triangle_count(g)
+def _bch(m) -> Certificate:
+    g = m.graph
+    n, k = g.n, g.family.k
+    triangles = m(triangle_count)
     claims = [
         Claim(
             "bch_regular",
@@ -777,7 +803,7 @@ def _verify_bch(k: int) -> Certificate:
             {"triangles": _ev(triangles, "computed-exact")},
         ),
         _code_alpha_claims(
-            g,
+            m,
             "bch",
             2.0 * n ** 0.75,
             "2 * n^(3/4)",
@@ -786,17 +812,16 @@ def _verify_bch(k: int) -> Certificate:
     ]
     return Certificate(
         kind="code-graphs",
-        family=family.to_dict(),
+        family=g.family.to_dict(),
         params={"k": k, "code": "bch"},
         claims=claims,
     )
 
 
-def _verify_alon(k: int) -> Certificate:
-    family = FamilySpec(kind="alon", k=k)
-    g = build_family(family)
-    n = g.n
-    triangles = triangle_count(g)
+def _alon(m) -> Certificate:
+    g = m.graph
+    n, k = g.n, g.family.k
+    triangles = m(triangle_count)
     w0, w1 = alon_split(k)
     claimed_degree = (1 << (k - 1)) * ((1 << (k - 1)) - 1)
     actual_degree = g.degree
@@ -829,7 +854,7 @@ def _verify_alon(k: int) -> Certificate:
             {"triangles": _ev(triangles, "computed-exact")},
         ),
         _code_alpha_claims(
-            g,
+            m,
             "alon",
             36.0 * n ** (2.0 / 3.0),
             "(36 + o(1)) * n^(2/3)",
@@ -838,7 +863,7 @@ def _verify_alon(k: int) -> Certificate:
     ]
     return Certificate(
         kind="code-graphs",
-        family=family.to_dict(),
+        family=g.family.to_dict(),
         params={"k": k, "code": "alon"},
         claims=claims,
     )
@@ -847,10 +872,10 @@ def _verify_alon(k: int) -> Certificate:
 def verify_code_graphs(k: int) -> Certificate:
     """Certificate covering both code families at parameter k; the second
     family is skipped (recorded) when k is divisible by 3."""
-    bch_cert = _verify_bch(k)
+    bch_cert = _bch(_Measured(build_family(FamilySpec(kind="bch", k=k))))
     claims = list(bch_cert.claims)
     if k % 3 != 0:
-        claims.extend(_verify_alon(k).claims)
+        claims.extend(_alon(_Measured(build_family(FamilySpec(kind="alon", k=k)))).claims)
     else:
         claims.append(
             Claim(
@@ -871,34 +896,20 @@ def verify_code_graphs(k: int) -> Certificate:
 
 # --- Ramsey certificates --------------------------------------------------------
 
-def _exact_alpha_cap(family: Optional[FamilySpec]) -> int:
-    """Largest n on which certificates try an exact independence search."""
-    if family is not None and family.kind in ("bch", "alon"):
-        return limits.VERIFY_ALPHA_CAP_CODE
-    return limits.VERIFY_ALPHA_CAP_GEOMETRIC
-
-
 def ramsey_certificate(graph: Graph) -> Certificate:
     """R(3, t) > n record for a triangle-free graph: t = floor(alpha_bound)+1
     where alpha_bound is the exact independence number when feasible, else a
     spectral ratio bound."""
-    triangles = triangle_count(graph)
+    m = _Measured(graph)
+    triangles = m(triangle_count)
     if triangles != 0:
         raise NotTriangleFree(f"graph has {triangles} triangles")
-    n = graph.n
-    fam = graph.family
-    alpha_bound, method, witness = None, None, None
-    if n <= _exact_alpha_cap(fam):
-        res = exact_independence(graph)
-        if res.exact:
-            alpha_bound, method, witness = float(res.size), "exact", res.witness
-    if alpha_bound is None:
-        if fam is not None:
-            summary = cayley_spectrum_abelian(graph)
-        else:
-            summary = dense_spectrum(graph)
-        alpha_bound = ratio_independence_bound(n, summary.d, summary.theta_n)
-        method = "spectral-ratio"
+    n, fam = graph.n, graph.family
+    res = m(_exact_alpha)
+    if res is not None:
+        alpha_bound, method, witness = float(res.size), "exact", res.witness
+    else:
+        alpha_bound, method, witness = _ratio_bound(m), "spectral-ratio", None
     claims = [
         Claim(
             "triangle_free",
@@ -1049,18 +1060,15 @@ def _sweep_jobs(config: SweepConfig) -> list:
     return jobs
 
 
-def _certificate_for(spec: FamilySpec) -> Certificate:
+def _certificate_for(spec: FamilySpec, m: _Measured) -> Certificate:
+    """The theorem certificate of a sweep row, read from the row's record."""
     if spec.kind == "euclidean":
-        if spec.q % 12 == 7:
-            return verify_main_theorem(spec.q)
-        return verify_girth_diameter(spec.q, "euclidean")
+        return _main_theorem(m) if spec.q % 12 == 7 else _euclidean_girth_diameter(m)
     if spec.kind == "noneuclidean":
         if spec.q % 12 == 5 and spec.q >= 17 and spec.sigma == 3 and spec.a == 6:
-            return verify_mt1(spec.q)
+            return _mt1(m)
         return verify_girth_diameter(spec.q, "noneuclidean")
-    if spec.kind == "bch":
-        return _verify_bch(spec.k)
-    return _verify_alon(spec.k)
+    return _bch(m) if spec.kind == "bch" else _alon(m)
 
 
 def _json_name(spec: FamilySpec) -> str:
@@ -1078,24 +1086,19 @@ def _sweep_row(spec: FamilySpec):
         m=spec.m, k=spec.k,
     )
     try:
-        g = build_family(spec)
-        met = metrics_report(g)
+        m = _Measured(build_family(spec))
+        g = m.graph
         row.update(
-            n=g.n, d=g.degree, girth=met.girth, diameter=met.diameter,
-            triangles=met.triangles, components=met.components,
+            n=g.n, d=g.degree, girth=m(girth), diameter=m(diameter),
+            triangles=m(triangle_count), components=m(connected_components)[0],
         )
         # The benchmark reference in perfbench/reference/ records half-plane
         # rows past 2500 vertices with blank spectral cells; this condition
         # goes once that reference is recorded again.
-        if spec.kind == "noneuclidean" and g.n > limits.DENSE_SPECTRUM_CAP:
-            summary = None
-        else:
-            summary = cayley_spectrum_abelian(g)
-        if summary is not None:
-            ratio = ratio_independence_bound(g.n, g.degree, summary.theta_n)
-            bis_lower, bip_upper = bisection_and_bip_bounds(
-                g.n, summary.theta2, summary.theta_n
-            )
+        if not (spec.kind == "noneuclidean" and g.n > limits.DENSE_SPECTRUM_CAP):
+            summary = m(_spectrum)
+            ratio = _ratio_bound(m)
+            bis_lower, bip_upper = bisection_and_bip_bounds(g.n, summary.theta2, summary.theta_n)
             row["lambda"] = summary.lam
             row.update(
                 theta2=summary.theta2,
@@ -1107,13 +1110,12 @@ def _sweep_row(spec: FamilySpec):
             )
             if summary.lam > 0:
                 row["toughness_lower"] = alon_toughness_bound(g.degree, summary.lam)
-        if g.n <= _exact_alpha_cap(spec):
-            res = exact_independence(g)
-            if res.exact:
-                row["alpha_exact"] = res.size
+        res = m(_exact_alpha)
+        if res is not None:
+            row["alpha_exact"] = res.size
         if g.n <= limits.TOUGHNESS_CAP:
-            row["toughness_exact"] = exact_toughness(g).value
-        cert = _certificate_for(spec)
+            row["toughness_exact"] = m(exact_toughness).value
+        cert = _certificate_for(spec, m)
         row["status"] = cert.overall
         return row, cert
     except (ValueError, RuntimeError) as exc:

@@ -197,6 +197,18 @@ def _check_size(n: int, degree: int):
         )
 
 
+def _bounded_power(q: int, m: int) -> int:
+    """q^m for q >= 2, refused past the vertex limit before the power is
+    taken, so a huge m costs no time."""
+    cap = limits.max_vertices()
+    n = 1
+    for _ in range(m):
+        n *= q
+        if n > cap:
+            raise SizeLimitExceeded(f"graph on {q}^{m} vertices exceeds the limit {cap}")
+    return n
+
+
 def _csr_from_rows(rows: np.ndarray) -> tuple:
     """CSR arrays from an (n, d) neighbor matrix; rows get sorted in place."""
     rows.sort(axis=1)
@@ -260,6 +272,7 @@ def _cayley_graph(family: FamilySpec, degree: int, neighbor_rows) -> Graph:
 def build_euclidean(q: int, m: int = 2, a: int = 1) -> Graph:
     """Cayley graph on (F_q^m, +) whose connection set is the sphere Q = a."""
     family = FamilySpec(kind="euclidean", q=q, m=m, a=a)
+    _bounded_power(q, m)
     expected = euclidean_degree(q, m, family.a)
 
     def translates():

@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedFamily,
     ZeroVector,
 )
-from .graphs import Graph, _coords_matrix, build_family
+from .graphs import _coords_matrix
 
 
 @dataclass(frozen=True)
@@ -134,20 +134,16 @@ def _character_spectrum_affine(graph) -> np.ndarray:
     return np.concatenate([linear, np.tile(irrep, q - 1)])
 
 
-def cayley_spectrum_abelian(family) -> SpectralSummary:
+def cayley_spectrum_abelian(graph) -> SpectralSummary:
     """Exact eigenvalues of a Cayley family graph from its group's irreps.
 
     Covers all four Cayley families: additive characters for the Euclidean
-    and code families, the Aff(1, q) irreps for half-plane graphs.  Accepts a
-    FamilySpec or an already-built Graph; ad-hoc graphs (family None) are
-    rejected.
+    and code families, the Aff(1, q) irreps for half-plane graphs.  Ad-hoc
+    graphs (family None) are rejected.
     """
-    graph = family if isinstance(family, Graph) else None
-    fam = graph.family if graph is not None else family
+    fam = graph.family
     if fam is None:
         raise UnsupportedFamily("group spectra need a known family")
-    if graph is None:
-        graph = build_family(fam)
     if fam.kind == "euclidean":
         eig, method = _character_spectrum_euclidean(graph), "character-sum"
     elif fam.kind == "noneuclidean":

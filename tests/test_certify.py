@@ -1,8 +1,10 @@
 """Tests for certificates: theorem verifiers, JSON serialization, and sweeps."""
 
+import dataclasses
 import json
 import math
 import os
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -522,6 +524,63 @@ def test_sweep_interrupted_csv_write_leaves_no_result_file(tmp_path, monkeypatch
     )
     for name in files:
         json.loads((tmp_path / "out" / name).read_text())
+
+
+def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
+    # one row of every certificate kind: main theorem (q = 7), Euclidean
+    # girth/diameter (11), half-plane suite (13), half-plane theorem (17),
+    # BCH exact and ratio routes (k = 2, 4), and the sum-set family (k = 2)
+    configs = [
+        SweepConfig(q_min=7, q_max=11, families=("euclidean",)),
+        SweepConfig(q_min=13, q_max=17, families=("noneuclidean",)),
+        SweepConfig(families=("bch",), ks=(2, 4)),
+        SweepConfig(families=("alon",), ks=(2,)),
+    ]
+    row_graphs, all_graphs, in_suite = [], [], []
+    calls = Counter()
+
+    def counting_builder(build):
+        def wrapper(*args):
+            graph = build(*args)
+            all_graphs.append(graph)  # keeps every id() unique
+            if not in_suite:
+                row_graphs.append(graph)
+            return graph
+        return wrapper
+
+    def counting_oracle(oracle):
+        def wrapper(graph, *args, **kwargs):
+            calls[oracle.__name__, id(graph)] += 1
+            return oracle(graph, *args, **kwargs)
+        return wrapper
+
+    suite = certify._non_euclidean_girth_diameter_claims
+
+    def suite_builds_its_own_graphs(*args):
+        in_suite.append(True)
+        try:
+            return suite(*args)
+        finally:
+            in_suite.pop()
+
+    monkeypatch.setattr(certify, "_non_euclidean_girth_diameter_claims", suite_builds_its_own_graphs)
+    for name in ("build_family", "build_euclidean", "build_non_euclidean"):
+        monkeypatch.setattr(certify, name, counting_builder(getattr(certify, name)))
+    oracles = ("triangle_count", "cayley_spectrum_abelian", "exact_independence")
+    for name in oracles:
+        monkeypatch.setattr(certify, name, counting_oracle(getattr(certify, name)))
+
+    jobs = []
+    for i, cfg in enumerate(configs):
+        res = run_sweep(dataclasses.replace(cfg, out_dir=str(tmp_path / str(i))))
+        assert not any(s.startswith("error") for s in res["statuses"])
+        jobs += certify._sweep_jobs(cfg)
+    assert len(jobs) == 7
+    assert Counter(g.family for g in row_graphs) == Counter(jobs)  # each built once
+    for g in row_graphs:
+        assert calls["triangle_count", id(g)] == 1, g.family
+        for name in oracles:
+            assert calls[name, id(g)] <= 1, (name, g.family)
 
 
 def test_sweep_csv_is_rfc4180(tmp_path):

@@ -1,11 +1,22 @@
-"""End-to-end tests of the command-line interface via subprocess."""
+"""End-to-end tests of the command-line interface, via subprocess except
+where a test calls ``main`` in-process to time it or to run many examples."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ramseyforge import limits
+from ramseyforge.cli import main
 
 BASE = [sys.executable, "-m", "ramseyforge"]
 
@@ -233,6 +244,20 @@ def test_bad_vertex_limit_env_is_usage_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["stats", "--family", "euclidean"],
+    ["verify", "--suite", "degree"],
+])
+def test_huge_dimension_is_refused_before_the_power(capsys, command):
+    # 3^(10^9) has about 477 million digits: the limit check must not form it
+    start = time.perf_counter()
+    code = main(command + ["--q", "3", "--m", "1000000000"])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert f"exceeds the limit {limits.max_vertices()}" in capsys.readouterr().err
+    assert elapsed < 1.0
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 # ---------------------------------------------------------------------------
@@ -253,3 +278,49 @@ def test_missing_required_selector():
 def test_bad_family_value():
     res = run("stats", "--family", "moebius", "--q", "7")
     assert res.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# exit codes over arbitrary integer arguments
+# ---------------------------------------------------------------------------
+
+# a flag is left out a quarter of the time and half the time a small prime,
+# so that many examples build a graph; the rest reach all of [-5, 10^12]
+_SMALL = st.sampled_from([3, 5, 7, 13, 17, 19])
+_ARG = st.one_of(st.none(), _SMALL, _SMALL, st.integers(-5, 40) | st.integers(-5, 10**12))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["stats", "spectrum", "build", "certify-ramsey", "verify"]))
+    if command == "verify":
+        suites = ["circles", "girth-diameter", "degree", "main", "mt1", "code"]
+        argv = [command, "--suite", draw(st.sampled_from(suites))]
+        family = draw(st.sampled_from([None, "euclidean", "noneuclidean"]))
+        argv += ["--family", family] if family else []
+        flags = ("--q", "--m", "--k")
+    else:
+        argv = [command, "--family", draw(st.sampled_from(["euclidean", "noneuclidean", "bch", "alon"]))]
+        flags = ("--q", "--m", "--a", "--sigma", "--k")
+    for flag in flags:
+        value = draw(_ARG)
+        argv += [flag, str(value)] if value is not None else []
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_cli_exit_code_is_0_1_or_2(argv):
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # build writes to .buffer
+    err = io.StringIO()
+    # a small vertex limit keeps every example cheap
+    with mock.patch.dict(os.environ, {"RAMSEY_FORGE_MAX_N": "500"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        # a failed claim, or a Ramsey certificate refused for a triangle
+        out.flush()
+        failed = argv[0] == "verify" and json.loads(out.buffer.getvalue())["overall"] == "fail"
+        triangles = argv[0] == "certify-ramsey" and re.match(r"error: graph has \d+ triangles", err.getvalue())
+        assert failed or triangles, (argv, err.getvalue())

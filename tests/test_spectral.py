@@ -107,7 +107,7 @@ def test_dense_vs_character_agreement():
 
 def test_character_route_is_exact_for_xor_graphs():
     # FWHT over (Z_2)^t stays in integers; spectrum has no float fuzz
-    s = cayley_spectrum_abelian(FamilySpec(kind="bch", k=3))
+    s = cayley_spectrum_abelian(build("bch", k=3))
     assert s.method == "character-sum"
     assert np.allclose(s.eigenvalues, np.round(s.eigenvalues), atol=0)
     assert s.eigenvalues[-1] == -5.0
