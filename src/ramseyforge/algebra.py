@@ -5,15 +5,7 @@ Elements of F_q(sqrt(sigma)) are pairs (x, y) meaning x + y*sqrt(sigma).
 GF(2^k) elements are ints whose bit i is the coefficient of x^i in the
 polynomial basis fixed by GF2K_MODULI.
 """
-import math
-
-from .errors import (
-    BadParameter,
-    DimensionMismatch,
-    NotInHalfPlane,
-    SingularMatrix,
-    ZeroParameter,
-)
+from .errors import BadParameter, DimensionMismatch, NotInHalfPlane, ZeroParameter
 
 # Irreducible moduli for GF(2^k), bit i = coefficient of x^i.
 GF2K_MODULI = {
@@ -27,14 +19,34 @@ GF2K_MODULI = {
 }
 
 
+# Miller-Rabin with the first 12 prime bases is exact below this bound
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_odd_prime(q: int) -> bool:
+    """Deterministic Miller-Rabin; BadParameter at or above the bound where
+    the 12 bases stop being exact."""
+    if q >= _MILLER_RABIN_BOUND:
+        raise BadParameter(f"q={q} is at or above {_MILLER_RABIN_BOUND}, past exact primality")
     if q < 3 or q % 2 == 0:
         return False
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
+    if q in _MILLER_RABIN_BASES:
+        return True
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, q)
+        if x in (1, q - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -146,28 +158,10 @@ def quad_sub(z, w, q):
     return ((z[0] - w[0]) % q, (z[1] - w[1]) % q)
 
 
-def quad_mul(z, w, sigma, q):
-    x1, y1 = z
-    x2, y2 = w
-    return ((x1 * x2 + sigma * y1 * y2) % q, (x1 * y2 + x2 * y1) % q)
-
-
-def quad_conj(z, q):
-    return (z[0] % q, -z[1] % q)
-
-
 def quad_norm(z, sigma, q) -> int:
     """N(x + y*sqrt(sigma)) = x^2 - sigma*y^2."""
     x, y = z
     return (x * x - sigma * y * y) % q
-
-
-def quad_inv(z, sigma, q):
-    n = quad_norm(z, sigma, q)
-    if n == 0:
-        raise ZeroDivisionError("element of norm 0 has no inverse")
-    ninv = mod_inv(n, q)
-    return ((z[0] * ninv) % q, (-z[1] * ninv) % q)
 
 
 def poincare_distance(z, w, sigma: int, q: int) -> int:
@@ -176,22 +170,6 @@ def poincare_distance(z, w, sigma: int, q: int) -> int:
         raise NotInHalfPlane("both points need nonzero imaginary part")
     num = quad_norm(quad_sub(z, w, q), sigma, q)
     return (num * mod_inv(z[1] * w[1], q)) % q
-
-
-def mobius_action(g, z, sigma: int, q: int):
-    """Apply a GL(2, F_q) matrix to z via (a*z + b) / (c*z + d).
-
-    The result stays in the half-plane: its imaginary part is
-    y * det(g) / N(c*z + d), and both factors are nonzero.
-    """
-    (a, b), (c, d) = ((int(v) for v in row) for row in g)
-    if (a * d - b * c) % q == 0:
-        raise SingularMatrix("matrix has determinant 0")
-    if z[1] % q == 0:
-        raise NotInHalfPlane("z must have nonzero imaginary part")
-    num = ((a * z[0] + b) % q, (a * z[1]) % q)
-    den = ((c * z[0] + d) % q, (c * z[1]) % q)
-    return quad_mul(num, quad_inv(den, sigma, q), sigma, q)
 
 
 # --- GF(2^k) -----------------------------------------------------------------

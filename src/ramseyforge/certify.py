@@ -1003,6 +1003,10 @@ class SweepConfig:
         for fam in cfg.get("families", ()):
             if not isinstance(fam, str) or fam not in _FAMILY_ORDER:
                 raise BadParameter(f"unknown family {fam!r} in sweep config key 'families'")
+        for key in ("families", "ks"):
+            entries = cfg.get(key, ())
+            if len(set(entries)) < len(entries):
+                raise BadParameter(f"sweep config key {key!r} repeats an entry: {list(entries)}")
         residue = cfg.get("residue")
         if residue is not None:
             if not isinstance(residue, dict) or set(residue) != {"mod", "value"}:

@@ -49,19 +49,9 @@ def _spec_from_args(args) -> FamilySpec:
     if args.q is None:
         raise ValueError(f"--q is required for the {args.family} family")
     if args.family == "euclidean":
-        return FamilySpec(
-            kind="euclidean",
-            q=args.q,
-            m=args.m if args.m is not None else 2,
-            a=args.a if args.a is not None else 1,
-        )
+        return FamilySpec(kind="euclidean", q=args.q, m=args.m, a=args.a)
     sigma = args.sigma if args.sigma is not None else find_nonsquare(args.q)
-    return FamilySpec(
-        kind="noneuclidean",
-        q=args.q,
-        sigma=sigma,
-        a=args.a if args.a is not None else 1,
-    )
+    return FamilySpec(kind="noneuclidean", q=args.q, sigma=sigma, a=args.a)
 
 
 def _print_json(payload) -> None:

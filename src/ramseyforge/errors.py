@@ -17,10 +17,6 @@ class NotInHalfPlane(ValueError):
     """A point with zero imaginary part was passed where Im != 0 is required."""
 
 
-class SingularMatrix(ValueError):
-    """A 2x2 matrix with zero determinant cannot act on the half-plane."""
-
-
 class ZeroVector(ValueError):
     """A vector that must be nonzero (after projection) was zero."""
 

@@ -10,15 +10,14 @@ transitive: girth and eccentricity are measured from a single root there,
 and the total triangle count is n/3 times the count through one vertex.
 ``eccentricity_uniformity_check`` spot-checks the transitivity assumption.
 
-BFS has two routes, chosen by what is asked for.  One root (family girth
-and diameter, ``bfs_distances``, ``connected_components``) takes a
-frontier-list BFS.  A set of roots (girth and diameter of ad-hoc graphs, the
-sampled roots of the spot check) takes one bit-parallel BFS in which every
-vertex carries a bit per root; roots run in blocks whose bit arrays stay
-within ``_BFS_WORD_BUDGET`` 64-bit words, so memory is bounded up front.
+BFS has two kernels over one padded neighbour matrix, chosen by how many
+roots a question has.  One frontier kernel handles single roots: distances,
+components, and family girth and diameter.  The bit-parallel kernel handles
+root sets (girth and diameter of ad-hoc graphs, the spot check's sampled
+roots): every vertex carries a bit per root, and roots run in blocks whose
+bit arrays stay within ``_BFS_WORD_BUDGET`` 64-bit words, fixed up front.
 """
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -62,32 +61,47 @@ def _is_transitive_family(graph) -> bool:
     return graph.family is not None
 
 
-def bfs_distances(graph, root: int) -> np.ndarray:
-    """Distance array (-1 for unreachable), vectorized for regular graphs."""
-    dist = np.full(graph.n, -1, dtype=np.int64)
+def _neighbor_rows(graph) -> np.ndarray:
+    """The (n, dmax) neighbour matrix: a view for regular graphs; for
+    irregular ones, short rows are padded with the sentinel vertex n."""
+    n = graph.n
+    if graph.degree is not None:
+        return graph.indices.reshape(n, graph.degree)
+    counts = np.diff(graph.indptr)
+    dmax = int(counts.max()) if n else 0
+    rows = np.full((dmax, n), n, dtype=np.int64).T  # column-major: _neighbor_columns copies nothing
+    owners = np.repeat(np.arange(n, dtype=np.int64), counts)
+    slots = np.arange(len(graph.indices)) - np.repeat(graph.indptr[:-1], counts)
+    rows[owners, slots] = graph.indices
+    return rows
+
+
+def _frontier_bfs(nbr: np.ndarray, root: int):
+    """BFS from one root over the ``_neighbor_rows`` matrix, one vectorized
+    step per level.  Yields (level, dist, reach) per level: dist holds the
+    distances so far (-1 unseen) and dist[n] = n, so the padding sentinel is
+    never unseen nor equal to a level; reach holds the level's neighbours,
+    repeats included."""
+    n = len(nbr)
+    dist = np.full(n + 1, -1, dtype=np.int64)
+    dist[n] = n
     dist[root] = 0
-    if graph.degree is not None and graph.degree > 0:
-        nbr = graph.indices.reshape(graph.n, graph.degree)
-        frontier = np.array([root], dtype=np.int64)
-        level = 0
-        while frontier.size:
-            level += 1
-            cand = nbr[frontier].ravel()
-            cand = cand[dist[cand] < 0]
-            if cand.size == 0:
-                break
-            dist[cand] = level
-            frontier = np.flatnonzero(dist == level)
-        return dist
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in graph.neighbors(u):
-            if dist[v] < 0:
-                dist[v] = du + 1
-                queue.append(int(v))
-    return dist
+    frontier = np.array([root], dtype=np.int64)
+    level = 0
+    while frontier.size:
+        reach = nbr[frontier].ravel()
+        yield level, dist, reach
+        level += 1
+        new = reach[dist[reach] < 0]
+        dist[new] = level
+        frontier = np.flatnonzero(dist[:n] == level)
+
+
+def bfs_distances(graph, root: int) -> np.ndarray:
+    """Distance array from root, -1 for unreachable vertices."""
+    for _, dist, _ in _frontier_bfs(_neighbor_rows(graph), root):
+        pass
+    return dist[:graph.n]
 
 
 def eccentricity(graph, root: int) -> float:
@@ -97,28 +111,19 @@ def eccentricity(graph, root: int) -> float:
     return int(dist.max())
 
 
-def _root_cycle_bound(graph, root: int, best: float) -> float:
-    """Min cycle-length estimate from one BFS; exact for roots on a shortest cycle."""
-    dist = np.full(graph.n, -1, dtype=np.int64)
-    parent = np.full(graph.n, -1, dtype=np.int64)
-    dist[root] = 0
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        du = int(dist[u])
-        if 2 * du >= best:
-            break
-        for v in graph.neighbors(u):
-            v = int(v)
-            if dist[v] < 0:
-                dist[v] = du + 1
-                parent[v] = u
-                queue.append(v)
-            elif v != parent[u]:
-                cycle = du + int(dist[v]) + 1
-                if cycle < best:
-                    best = cycle
-    return best
+def _root_cycle_bound(graph, root: int) -> float:
+    """Itai-Rodeh cycle bound from one root, exact for roots on a shortest
+    cycle.  At level k, an edge inside the level closes a walk of length
+    2k + 1; an unseen vertex with two level-k neighbours (a repeat in reach:
+    rows hold no duplicates) closes one of length 2k + 2."""
+    for k, dist, reach in _frontier_bfs(_neighbor_rows(graph), root):
+        seen = dist[reach]
+        if (seen == k).any():
+            return 2 * k + 1
+        new = reach[seen < 0]
+        if np.unique(new).size < new.size:
+            return 2 * k + 2
+    return math.inf
 
 
 # --- bit-parallel BFS from a set of roots ------------------------------------
@@ -128,27 +133,17 @@ def _root_cycle_bound(graph, root: int, best: float) -> float:
 # neighbours into each vertex, column by column of the (n, dmax) neighbour
 # matrix (kept transposed, so a column is contiguous), so a level costs
 # n*dmax*w word operations whatever the number of roots.  Bit arrays have
-# n + 1 rows: irregular graphs pad short neighbour rows with the sentinel
-# vertex n, whose row stays 0.  Roots run in blocks small
-# enough that one (n + 1, w) array stays within _BFS_WORD_BUDGET words
-# (32 MiB), fixed before anything is allocated; a single word per vertex is
-# the floor.
+# n + 1 rows: the padding sentinel n of ``_neighbor_rows`` keeps a 0 row.
+# Roots run in blocks small enough that one (n + 1, w) array stays within
+# _BFS_WORD_BUDGET words (32 MiB), fixed before anything is allocated; a
+# single word per vertex is the floor.
 
 _BFS_WORD_BUDGET = 1 << 22
 
 
 def _neighbor_columns(graph) -> np.ndarray:
     """The (dmax, n) transposed neighbour matrix, short rows padded with n."""
-    n = graph.n
-    if graph.degree is not None:
-        return np.ascontiguousarray(graph.indices.reshape(n, graph.degree).T)
-    counts = np.diff(graph.indptr)
-    dmax = int(counts.max()) if n else 0
-    cols = np.full((dmax, n), n, dtype=np.int64)
-    rows = np.repeat(np.arange(n, dtype=np.int64), counts)
-    slots = np.arange(len(graph.indices)) - np.repeat(graph.indptr[:-1], counts)
-    cols[slots, rows] = graph.indices
-    return cols
+    return np.ascontiguousarray(_neighbor_rows(graph).T)
 
 
 def _root_blocks(n: int, roots: np.ndarray):
@@ -201,12 +196,13 @@ def _eccentricities(graph, roots) -> list:
 
 
 def _shortest_cycle(graph) -> float:
-    """Girth by BFS from every root at once (Itai-Rodeh cycle detection).
+    """Girth by bit-parallel BFS from every root at once (Itai-Rodeh).
 
-    At level k, an edge between two frontier vertices of one root closes a
-    walk of length 2k + 1; an unseen vertex with two frontier neighbours of
-    one root closes one of length 2k + 2.  Per root that is the bound
-    ``_root_cycle_bound`` finds, and the minimum over roots is the girth.
+    The root-set kernel; a single root takes the frontier kernel through
+    ``_root_cycle_bound``, which finds the same per-root bound: at level k,
+    an edge between two frontier vertices of one root closes a walk of
+    length 2k + 1, an unseen vertex with two frontier neighbours of one root
+    one of length 2k + 2.  The minimum over roots is the girth.
     """
     n = graph.n
     cols = _neighbor_columns(graph)
@@ -243,12 +239,12 @@ def _shortest_cycle(graph) -> float:
 def girth(graph) -> float:
     """Length of a shortest cycle, math.inf for forests.
 
-    Single-root BFS when the graph is a known vertex-transitive family
-    (every vertex then lies on some shortest cycle), bit-parallel BFS from
-    all roots otherwise.
+    Frontier BFS from vertex 0 when the graph is a known vertex-transitive
+    family (every vertex then lies on some shortest cycle), bit-parallel BFS
+    from all roots otherwise.
     """
     if _is_transitive_family(graph):
-        return _root_cycle_bound(graph, 0, math.inf)
+        return _root_cycle_bound(graph, 0)
     return _shortest_cycle(graph)
 
 
@@ -326,19 +322,19 @@ def triangle_count(graph) -> int:
 
 def connected_components(graph):
     """(count, labels, sizes); components numbered by smallest vertex."""
-    labels = np.full(graph.n, -1, dtype=np.int64)
+    n = graph.n
+    nbr = _neighbor_rows(graph)  # padded once, not once per component
+    labels = np.full(n, -1, dtype=np.int64)
     sizes = []
-    comp = 0
-    for start in range(graph.n):
+    for start in range(n):
         if labels[start] >= 0:
             continue
-        dist = bfs_distances(graph, start)
-        members = dist >= 0
-        members &= labels < 0
-        labels[members] = comp
+        for _, dist, _ in _frontier_bfs(nbr, start):
+            pass
+        members = dist[:n] >= 0
+        labels[members] = len(sizes)
         sizes.append(int(members.sum()))
-        comp += 1
-    return comp, labels, sizes
+    return len(sizes), labels, sizes
 
 
 def _neighbor_masks(graph) -> list:

@@ -1,6 +1,5 @@
 """Tests for modular arithmetic, characters, quadrance, half-plane distance, and GF(2^k)."""
 
-import numpy as np
 import pytest
 
 from ramseyforge.algebra import (
@@ -13,15 +12,11 @@ from ramseyforge.algebra import (
     gf2k_pow,
     is_generator,
     is_odd_prime,
-    mobius_action,
     mod_inv,
     modular_sqrts,
     poincare_distance,
     predicted_intersections,
     predicted_intersections_null,
-    quad_conj,
-    quad_mul,
-    quad_norm,
     quadrance,
     quadratic_character,
 )
@@ -29,7 +24,6 @@ from ramseyforge.errors import (
     BadParameter,
     DimensionMismatch,
     NotInHalfPlane,
-    SingularMatrix,
     ZeroParameter,
 )
 
@@ -40,6 +34,17 @@ SMALL_PRIMES = [3, 5, 7, 11, 13, 17]
 # primes and inverses
 # ---------------------------------------------------------------------------
 
+def _odd_prime_by_trial_division(q):
+    if q < 3 or q % 2 == 0:
+        return False
+    f = 3
+    while f * f <= q:
+        if q % f == 0:
+            return False
+        f += 2
+    return True
+
+
 def test_is_odd_prime():
     assert [p for p in range(2, 32) if is_odd_prime(p)] == [
         3, 5, 7, 11, 13, 17, 19, 23, 29, 31,
@@ -47,6 +52,25 @@ def test_is_odd_prime():
     assert not is_odd_prime(2)
     assert not is_odd_prime(1)
     assert not is_odd_prime(9)
+
+
+def test_is_odd_prime_matches_trial_division():
+    assert all(is_odd_prime(q) == _odd_prime_by_trial_division(q) for q in range(-2, 10**5))
+
+
+def test_is_odd_prime_beyond_trial_division():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every base up to 23
+    assert not is_odd_prime(3215031751)
+    assert not is_odd_prime(3825123056546413051)
+    assert is_odd_prime(2**61 - 1)
+    assert is_odd_prime(10**16 + 61)
+
+
+def test_is_odd_prime_refuses_past_exact_bound():
+    bound = 3317044064679887385961981
+    assert not is_odd_prime(bound - 1)  # below the bound: answered, not refused
+    with pytest.raises(BadParameter, match=str(bound)):
+        is_odd_prime(bound)
 
 
 def test_mod_inv_frozen():
@@ -196,26 +220,6 @@ def test_intersections_match_bruteforce_q7():
 # quadratic extension and half-plane distance
 # ---------------------------------------------------------------------------
 
-def test_quad_norm_conj():
-    q, sigma = 5, 2
-    for x in range(q):
-        for y in range(q):
-            z = (x, y)
-            c = quad_conj(z, q)
-            assert quad_mul(z, c, sigma, q) == (quad_norm(z, sigma, q), 0)
-
-
-def test_quad_norm_multiplicative():
-    q, sigma = 13, 2
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        z = tuple(int(v) for v in rng.integers(0, q, 2))
-        w = tuple(int(v) for v in rng.integers(0, q, 2))
-        lhs = quad_norm(quad_mul(z, w, sigma, q), sigma, q)
-        rhs = (quad_norm(z, sigma, q) * quad_norm(w, sigma, q)) % q
-        assert lhs == rhs
-
-
 def test_poincare_distance_frozen():
     # q = 5, sigma = 2: d(1 + r, 2 + r) = 1 and d(r, 2r) = 4, r = sqrt(2)
     assert poincare_distance((1, 1), (2, 1), 2, 5) == 1
@@ -227,35 +231,6 @@ def test_poincare_distance_off_plane():
         poincare_distance((1, 0), (2, 1), 2, 5)
     with pytest.raises(NotInHalfPlane):
         poincare_distance((1, 1), (2, 0), 2, 5)
-
-
-def test_mobius_preserves_distance():
-    """Distance is invariant under the fractional-linear action of GL_2(F_q)."""
-    rng = np.random.default_rng(11)
-    for q, sigma in [(5, 2), (13, 2), (17, 3)]:
-        for _ in range(40):
-            g = rng.integers(0, q, (2, 2))
-            if (g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]) % q == 0:
-                continue
-            z = (int(rng.integers(0, q)), int(rng.integers(1, q)))
-            w = (int(rng.integers(0, q)), int(rng.integers(1, q)))
-            gz = mobius_action(g, z, sigma, q)
-            gw = mobius_action(g, w, sigma, q)
-            assert poincare_distance(gz, gw, sigma, q) == \
-                poincare_distance(z, w, sigma, q)
-
-
-def test_mobius_identity_and_translation():
-    q, sigma = 13, 2
-    ident = np.eye(2, dtype=int)
-    shift = np.array([[1, 3], [0, 1]])
-    assert mobius_action(ident, (4, 5), sigma, q) == (4, 5)
-    assert mobius_action(shift, (4, 5), sigma, q) == (7, 5)
-
-
-def test_mobius_singular_raises():
-    with pytest.raises(SingularMatrix):
-        mobius_action(np.array([[1, 1], [2, 2]]), (0, 1), 2, 5)
 
 
 def test_modular_sqrts():

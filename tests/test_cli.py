@@ -217,6 +217,8 @@ def test_sweep_missing_config_is_io_error(tmp_path):
         ({"families": "euclidean"}, "families"),
         ({"residue": {"mod": 0, "value": 1}}, "residue"),
         ({"residue": {"mod": "12", "value": 7}}, "residue"),
+        ({"families": ["euclidean", "euclidean"]}, "families"),
+        ({"ks": [2, 3, 2]}, "ks"),
     ],
 )
 def test_sweep_bad_config_is_usage_error(tmp_path, config, key):
@@ -252,6 +254,15 @@ def test_huge_dimension_is_refused_before_the_power(capsys, command):
     # 3^(10^9) has about 477 million digits: the limit check must not form it
     start = time.perf_counter()
     code = main(command + ["--q", "3", "--m", "1000000000"])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert f"exceeds the limit {limits.max_vertices()}" in capsys.readouterr().err
+    assert elapsed < 1.0
+
+
+def test_huge_prime_is_refused_without_trial_division(capsys):
+    start = time.perf_counter()
+    code = main(["stats", "--family", "euclidean", "--q", "10000000000000061"])
     elapsed = time.perf_counter() - start
     assert code == 2
     assert f"exceeds the limit {limits.max_vertices()}" in capsys.readouterr().err

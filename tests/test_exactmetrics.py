@@ -1,12 +1,14 @@
 """Tests for BFS metrics, triangle counting, and the exhaustive optimizers."""
 
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ramseyforge import exactmetrics
+from ramseyforge.algebra import find_nonsquare
 from ramseyforge.errors import TooLarge
 from ramseyforge.exactmetrics import (
     bfs_distances,
@@ -99,8 +101,9 @@ def test_eccentricity_uniformity():
 
 
 # ---------------------------------------------------------------------------
-# bit-parallel BFS from a set of roots, against oracles that share no code
-# with it: distances from boolean matrix powers, girth from single-root BFS
+# both BFS kernels against oracles that share no code with either: distances
+# from boolean matrix powers, cycle bounds from a plain deque BFS, both read
+# off the edge list
 # ---------------------------------------------------------------------------
 
 def _oracle_distances(n, edges):
@@ -119,6 +122,37 @@ def _oracle_distances(n, edges):
             return dist
         dist[new] = k
         reach |= new
+
+
+def _oracle_cycle_bound(adj, root):
+    """Itai-Rodeh bound from one root: the shortest closed walk a deque BFS
+    over adjacency lists sees through a non-tree edge."""
+    dist = [-1] * len(adj)
+    parent = [-1] * len(adj)
+    dist[root] = 0
+    best = math.inf
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        if 2 * dist[u] >= best:
+            break
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                parent[v] = u
+                queue.append(v)
+            elif v != parent[u]:
+                best = min(best, dist[u] + dist[v] + 1)
+    return best
+
+
+def _oracle_girth(n, edges):
+    """Minimum of the oracle cycle bound over all roots."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return min((_oracle_cycle_bound(adj, r) for r in range(n)), default=math.inf)
 
 
 def _kernel_cases():
@@ -172,15 +206,53 @@ def test_root_set_bfs_matches_oracles(monkeypatch, budget):
         ecc = [math.inf if (row < 0).any() else int(row.max()) for row in dist]
         assert exactmetrics._eccentricities(g, np.arange(n)) == ecc, label
         assert diameter(g) == max(ecc, default=0), label
-        want_girth = min(
-            (exactmetrics._root_cycle_bound(g, r, math.inf) for r in range(n)), default=math.inf
-        )
+        want_girth = _oracle_girth(n, edges)
         assert girth(g) == want_girth, label
         girths.add(want_girth)
         sampled = np.unique(np.linspace(0, n - 1, num=min(8, n)).astype(np.int64))
         assert eccentricity_uniformity_check(g) == (len({ecc[r] for r in sampled}) <= 1), label
     assert {3, 4, 5, 7, 8, math.inf} <= girths
     assert (most_blocks > 1) == (budget is not None)
+
+
+def test_frontier_bfs_on_irregular_graphs_matches_oracle():
+    """Distances from every root and the components of the padded-row graphs."""
+    irregular = 0
+    for label, n, edges in _kernel_cases():
+        g = graph_from_edges(n, edges)
+        if g.degree is not None:
+            continue
+        irregular += 1
+        dist = _oracle_distances(n, edges)
+        for r in range(n):
+            assert bfs_distances(g, r).tolist() == dist[r].tolist(), (label, r)
+        count, labels, sizes = connected_components(g)
+        same = labels[:, None] == labels[None, :]
+        assert (same == (dist >= 0)).all() and count == len(sizes) == len(set(labels)), label
+    assert irregular >= 20
+
+
+def _girth_family_specs():
+    for q in (5, 7, 13):
+        sigma = find_nonsquare(q)
+        for a in range(1, q):
+            if a != 4 * sigma % q:
+                yield FamilySpec(kind="noneuclidean", q=q, sigma=sigma, a=a)
+    for q in (3, 5, 7, 11, 13):
+        for a in (1, 2):
+            yield FamilySpec(kind="euclidean", q=q, a=a)
+    yield FamilySpec(kind="euclidean", q=7, m=3, a=2)
+    for k in (2, 3, 4):
+        yield FamilySpec(kind="bch", k=k)
+    yield FamilySpec(kind="alon", k=2)
+
+
+@pytest.mark.parametrize("spec", list(_girth_family_specs()), ids=FamilySpec.label)
+def test_family_girth_matches_all_roots_oracle(spec):
+    """The frontier kernel's girth from vertex 0 is the minimum over all roots."""
+    g = build_family(spec)
+    us, vs = g.edge_arrays()
+    assert girth(g) == _oracle_girth(g.n, zip(us.tolist(), vs.tolist()))
 
 
 def test_spot_check_eccentricities_match_single_root_bfs():
