@@ -270,10 +270,9 @@ def _spectrum(graph):
 
 
 def _exact_alpha(graph):
-    """Exact independence result, or None past the certificates' cap for the
-    graph's kind or when the node budget runs out."""
-    code = graph.family is not None and graph.family.kind in ("bch", "alon")
-    if graph.n > (limits.VERIFY_ALPHA_CAP_CODE if code else limits.VERIFY_ALPHA_CAP_GEOMETRIC):
+    """Exact independence result, or None past limits.VERIFY_ALPHA_CAP or
+    when the node budget runs out."""
+    if graph.n > limits.VERIFY_ALPHA_CAP:
         return None
     res = exact_independence(graph)
     return res if res.exact else None
@@ -284,13 +283,44 @@ def _ratio_bound(m) -> float:
     return ratio_independence_bound(summary.n, summary.d, summary.theta_n)
 
 
+def _alpha_bound(m) -> tuple:
+    """(bound, method, witness): the exact independence number when the search
+    is feasible, else the spectral ratio bound with no witness."""
+    res = m(_exact_alpha)
+    if res is not None:
+        return res.size, "exact", res.witness
+    return _ratio_bound(m), "spectral-ratio", None
+
+
+def _triangle_free_claim(claim_id: str, triangles: int) -> Claim:
+    return Claim(
+        claim_id,
+        "the graph contains no triangle",
+        "pass" if triangles == 0 else "fail",
+        {"triangles": _ev(triangles, "computed-exact")},
+    )
+
+
+def _diameter_claim(m, claim_id: str, statement: str, allowed) -> Claim:
+    """Passes when the diameter is in ``allowed`` and the eccentricity spot
+    check is uniform; ``allowed=None`` records the measured values."""
+    diam, uniform = m(diameter), m(eccentricity_uniformity_check)
+    if allowed is None:
+        status = "recorded"
+    else:
+        status = "pass" if (diam in allowed and uniform) else "fail"
+    evidence = {
+        "diameter": _ev(diam, "computed-exact"),
+        "eccentricity_uniform": _ev(uniform, "computed-exact"),
+    }
+    return Claim(claim_id, statement, status, evidence)
+
+
 # --- girth / diameter theorems ------------------------------------------------
 
 def _euclidean_girth_diameter(m) -> Certificate:
     q = m.graph.family.q
     measured_girth = m(girth)
-    uniform = m(eccentricity_uniformity_check)
-    measured_diam = m(diameter)
     chi3 = quadratic_character(3, q)
     expected_girth = 3 if chi3 >= 0 else 4
     claims = [
@@ -308,31 +338,21 @@ def _euclidean_girth_diameter(m) -> Certificate:
     if q == 3:
         # the 9-vertex graph has diameter 2: the smallest prime degenerates
         # below the rule's range, like the half-plane q in {3, 5} exception
-        status = "recorded"
+        allowed = None
         statement = (
             "the diameter-3 rule for q = 3 mod 4 does not extend to q = 3; "
             "measured value recorded"
         )
     elif q % 4 == 3:
-        status = "pass" if (measured_diam == 3 and uniform) else "fail"
+        allowed = (3,)
         statement = "diameter is exactly 3 when q = 3 mod 4"
     else:
-        status = "pass" if (measured_diam in (3, 4) and uniform) else "fail"
+        allowed = (3, 4)
         statement = (
             "diameter is 3 or 4 when q = 1 mod 4; the measured value is "
             "recorded, no rule selects between them"
         )
-    claims.append(
-        Claim(
-            "euclidean_diameter",
-            statement,
-            status,
-            {
-                "diameter": _ev(measured_diam, "computed-exact"),
-                "eccentricity_uniform": _ev(uniform, "computed-exact"),
-            },
-        )
-    )
+    claims.append(_diameter_claim(m, "euclidean_diameter", statement, allowed))
     fam, params = m.graph.family.to_dict(), {"q": q, "family": "euclidean"}
     return Certificate(kind="girth-diameter", family=fam, params=params, claims=claims)
 
@@ -583,26 +603,11 @@ def _main_theorem(m) -> Certificate:
     g = m.graph
     n, d, q = g.n, g.degree, g.family.q
     triangles = m(triangle_count)
-    uniform = m(eccentricity_uniformity_check)
-    diam = m(diameter)
     summary = m(_spectrum)
 
     claims = [
-        Claim(
-            "triangle_free",
-            "the graph contains no triangle",
-            "pass" if triangles == 0 else "fail",
-            {"triangles": _ev(triangles, "computed-exact")},
-        ),
-        Claim(
-            "diameter_three",
-            "the graph has diameter exactly 3",
-            "pass" if (diam == 3 and uniform) else "fail",
-            {
-                "diameter": _ev(diam, "computed-exact"),
-                "eccentricity_uniform": _ev(uniform, "computed-exact"),
-            },
-        ),
+        _triangle_free_claim("triangle_free", triangles),
+        _diameter_claim(m, "diameter_three", "the graph has diameter exactly 3", (3,)),
     ]
     claims.extend(
         _spectral_theorem_claims(
@@ -627,10 +632,9 @@ def _main_theorem(m) -> Certificate:
         )
     )
 
-    alpha_bound, method, witness = ratio, "spectral-ratio", None
-    res = m(_exact_alpha)
-    if res is not None:
-        ok = res.size <= ratio + 1e-6 and res.size <= cap + _EPS
+    alpha_bound, method, witness = _alpha_bound(m)
+    if method == "exact":
+        ok = alpha_bound <= ratio + 1e-6 and alpha_bound <= cap + _EPS
         claims.append(
             Claim(
                 "independence_exact",
@@ -638,14 +642,13 @@ def _main_theorem(m) -> Certificate:
                 "and at most 2*q^(3/2)",
                 "pass" if ok else "fail",
                 {
-                    "alpha": _ev(res.size, "computed-exact"),
-                    "witness": _ev(list(res.witness), "computed-exact"),
+                    "alpha": _ev(alpha_bound, "computed-exact"),
+                    "witness": _ev(list(witness), "computed-exact"),
                     "ratio_bound": _ev(ratio, "computed-float"),
                     "cap": _ev(cap, "paper-bound"),
                 },
             )
         )
-        alpha_bound, method, witness = res.size, "exact", res.witness
 
     ramsey = _ramsey_record(n, alpha_bound, method, witness) if triangles == 0 else None
     return Certificate(
@@ -670,8 +673,6 @@ def _mt1(m) -> Certificate:
     n, d, q, sigma, a = g.n, g.degree, g.family.q, g.family.sigma, g.family.a
     triangles = m(triangle_count)
     measured_girth = m(girth)
-    uniform = m(eccentricity_uniformity_check)
-    diam = m(diameter)
     summary = m(_spectrum)
 
     claims = [
@@ -694,20 +695,12 @@ def _mt1(m) -> Certificate:
             "pass" if measured_girth == 4 else "fail",
             {"girth": _ev(measured_girth, "computed-exact")},
         ),
-        Claim(
-            "triangle_free",
-            "the graph contains no triangle",
-            "pass" if triangles == 0 else "fail",
-            {"triangles": _ev(triangles, "computed-exact")},
-        ),
-        Claim(
+        _triangle_free_claim("triangle_free", triangles),
+        _diameter_claim(
+            m,
             "diameter_three",
             "the graph has diameter exactly 3 (a = 2*sigma, q not in {3, 5})",
-            "pass" if (diam == 3 and uniform) else "fail",
-            {
-                "diameter": _ev(diam, "computed-exact"),
-                "eccentricity_uniform": _ev(uniform, "computed-exact"),
-            },
+            (3,),
         ),
     ]
     claims.extend(
@@ -759,12 +752,10 @@ def _code_alpha_claims(m, prefix, cap_value, cap_label, assert_cap) -> Claim:
         "greedy_lower": _ev(m(_greedy_independent_size), "computed-exact"),
         "cap_form": _ev(cap_value, "paper-bound"),
     }
-    res = m(_exact_alpha)
-    if res is not None:
-        evidence["alpha"] = _ev(res.size, "computed-exact")
-        upper, method = float(res.size), "exact"
+    upper, method, _ = _alpha_bound(m)
+    if method == "exact":
+        evidence["alpha"] = _ev(upper, "computed-exact")
     else:
-        upper, method = _ratio_bound(m), "spectral-ratio"
         evidence["ratio_bound"] = _ev(upper, "computed-float")
     evidence["method"] = _ev(method, "computed-exact")
     if assert_cap:
@@ -796,12 +787,7 @@ def _bch(m) -> Certificate:
                 "n": _ev(n, "computed-exact"),
             },
         ),
-        Claim(
-            "bch_triangle_free",
-            "the graph contains no triangle",
-            "pass" if triangles == 0 else "fail",
-            {"triangles": _ev(triangles, "computed-exact")},
-        ),
+        _triangle_free_claim("bch_triangle_free", triangles),
         _code_alpha_claims(
             m,
             "bch",
@@ -847,12 +833,7 @@ def _alon(m) -> Certificate:
                 "claimed": _ev(claimed_degree, "paper-bound"),
             },
         ),
-        Claim(
-            "alon_triangle_free",
-            "the graph contains no triangle",
-            "pass" if triangles == 0 else "fail",
-            {"triangles": _ev(triangles, "computed-exact")},
-        ),
+        _triangle_free_claim("alon_triangle_free", triangles),
         _code_alpha_claims(
             m,
             "alon",
@@ -905,18 +886,10 @@ def ramsey_certificate(graph: Graph) -> Certificate:
     if triangles != 0:
         raise NotTriangleFree(f"graph has {triangles} triangles")
     n, fam = graph.n, graph.family
-    res = m(_exact_alpha)
-    if res is not None:
-        alpha_bound, method, witness = float(res.size), "exact", res.witness
-    else:
-        alpha_bound, method, witness = _ratio_bound(m), "spectral-ratio", None
+    bound, method, witness = _alpha_bound(m)
+    alpha_bound = float(bound)
     claims = [
-        Claim(
-            "triangle_free",
-            "the graph contains no triangle",
-            "pass",
-            {"triangles": _ev(0, "computed-exact")},
-        ),
+        _triangle_free_claim("triangle_free", triangles),
         Claim(
             "independence_bound",
             "the independence number is at most alpha_bound",
@@ -1141,15 +1114,7 @@ def _sweep_row(spec: FamilySpec):
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    return str(value)
+    return "" if value is None else str(jsonable(value))
 
 
 @contextlib.contextmanager

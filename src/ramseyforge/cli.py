@@ -6,10 +6,10 @@ IO error.  Stdout carries only the payload (JSON, DIMACS, or JSON lines);
 diagnostics go to stderr.
 """
 import argparse
+import dataclasses
 import json
 import sys
 
-from .algebra import find_nonsquare
 from .certify import (
     SweepConfig,
     certificate_to_json,
@@ -50,8 +50,7 @@ def _spec_from_args(args) -> FamilySpec:
         raise ValueError(f"--q is required for the {args.family} family")
     if args.family == "euclidean":
         return FamilySpec(kind="euclidean", q=args.q, m=args.m, a=args.a)
-    sigma = args.sigma if args.sigma is not None else find_nonsquare(args.q)
-    return FamilySpec(kind="noneuclidean", q=args.q, sigma=sigma, a=args.a)
+    return FamilySpec(kind="noneuclidean", q=args.q, sigma=args.sigma, a=args.a)
 
 
 def _print_json(payload) -> None:
@@ -73,20 +72,8 @@ def _cmd_build(args) -> int:
 
 def _cmd_stats(args) -> int:
     spec = _spec_from_args(args)
-    graph = build_family(spec)
-    met = metrics_report(graph)
-    _print_json(
-        {
-            "family": spec.to_dict(),
-            "n": met.n,
-            "degree": met.degree,
-            "girth": met.girth,
-            "diameter": met.diameter,
-            "triangles": met.triangles,
-            "components": met.components,
-            "is_vertex_transitive_assumed": met.is_vertex_transitive_assumed,
-        }
-    )
+    met = metrics_report(build_family(spec))
+    _print_json({"family": spec.to_dict(), **dataclasses.asdict(met)})
     return 0
 
 

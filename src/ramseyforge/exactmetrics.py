@@ -27,6 +27,7 @@ import numpy as np
 
 from . import limits
 from .errors import BadParameter, TooLarge
+from .graphs import _check_neighbor_entries
 
 _BITSET_TRIANGLE_CAP = 40_000
 
@@ -63,12 +64,14 @@ def _is_transitive_family(graph) -> bool:
 
 def _neighbor_rows(graph) -> np.ndarray:
     """The (n, dmax) neighbour matrix: a view for regular graphs; for
-    irregular ones, short rows are padded with the sentinel vertex n."""
+    irregular ones, short rows are padded with the sentinel vertex n, refused
+    before allocating past limits.MAX_NEIGHBOR_ENTRIES."""
     n = graph.n
     if graph.degree is not None:
         return graph.indices.reshape(n, graph.degree)
     counts = np.diff(graph.indptr)
     dmax = int(counts.max()) if n else 0
+    _check_neighbor_entries(n, dmax)
     rows = np.full((dmax, n), n, dtype=np.int64).T  # column-major: _neighbor_columns copies nothing
     owners = np.repeat(np.arange(n, dtype=np.int64), counts)
     slots = np.arange(len(graph.indices)) - np.repeat(graph.indptr[:-1], counts)
@@ -488,9 +491,7 @@ def exact_max_cut_and_bisection(graph, cap: int = limits.CUT_CAP):
     cut = np.zeros(len(assigns), dtype=np.int32)
     us, vs = graph.edge_arrays()
     for u, v in zip(us.tolist(), vs.tolist()):
-        side_u = (assigns >> u) & 1 if u < n - 1 else np.zeros(len(assigns), dtype=np.int64)
-        side_v = (assigns >> v) & 1 if v < n - 1 else np.zeros(len(assigns), dtype=np.int64)
-        cut += (side_u ^ side_v).astype(np.int32)
+        cut += (((assigns >> u) ^ (assigns >> v)) & 1).astype(np.int32)
     max_cut = int(cut.max())
     side1 = np.bitwise_count(assigns.astype(np.uint64))
     balanced = (side1 == n // 2) | (side1 == n - n // 2)

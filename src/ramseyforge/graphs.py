@@ -22,6 +22,7 @@ import numpy as np
 from . import limits
 from .algebra import (
     GF2K_MODULI,
+    find_nonsquare,
     gf2k_pow,
     is_odd_prime,
     quadratic_character,
@@ -55,9 +56,10 @@ class FamilySpec:
         elif self.kind == "noneuclidean":
             if not is_odd_prime(self.q):
                 raise BadParameter(f"q={self.q} is not an odd prime")
-            if self.sigma is None or quadratic_character(self.sigma, self.q) != -1:
-                raise BadSigma(f"sigma={self.sigma} is not a non-square mod {self.q}")
-            sigma = self.sigma % self.q
+            sigma = find_nonsquare(self.q) if self.sigma is None else self.sigma
+            if quadratic_character(sigma, self.q) != -1:
+                raise BadSigma(f"sigma={sigma} is not a non-square mod {self.q}")
+            sigma %= self.q
             a = (self.a if self.a is not None else 1) % self.q
             if a == 0 or a == (4 * sigma) % self.q:
                 raise DegenerateDistance(f"a={a} is in {{0, 4*sigma}} mod {self.q}")
@@ -189,6 +191,11 @@ def _check_size(n: int, degree: int):
     cap = limits.max_vertices()
     if n > cap:
         raise SizeLimitExceeded(f"graph on {n} vertices exceeds the limit {cap}")
+    _check_neighbor_entries(n, degree)
+
+
+def _check_neighbor_entries(n: int, degree: int):
+    """Refuse an (n, degree) neighbor matrix past limits.MAX_NEIGHBOR_ENTRIES."""
     entries = n * degree
     if entries > limits.MAX_NEIGHBOR_ENTRIES:
         raise SizeLimitExceeded(

@@ -20,10 +20,11 @@ CUT_CAP = 20
 CIRCLE_LEMMA_CAP = 31
 NODE_BUDGET = 10**8
 
-# Exact independence is attempted inside verifiers only below these sizes;
-# larger graphs get a recorded bound instead of an open-ended search.
-VERIFY_ALPHA_CAP_GEOMETRIC = 100
-VERIFY_ALPHA_CAP_CODE = 64
+# Exact independence is attempted inside certificates only up to this many
+# vertices; larger graphs get the spectral ratio bound instead of an
+# open-ended search.  Code graphs have 4^k or 8^k vertices, so for them this
+# is the same as a cap of 64.
+VERIFY_ALPHA_CAP = 100
 
 
 def max_vertices() -> int:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramseyforge import certify
+from ramseyforge import certify, limits
 from ramseyforge.algebra import quadratic_character
 from ramseyforge.certify import (
     CSV_COLUMNS,
@@ -36,7 +36,7 @@ from ramseyforge.errors import (
     NotTriangleFree,
     TooLarge,
 )
-from ramseyforge.graphs import FamilySpec, build_family
+from ramseyforge.graphs import FamilySpec, build_family, graph_from_edges
 
 
 def statuses(cert):
@@ -358,6 +358,43 @@ def test_ramsey_certificate_rejects_triangles():
         ramsey_certificate(g)
 
 
+@pytest.mark.parametrize(
+    "spec, searched",
+    [
+        (FamilySpec(kind="bch", k=3), True),  # 64 vertices
+        (FamilySpec(kind="alon", k=2), True),  # 64
+        (FamilySpec(kind="euclidean", q=7, a=1), True),  # 49
+        (FamilySpec(kind="noneuclidean", q=7, sigma=3, a=1), True),  # 42
+        (100, True),  # a cycle
+        (FamilySpec(kind="bch", k=4), False),  # 256
+        (FamilySpec(kind="euclidean", q=11, a=1), False),  # 121
+        (FamilySpec(kind="noneuclidean", q=11, sigma=2, a=1), False),  # 110
+        (101, False),
+    ],
+    ids=["BCH_3", "ALON_2", "D_7(1)", "V_7(3,1)", "C_100", "BCH_4", "D_11(1)", "V_11(2,1)", "C_101"],
+)
+def test_exact_alpha_is_searched_up_to_the_cap(monkeypatch, spec, searched):
+    if isinstance(spec, int):
+        graph = graph_from_edges(spec, [(i, (i + 1) % spec) for i in range(spec)])
+    else:
+        graph = build_family(spec)
+    searches = []
+    search = certify.exact_independence
+
+    def counting_search(g, *args, **kwargs):
+        searches.append(g.n)
+        return search(g, *args, **kwargs)
+
+    monkeypatch.setattr(certify, "exact_independence", counting_search)
+    bound, method, witness = certify._alpha_bound(certify._Measured(graph))
+    assert searches == ([graph.n] if searched else [])
+    assert (graph.n <= limits.VERIFY_ALPHA_CAP) == searched
+    if method == "spectral-ratio":
+        assert witness is None
+    else:
+        assert method == "exact" and bound == len(witness)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -369,6 +406,23 @@ def test_jsonable_scalars():
     assert jsonable(np.int64(7)) == 7
     assert jsonable(np.float64(2.5)) == 2.5
     assert jsonable({"x": [np.int32(1), Fraction(2)]}) == {"x": [1, "2"]}
+
+
+@pytest.mark.parametrize(
+    "value, cell",
+    [
+        (None, ""),
+        (0.1, "0.1"),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (Fraction(3, 2), "3/2"),
+        (14, "14"),
+        ("pass", "pass"),
+        (np.float64(1.5), "1.5"),
+    ],
+)
+def test_csv_cell(value, cell):
+    assert certify._csv_cell(value) == cell
 
 
 def test_certificate_json_shape():

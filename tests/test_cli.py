@@ -66,6 +66,10 @@ def test_stats_euclidean_q7():
     res = run("stats", "--family", "euclidean", "--q", "7")
     assert res.returncode == 0
     doc = json.loads(res.stdout)
+    assert list(doc) == [
+        "family", "n", "degree", "girth", "diameter", "triangles", "components",
+        "is_vertex_transitive_assumed",
+    ]
     assert doc["girth"] == 4
     assert doc["diameter"] == 3
     assert doc["triangles"] == 0

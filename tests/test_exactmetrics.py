@@ -7,9 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ramseyforge import exactmetrics
+from ramseyforge import exactmetrics, limits
 from ramseyforge.algebra import find_nonsquare
-from ramseyforge.errors import TooLarge
+from ramseyforge.errors import SizeLimitExceeded, TooLarge
 from ramseyforge.exactmetrics import (
     bfs_distances,
     connected_components,
@@ -315,6 +315,19 @@ def test_connected_components():
     count, labels, sizes = connected_components(graph_from_edges(5, [(0, 1), (2, 3)]))
     assert count == 3 and sorted(sizes) == [1, 2, 2]
     assert labels[0] == labels[1] and labels[2] == labels[3]
+
+
+def test_padded_neighbor_matrix_respects_the_entry_limit(monkeypatch):
+    # padding every row of a star to the centre's degree takes n * (n - 1) entries
+    star = graph_from_edges(50, [(0, v) for v in range(1, 50)])
+    monkeypatch.setattr(limits, "MAX_NEIGHBOR_ENTRIES", 50 * 49 - 1)
+    for oracle in (connected_components, girth, diameter):
+        with pytest.raises(SizeLimitExceeded, match="MAX_NEIGHBOR_ENTRIES"):
+            oracle(star)
+    monkeypatch.setattr(limits, "MAX_NEIGHBOR_ENTRIES", 50 * 49)
+    assert connected_components(star)[0] == 1
+    assert girth(star) == math.inf
+    assert diameter(star) == 2
 
 
 def test_bch_k2_is_bipartite_double_cover():

@@ -75,6 +75,13 @@ def test_half_plane_sigma_must_be_nonsquare():
         FamilySpec(kind="noneuclidean", q=5, sigma=4, a=1)
 
 
+def test_half_plane_sigma_defaults_to_smallest_nonsquare():
+    assert FamilySpec(kind="noneuclidean", q=13).sigma == 2
+    assert FamilySpec(kind="noneuclidean", q=17).sigma == 3
+    with pytest.raises(BadSigma):
+        FamilySpec(kind="noneuclidean", q=13, sigma=4)
+
+
 def test_euclidean_rejects_bad_field():
     with pytest.raises(BadParameter):
         FamilySpec(kind="euclidean", q=4, a=1)
