@@ -36,6 +36,7 @@ from .errors import (
     BadParameter,
     BadResidue,
     NotTriangleFree,
+    SizeLimitExceeded,
     TooLarge,
     UnsupportedFamily,
 )
@@ -852,21 +853,23 @@ def _alon(m) -> Certificate:
 
 def verify_code_graphs(k: int) -> Certificate:
     """Certificate covering both code families at parameter k; the second
-    family is skipped (recorded) when k is divisible by 3."""
+    family is skipped (recorded) when k is divisible by 3 or when its graph
+    exceeds the size limits."""
     bch_cert = _bch(_Measured(build_family(FamilySpec(kind="bch", k=k))))
     claims = list(bch_cert.claims)
-    if k % 3 != 0:
-        claims.extend(_alon(_Measured(build_family(FamilySpec(kind="alon", k=k)))).claims)
-    else:
-        claims.append(
-            Claim(
-                "alon_skipped",
-                "the sum-set family needs alpha -> alpha^7 bijective, which "
-                "fails when 3 divides k",
-                "recorded",
-                {"k": _ev(k, "computed-exact")},
-            )
-        )
+    evidence = {"k": _ev(k, "computed-exact")}
+    skipped = "the sum-set family needs alpha -> alpha^7 bijective, which fails when 3 divides k"
+    if k % 3:
+        try:
+            alon = build_family(FamilySpec(kind="alon", k=k))
+        except SizeLimitExceeded as exc:
+            skipped = "the sum-set graph exceeds the size limits"
+            evidence["refusal"] = _ev(str(exc), "computed-exact")
+        else:
+            skipped = None
+            claims.extend(_alon(_Measured(alon)).claims)
+    if skipped:
+        claims.append(Claim("alon_skipped", skipped, "recorded", evidence))
     return Certificate(
         kind="code-graphs",
         family=bch_cert.family,

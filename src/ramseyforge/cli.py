@@ -169,8 +169,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_selectors(p)
     p.add_argument(
         "--method", choices=("dense", "character", "auto"), default="auto",
-        help="auto and character use the family's group irreps; dense "
-        "diagonalizes the n x n adjacency (at most 2500 vertices)",
+        help="auto and character use the family's group irreps: one DFT over (Z_p)^m for the "
+        "Euclidean and code graphs (exact integers for the latter), Aff(1, q) irreps for "
+        "half-plane graphs; dense diagonalizes the n x n adjacency (limits.DENSE_SPECTRUM_CAP "
+        "= 2500 vertices)",
     )
     p.set_defaults(func=_cmd_spectrum)
 

@@ -263,11 +263,11 @@ def diameter(graph) -> float:
     return max(_eccentricities(graph, np.arange(graph.n)), default=0)
 
 
-def eccentricity_uniformity_check(graph, samples: int = 8) -> bool:
-    """All sampled vertices share one eccentricity (transitivity spot check)."""
+def eccentricity_uniformity_check(graph) -> bool:
+    """Up to 8 evenly spaced vertices share one eccentricity (transitivity spot check)."""
     if graph.n == 0:
         return True
-    roots = np.unique(np.linspace(0, graph.n - 1, num=min(samples, graph.n)).astype(np.int64))
+    roots = np.unique(np.linspace(0, graph.n - 1, num=min(8, graph.n)).astype(np.int64))
     return len(set(_eccentricities(graph, roots))) == 1
 
 
@@ -370,7 +370,7 @@ def _mask_components(remaining: int, masks: list) -> int:
     return comps
 
 
-def exact_toughness(graph, cap: int = limits.TOUGHNESS_CAP) -> ToughnessResult:
+def exact_toughness(graph) -> ToughnessResult:
     """min |S| / c(G - S) over vertex sets S with c(G - S) >= 2.
 
     Exhaustive over subsets by increasing size, lexicographic within a size,
@@ -378,8 +378,9 @@ def exact_toughness(graph, cap: int = limits.TOUGHNESS_CAP) -> ToughnessResult:
     disconnecting set; the result is the math.inf sentinel, not an error.
     """
     n = graph.n
+    cap = limits.TOUGHNESS_CAP
     if n > cap:
-        raise TooLarge(f"exact toughness capped at {cap} vertices")
+        raise TooLarge(f"exact toughness capped at limits.TOUGHNESS_CAP = {cap} vertices")
     masks = _neighbor_masks(graph)
     full = (1 << n) - 1
     if n:
@@ -407,11 +408,7 @@ def exact_toughness(graph, cap: int = limits.TOUGHNESS_CAP) -> ToughnessResult:
     return ToughnessResult(best, best_witness, best_comps)
 
 
-def exact_independence(
-    graph,
-    cap: int = limits.INDEPENDENCE_CAP,
-    node_budget: int = limits.NODE_BUDGET,
-) -> IndependenceResult:
+def exact_independence(graph, node_budget: int = limits.NODE_BUDGET) -> IndependenceResult:
     """Maximum independent set by branch and bound over vertex bitmasks.
 
     Branches on the highest-degree vertex of the open set (lowest index on
@@ -420,8 +417,9 @@ def exact_independence(
     ``exact=False`` rather than raising.
     """
     n = graph.n
+    cap = limits.INDEPENDENCE_CAP
     if n > cap:
-        raise TooLarge(f"exact independence capped at {cap} vertices")
+        raise TooLarge(f"exact independence capped at limits.INDEPENDENCE_CAP = {cap} vertices")
     masks = _neighbor_masks(graph)
     state = {"best": 0, "best_set": 0, "nodes": 0, "exceeded": False}
 
@@ -479,12 +477,13 @@ def exact_independence(
     return IndependenceResult(state["best"], witness, not state["exceeded"], state["nodes"])
 
 
-def exact_max_cut_and_bisection(graph, cap: int = limits.CUT_CAP):
+def exact_max_cut_and_bisection(graph):
     """(max cut size, min balanced-bisection size) by enumerating all
     2^(n-1) two-colorings with vertex n-1 pinned to side 0."""
     n = graph.n
+    cap = limits.CUT_CAP
     if n > cap:
-        raise TooLarge(f"exact cut enumeration capped at {cap} vertices")
+        raise TooLarge(f"exact cut enumeration capped at limits.CUT_CAP = {cap} vertices")
     if n < 2:
         raise BadParameter("cuts need at least 2 vertices")
     assigns = np.arange(1 << (n - 1), dtype=np.int64)

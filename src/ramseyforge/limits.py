@@ -1,8 +1,10 @@
 """Size caps for builders and exact oracles.
 
-The vertex limit can be raised or lowered through the RAMSEY_FORGE_MAX_N
-environment variable; the neighbor-matrix entry limit is fixed; everything
-else is a keyword argument on the function that enforces it.
+Every cap is a constant here, read when the check runs, so setting one (say
+``limits.DENSE_SPECTRUM_CAP``) moves the refusal and every caller that
+consults it alike.  The exact oracles' refusals name their constant.
+RAMSEY_FORGE_MAX_N also moves the vertex limit.  The independence node
+budget is the one keyword argument, ``exact_independence(..., node_budget=)``.
 """
 import os
 

@@ -5,11 +5,14 @@ Eigenvalues come by three routes:
   * affine irreps   half-plane graphs are Cayley graphs on Aff(1, q); the
                     q - 1 linear characters and the one (q - 1)-dimensional
                     irrep give two (q - 1) x (q - 1) eigenproblems
-  * character sums  the abelian Cayley families: cosine sums over (Z_p)^m,
-                    a Walsh-Hadamard transform over (Z_2)^t
+  * character sums  the abelian Cayley families live on (Z_p)^m: p = q for
+                    D_q^m(a), p = 2 for the code graphs.  One DFT of the
+                    connection-set indicator gives every eigenvalue: exact
+                    integers for the code graphs, floats for D_q^m(a)
   * dense           symmetric diagonalization of the n x n adjacency matrix,
-                    capped at 2500 vertices; used for ad-hoc graphs, for
-                    ``spectrum --method dense`` and as the test oracle
+                    capped at limits.DENSE_SPECTRUM_CAP vertices; used for
+                    ad-hoc graphs, for ``spectrum --method dense`` and as the
+                    test oracle
 
 Tests cross-check the group routes against the dense one.
 
@@ -38,7 +41,6 @@ from .errors import (
     UnsupportedFamily,
     ZeroVector,
 )
-from .graphs import _coords_matrix
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,13 @@ def _require_regular(graph) -> int:
     return graph.degree
 
 
-def dense_spectrum(graph, cap: int = limits.DENSE_SPECTRUM_CAP) -> SpectralSummary:
+def dense_spectrum(graph) -> SpectralSummary:
     """Full spectrum via symmetric dense diagonalization."""
     d = _require_regular(graph)
     n = graph.n
+    cap = limits.DENSE_SPECTRUM_CAP
     if n > cap:
-        raise TooLarge(f"dense spectrum capped at {cap} vertices")
+        raise TooLarge(f"dense spectrum capped at limits.DENSE_SPECTRUM_CAP = {cap} vertices")
     adj = np.zeros((n, n), dtype=np.float64)
     counts = np.diff(graph.indptr)
     rows = np.repeat(np.arange(n, dtype=np.int64), counts)
@@ -85,29 +88,18 @@ def dense_spectrum(graph, cap: int = limits.DENSE_SPECTRUM_CAP) -> SpectralSumma
     return SpectralSummary(n=n, d=d, eigenvalues=eig[::-1].copy(), method="dense")
 
 
-def _character_spectrum_euclidean(graph) -> np.ndarray:
+def _character_spectrum(graph) -> np.ndarray:
+    """Spectrum of Cay((Z_p)^m, S): the DFT of the indicator of S.
+
+    The codecs number x in (Z_p)^m as sum x_i * p^i, so the indicator reshapes
+    to a (p,) * m array.  S = -S makes the transform real; for p = 2 every
+    butterfly is an integer addition, so code-graph eigenvalues are exact.
+    """
     fam = graph.family
-    q = fam.q
-    coords = _coords_matrix(graph.n, q, fam.m)
-    conn = coords[graph.neighbors(0)]  # sphere through the origin
-    cos_table = np.cos(2.0 * np.pi * np.arange(q) / q)
-    phases = (coords @ conn.T) % q
-    return cos_table[phases].sum(axis=1)
-
-
-def _character_spectrum_xor(graph) -> np.ndarray:
-    """Walsh-Hadamard transform of the connection-set indicator; exact integers."""
-    n = graph.n
-    vec = np.zeros(n, dtype=np.int64)
-    vec[graph.neighbors(0)] = 1
-    h = 1
-    while h < n:
-        vec = vec.reshape(-1, 2, h)
-        top = vec[:, 0, :] + vec[:, 1, :]
-        bot = vec[:, 0, :] - vec[:, 1, :]
-        vec = np.stack([top, bot], axis=1).reshape(-1)
-        h *= 2
-    return vec.astype(np.float64)
+    p, m = (fam.q, fam.m) if fam.kind == "euclidean" else (2, graph.n.bit_length() - 1)
+    indicator = np.zeros(graph.n)
+    indicator[graph.neighbors(0)] = 1.0
+    return np.fft.fftn(indicator.reshape((p,) * m)).real.ravel()
 
 
 def _character_spectrum_affine(graph) -> np.ndarray:
@@ -135,21 +127,21 @@ def _character_spectrum_affine(graph) -> np.ndarray:
 
 
 def cayley_spectrum_abelian(graph) -> SpectralSummary:
-    """Exact eigenvalues of a Cayley family graph from its group's irreps.
+    """Eigenvalues of a Cayley family graph from its group's irreps.
 
-    Covers all four Cayley families: additive characters for the Euclidean
-    and code families, the Aff(1, q) irreps for half-plane graphs.  Ad-hoc
-    graphs (family None) are rejected.
+    Covers all four Cayley families.  The Euclidean and code families live on
+    abelian groups (Z_p)^m, whose characters give the eigenvalues as one DFT:
+    exact integers for the code graphs, floats for D_q^m(a).  Half-plane
+    graphs use the Aff(1, q) irreps.  Ad-hoc graphs (family None) are
+    rejected.
     """
     fam = graph.family
     if fam is None:
         raise UnsupportedFamily("group spectra need a known family")
-    if fam.kind == "euclidean":
-        eig, method = _character_spectrum_euclidean(graph), "character-sum"
-    elif fam.kind == "noneuclidean":
+    if fam.kind == "noneuclidean":
         eig, method = _character_spectrum_affine(graph), "affine-irreps"
     else:
-        eig, method = _character_spectrum_xor(graph), "character-sum"
+        eig, method = _character_spectrum(graph), "character-sum"
     eig = np.sort(eig)[::-1]
     return SpectralSummary(n=graph.n, d=graph.degree, eigenvalues=eig, method=method)
 
@@ -196,6 +188,6 @@ def chromatic_lower_bound(n: int, alpha_upper: float) -> float:
     return n / alpha_upper
 
 
-def ramanujan_check(summary: SpectralSummary, q: int, slack: float = 1e-6) -> bool:
-    """lam <= 2*sqrt(q) up to float slack."""
-    return summary.lam <= 2.0 * math.sqrt(q) + slack
+def ramanujan_check(summary: SpectralSummary, q: int) -> bool:
+    """lam <= 2*sqrt(q) up to a float slack of 1e-6."""
+    return summary.lam <= 2.0 * math.sqrt(q) + 1e-6

@@ -140,6 +140,31 @@ def test_verify_code_pass():
     assert doc["overall"] == "pass"
 
 
+def test_verify_code_records_a_sum_set_graph_past_the_size_limit():
+    # ALON_7 has 8^7 = 2,097,152 vertices; BCH_7 (16,384) is still certified
+    env = {k: v for k, v in os.environ.items() if k != "RAMSEY_FORGE_MAX_N"}
+    res = run("verify", "--suite", "code", "--k", "7", env=env)
+    assert res.returncode == 0, res.stderr
+    claims = {c["claim_id"]: c for c in json.loads(res.stdout)["claims"]}
+    assert list(claims) == ["bch_regular", "bch_triangle_free", "bch_independence", "alon_skipped"]
+    assert all(claims[c]["status"] == "pass" for c in list(claims)[:3])
+    skipped = claims["alon_skipped"]
+    assert skipped["status"] == "recorded"
+    assert skipped["statement"] == "the sum-set graph exceeds the size limits"
+    assert skipped["evidence"]["k"]["value"] == 7
+    assert skipped["evidence"]["refusal"]["value"] == (
+        f"graph on 2097152 vertices exceeds the limit {limits.DEFAULT_MAX_VERTICES}"
+    )
+
+
+def test_verify_code_refuses_when_the_bch_graph_is_past_the_size_limit():
+    env = dict(os.environ, RAMSEY_FORGE_MAX_N="1000")
+    res = run("verify", "--suite", "code", "--k", "7", env=env)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "graph on 16384 vertices exceeds the limit 1000" in res.stderr
+
+
 # ---------------------------------------------------------------------------
 # certify-ramsey
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from ramseyforge.exactmetrics import (
     triangle_count,
 )
 from ramseyforge.graphs import FamilySpec, build_family, graph_from_edges
+from ramseyforge.spectral import dense_spectrum
 
 
 def build(kind, **kw):
@@ -458,6 +459,21 @@ def test_cuts_brute_reference():
 def test_cuts_too_large():
     with pytest.raises(TooLarge):
         exact_max_cut_and_bisection(build("euclidean", q=5, a=1))
+
+
+@pytest.mark.parametrize("cap,oracle", [
+    ("DENSE_SPECTRUM_CAP", dense_spectrum),
+    ("TOUGHNESS_CAP", exact_toughness),
+    ("INDEPENDENCE_CAP", exact_independence),
+    ("CUT_CAP", exact_max_cut_and_bisection),
+])
+def test_caps_are_read_when_the_oracle_runs(monkeypatch, cap, oracle):
+    g = build("euclidean", q=3, a=1)  # 9 vertices
+    monkeypatch.setattr(limits, cap, g.n - 1)
+    with pytest.raises(TooLarge, match=rf"limits\.{cap} = 8 vertices"):
+        oracle(g)
+    monkeypatch.setattr(limits, cap, g.n)
+    oracle(g)
 
 
 # ---------------------------------------------------------------------------

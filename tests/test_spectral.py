@@ -2,10 +2,12 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ramseyforge import limits
 from ramseyforge.algebra import find_nonsquare
 from ramseyforge.errors import (
     BadParameter,
@@ -161,6 +163,56 @@ def test_dense_spectrum_gates():
     big = FamilySpec(kind="euclidean", q=53, a=1)  # 2809 > 2500 cap
     with pytest.raises(TooLarge):
         dense_spectrum(build_family(big))
+
+
+def _abelian_cases():
+    specs = [FamilySpec(kind="euclidean", q=q, a=a) for q in (7, 11) for a in range(1, q)]
+    specs += [
+        FamilySpec(kind="euclidean", q=13, a=2),  # q = 1 mod 4
+        FamilySpec(kind="euclidean", q=5, m=3, a=2),
+        FamilySpec(kind="euclidean", q=7, m=3, a=3),
+        FamilySpec(kind="euclidean", q=7, m=4, a=2),  # 2401 vertices
+    ]
+    specs += [FamilySpec(kind="bch", k=k) for k in range(2, 6)]
+    return specs + [FamilySpec(kind="alon", k=k) for k in (2, 4)]
+
+
+@pytest.mark.parametrize("spec", _abelian_cases(), ids=FamilySpec.label)
+def test_character_route_matches_dense_oracle(monkeypatch, spec):
+    g = build_family(spec)
+    # ALON_4 has 4096 vertices: lift the dense oracle's cap to reach it
+    monkeypatch.setattr(limits, "DENSE_SPECTRUM_CAP", max(limits.DENSE_SPECTRUM_CAP, g.n))
+    char = cayley_spectrum_abelian(g)
+    assert char.method == "character-sum" and char.n == g.n and char.d == g.degree
+    assert np.max(np.abs(char.eigenvalues - dense_spectrum(g).eigenvalues)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec(kind="bch", k=k) for k in (2, 3, 4)] + [FamilySpec(kind="alon", k=k) for k in (2, 4)],
+    ids=FamilySpec.label,
+)
+def test_code_graph_spectrum_is_the_exact_character_sum(spec):
+    # eigenvalue at character y of (Z_2)^t: sum over s in S of (-1)^<y, s>
+    g = build_family(spec)
+    conn = g.neighbors(0).tolist()
+    want = [sum(-1 if (y & s).bit_count() % 2 else 1 for s in conn) for y in range(g.n)]
+    assert cayley_spectrum_abelian(g).eigenvalues.tolist() == sorted(want, reverse=True)
+
+
+def test_character_route_past_the_dense_cap():
+    g = build("euclidean", q=23, m=3, a=1)  # 12,167 vertices
+    n, d = g.n, g.degree
+    tracemalloc.start()
+    try:
+        vals = cayley_spectrum_abelian(g).eigenvalues
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals[0] == pytest.approx(d, abs=1e-9) and vals[1] < d - 1e-6  # connected
+    assert abs(vals.sum()) <= 1e-6 * n * d  # no loops
+    assert vals @ vals == pytest.approx(n * d, abs=1e-6 * n * d)  # 2|E| = n*d
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
