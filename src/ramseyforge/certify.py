@@ -37,7 +37,6 @@ from .errors import (
     BadResidue,
     NotTriangleFree,
     SizeLimitExceeded,
-    TooLarge,
     UnsupportedFamily,
 )
 from .exactmetrics import (
@@ -168,8 +167,7 @@ def verify_circle_lemma(q: int) -> Certificate:
     character predictor, for every pair of centers and all nonzero radii."""
     if not is_odd_prime(q):
         raise BadParameter(f"q={q} is not an odd prime")
-    if q > limits.CIRCLE_LEMMA_CAP:
-        raise TooLarge(f"exhaustive circle check capped at q={limits.CIRCLE_LEMMA_CAP}")
+    limits.check("CIRCLE_LEMMA_CAP", q, f"exhaustive circle check at q = {q}")
     xs = np.arange(q * q, dtype=np.int64)
     px, py = xs % q, xs // q
     quad_from_origin = (px * px + py * py) % q
@@ -302,6 +300,11 @@ def _triangle_free_claim(claim_id: str, triangles: int) -> Claim:
     )
 
 
+def _sigma_generator_claim(sigma: int, q: int, statement: str) -> Claim:
+    evidence = {"is_generator": _ev(is_generator(sigma, q), "computed-exact")}
+    return Claim("sigma_generator", statement, "recorded", evidence)
+
+
 def _diameter_claim(m, claim_id: str, statement: str, allowed) -> Claim:
     """Passes when the diameter is in ``allowed`` and the eccentricity spot
     check is uniform; ``allowed=None`` records the measured values."""
@@ -423,12 +426,9 @@ def _non_euclidean_girth_diameter_claims(q: int, sigma: int) -> list:
                 "mismatches": _ev(diam_bad, "computed-exact"),
             },
         ),
-        Claim(
-            "sigma_generator",
-            "whether sigma generates the multiplicative group (non-squareness "
+        _sigma_generator_claim(
+            sigma, q, "whether sigma generates the multiplicative group (non-squareness "
             "is all the construction uses)",
-            "recorded",
-            {"is_generator": _ev(is_generator(sigma, q), "computed-exact")},
         ),
     ]
     return claims
@@ -591,11 +591,21 @@ def _ramsey_record(n, alpha_bound, method, witness=None):
     return rec
 
 
+def _in_main_theorem_domain(q: int) -> bool:
+    """Whether the quadrance-graph theorem covers the prime q."""
+    return q % 12 == 7
+
+
+def _in_halfplane_theorem_domain(q: int) -> bool:
+    """Whether the half-plane theorem covers the prime q."""
+    return q % 12 == 5 and q >= 17
+
+
 def verify_main_theorem(q: int) -> Certificate:
     """Certificate for the quadrance-graph theorem at primes q = 7 mod 12:
     triangle-free, diameter 3, spectral toughness / bisection / bipartite /
     independence bounds, the edge-count corollary, and a Ramsey record."""
-    if not is_odd_prime(q) or q % 12 != 7:
+    if not is_odd_prime(q) or not _in_main_theorem_domain(q):
         raise BadResidue(f"q={q} is not a prime of the form 12k + 7")
     return _main_theorem(_Measured(build_euclidean(q, 2, 1)))
 
@@ -664,7 +674,7 @@ def _main_theorem(m) -> Certificate:
 def verify_mt1(q: int) -> Certificate:
     """Certificate for the half-plane theorem at primes q = 5 mod 12, q >= 17:
     the graph V_q(3, 6) with sigma = 3 non-square and a = 2*sigma."""
-    if not is_odd_prime(q) or q % 12 != 5 or q < 17:
+    if not is_odd_prime(q) or not _in_halfplane_theorem_domain(q):
         raise BadResidue(f"q={q} is not a prime of the form 12k + 5 with k >= 1")
     return _mt1(_Measured(build_non_euclidean(q, 3, 6)))
 
@@ -683,12 +693,9 @@ def _mt1(m) -> Certificate:
             "pass" if quadratic_character(3, q) == -1 else "fail",
             {"chi_3": _ev(quadratic_character(3, q), "computed-exact")},
         ),
-        Claim(
-            "sigma_generator",
-            "whether sigma = 3 generates the multiplicative group "
+        _sigma_generator_claim(
+            sigma, q, "whether sigma = 3 generates the multiplicative group "
             "(non-squareness is all the construction uses)",
-            "recorded",
-            {"is_generator": _ev(is_generator(sigma, q), "computed-exact")},
         ),
         Claim(
             "girth_four",
@@ -1008,7 +1015,7 @@ def _check_int(value, what: str) -> None:
 
 
 def _default_halfplane_params(q: int):
-    if q % 12 == 5 and q >= 17:
+    if _in_halfplane_theorem_domain(q):
         return 3, 6
     sigma = find_nonsquare(q)
     for a in range(1, q):
@@ -1043,9 +1050,9 @@ def _sweep_jobs(config: SweepConfig) -> list:
 def _certificate_for(spec: FamilySpec, m: _Measured) -> Certificate:
     """The theorem certificate of a sweep row, read from the row's record."""
     if spec.kind == "euclidean":
-        return _main_theorem(m) if spec.q % 12 == 7 else _euclidean_girth_diameter(m)
+        return _main_theorem(m) if _in_main_theorem_domain(spec.q) else _euclidean_girth_diameter(m)
     if spec.kind == "noneuclidean":
-        if spec.q % 12 == 5 and spec.q >= 17 and spec.sigma == 3 and spec.a == 6:
+        if _in_halfplane_theorem_domain(spec.q) and spec.sigma == 3 and spec.a == 6:
             return _mt1(m)
         return verify_girth_diameter(spec.q, "noneuclidean")
     return _bch(m) if spec.kind == "bch" else _alon(m)

@@ -26,10 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import limits
-from .errors import BadParameter, TooLarge
-from .graphs import _check_neighbor_entries
-
-_BITSET_TRIANGLE_CAP = 40_000
+from .errors import BadParameter
 
 
 @dataclass(frozen=True)
@@ -71,7 +68,10 @@ def _neighbor_rows(graph) -> np.ndarray:
         return graph.indices.reshape(n, graph.degree)
     counts = np.diff(graph.indptr)
     dmax = int(counts.max()) if n else 0
-    _check_neighbor_entries(n, dmax)
+    entries = n * dmax
+    limits.check(
+        "MAX_NEIGHBOR_ENTRIES", entries, f"neighbor matrix of n*d = {n}*{dmax} = {entries} entries"
+    )
     rows = np.full((dmax, n), n, dtype=np.int64).T  # column-major: _neighbor_columns copies nothing
     owners = np.repeat(np.arange(n, dtype=np.int64), counts)
     slots = np.arange(len(graph.indices)) - np.repeat(graph.indptr[:-1], counts)
@@ -273,8 +273,7 @@ def eccentricity_uniformity_check(graph) -> bool:
 
 def _triangles_bitset(graph) -> int:
     n = graph.n
-    if n > _BITSET_TRIANGLE_CAP:
-        raise TooLarge(f"bitset triangle count capped at {_BITSET_TRIANGLE_CAP} vertices")
+    limits.check("BITSET_TRIANGLE_CAP", n, f"bitset triangle count on {n} vertices")
     words = (n + 63) // 64
     rows = np.zeros(n * words, dtype=np.uint64)
     counts = np.diff(graph.indptr)
@@ -378,9 +377,7 @@ def exact_toughness(graph) -> ToughnessResult:
     disconnecting set; the result is the math.inf sentinel, not an error.
     """
     n = graph.n
-    cap = limits.TOUGHNESS_CAP
-    if n > cap:
-        raise TooLarge(f"exact toughness capped at limits.TOUGHNESS_CAP = {cap} vertices")
+    limits.check("TOUGHNESS_CAP", n, f"exact toughness on {n} vertices")
     masks = _neighbor_masks(graph)
     full = (1 << n) - 1
     if n:
@@ -408,18 +405,18 @@ def exact_toughness(graph) -> ToughnessResult:
     return ToughnessResult(best, best_witness, best_comps)
 
 
-def exact_independence(graph, node_budget: int = limits.NODE_BUDGET) -> IndependenceResult:
+def exact_independence(graph) -> IndependenceResult:
     """Maximum independent set by branch and bound over vertex bitmasks.
 
     Branches on the highest-degree vertex of the open set (lowest index on
-    ties), include branch first, pruned by a greedy clique-cover bound.  If
-    the node budget runs out the best set found so far comes back flagged
-    ``exact=False`` rather than raising.
+    ties), include branch first, pruned by a greedy clique-cover bound.
+    Graphs past limits.INDEPENDENCE_CAP are refused.  If the search visits
+    more than limits.NODE_BUDGET nodes (read when the search starts) the best
+    set found so far comes back flagged ``exact=False`` rather than raising.
     """
     n = graph.n
-    cap = limits.INDEPENDENCE_CAP
-    if n > cap:
-        raise TooLarge(f"exact independence capped at limits.INDEPENDENCE_CAP = {cap} vertices")
+    limits.check("INDEPENDENCE_CAP", n, f"exact independence on {n} vertices")
+    budget = limits.NODE_BUDGET
     masks = _neighbor_masks(graph)
     state = {"best": 0, "best_set": 0, "nodes": 0, "exceeded": False}
 
@@ -439,7 +436,7 @@ def exact_independence(graph, node_budget: int = limits.NODE_BUDGET) -> Independ
 
     def branch(open_set: int, size: int, chosen: int):
         state["nodes"] += 1
-        if state["nodes"] > node_budget:
+        if state["nodes"] > budget:
             state["exceeded"] = True
             return
         # every prefix of the include chain is independent, so record it even
@@ -481,9 +478,7 @@ def exact_max_cut_and_bisection(graph):
     """(max cut size, min balanced-bisection size) by enumerating all
     2^(n-1) two-colorings with vertex n-1 pinned to side 0."""
     n = graph.n
-    cap = limits.CUT_CAP
-    if n > cap:
-        raise TooLarge(f"exact cut enumeration capped at limits.CUT_CAP = {cap} vertices")
+    limits.check("CUT_CAP", n, f"exact cut enumeration on {n} vertices")
     if n < 2:
         raise BadParameter("cuts need at least 2 vertices")
     assigns = np.arange(1 << (n - 1), dtype=np.int64)

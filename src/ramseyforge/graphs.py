@@ -27,7 +27,7 @@ from .algebra import (
     is_odd_prime,
     quadratic_character,
 )
-from .errors import BadParameter, BadSigma, DegenerateDistance, SizeLimitExceeded
+from .errors import BadParameter, BadSigma, DegenerateDistance
 
 
 @dataclass(frozen=True)
@@ -188,31 +188,20 @@ class Graph:
 def _check_size(n: int, degree: int):
     """Refuse a graph past the vertex limit, or whose (n, degree) neighbor
     matrix would exceed limits.MAX_NEIGHBOR_ENTRIES, before allocating it."""
-    cap = limits.max_vertices()
-    if n > cap:
-        raise SizeLimitExceeded(f"graph on {n} vertices exceeds the limit {cap}")
-    _check_neighbor_entries(n, degree)
-
-
-def _check_neighbor_entries(n: int, degree: int):
-    """Refuse an (n, degree) neighbor matrix past limits.MAX_NEIGHBOR_ENTRIES."""
+    limits.check("RAMSEY_FORGE_MAX_N", n, f"graph on {n} vertices")
     entries = n * degree
-    if entries > limits.MAX_NEIGHBOR_ENTRIES:
-        raise SizeLimitExceeded(
-            f"neighbor matrix of n*d = {n}*{degree} = {entries} entries exceeds "
-            f"limits.MAX_NEIGHBOR_ENTRIES = {limits.MAX_NEIGHBOR_ENTRIES}"
-        )
+    limits.check(
+        "MAX_NEIGHBOR_ENTRIES", entries, f"neighbor matrix of n*d = {n}*{degree} = {entries} entries"
+    )
 
 
 def _bounded_power(q: int, m: int) -> int:
     """q^m for q >= 2, refused past the vertex limit before the power is
     taken, so a huge m costs no time."""
-    cap = limits.max_vertices()
     n = 1
     for _ in range(m):
         n *= q
-        if n > cap:
-            raise SizeLimitExceeded(f"graph on {q}^{m} vertices exceeds the limit {cap}")
+        limits.check("RAMSEY_FORGE_MAX_N", n, f"graph on {q}^{m} vertices")
     return n
 
 

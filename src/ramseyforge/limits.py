@@ -1,14 +1,13 @@
 """Size caps for builders and exact oracles.
 
-Every cap is a constant here, read when the check runs, so setting one (say
+Every cap is a constant here, and every refusal goes through ``check``, which
+reads the cap when it runs and names it: setting one (say
 ``limits.DENSE_SPECTRUM_CAP``) moves the refusal and every caller that
-consults it alike.  The exact oracles' refusals name their constant.
-RAMSEY_FORGE_MAX_N also moves the vertex limit.  The independence node
-budget is the one keyword argument, ``exact_independence(..., node_budget=)``.
+consults it alike.  RAMSEY_FORGE_MAX_N moves the vertex limit.
 """
 import os
 
-from .errors import BadParameter
+from .errors import BadParameter, SizeLimitExceeded, TooLarge
 
 DEFAULT_MAX_VERTICES = 200_000
 # Cayley builders refuse an (n, d) int64 neighbor matrix above this many
@@ -19,7 +18,9 @@ DENSE_SPECTRUM_CAP = 2500
 TOUGHNESS_CAP = 16
 INDEPENDENCE_CAP = 300
 CUT_CAP = 20
+BITSET_TRIANGLE_CAP = 40_000
 CIRCLE_LEMMA_CAP = 31
+# exact_independence flags its best set exact=False past this many nodes.
 NODE_BUDGET = 10**8
 
 # Exact independence is attempted inside certificates only up to this many
@@ -43,3 +44,13 @@ def max_vertices() -> int:
         raise BadParameter(f"RAMSEY_FORGE_MAX_N={raw!r} must be positive")
     return value
 
+
+def check(name: str, size: int, what: str) -> None:
+    """Refuse ``what`` (which spells out its size) if ``size`` exceeds the limit
+    ``name``, read now: SizeLimitExceeded for the two builder limits (the vertex
+    limit is named RAMSEY_FORGE_MAX_N), TooLarge for the exact-oracle caps."""
+    limit = max_vertices() if name == "RAMSEY_FORGE_MAX_N" else globals()[name]
+    if size > limit:
+        lever = name if name == "RAMSEY_FORGE_MAX_N" else f"limits.{name}"
+        error = SizeLimitExceeded if name in ("RAMSEY_FORGE_MAX_N", "MAX_NEIGHBOR_ENTRIES") else TooLarge
+        raise error(f"{what} exceeds {lever} = {limit}")

@@ -37,7 +37,6 @@ from . import limits
 from .errors import (
     BadParameter,
     NoConvergence,
-    TooLarge,
     UnsupportedFamily,
     ZeroVector,
 )
@@ -74,9 +73,7 @@ def dense_spectrum(graph) -> SpectralSummary:
     """Full spectrum via symmetric dense diagonalization."""
     d = _require_regular(graph)
     n = graph.n
-    cap = limits.DENSE_SPECTRUM_CAP
-    if n > cap:
-        raise TooLarge(f"dense spectrum capped at limits.DENSE_SPECTRUM_CAP = {cap} vertices")
+    limits.check("DENSE_SPECTRUM_CAP", n, f"dense spectrum on {n} vertices")
     adj = np.zeros((n, n), dtype=np.float64)
     counts = np.diff(graph.indptr)
     rows = np.repeat(np.arange(n, dtype=np.int64), counts)

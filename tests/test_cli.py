@@ -153,7 +153,7 @@ def test_verify_code_records_a_sum_set_graph_past_the_size_limit():
     assert skipped["statement"] == "the sum-set graph exceeds the size limits"
     assert skipped["evidence"]["k"]["value"] == 7
     assert skipped["evidence"]["refusal"]["value"] == (
-        f"graph on 2097152 vertices exceeds the limit {limits.DEFAULT_MAX_VERTICES}"
+        f"graph on 2097152 vertices exceeds RAMSEY_FORGE_MAX_N = {limits.DEFAULT_MAX_VERTICES}"
     )
 
 
@@ -162,7 +162,7 @@ def test_verify_code_refuses_when_the_bch_graph_is_past_the_size_limit():
     res = run("verify", "--suite", "code", "--k", "7", env=env)
     assert res.returncode == 2
     assert res.stdout == ""
-    assert "graph on 16384 vertices exceeds the limit 1000" in res.stderr
+    assert res.stderr == "error: graph on 16384 vertices exceeds RAMSEY_FORGE_MAX_N = 1000\n"
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +285,9 @@ def test_huge_dimension_is_refused_before_the_power(capsys, command):
     code = main(command + ["--q", "3", "--m", "1000000000"])
     elapsed = time.perf_counter() - start
     assert code == 2
-    assert f"exceeds the limit {limits.max_vertices()}" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: graph on 3^1000000000 vertices exceeds RAMSEY_FORGE_MAX_N = {limits.max_vertices()}\n"
+    )
     assert elapsed < 1.0
 
 
@@ -294,7 +296,9 @@ def test_huge_prime_is_refused_without_trial_division(capsys):
     code = main(["stats", "--family", "euclidean", "--q", "10000000000000061"])
     elapsed = time.perf_counter() - start
     assert code == 2
-    assert f"exceeds the limit {limits.max_vertices()}" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: graph on 10000000000000061^2 vertices exceeds RAMSEY_FORGE_MAX_N = {limits.max_vertices()}\n"
+    )
     assert elapsed < 1.0
 
 

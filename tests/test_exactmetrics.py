@@ -9,6 +9,7 @@ import pytest
 
 from ramseyforge import exactmetrics, limits
 from ramseyforge.algebra import find_nonsquare
+from ramseyforge.certify import verify_circle_lemma
 from ramseyforge.errors import SizeLimitExceeded, TooLarge
 from ramseyforge.exactmetrics import (
     bfs_distances,
@@ -409,10 +410,12 @@ def test_independence_witness_verified():
             assert not g.adjacency_oracle(u, v)
 
 
-def test_independence_budget_flagged_inexact():
+def test_independence_budget_flagged_inexact(monkeypatch):
     g = build("euclidean", q=7, a=1)
-    res = exact_independence(g, node_budget=5)
+    monkeypatch.setattr(limits, "NODE_BUDGET", 5)  # read when the search starts
+    res = exact_independence(g)
     assert not res.exact
+    assert res.nodes <= 6
     assert res.size >= 1  # still returns the best set found
 
 
@@ -461,19 +464,42 @@ def test_cuts_too_large():
         exact_max_cut_and_bisection(build("euclidean", q=5, a=1))
 
 
-@pytest.mark.parametrize("cap,oracle", [
-    ("DENSE_SPECTRUM_CAP", dense_spectrum),
-    ("TOUGHNESS_CAP", exact_toughness),
-    ("INDEPENDENCE_CAP", exact_independence),
-    ("CUT_CAP", exact_max_cut_and_bisection),
+def _refusal(lever, call, arg, size, what, error=TooLarge):
+    return pytest.param(lever, call, arg, size, what, error, id=f"{lever}-{call.__name__}")
+
+
+D3 = FamilySpec(kind="euclidean", q=3, a=1)  # 9 vertices of degree 4
+
+
+@pytest.mark.parametrize("lever,call,arg,size,what,error", [
+    _refusal("DENSE_SPECTRUM_CAP", dense_spectrum, build_family(D3), 9, "dense spectrum on 9 vertices"),
+    _refusal("TOUGHNESS_CAP", exact_toughness, build_family(D3), 9, "exact toughness on 9 vertices"),
+    _refusal("INDEPENDENCE_CAP", exact_independence, build_family(D3), 9, "exact independence on 9 vertices"),
+    _refusal("CUT_CAP", exact_max_cut_and_bisection, build_family(D3), 9, "exact cut enumeration on 9 vertices"),
+    # an ad-hoc graph: family graphs count triangles through the identity
+    _refusal("BITSET_TRIANGLE_CAP", triangle_count, cycle(9), 9, "bitset triangle count on 9 vertices"),
+    _refusal("CIRCLE_LEMMA_CAP", verify_circle_lemma, 3, 3, "exhaustive circle check at q = 3"),
+    _refusal("MAX_NEIGHBOR_ENTRIES", build_family, D3, 36, "neighbor matrix of n*d = 9*4 = 36 entries",
+             SizeLimitExceeded),
+    _refusal("RAMSEY_FORGE_MAX_N", build_family, FamilySpec(kind="bch", k=2), 16, "graph on 16 vertices",
+             SizeLimitExceeded),
 ])
-def test_caps_are_read_when_the_oracle_runs(monkeypatch, cap, oracle):
-    g = build("euclidean", q=3, a=1)  # 9 vertices
-    monkeypatch.setattr(limits, cap, g.n - 1)
-    with pytest.raises(TooLarge, match=rf"limits\.{cap} = 8 vertices"):
-        oracle(g)
-    monkeypatch.setattr(limits, cap, g.n)
-    oracle(g)
+def test_caps_are_read_when_the_oracle_runs(monkeypatch, lever, call, arg, size, what, error):
+    # every refusal reads its limit when the call runs and names its lever
+    def set_limit(value):
+        if lever == "RAMSEY_FORGE_MAX_N":
+            monkeypatch.setenv(lever, str(value))
+        else:
+            monkeypatch.setattr(limits, lever, value)
+
+    set_limit(size - 1)
+    with pytest.raises(error) as exc:
+        call(arg)
+    named = lever if lever == "RAMSEY_FORGE_MAX_N" else f"limits.{lever}"
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{what} exceeds {named} = {size - 1}"
+    set_limit(size)
+    call(arg)
 
 
 # ---------------------------------------------------------------------------

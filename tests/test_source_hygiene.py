@@ -1,6 +1,7 @@
 """Source hygiene of the package, read with the stdlib ``ast`` module: no
-module imports a name it never uses, and every module-level private function
-or class is referenced somewhere in the package besides its own definition."""
+module imports a name it never uses, every module-level private function or
+class is referenced somewhere in the package besides its own definition, and
+size refusals go through ``limits.check``, which reads each limit when it runs."""
 
 import ast
 import pathlib
@@ -59,3 +60,30 @@ def test_every_private_definition_is_referenced():
             if refs[node.name] - _references(node)[node.name] <= 0:
                 orphans.append(f"{module}:{node.lineno} {node.name}")
     assert not orphans, f"private definitions nothing refers to: {orphans}"
+
+
+@pytest.mark.parametrize("module", [name for name in TREES if name != "limits.py"])
+def test_only_limits_raises_size_refusals(module):
+    # every cap refuses through limits.check, so each message names its lever
+    raises = [
+        f"line {node.lineno}"
+        for node in ast.walk(TREES[module])
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and any(isinstance(n, ast.Name) and n.id in ("TooLarge", "SizeLimitExceeded") for n in ast.walk(node.exc))
+    ]
+    assert not raises, f"{module} raises a size refusal outside limits.check: {raises}"
+
+
+@pytest.mark.parametrize("module", list(TREES))
+def test_no_default_reads_a_limit(module):
+    # a default is evaluated once, at import, so setting the limit later would not move it
+    reads = []
+    for node in ast.walk(TREES[module]):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for default in node.args.defaults + [d for d in node.args.kw_defaults if d is not None]:
+                if any(
+                    isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "limits"
+                    for n in ast.walk(default)
+                ):
+                    reads.append(f"line {node.lineno} {getattr(node, 'name', 'lambda')}")
+    assert not reads, f"{module} reads a limit in a default value: {reads}"
