@@ -46,6 +46,7 @@ from .exactmetrics import (
     exact_independence,
     exact_toughness,
     girth,
+    quotient_girth_diameter,
     triangle_count,
 )
 from .graphs import (
@@ -57,6 +58,7 @@ from .graphs import (
     build_family,
     build_non_euclidean,
     euclidean_degree,
+    halfplane_distance_quotients,
 )
 from .spectral import (
     alon_toughness_bound,
@@ -362,16 +364,18 @@ def _euclidean_girth_diameter(m) -> Certificate:
 
 
 def _non_euclidean_girth_diameter_claims(q: int, sigma: int) -> list:
+    """The half-plane girth and diameter rules, checked for every distance a.
+
+    Girth and diameter of each V_q(sigma, a) come from its q x q
+    distance-class quotient (``halfplane_distance_quotients``,
+    ``quotient_girth_diameter``), so no graph is built: O(q^2) per a.
+    """
     girth_rows, girth_bad = [], 0
     unclassified = []
     range_bad = 0
     diam_rows, diam_bad = [], 0
-    for a in range(1, q):
-        if a == (4 * sigma) % q:
-            continue
-        g = build_non_euclidean(q, sigma, a)
-        gg = girth(g)
-        dd = diameter(g)
+    for a, quotient in halfplane_distance_quotients(q, sigma):
+        gg, dd = quotient_girth_diameter(quotient)
         if gg not in (3, 4):
             range_bad += 1
         # girth: sufficient conditions only; a - 3*sigma = 0 counts as square

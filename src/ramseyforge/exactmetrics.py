@@ -16,6 +16,8 @@ components, and family girth and diameter.  The bit-parallel kernel handles
 root sets (girth and diameter of ad-hoc graphs, the spot check's sampled
 roots): every vertex carries a bit per root, and roots run in blocks whose
 bit arrays stay within ``_BFS_WORD_BUDGET`` 64-bit words, fixed up front.
+``quotient_girth_diameter`` runs the single-root girth test over a
+distance-class quotient instead of a graph.
 """
 import math
 from dataclasses import dataclass
@@ -261,6 +263,38 @@ def diameter(graph) -> float:
     if _is_transitive_family(graph):
         return eccentricity(graph, 0)
     return max(_eccentricities(graph, np.arange(graph.n)), default=0)
+
+
+def quotient_girth_diameter(quotient: np.ndarray) -> tuple:
+    """Girth and diameter of a vertex-transitive graph from a distance-class
+    quotient: quotient[k, j] neighbours in class j for each vertex of class
+    k, where class 0 is the root alone and the distance from the root is
+    constant on every class.
+
+    BFS over the classes from class 0 with the Itai-Rodeh test of
+    ``_root_cycle_bound`` at each level k: an edge between two level-k
+    classes closes a walk of length 2k + 1; a class first reached at level
+    k + 1 whose vertices have two level-k neighbours closes one of length
+    2k + 2.  As with ``girth`` and ``diameter`` on the graph, both are exact,
+    math.inf for no cycle or a disconnected graph.
+    """
+    level = np.full(len(quotient), -1)
+    level[0] = 0
+    best, k = math.inf, 0
+    while True:
+        at_k = level == k
+        into_k = quotient[:, at_k].sum(axis=1)  # level-k neighbours per vertex of each class
+        new = (level < 0) & (into_k > 0)
+        if best == math.inf:
+            if (into_k[at_k] > 0).any():
+                best = 2 * k + 1
+            elif (into_k[new] >= 2).any():
+                best = 2 * k + 2
+        if not new.any():
+            break
+        k += 1
+        level[new] = k
+    return best, (k if (level >= 0).all() else math.inf)
 
 
 def eccentricity_uniformity_check(graph) -> bool:

@@ -78,13 +78,18 @@ class FamilySpec:
 
     @property
     def n(self) -> int:
+        """Vertex count, refused past the vertex limit; q^m is refused before
+        the power is taken, so a huge m costs no time."""
         if self.kind == "euclidean":
-            return self.q**self.m
+            return _bounded_power(self.q, self.m)
         if self.kind == "noneuclidean":
-            return self.q * (self.q - 1)
-        if self.kind == "bch":
-            return 1 << (2 * self.k)
-        return 1 << (3 * self.k)
+            n = self.q * (self.q - 1)
+        elif self.kind == "bch":
+            n = 1 << (2 * self.k)
+        else:
+            n = 1 << (3 * self.k)
+        limits.check("RAMSEY_FORGE_MAX_N", n, f"graph on {n} vertices")
+        return n
 
     def label(self) -> str:
         if self.kind == "euclidean":
@@ -186,9 +191,8 @@ class Graph:
 
 
 def _check_size(n: int, degree: int):
-    """Refuse a graph past the vertex limit, or whose (n, degree) neighbor
-    matrix would exceed limits.MAX_NEIGHBOR_ENTRIES, before allocating it."""
-    limits.check("RAMSEY_FORGE_MAX_N", n, f"graph on {n} vertices")
+    """Refuse a graph whose (n, degree) neighbor matrix would exceed
+    limits.MAX_NEIGHBOR_ENTRIES, before allocating it."""
     entries = n * degree
     limits.check(
         "MAX_NEIGHBOR_ENTRIES", entries, f"neighbor matrix of n*d = {n}*{degree} = {entries} entries"
@@ -251,14 +255,14 @@ def _coords_matrix(n: int, q: int, m: int) -> np.ndarray:
     return coords
 
 
-def _cayley_graph(family: FamilySpec, degree: int, neighbor_rows) -> Graph:
-    """Cayley graph Cay(G, S) on the family's group G, with |S| = degree.
+def _cayley_graph(family: FamilySpec, n: int, degree: int, neighbor_rows) -> Graph:
+    """Cayley graph Cay(G, S) on the family's group G of order n = family.n,
+    with |S| = degree.
 
     Vertex 0 is the identity of G in every codec, so S is its neighbor set.
     ``neighbor_rows()`` returns the (n, |S|) matrix whose row g lists the
-    products g*s, s in S; it runs only after the size checks.
+    products g*s, s in S; it runs only after the size check.
     """
-    n = family.n
     _check_size(n, degree)
     rows = neighbor_rows()
     indptr, indices = _csr_from_rows(rows)
@@ -268,22 +272,39 @@ def _cayley_graph(family: FamilySpec, degree: int, neighbor_rows) -> Graph:
 def build_euclidean(q: int, m: int = 2, a: int = 1) -> Graph:
     """Cayley graph on (F_q^m, +) whose connection set is the sphere Q = a."""
     family = FamilySpec(kind="euclidean", q=q, m=m, a=a)
-    _bounded_power(q, m)
+    n = family.n  # refused here, before the degree formula takes q^(m-1)
     expected = euclidean_degree(q, m, family.a)
 
     def translates():
-        coords = _coords_matrix(family.n, q, m)
+        coords = _coords_matrix(n, q, m)
         sphere = np.flatnonzero((coords**2).sum(axis=1) % q == family.a)
         if len(sphere) != expected:
             raise AssertionError(f"sphere size {len(sphere)} != formula {expected}")
         weights = q ** np.arange(m, dtype=np.int64)
-        rows = np.empty((family.n, len(sphere)), dtype=np.int64)
+        rows = np.empty((n, len(sphere)), dtype=np.int64)
         # one column at a time keeps the temporaries at (n, m)
         for col, s_idx in enumerate(sphere):
             rows[:, col] = ((coords + coords[s_idx]) % q) @ weights
         return rows
 
-    return _cayley_graph(family, expected, translates)
+    return _cayley_graph(family, n, expected, translates)
+
+
+def _halfplane_points(q: int) -> tuple:
+    """Coordinates (x, y) of every half-plane point, in codec order."""
+    x, y = np.divmod(np.arange(q * (q - 1), dtype=np.int64), q - 1)
+    return x, y + 1
+
+
+def _distance_class(q: int, sigma: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Class of each point (x, y): its Poincare distance from the base point
+    (0, 1), (x^2 - sigma*(1 - y)^2) / y mod q, for 0 <= x < q and 0 < y < q.
+
+    Class 0 is (0, 1) alone and class 4*sigma is (0, -1) alone; every other
+    class a is the circle of q + 1 points around (0, 1) at distance a.
+    """
+    inverse = np.array([0] + [pow(v, -1, q) for v in range(1, q)], dtype=np.int64)
+    return (x * x - sigma * (1 - y) ** 2) % q * inverse[y] % q
 
 
 def build_non_euclidean(q: int, sigma: int, a: int) -> Graph:
@@ -292,16 +313,13 @@ def build_non_euclidean(q: int, sigma: int, a: int) -> Graph:
     The maps z -> y*z + x act simply transitively on the half-plane and keep
     d(z, w), so this is a Cayley graph on Aff(1, q) with product
     (x, y)*(t, v) = (x + y*t, y*v) and identity (0, 1).  Its connection set is
-    the circle d((0, 1), (t, v)) = a, i.e. t^2 = a*v + sigma*(1 - v)^2.
+    the circle of class a around (0, 1), from ``_distance_class``.
     """
     family = FamilySpec(kind="noneuclidean", q=q, sigma=sigma, a=a)
 
     def affine_images():
-        x, y = np.divmod(np.arange(family.n, dtype=np.int64), q - 1)
-        y += 1
-        circle = np.flatnonzero(
-            (x * x - family.a * y - family.sigma * (1 - y) ** 2) % q == 0
-        )
+        x, y = _halfplane_points(q)
+        circle = np.flatnonzero(_distance_class(q, family.sigma, x, y) == family.a)
         if len(circle) != q + 1:
             raise AssertionError(f"half-plane circle has {len(circle)} points, not q+1")
         t, v = x[circle], y[circle]
@@ -311,7 +329,38 @@ def build_non_euclidean(q: int, sigma: int, a: int) -> Graph:
             - 1
         )
 
-    return _cayley_graph(family, q + 1, affine_images)
+    return _cayley_graph(family, family.n, q + 1, affine_images)
+
+
+def halfplane_distance_quotients(q: int, sigma: int):
+    """The distance-class quotient of V_q(sigma, a) for every valid a, in
+    increasing a, without building a graph: pairs (a, T) where T[k, j] counts
+    the neighbours in class j of a point of class k (``_distance_class``).
+
+    The circles around (0, 1) are the orbits of its stabiliser among the
+    isometries of the half-plane (Terras, Fourier Analysis on Finite Groups
+    and Applications, ch. 19-20), and these are automorphisms of every
+    V_q(sigma, a).  So T does not depend on which point of class k is taken,
+    and the distance from the identity is constant on each class.  Each T
+    costs O(q^2), with one representative g_k per class and T[k, j] =
+    #{s in S_a : class(g_k * s) = j}.  Refused where building V_q(sigma, a)
+    would be, with the same message, before any work.
+    """
+    family = FamilySpec(kind="noneuclidean", q=q, sigma=sigma)
+    _check_size(family.n, q + 1)
+    x, y = _halfplane_points(q)
+    classes = _distance_class(q, family.sigma, x, y)
+    _, first = np.unique(classes, return_index=True)  # every class is non-empty
+    gx, gy = x[first, None], y[first, None]
+    row_base = np.arange(q)[:, None] * q
+
+    def quotient(a):
+        circle = classes == a
+        t, v = x[circle], y[circle]
+        j = _distance_class(q, family.sigma, (gx + gy * t) % q, (gy * v) % q)
+        return np.bincount((row_base + j).ravel(), minlength=q * q).reshape(q, q)
+
+    return ((a, quotient(a)) for a in range(1, q) if a != (4 * family.sigma) % q)
 
 
 def bch_connection_set(k: int) -> list:
@@ -341,10 +390,12 @@ def alon_connection_set(k: int) -> list:
 
 def _xor_cayley_graph(family: FamilySpec, conn: list) -> Graph:
     """Cayley graph on (GF(2)^t, XOR) with connection set conn."""
+    n = family.n
     return _cayley_graph(
         family,
+        n,
         len(conn),
-        lambda: np.arange(family.n, dtype=np.int64)[:, None] ^ np.asarray(conn, dtype=np.int64),
+        lambda: np.arange(n, dtype=np.int64)[:, None] ^ np.asarray(conn, dtype=np.int64),
     )
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramseyforge import certify, limits
+from ramseyforge import certify, graphs, limits
 from ramseyforge.algebra import quadratic_character
 from ramseyforge.certify import (
     CSV_COLUMNS,
@@ -590,17 +590,13 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
         SweepConfig(families=("bch",), ks=(2, 4)),
         SweepConfig(families=("alon",), ks=(2,)),
     ]
-    row_graphs, all_graphs, in_suite = [], [], []
+    built = []
     calls = Counter()
 
-    def counting_builder(build):
-        def wrapper(*args):
-            graph = build(*args)
-            all_graphs.append(graph)  # keeps every id() unique
-            if not in_suite:
-                row_graphs.append(graph)
-            return graph
-        return wrapper
+    def counting_cayley_graph(*args):
+        graph = cayley_graph(*args)
+        built.append(graph)  # keeps every id() unique
+        return graph
 
     def counting_oracle(oracle):
         def wrapper(graph, *args, **kwargs):
@@ -608,18 +604,10 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
             return oracle(graph, *args, **kwargs)
         return wrapper
 
-    suite = certify._non_euclidean_girth_diameter_claims
-
-    def suite_builds_its_own_graphs(*args):
-        in_suite.append(True)
-        try:
-            return suite(*args)
-        finally:
-            in_suite.pop()
-
-    monkeypatch.setattr(certify, "_non_euclidean_girth_diameter_claims", suite_builds_its_own_graphs)
-    for name in ("build_family", "build_euclidean", "build_non_euclidean"):
-        monkeypatch.setattr(certify, name, counting_builder(getattr(certify, name)))
+    # every family builder goes through graphs._cayley_graph, so this sees
+    # each graph built anywhere, the half-plane suite included
+    cayley_graph = graphs._cayley_graph
+    monkeypatch.setattr(graphs, "_cayley_graph", counting_cayley_graph)
     oracles = ("triangle_count", "cayley_spectrum_abelian", "exact_independence")
     for name in oracles:
         monkeypatch.setattr(certify, name, counting_oracle(getattr(certify, name)))
@@ -630,8 +618,9 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
         assert not any(s.startswith("error") for s in res["statuses"])
         jobs += certify._sweep_jobs(cfg)
     assert len(jobs) == 7
-    assert Counter(g.family for g in row_graphs) == Counter(jobs)  # each built once
-    for g in row_graphs:
+    # one build per row: the half-plane suite at q = 13 builds no graph of its own
+    assert Counter(g.family for g in built) == Counter(jobs)
+    for g in built:
         assert calls["triangle_count", id(g)] == 1, g.family
         for name in oracles:
             assert calls[name, id(g)] <= 1, (name, g.family)

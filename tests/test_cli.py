@@ -165,6 +165,23 @@ def test_verify_code_refuses_when_the_bch_graph_is_past_the_size_limit():
     assert res.stderr == "error: graph on 16384 vertices exceeds RAMSEY_FORGE_MAX_N = 1000\n"
 
 
+@pytest.mark.parametrize("max_n, q, refusal", [
+    ("100", 13, "graph on 156 vertices exceeds RAMSEY_FORGE_MAX_N = 100"),
+    ("1000000", 601, "neighbor matrix of n*d = 360600*602 = 217081200 entries "
+                     "exceeds limits.MAX_NEIGHBOR_ENTRIES = 134217728"),
+])
+def test_halfplane_suite_refuses_where_the_graph_build_would(capsys, monkeypatch, max_n, q, refusal):
+    # the suite builds no graph, yet refuses where building V_q(sigma, a) would,
+    # in the same words, and before the O(q^3) quotient work starts
+    monkeypatch.setenv("RAMSEY_FORGE_MAX_N", max_n)
+    start = time.perf_counter()
+    code = main(["verify", "--suite", "girth-diameter", "--family", "noneuclidean", "--q", str(q)])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {refusal}\n")
+    assert elapsed < 1.0
+
+
 # ---------------------------------------------------------------------------
 # certify-ramsey
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from ramseyforge.exactmetrics import (
     girth,
     greedy_coloring,
     metrics_report,
+    quotient_girth_diameter,
     triangle_count,
 )
 from ramseyforge.graphs import FamilySpec, build_family, graph_from_edges
@@ -78,6 +79,26 @@ def test_diameter_small_graphs():
     assert diameter(cycle(6)) == 3
     assert diameter(complete(5)) == 1
     assert diameter(graph_from_edges(4, [(0, 1), (2, 3)])) == math.inf
+
+
+QUOTIENT_CASES = {
+    **{f"C{n}": cycle(n) for n in range(3, 9)},
+    "K4": complete(4),
+    "K2": path(2),
+    "2K3": graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", list(QUOTIENT_CASES))
+def test_quotient_girth_diameter_matches_the_graph(name):
+    # on these graphs the distance from vertex 0 (unreached vertices as one
+    # more class) gives classes whose members have equal neighbour counts
+    graph = QUOTIENT_CASES[name]
+    dist = bfs_distances(graph, 0)
+    classes = np.where(dist < 0, dist.max() + 1, dist)
+    reps = [int(np.flatnonzero(classes == k)[0]) for k in range(classes.max() + 1)]
+    quotient = np.array([np.bincount(classes[graph.neighbors(r)], minlength=len(reps)) for r in reps])
+    assert quotient_girth_diameter(quotient) == (girth(graph), diameter(graph))
 
 
 def test_euclidean_girth_diameter_frozen():

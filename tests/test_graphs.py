@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 
 from ramseyforge import limits
-from ramseyforge.algebra import poincare_distance, quadrance, quadratic_character
+from ramseyforge.algebra import is_odd_prime, poincare_distance, quadrance, quadratic_character
 from ramseyforge.errors import (
     BadParameter,
     BadSigma,
     DegenerateDistance,
     SizeLimitExceeded,
 )
-from ramseyforge.exactmetrics import diameter, girth, triangle_count
+from ramseyforge.exactmetrics import diameter, girth, quotient_girth_diameter, triangle_count
 from ramseyforge.graphs import (
     FamilySpec,
     _check_size,
+    _distance_class,
+    _halfplane_points,
     alon_connection_set,
     alon_split,
     bch_connection_set,
@@ -24,6 +26,7 @@ from ramseyforge.graphs import (
     euclidean_degree,
     export_graph,
     graph_from_edges,
+    halfplane_distance_quotients,
 )
 from ramseyforge.spectral import cayley_spectrum_abelian
 
@@ -219,6 +222,30 @@ def test_half_plane_adjacency_matches_poincare_distance():
                 assert (adj == (dist == a)).all(), (q, sigma, a)
 
 
+@pytest.mark.parametrize("q", [q for q in range(3, 32) if is_odd_prime(q)])
+def test_distance_class_quotient_matches_the_built_graph(q):
+    """Class invariance, checked on the graphs: for every non-square sigma and
+    valid a, the quotient's girth and diameter are those of V_q(sigma, a)."""
+    x, y = _halfplane_points(q)
+    for sigma in range(1, q):
+        if quadratic_character(sigma, q) != -1:
+            continue
+        classes = _distance_class(q, sigma, x, y)
+        assert classes.tolist() == [
+            poincare_distance((0, 1), (int(u), int(v)), sigma, q) for u, v in zip(x, y)
+        ]
+        sizes = np.bincount(classes, minlength=q)
+        assert sizes[0] == sizes[4 * sigma % q] == 1
+        assert np.delete(sizes, [0, 4 * sigma % q]).tolist() == [q + 1] * (q - 2)
+        distances = []
+        for a, quotient in halfplane_distance_quotients(q, sigma):
+            assert (quotient.sum(axis=1) == q + 1).all(), (q, sigma, a)
+            g = build("noneuclidean", q=q, sigma=sigma, a=a)
+            assert quotient_girth_diameter(quotient) == (girth(g), diameter(g)), (q, sigma, a)
+            distances.append(a)
+        assert distances == [a for a in range(1, q) if a != 4 * sigma % q]
+
+
 def test_adjacency_matches_quadrance():
     g = build("euclidean", q=7, a=2)
     for u in [0, 5, 17, 30, 48]:
@@ -378,6 +405,27 @@ def test_size_limit_env(monkeypatch):
         build_family(FamilySpec(kind="euclidean", q=11, a=1))
     # 9 vertices still fits
     build_family(FamilySpec(kind="euclidean", q=3, a=1))
+
+
+@pytest.mark.parametrize("spec, what", [
+    (FamilySpec(kind="euclidean", q=3, a=1), "graph on 3^2 vertices"),
+    (FamilySpec(kind="noneuclidean", q=5, sigma=2, a=1), "graph on 20 vertices"),
+    (FamilySpec(kind="bch", k=2), "graph on 16 vertices"),
+    (FamilySpec(kind="alon", k=2), "graph on 64 vertices"),
+])
+def test_each_build_checks_the_vertex_limit_once(monkeypatch, spec, what):
+    # one check site per build; q^m is bounded step by step, under one name
+    checked = []
+    check = limits.check
+
+    def recording_check(name, size, text):
+        if name == "RAMSEY_FORGE_MAX_N":
+            checked.append(text)
+        return check(name, size, text)
+
+    monkeypatch.setattr(limits, "check", recording_check)
+    build_family(spec)
+    assert set(checked) == {what}
 
 
 @pytest.mark.parametrize("raw", ["lots", "1.5", "", "0", "-3"])
