@@ -63,6 +63,7 @@ from .graphs import (
     build_euclidean,
     build_family,
     build_non_euclidean,
+    connection_set,
     euclidean_degree,
     export_graph,
     graph_from_edges,

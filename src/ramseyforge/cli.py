@@ -25,7 +25,7 @@ from .certify import (
 )
 from .errors import NotTriangleFree
 from .exactmetrics import metrics_report
-from .graphs import FamilySpec, build_family, export_graph
+from .graphs import FamilySpec, build_family, connection_set, export_graph
 from .spectral import cayley_spectrum_abelian, dense_spectrum
 
 FAMILIES = ("euclidean", "noneuclidean", "bch", "alon")
@@ -79,11 +79,10 @@ def _cmd_stats(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     spec = _spec_from_args(args)
-    graph = build_family(spec)
     if args.method == "dense":
-        summary = dense_spectrum(graph)
+        summary = dense_spectrum(build_family(spec))
     else:
-        summary = cayley_spectrum_abelian(graph)
+        summary = cayley_spectrum_abelian(spec, connection_set(spec))
     _print_json(
         {
             "family": spec.to_dict(),
@@ -123,8 +122,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_certify_ramsey(args) -> int:
-    graph = build_family(_spec_from_args(args))
-    cert = ramsey_certificate(graph)
+    cert = ramsey_certificate(_spec_from_args(args))
     print(certificate_to_json(cert))
     return 0 if cert.overall == "pass" else 1
 

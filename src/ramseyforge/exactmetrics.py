@@ -8,7 +8,11 @@ graphs should use the spectral module instead.
 Graphs built by the family constructors are Cayley graphs, hence vertex
 transitive: girth and eccentricity are measured from a single root there,
 and the total triangle count is n/3 times the count through one vertex.
-``eccentricity_uniformity_check`` spot-checks the transitivity assumption.
+Certificates read Euclidean and half-plane graphs from a distance-class
+quotient instead (``quotient_invariants``), so on those families the
+single-root routes over a built graph serve ``metrics_report`` and are the
+quotient's test oracle.  ``eccentricity_uniformity_check`` spot-checks the
+transitivity assumption; the tests run it on built family graphs.
 
 BFS has two kernels over one padded neighbour matrix, chosen by how many
 roots a question has.  One frontier kernel handles single roots: distances,
@@ -17,7 +21,8 @@ root sets (girth and diameter of ad-hoc graphs, the spot check's sampled
 roots): every vertex carries a bit per root, and roots run in blocks whose
 bit arrays stay within ``_BFS_WORD_BUDGET`` 64-bit words, fixed up front.
 ``quotient_girth_diameter`` runs the single-root girth test over a
-distance-class quotient instead of a graph.
+distance-class quotient instead of a graph, and ``quotient_invariants`` adds
+the triangles and components that the class sizes give.
 """
 import math
 from dataclasses import dataclass
@@ -265,19 +270,13 @@ def diameter(graph) -> float:
     return max(_eccentricities(graph, np.arange(graph.n)), default=0)
 
 
-def quotient_girth_diameter(quotient: np.ndarray) -> tuple:
-    """Girth and diameter of a vertex-transitive graph from a distance-class
-    quotient: quotient[k, j] neighbours in class j for each vertex of class
-    k, where class 0 is the root alone and the distance from the root is
-    constant on every class.
-
-    BFS over the classes from class 0 with the Itai-Rodeh test of
-    ``_root_cycle_bound`` at each level k: an edge between two level-k
-    classes closes a walk of length 2k + 1; a class first reached at level
-    k + 1 whose vertices have two level-k neighbours closes one of length
-    2k + 2.  As with ``girth`` and ``diameter`` on the graph, both are exact,
-    math.inf for no cycle or a disconnected graph.
-    """
+def _quotient_levels(quotient: np.ndarray) -> tuple:
+    """(girth, levels): BFS over the classes of a distance-class quotient
+    from class 0, with the Itai-Rodeh test of ``_root_cycle_bound`` at each
+    level k.  An edge between two level-k classes closes a walk of length
+    2k + 1; a class first reached at level k + 1 whose vertices have two
+    level-k neighbours closes one of length 2k + 2.  levels[j] is the
+    distance of class j from the root, -1 where BFS never reaches it."""
     level = np.full(len(quotient), -1)
     level[0] = 0
     best, k = math.inf, 0
@@ -291,10 +290,41 @@ def quotient_girth_diameter(quotient: np.ndarray) -> tuple:
             elif (into_k[new] >= 2).any():
                 best = 2 * k + 2
         if not new.any():
-            break
+            return best, level
         k += 1
         level[new] = k
-    return best, (k if (level >= 0).all() else math.inf)
+
+
+def quotient_girth_diameter(quotient: np.ndarray) -> tuple:
+    """Girth and diameter of a vertex-transitive graph from a distance-class
+    quotient: quotient[k, j] neighbours in class j for each vertex of class
+    k, where class 0 is the root alone and the distance from the root is
+    constant on every class.
+
+    As with ``girth`` and ``diameter`` on the graph, both are exact,
+    math.inf for no cycle or a disconnected graph.
+    """
+    best, level = _quotient_levels(quotient)
+    return best, (int(level.max()) if (level >= 0).all() else math.inf)
+
+
+def quotient_invariants(sizes: np.ndarray, quotient: np.ndarray, conn_class: int) -> tuple:
+    """(girth, diameter, triangles, components) of a Cayley graph Cay(G, S)
+    from a distance-class quotient as in ``quotient_girth_diameter``, with
+    sizes[k] vertices in class k and S the class ``conn_class``.
+
+    Each s in S has quotient[S, S] neighbours in S, so n*d*quotient[S, S]
+    counts every triangle six times, as ``_triangles_through_identity`` does.
+    The classes BFS reaches make up the component of the identity, and the
+    components are the cosets of the subgroup S generates, all of one size.
+    """
+    best, level = _quotient_levels(quotient)
+    n, reached = int(sizes.sum()), int(sizes[level >= 0].sum())
+    total = n * int(quotient[0].sum()) * int(quotient[conn_class, conn_class])
+    if total % 6 or n % reached:
+        raise AssertionError("class sizes and quotient are not those of a Cayley graph")
+    diam = int(level.max()) if reached == n else math.inf
+    return best, diam, total // 6, n // reached
 
 
 def eccentricity_uniformity_check(graph) -> bool:

@@ -8,6 +8,12 @@ Four families:
   * alon          vertices GF(2)^{3k}, difference set the sums
                   (w0, w0^3, w0^5) + (w1, w1^3, w1^5), w0 in W0, w1 in W1
 
+All four are Cayley graphs with vertex 0 the group identity.
+``connection_set`` gives the neighbours of vertex 0 without a build, and the
+Euclidean and half-plane families have distance-class quotients
+(``euclidean_distance_quotient``, ``halfplane_distance_quotient``) from
+which certificates read their invariants instead of from a built graph.
+
 Vertex codecs are frozen: euclidean index = sum x_i * q^i (coordinate 0 least
 significant), half-plane index = x*(q-1) + (y-1), code-graph index = integer
 value of the concatenated bitvector (first component least significant).
@@ -246,48 +252,72 @@ def euclidean_degree(q: int, m: int, a: int) -> int:
     return q ** (m - 1) - sign * q ** ((m - 2) // 2)
 
 
-def _coords_matrix(n: int, q: int, m: int) -> np.ndarray:
-    """(n, m) coordinates of every point of F_q^m, in codec order."""
-    idx = np.arange(n, dtype=np.int64)
-    coords = np.empty((n, m), dtype=np.int64)
+def _coords_matrix(q: int, m: int) -> np.ndarray:
+    """(q^m, m) coordinates of every point of F_q^m, in codec order; called
+    once the vertex limit has passed."""
+    idx = np.arange(q**m, dtype=np.int64)
+    coords = np.empty((len(idx), m), dtype=np.int64)
     for i in range(m):
         coords[:, i] = (idx // q**i) % q
     return coords
 
 
-def _cayley_graph(family: FamilySpec, n: int, degree: int, neighbor_rows) -> Graph:
-    """Cayley graph Cay(G, S) on the family's group G of order n = family.n,
-    with |S| = degree.
+def _cayley_graph(family: FamilySpec, conn: np.ndarray, products) -> Graph:
+    """Cayley graph Cay(G, S) on the family's group G, with S = conn from
+    ``connection_set``, which refuses a graph past the size limits.
 
     Vertex 0 is the identity of G in every codec, so S is its neighbor set.
-    ``neighbor_rows()`` returns the (n, |S|) matrix whose row g lists the
-    products g*s, s in S; it runs only after the size check.
+    ``products(conn)`` returns the (|G|, |S|) matrix whose row g lists the
+    products g*s, s in S.
     """
-    _check_size(n, degree)
-    rows = neighbor_rows()
+    rows = products(conn)
     indptr, indices = _csr_from_rows(rows)
-    return Graph(family, n, indptr, indices, degree=degree)
+    return Graph(family, len(rows), indptr, indices, degree=len(conn))
 
 
 def build_euclidean(q: int, m: int = 2, a: int = 1) -> Graph:
     """Cayley graph on (F_q^m, +) whose connection set is the sphere Q = a."""
     family = FamilySpec(kind="euclidean", q=q, m=m, a=a)
-    n = family.n  # refused here, before the degree formula takes q^(m-1)
-    expected = euclidean_degree(q, m, family.a)
 
-    def translates():
-        coords = _coords_matrix(n, q, m)
-        sphere = np.flatnonzero((coords**2).sum(axis=1) % q == family.a)
-        if len(sphere) != expected:
-            raise AssertionError(f"sphere size {len(sphere)} != formula {expected}")
+    def translates(sphere):
+        coords = _coords_matrix(q, m)
         weights = q ** np.arange(m, dtype=np.int64)
-        rows = np.empty((n, len(sphere)), dtype=np.int64)
+        rows = np.empty((len(coords), len(sphere)), dtype=np.int64)
         # one column at a time keeps the temporaries at (n, m)
         for col, s_idx in enumerate(sphere):
             rows[:, col] = ((coords + coords[s_idx]) % q) @ weights
         return rows
 
-    return _cayley_graph(family, n, expected, translates)
+    return _cayley_graph(family, connection_set(family), translates)
+
+
+def euclidean_distance_quotient(family: FamilySpec) -> tuple:
+    """The distance-class quotient (sizes, T) of D_q^m(a), without building
+    the graph.  Class 0 is the origin, class c the sphere Q = c for each
+    c != 0, and the last class the nonzero null vectors; that one is left out
+    when empty, as it is when m = 2 and q = 3 mod 4.  sizes[k] counts the
+    points of class k and T[k, j] the neighbours in class j of each of them.
+
+    O(m, q) fixes the origin and keeps Q, so it acts on every D_q^m(a) by
+    automorphisms, and by Witt's extension theorem it is transitive on each
+    class.  So T does not depend on which point of class k is taken, and the
+    distance from the origin is constant on each class (an equitable
+    partition: Godsil & Royle, Algebraic Graph Theory, ch. 9).  With one
+    representative g_k per class, T[k, j] = #{s in S : class(g_k + s) = j}
+    for the sphere S = {Q = a}: O(q |S|) work and O(n m) memory.  Refused
+    where building D_q^m(a) would be, with the same message, before any work.
+    """
+    sphere = connection_set(family)  # refused here, as the build is
+    q, m = family.q, family.m
+    coords = _coords_matrix(q, m)
+    classes = (coords**2).sum(axis=1) % q
+    classes[classes == 0] = q
+    classes[0] = 0
+    present, first, sizes = np.unique(classes, return_index=True, return_counts=True)
+    images = ((coords[first, None, :] + coords[sphere]) % q) @ (q ** np.arange(m, dtype=np.int64))
+    cells = np.arange(len(first))[:, None] * (q + 1) + classes[images]
+    quotient = np.bincount(cells.ravel(), minlength=len(first) * (q + 1)).reshape(-1, q + 1)
+    return sizes, quotient[:, present]
 
 
 def _halfplane_points(q: int) -> tuple:
@@ -317,11 +347,8 @@ def build_non_euclidean(q: int, sigma: int, a: int) -> Graph:
     """
     family = FamilySpec(kind="noneuclidean", q=q, sigma=sigma, a=a)
 
-    def affine_images():
+    def affine_images(circle):
         x, y = _halfplane_points(q)
-        circle = np.flatnonzero(_distance_class(q, family.sigma, x, y) == family.a)
-        if len(circle) != q + 1:
-            raise AssertionError(f"half-plane circle has {len(circle)} points, not q+1")
         t, v = x[circle], y[circle]
         return (
             ((x[:, None] + y[:, None] * t) % q) * (q - 1)
@@ -329,7 +356,37 @@ def build_non_euclidean(q: int, sigma: int, a: int) -> Graph:
             - 1
         )
 
-    return _cayley_graph(family, family.n, q + 1, affine_images)
+    return _cayley_graph(family, connection_set(family), affine_images)
+
+
+def _halfplane_quotients(family: FamilySpec) -> tuple:
+    """(sizes, quotient) for the half-plane of ``family``: sizes[k] points in
+    distance class k and quotient(a) the matrix T of V_q(sigma, a), in
+    O(q^2) per call.  Refused where building the family's graph would be,
+    with the same message, before any work."""
+    q = family.q
+    _check_size(family.n, q + 1)
+    x, y = _halfplane_points(q)
+    classes = _distance_class(q, family.sigma, x, y)
+    _, first, sizes = np.unique(classes, return_index=True, return_counts=True)  # no class is empty
+    gx, gy = x[first, None], y[first, None]
+    row_base = np.arange(q)[:, None] * q
+
+    def quotient(a):
+        circle = classes == a
+        t, v = x[circle], y[circle]
+        j = _distance_class(q, family.sigma, (gx + gy * t) % q, (gy * v) % q)
+        return np.bincount((row_base + j).ravel(), minlength=q * q).reshape(q, q)
+
+    return sizes, quotient
+
+
+def halfplane_distance_quotient(family: FamilySpec) -> tuple:
+    """The distance-class quotient (sizes, T) of V_q(sigma, a) for the
+    family's own a, as in ``halfplane_distance_quotients``; sizes[k] counts
+    the points of class k."""
+    sizes, quotient = _halfplane_quotients(family)
+    return sizes, quotient(family.a)
 
 
 def halfplane_distance_quotients(q: int, sigma: int):
@@ -347,19 +404,7 @@ def halfplane_distance_quotients(q: int, sigma: int):
     would be, with the same message, before any work.
     """
     family = FamilySpec(kind="noneuclidean", q=q, sigma=sigma)
-    _check_size(family.n, q + 1)
-    x, y = _halfplane_points(q)
-    classes = _distance_class(q, family.sigma, x, y)
-    _, first = np.unique(classes, return_index=True)  # every class is non-empty
-    gx, gy = x[first, None], y[first, None]
-    row_base = np.arange(q)[:, None] * q
-
-    def quotient(a):
-        circle = classes == a
-        t, v = x[circle], y[circle]
-        j = _distance_class(q, family.sigma, (gx + gy * t) % q, (gy * v) % q)
-        return np.bincount((row_base + j).ravel(), minlength=q * q).reshape(q, q)
-
+    _, quotient = _halfplane_quotients(family)
     return ((a, quotient(a)) for a in range(1, q) if a != (4 * family.sigma) % q)
 
 
@@ -388,21 +433,18 @@ def alon_connection_set(k: int) -> list:
     return sorted(sums)
 
 
-def _xor_cayley_graph(family: FamilySpec, conn: list) -> Graph:
-    """Cayley graph on (GF(2)^t, XOR) with connection set conn."""
-    n = family.n
+def _xor_cayley_graph(family: FamilySpec) -> Graph:
+    """Cayley graph on (GF(2)^t, XOR) over the family's connection set."""
     return _cayley_graph(
         family,
-        n,
-        len(conn),
-        lambda: np.arange(n, dtype=np.int64)[:, None] ^ np.asarray(conn, dtype=np.int64),
+        connection_set(family),
+        lambda conn: np.arange(family.n, dtype=np.int64)[:, None] ^ conn,
     )
 
 
 def build_code_graph_bch(k: int) -> Graph:
     """Cayley graph on GF(2)^{2k} with connection set {(z, z^3)}; (2^k - 1)-regular."""
-    family = FamilySpec(kind="bch", k=k)
-    return _xor_cayley_graph(family, bch_connection_set(k))
+    return _xor_cayley_graph(FamilySpec(kind="bch", k=k))
 
 
 def build_code_graph_alon(k: int) -> Graph:
@@ -411,21 +453,48 @@ def build_code_graph_alon(k: int) -> Graph:
     The claimed degree 2^(k-1) * (2^(k-1) - 1) is checked against the actual
     deduplicated sum count; a mismatch is recorded in meta, not an error.
     """
-    family = FamilySpec(kind="alon", k=k)
-    conn = alon_connection_set(k)
+    graph = _xor_cayley_graph(FamilySpec(kind="alon", k=k))
     w0s, w1s = alon_split(k)
     claimed = (1 << (k - 1)) * ((1 << (k - 1)) - 1)
-    graph = _xor_cayley_graph(family, conn)
     graph.meta.update(
         {
             "w0_size": len(w0s),
             "w1_size": len(w1s),
-            "sum_set_size": len(conn),
+            "sum_set_size": graph.degree,
             "sum_set_claimed": claimed,
-            "sum_set_matches_claim": len(conn) == claimed,
+            "sum_set_matches_claim": graph.degree == claimed,
         }
     )
     return graph
+
+
+def connection_set(family: FamilySpec) -> np.ndarray:
+    """The connection set S of the family's Cayley graph, sorted: the
+    neighbour list of vertex 0, which is the identity in every codec.
+
+    Refused where building the graph would be, with the same message, before
+    any work: the vertex limit (``FamilySpec.n``) first, then the (n, |S|)
+    neighbour matrix.
+    """
+    n = family.n  # refused here, before the degree formula takes q^(m-1)
+    if family.kind == "euclidean":
+        q, m = family.q, family.m
+        degree = euclidean_degree(q, m, family.a)
+        _check_size(n, degree)
+        sphere = np.flatnonzero((_coords_matrix(q, m) ** 2).sum(axis=1) % q == family.a)
+        if len(sphere) != degree:
+            raise AssertionError(f"sphere size {len(sphere)} != formula {degree}")
+        return sphere
+    if family.kind == "noneuclidean":
+        q = family.q
+        _check_size(n, q + 1)
+        circle = np.flatnonzero(_distance_class(q, family.sigma, *_halfplane_points(q)) == family.a)
+        if len(circle) != q + 1:
+            raise AssertionError(f"half-plane circle has {len(circle)} points, not q+1")
+        return circle
+    conn = bch_connection_set(family.k) if family.kind == "bch" else alon_connection_set(family.k)
+    _check_size(n, len(conn))
+    return np.sort(np.asarray(conn, dtype=np.int64))
 
 
 def build_family(family: FamilySpec) -> Graph:

@@ -14,7 +14,8 @@ Eigenvalues come by three routes:
                     ad-hoc graphs, for ``spectrum --method dense`` and as the
                     test oracle
 
-Tests cross-check the group routes against the dense one.
+The two group routes read only the family and its connection set, so they
+need no built graph.  Tests cross-check them against the dense one.
 
 Bound conventions, for a d-regular graph on n vertices with adjacency
 eigenvalues d = lambda_1 >= ... >= lambda_n and Laplacian eigenvalues
@@ -85,21 +86,21 @@ def dense_spectrum(graph) -> SpectralSummary:
     return SpectralSummary(n=n, d=d, eigenvalues=eig[::-1].copy(), method="dense")
 
 
-def _character_spectrum(graph) -> np.ndarray:
+def _character_spectrum(family, conn: np.ndarray) -> np.ndarray:
     """Spectrum of Cay((Z_p)^m, S): the DFT of the indicator of S.
 
     The codecs number x in (Z_p)^m as sum x_i * p^i, so the indicator reshapes
     to a (p,) * m array.  S = -S makes the transform real; for p = 2 every
     butterfly is an integer addition, so code-graph eigenvalues are exact.
     """
-    fam = graph.family
-    p, m = (fam.q, fam.m) if fam.kind == "euclidean" else (2, graph.n.bit_length() - 1)
-    indicator = np.zeros(graph.n)
-    indicator[graph.neighbors(0)] = 1.0
+    n = family.n
+    p, m = (family.q, family.m) if family.kind == "euclidean" else (2, n.bit_length() - 1)
+    indicator = np.zeros(n)
+    indicator[conn] = 1.0
     return np.fft.fftn(indicator.reshape((p,) * m)).real.ravel()
 
 
-def _character_spectrum_affine(graph) -> np.ndarray:
+def _character_spectrum_affine(family, conn: np.ndarray) -> np.ndarray:
     """Spectrum of Cay(Aff(1, q), S) from the irreps of Aff(1, q).
 
     With S decoded as (t, v) by the half-plane codec, M_j[c, c*v] sums
@@ -107,8 +108,8 @@ def _character_spectrum_affine(graph) -> np.ndarray:
     characters (multiplicity 1 each); M_1 is the (q - 1)-dimensional irrep,
     whose eigenvalues each occur q - 1 times: (q - 1) + (q - 1)^2 = n.
     """
-    q = graph.family.q
-    t, v = np.divmod(graph.neighbors(0), q - 1)
+    q = family.q
+    t, v = np.divmod(conn, q - 1)
     c = np.arange(1, q, dtype=np.int64)[:, None]
     rows = np.broadcast_to(c - 1, (q - 1, len(t)))
     cols = (c * (v + 1)) % q - 1
@@ -123,8 +124,11 @@ def _character_spectrum_affine(graph) -> np.ndarray:
     return np.concatenate([linear, np.tile(irrep, q - 1)])
 
 
-def cayley_spectrum_abelian(graph) -> SpectralSummary:
-    """Eigenvalues of a Cayley family graph from its group's irreps.
+def cayley_spectrum_abelian(family, conn: np.ndarray) -> SpectralSummary:
+    """Eigenvalues of a Cayley family graph from its group's irreps, read from
+    the family (a FamilySpec) and its sorted connection set
+    (``graphs.connection_set``, the neighbours of vertex 0); no graph is
+    needed.
 
     Covers all four Cayley families.  The Euclidean and code families live on
     abelian groups (Z_p)^m, whose characters give the eigenvalues as one DFT:
@@ -132,15 +136,14 @@ def cayley_spectrum_abelian(graph) -> SpectralSummary:
     graphs use the Aff(1, q) irreps.  Ad-hoc graphs (family None) are
     rejected.
     """
-    fam = graph.family
-    if fam is None:
+    if family is None:
         raise UnsupportedFamily("group spectra need a known family")
-    if fam.kind == "noneuclidean":
-        eig, method = _character_spectrum_affine(graph), "affine-irreps"
+    if family.kind == "noneuclidean":
+        eig, method = _character_spectrum_affine(family, conn), "affine-irreps"
     else:
-        eig, method = _character_spectrum(graph), "character-sum"
+        eig, method = _character_spectrum(family, conn), "character-sum"
     eig = np.sort(eig)[::-1]
-    return SpectralSummary(n=graph.n, d=graph.degree, eigenvalues=eig, method=method)
+    return SpectralSummary(n=family.n, d=len(conn), eigenvalues=eig, method=method)
 
 
 def alon_toughness_bound(d: float, lam: float) -> float:

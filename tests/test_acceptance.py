@@ -33,7 +33,7 @@ from ramseyforge.exactmetrics import (
     girth,
     triangle_count,
 )
-from ramseyforge.graphs import FamilySpec, build_family, graph_from_edges
+from ramseyforge.graphs import FamilySpec, build_family, connection_set, graph_from_edges
 from ramseyforge.spectral import (
     alon_toughness_bound,
     bisection_and_bip_bounds,
@@ -154,7 +154,7 @@ def test_criterion_05_ramanujan_bound():
     for q in [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]:
         g = euclid(q)
         dense = dense_spectrum(g)
-        char = cayley_spectrum_abelian(g)
+        char = cayley_spectrum_abelian(g.family, connection_set(g.family))
         ok &= float(np.max(np.abs(dense.eigenvalues - char.eigenvalues))) < 1e-6
         ok &= ramanujan_check(dense, q)
         ok &= ramanujan_check(char, q)
@@ -169,7 +169,8 @@ def test_criterion_05_ramanujan_bound():
             graphs += 1
     # past the dense cap: the Aff(1, q) irrep route only
     for q in [53, 89, 101]:
-        s = cayley_spectrum_abelian(halfplane(q, 3, 6))
+        spec = FamilySpec(kind="noneuclidean", q=q, sigma=3, a=6)
+        s = cayley_spectrum_abelian(spec, connection_set(spec))
         ok &= s.method == "affine-irreps" and s.n == q * (q - 1)
         ok &= ramanujan_check(s, q)
     ok = report(

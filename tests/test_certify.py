@@ -352,6 +352,24 @@ def test_ramsey_certificate_ratio_route():
     assert cert.ramsey["method"] == "spectral-ratio"
 
 
+@pytest.mark.parametrize("spec", [
+    FamilySpec(kind="euclidean", q=7, a=1),
+    FamilySpec(kind="euclidean", q=19, a=1),
+    FamilySpec(kind="noneuclidean", q=17, sigma=3, a=6),
+    FamilySpec(kind="bch", k=3),
+    FamilySpec(kind="alon", k=2),
+], ids=FamilySpec.label)
+def test_ramsey_certificate_from_a_spec_is_the_built_graphs(monkeypatch, spec):
+    # a family graph is built only for the exact search (or, for the code
+    # families, for every measure); the certificate is the same either way
+    want = certificate_to_json(ramsey_certificate(build_family(spec)))
+    builds = []
+    monkeypatch.setattr(certify, "build_family", lambda s: builds.append(s) or build_family(s))
+    assert certificate_to_json(ramsey_certificate(spec)) == want
+    searched = spec.kind in ("bch", "alon") or spec.n <= limits.VERIFY_ALPHA_CAP
+    assert builds == ([spec] if searched else [])
+
+
 def test_ramsey_certificate_rejects_triangles():
     g = build_family(FamilySpec(kind="euclidean", q=13, a=1))
     with pytest.raises(NotTriangleFree):
@@ -595,20 +613,24 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
 
     def counting_cayley_graph(*args):
         graph = cayley_graph(*args)
-        built.append(graph)  # keeps every id() unique
+        built.append(graph)
         return graph
 
     def counting_oracle(oracle):
-        def wrapper(graph, *args, **kwargs):
-            calls[oracle.__name__, id(graph)] += 1
-            return oracle(graph, *args, **kwargs)
+        # keyed by family: graph oracles take a graph, the others a FamilySpec
+        def wrapper(first, *args, **kwargs):
+            calls[oracle.__name__, getattr(first, "family", first)] += 1
+            return oracle(first, *args, **kwargs)
         return wrapper
 
     # every family builder goes through graphs._cayley_graph, so this sees
     # each graph built anywhere, the half-plane suite included
     cayley_graph = graphs._cayley_graph
     monkeypatch.setattr(graphs, "_cayley_graph", counting_cayley_graph)
-    oracles = ("triangle_count", "cayley_spectrum_abelian", "exact_independence")
+    oracles = (
+        "triangle_count", "exact_independence", "cayley_spectrum_abelian", "connection_set",
+        "euclidean_distance_quotient", "halfplane_distance_quotient",
+    )
     for name in oracles:
         monkeypatch.setattr(certify, name, counting_oracle(getattr(certify, name)))
 
@@ -618,12 +640,19 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
         assert not any(s.startswith("error") for s in res["statuses"])
         jobs += certify._sweep_jobs(cfg)
     assert len(jobs) == 7
-    # one build per row: the half-plane suite at q = 13 builds no graph of its own
-    assert Counter(g.family for g in built) == Counter(jobs)
-    for g in built:
-        assert calls["triangle_count", id(g)] == 1, g.family
-        for name in oracles:
-            assert calls[name, id(g)] <= 1, (name, g.family)
+    # a Euclidean or half-plane row builds its graph only for exact alpha, so
+    # not past limits.VERIFY_ALPHA_CAP vertices: the q = 11 Euclidean row and
+    # both half-plane rows build nothing; every other row builds once
+    quotients = {"euclidean": "euclidean_distance_quotient", "noneuclidean": "halfplane_distance_quotient"}
+    expected = [s for s in jobs if s.kind not in quotients or s.n <= limits.VERIFY_ALPHA_CAP]
+    assert [s.label() for s in expected] == ["D_7(1)", "BCH_2", "BCH_4", "ALON_2"]
+    assert Counter(g.family for g in built) == Counter(expected)
+    for spec in jobs:
+        if spec.kind in quotients:
+            assert calls[quotients[spec.kind], spec] == 1 and calls["triangle_count", spec] == 0, spec
+        else:
+            assert calls["triangle_count", spec] == 1, spec
+    assert max(calls.values()) == 1, calls
 
 
 def test_sweep_csv_is_rfc4180(tmp_path):

@@ -15,8 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramseyforge import limits
+from ramseyforge import cli, graphs, limits
 from ramseyforge.cli import main
+from ramseyforge.errors import SizeLimitExceeded
+from ramseyforge.graphs import FamilySpec, build_family
+from ramseyforge.spectral import cayley_spectrum_abelian
 
 BASE = [sys.executable, "-m", "ramseyforge"]
 
@@ -96,6 +99,23 @@ def test_spectrum_auto_uses_affine_irreps_for_half_plane():
     dense = run(*args, "--method", "dense")
     assert dense.returncode == 0
     assert json.loads(dense.stdout)["method"] == "dense"
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec(kind="euclidean", q=31, a=1), FamilySpec(kind="noneuclidean", q=17),
+], ids=FamilySpec.label)
+def test_spectrum_reads_the_connection_set_without_a_build(capsys, monkeypatch, spec):
+    g = build_family(spec)
+    want = cayley_spectrum_abelian(g.family, g.neighbors(0)).eigenvalues.tolist()
+    builds = []
+    monkeypatch.setattr(cli, "build_family", lambda s: builds.append(s) or build_family(s))
+    argv = ["spectrum", "--family", spec.kind, "--q", str(spec.q)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["eigenvalues"] == want
+    assert builds == []
+    assert main(argv + ["--method", "dense"]) == 0  # only the dense route builds
+    assert json.loads(capsys.readouterr().out)["method"] == "dense"
+    assert builds == [spec]
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +200,34 @@ def test_halfplane_suite_refuses_where_the_graph_build_would(capsys, monkeypatch
     assert code == 2
     assert capsys.readouterr() == ("", f"error: {refusal}\n")
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["verify", "--suite", "main", "--q", "19"], "graph on 19^2 vertices exceeds RAMSEY_FORGE_MAX_N = 100"),
+    (["verify", "--suite", "mt1", "--q", "17"], "graph on 272 vertices exceeds RAMSEY_FORGE_MAX_N = 100"),
+    (["certify-ramsey", "--family", "euclidean", "--q", "11"],
+     "graph on 11^2 vertices exceeds RAMSEY_FORGE_MAX_N = 100"),
+])
+def test_graphless_certificates_refuse_where_the_build_would(argv, refusal):
+    res = run(*argv, env=dict(os.environ, RAMSEY_FORGE_MAX_N="100"))
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", f"error: {refusal}\n")
+
+
+def test_main_suite_refuses_a_large_neighbor_matrix_before_any_work(capsys, monkeypatch):
+    # D_19(1) has 361 * 20 neighbor entries, one more than allowed here
+    monkeypatch.setattr(limits, "MAX_NEIGHBOR_ENTRIES", 361 * 20 - 1)
+    with pytest.raises(SizeLimitExceeded) as built:
+        build_family(FamilySpec(kind="euclidean", q=19, a=1))
+    assert str(built.value) == (
+        "neighbor matrix of n*d = 361*20 = 7220 entries exceeds limits.MAX_NEIGHBOR_ENTRIES = 7219"
+    )
+
+    def no_coordinates(*args):
+        raise AssertionError("the quotient started work before its size check")
+
+    monkeypatch.setattr(graphs, "_coords_matrix", no_coordinates)
+    assert main(["verify", "--suite", "main", "--q", "19"]) == 2
+    assert capsys.readouterr() == ("", f"error: {built.value}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from ramseyforge.exactmetrics import (
     greedy_coloring,
     metrics_report,
     quotient_girth_diameter,
+    quotient_invariants,
     triangle_count,
 )
 from ramseyforge.graphs import FamilySpec, build_family, graph_from_edges
@@ -92,13 +93,16 @@ QUOTIENT_CASES = {
 @pytest.mark.parametrize("name", list(QUOTIENT_CASES))
 def test_quotient_girth_diameter_matches_the_graph(name):
     # on these graphs the distance from vertex 0 (unreached vertices as one
-    # more class) gives classes whose members have equal neighbour counts
+    # more class) gives classes whose members have equal neighbour counts;
+    # all are Cayley graphs whose connection set is the distance-1 class
     graph = QUOTIENT_CASES[name]
     dist = bfs_distances(graph, 0)
     classes = np.where(dist < 0, dist.max() + 1, dist)
     reps = [int(np.flatnonzero(classes == k)[0]) for k in range(classes.max() + 1)]
     quotient = np.array([np.bincount(classes[graph.neighbors(r)], minlength=len(reps)) for r in reps])
     assert quotient_girth_diameter(quotient) == (girth(graph), diameter(graph))
+    want = (girth(graph), diameter(graph), triangle_count(graph), connected_components(graph)[0])
+    assert quotient_invariants(np.bincount(classes), quotient, 1) == want
 
 
 def test_euclidean_girth_diameter_frozen():
@@ -121,6 +125,19 @@ def test_eccentricity_uniformity():
     assert eccentricity_uniformity_check(build("euclidean", q=7, a=1))
     star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
     assert not eccentricity_uniformity_check(star)
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec(kind="euclidean", q=q, a=1) for q in (3, 7, 13, 19, 31, 43)
+] + [
+    FamilySpec(kind="euclidean", q=5, m=3, a=2),
+    FamilySpec(kind="noneuclidean", q=13, sigma=5, a=2),
+] + [FamilySpec(kind="noneuclidean", q=q, sigma=3, a=6) for q in (17, 29)], ids=FamilySpec.label)
+def test_family_graphs_have_uniform_eccentricity(spec):
+    # certificates read a family diameter from its quotient and report
+    # eccentricity_uniform = true from the Cayley structure; the spot check
+    # on the built graph agrees
+    assert eccentricity_uniformity_check(build_family(spec))
 
 
 # ---------------------------------------------------------------------------

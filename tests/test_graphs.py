@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ramseyforge import limits
+from ramseyforge import graphs, limits
 from ramseyforge.algebra import is_odd_prime, poincare_distance, quadrance, quadratic_character
 from ramseyforge.errors import (
     BadParameter,
@@ -13,7 +13,14 @@ from ramseyforge.errors import (
     DegenerateDistance,
     SizeLimitExceeded,
 )
-from ramseyforge.exactmetrics import diameter, girth, quotient_girth_diameter, triangle_count
+from ramseyforge.exactmetrics import (
+    connected_components,
+    diameter,
+    girth,
+    quotient_girth_diameter,
+    quotient_invariants,
+    triangle_count,
+)
 from ramseyforge.graphs import (
     FamilySpec,
     _check_size,
@@ -23,9 +30,12 @@ from ramseyforge.graphs import (
     alon_split,
     bch_connection_set,
     build_family,
+    connection_set,
     euclidean_degree,
+    euclidean_distance_quotient,
     export_graph,
     graph_from_edges,
+    halfplane_distance_quotient,
     halfplane_distance_quotients,
 )
 from ramseyforge.spectral import cayley_spectrum_abelian
@@ -242,8 +252,101 @@ def test_distance_class_quotient_matches_the_built_graph(q):
             assert (quotient.sum(axis=1) == q + 1).all(), (q, sigma, a)
             g = build("noneuclidean", q=q, sigma=sigma, a=a)
             assert quotient_girth_diameter(quotient) == (girth(g), diameter(g)), (q, sigma, a)
+            # the single-a form is the same quotient, with the class sizes
+            sizes, single = halfplane_distance_quotient(g.family)
+            assert np.array_equal(single, quotient) and sizes.tolist() == np.bincount(classes).tolist()
+            want = (girth(g), diameter(g), triangle_count(g), connected_components(g)[0])
+            assert quotient_invariants(sizes, single, a) == want, (q, sigma, a)
             distances.append(a)
         assert distances == [a for a in range(1, q) if a != 4 * sigma % q]
+
+
+_ODD_PRIMES = [q for q in range(3, 32) if is_odd_prime(q)]
+
+
+@pytest.mark.parametrize(
+    "q, m, a_values",
+    [(q, 2, range(1, q)) for q in _ODD_PRIMES]
+    + [(q, 3, range(1, q)) for q in _ODD_PRIMES if q <= 13]
+    + [(31, 3, [1])],
+    ids=[f"D_{q}" for q in _ODD_PRIMES] + [f"D_{q}^3" for q in _ODD_PRIMES if q <= 13] + ["D_31^3(1)"],
+)
+def test_euclidean_distance_quotient_matches_the_built_graph(q, m, a_values):
+    """The quotient's girth, diameter, triangles and components are those of
+    the built D_q^m(a); on the smaller graphs, every vertex of a class has
+    the neighbour counts of its class row (the partition is equitable)."""
+    n = q**m
+    coords = np.array([[v // q**i % q for i in range(m)] for v in range(n)])
+    labels = (coords**2).sum(axis=1) % q
+    labels[labels == 0] = q  # the nonzero null vectors
+    labels[0] = 0
+    null_class = not (m == 2 and q % 4 == 3)
+    assert (labels == q).any() == null_class
+    for a in a_values:
+        spec = FamilySpec(kind="euclidean", q=q, m=m, a=a)
+        sizes, quotient = euclidean_distance_quotient(spec)
+        d = euclidean_degree(q, m, a)
+        assert sizes.tolist() == np.bincount(labels)[np.bincount(labels) > 0].tolist()
+        assert sizes.sum() == n and len(sizes) == q + null_class
+        assert quotient.shape == (len(sizes), len(sizes)) and (quotient.sum(axis=1) == d).all()
+        g = build_family(spec)
+        want = (girth(g), diameter(g), triangle_count(g), connected_components(g)[0])
+        assert quotient_invariants(sizes, quotient, a) == want, spec.label()
+        if n <= 2197:
+            seen = np.zeros((n, q + 1), dtype=np.int64)
+            np.add.at(seen, (np.repeat(np.arange(n), d), labels[g.indices]), 1)
+            assert np.array_equal(seen[:, : len(sizes)], quotient[labels]), spec.label()
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec(kind="euclidean", q=31, a=1),
+    FamilySpec(kind="euclidean", q=13, a=2),
+    FamilySpec(kind="euclidean", q=7, m=3, a=3),
+    FamilySpec(kind="noneuclidean", q=17),
+    FamilySpec(kind="noneuclidean", q=13, sigma=5, a=2),
+    FamilySpec(kind="noneuclidean", q=41, sigma=3, a=6),
+    FamilySpec(kind="bch", k=3),
+    FamilySpec(kind="alon", k=2),
+], ids=FamilySpec.label)
+def test_spectrum_from_the_spec_is_the_built_graphs(spec):
+    # the connection set holds the neighbours of vertex 0 in the same order,
+    # so the group route gives the same bits with or without a built graph
+    g = build_family(spec)
+    conn = connection_set(spec)
+    assert np.array_equal(conn, g.neighbors(0))
+    from_spec = cayley_spectrum_abelian(spec, conn)
+    built = cayley_spectrum_abelian(g.family, g.neighbors(0))
+    assert np.array_equal(from_spec.eigenvalues, built.eigenvalues)
+    assert (from_spec.n, from_spec.d, from_spec.method) == (built.n, built.d, built.method)
+    assert (from_spec.n, from_spec.d) == (g.n, g.degree)
+
+
+def _fail_if_called(*args):
+    raise AssertionError("work started before the size refusal")
+
+
+@pytest.mark.parametrize("lever", ["RAMSEY_FORGE_MAX_N", "MAX_NEIGHBOR_ENTRIES"])
+@pytest.mark.parametrize("route, spec", [
+    (euclidean_distance_quotient, FamilySpec(kind="euclidean", q=19, a=1)),
+    (halfplane_distance_quotient, FamilySpec(kind="noneuclidean", q=29, sigma=3, a=6)),
+    (connection_set, FamilySpec(kind="euclidean", q=19, a=1)),
+    (connection_set, FamilySpec(kind="noneuclidean", q=29, sigma=3, a=6)),
+    (connection_set, FamilySpec(kind="bch", k=4)),
+], ids=lambda v: getattr(v, "__name__", None) or v.label())
+def test_graphless_routes_refuse_where_the_build_would(monkeypatch, route, spec, lever):
+    # same exception, same message, and no coordinates computed first
+    if lever == "RAMSEY_FORGE_MAX_N":
+        monkeypatch.setenv(lever, "100")
+    else:
+        monkeypatch.setattr(limits, lever, 100)
+    with pytest.raises(SizeLimitExceeded) as built:
+        build_family(spec)
+    monkeypatch.setattr(graphs, "_coords_matrix", _fail_if_called)
+    monkeypatch.setattr(graphs, "_halfplane_points", _fail_if_called)
+    with pytest.raises(SizeLimitExceeded) as read:
+        route(spec)
+    assert str(read.value) == str(built.value)
+    assert lever in str(read.value)
 
 
 def test_adjacency_matches_quadrance():
@@ -292,14 +395,14 @@ def test_euclidean_families_isomorphic_across_a():
         prints = []
         for a in range(1, q):
             g = build("euclidean", q=q, a=a)
-            spec = cayley_spectrum_abelian(g)
+            summary = cayley_spectrum_abelian(g.family, g.neighbors(0))
             prints.append(
                 (
                     g.degree,
                     girth(g),
                     diameter(g),
                     triangle_count(g),
-                    tuple(np.round(spec.eigenvalues, 9)),
+                    tuple(np.round(summary.eigenvalues, 9)),
                 )
             )
         # a ranges over squares and nonsquares; both classes collapse to one

@@ -1,7 +1,8 @@
 """Source hygiene of the package, read with the stdlib ``ast`` module: no
 module imports a name it never uses, every module-level private function or
-class is referenced somewhere in the package besides its own definition, and
-size refusals go through ``limits.check``, which reads each limit when it runs."""
+class is referenced somewhere in the package besides its own definition,
+size refusals go through ``limits.check``, which reads each limit when it runs,
+and certify builds a graph only through ``_Measured``."""
 
 import ast
 import pathlib
@@ -87,3 +88,23 @@ def test_no_default_reads_a_limit(module):
                 ):
                     reads.append(f"line {node.lineno} {getattr(node, 'name', 'lambda')}")
     assert not reads, f"{module} reads a limit in a default value: {reads}"
+
+
+def test_certify_builds_graphs_only_inside_measured():
+    # a certificate builds a family graph only when an exact oracle asks
+    # _Measured for one; a builder named anywhere else in certify would be
+    # an eager build that the distance-class quotients made unnecessary
+    builders = {"build_family", "build_euclidean", "build_non_euclidean", "build_code_graph_bch",
+                "build_code_graph_alon"}
+    tree = TREES["certify.py"]
+    measured = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Measured"]
+    assert len(measured) == 1
+    inside = {id(node) for node in ast.walk(measured[0])}
+    named = [
+        node for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in builders)
+        or (isinstance(node, ast.Attribute) and node.attr in builders)
+    ]
+    assert named, "certify no longer builds graphs through _Measured"
+    outside = [f"line {node.lineno}" for node in named if id(node) not in inside]
+    assert not outside, f"certify names a graph builder outside _Measured: {outside}"

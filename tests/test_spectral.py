@@ -20,7 +20,13 @@ from ramseyforge.exactmetrics import (
     exact_max_cut_and_bisection,
     exact_toughness,
 )
-from ramseyforge.graphs import FamilySpec, build_family, graph_from_edges
+from ramseyforge.graphs import (
+    FamilySpec,
+    build_family,
+    connection_set,
+    euclidean_degree,
+    graph_from_edges,
+)
 from ramseyforge.spectral import (
     alon_toughness_bound,
     bisection_and_bip_bounds,
@@ -37,6 +43,11 @@ def build(kind, **kw):
     return build_family(FamilySpec(kind=kind, **kw))
 
 
+def group_spectrum(spec):
+    """The production group route: no graph, only the spec's connection set."""
+    return cayley_spectrum_abelian(spec, connection_set(spec))
+
+
 def cycle(n):
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -47,7 +58,7 @@ def cycle(n):
 
 def test_d3_spectrum_exact():
     g = build("euclidean", q=3, a=1)
-    for summary in (dense_spectrum(g), cayley_spectrum_abelian(g)):
+    for summary in (dense_spectrum(g), group_spectrum(g.family)):
         vals = np.round(summary.eigenvalues, 9)
         assert list(vals) == [4.0, 1.0, 1.0, 1.0, 1.0, -2.0, -2.0, -2.0, -2.0]
         assert summary.n == 9 and summary.d == 4
@@ -94,7 +105,7 @@ def test_degree_multiplicity_counts_components():
 
 def test_character_route_is_exact_for_xor_graphs():
     # the DFT over (Z_2)^t (np.fft.fftn on length-2 axes) adds integers; no float fuzz
-    s = cayley_spectrum_abelian(build("bch", k=3))
+    s = group_spectrum(FamilySpec(kind="bch", k=3))
     assert s.method == "character-sum"
     assert np.allclose(s.eigenvalues, np.round(s.eigenvalues), atol=0)
     assert s.eigenvalues[-1] == -5.0
@@ -102,7 +113,8 @@ def test_character_route_is_exact_for_xor_graphs():
 
 def test_group_route_rejects_adhoc_graph():
     with pytest.raises(UnsupportedFamily):
-        cayley_spectrum_abelian(cycle(6))
+        g = cycle(6)
+        cayley_spectrum_abelian(g.family, g.neighbors(0))
 
 
 def _irrep_blocks(graph):
@@ -131,7 +143,7 @@ def _half_plane_cases():
 def test_affine_route_matches_dense(q, sigma, a):
     g = build("noneuclidean", q=q, sigma=sigma, a=a)
     dense = dense_spectrum(g).eigenvalues
-    affine = cayley_spectrum_abelian(g)
+    affine = group_spectrum(g.family)
     assert affine.method == "affine-irreps"
     assert affine.n == g.n and affine.d == q + 1
     assert np.max(np.abs(affine.eigenvalues - dense)) < 1e-9
@@ -167,7 +179,7 @@ def test_character_route_matches_dense_oracle(monkeypatch, spec):
     g = build_family(spec)
     # ALON_4 has 4096 vertices: lift the dense oracle's cap to reach it
     monkeypatch.setattr(limits, "DENSE_SPECTRUM_CAP", max(limits.DENSE_SPECTRUM_CAP, g.n))
-    char = cayley_spectrum_abelian(g)
+    char = group_spectrum(spec)
     assert char.method == "character-sum" and char.n == g.n and char.d == g.degree
     assert np.max(np.abs(char.eigenvalues - dense_spectrum(g).eigenvalues)) < 1e-9
 
@@ -182,15 +194,15 @@ def test_code_graph_spectrum_is_the_exact_character_sum(spec):
     g = build_family(spec)
     conn = g.neighbors(0).tolist()
     want = [sum(-1 if (y & s).bit_count() % 2 else 1 for s in conn) for y in range(g.n)]
-    assert cayley_spectrum_abelian(g).eigenvalues.tolist() == sorted(want, reverse=True)
+    assert group_spectrum(spec).eigenvalues.tolist() == sorted(want, reverse=True)
 
 
 def test_character_route_past_the_dense_cap():
-    g = build("euclidean", q=23, m=3, a=1)  # 12,167 vertices
-    n, d = g.n, g.degree
+    spec = FamilySpec(kind="euclidean", q=23, m=3, a=1)  # 12,167 vertices, never built
+    n, d = spec.n, euclidean_degree(23, 3, 1)
     tracemalloc.start()
     try:
-        vals = cayley_spectrum_abelian(g).eigenvalues
+        vals = group_spectrum(spec).eigenvalues
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -296,7 +308,7 @@ def test_rayleigh_constant_vector_rejected():
 
 def test_ramanujan_check_families():
     g = build("euclidean", q=7, a=1)
-    assert ramanujan_check(cayley_spectrum_abelian(g), 7)
+    assert ramanujan_check(group_spectrum(g.family), 7)
     g = build("noneuclidean", q=13, sigma=2, a=5)
     assert ramanujan_check(dense_spectrum(g), 13)
     g = build("euclidean", q=3, a=1)
