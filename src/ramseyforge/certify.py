@@ -15,8 +15,11 @@ Every certificate and sweep row measures its graph through one ``_Measured``
 record, which builds the graph only when an exact oracle needs it: exact
 independence up to limits.VERIFY_ALPHA_CAP vertices, exact toughness, and
 every measure of the code families.  Euclidean and half-plane graphs read
-triangles, girth, diameter and components from a distance-class quotient,
-and every family reads its spectrum from its connection set.
+triangles, girth, diameter and components from one distance-class quotient
+route, ``graphs.distance_quotients`` through
+``exactmetrics.quotient_invariants``; the half-plane girth/diameter suite
+reads all of its distances a from one computation of the classes.  Every
+family reads its spectrum from its connection set.
 """
 import contextlib
 import csv
@@ -52,7 +55,6 @@ from .exactmetrics import (
     exact_independence,
     exact_toughness,
     girth,
-    quotient_girth_diameter,
     quotient_invariants,
     triangle_count,
 )
@@ -63,10 +65,8 @@ from .graphs import (
     alon_split,
     build_family,
     connection_set,
+    distance_quotients,
     euclidean_degree,
-    euclidean_distance_quotient,
-    halfplane_distance_quotient,
-    halfplane_distance_quotients,
 )
 from .spectral import (
     alon_toughness_bound,
@@ -305,8 +305,8 @@ def _quotient_invariants(m) -> tuple:
     graph from its distance-class quotient; the class of the connection set
     is a in both families."""
     fam = m.family
-    quotient = euclidean_distance_quotient if fam.kind == "euclidean" else halfplane_distance_quotient
-    return quotient_invariants(*quotient(fam), fam.a)
+    [(sizes, quotient)] = distance_quotients(fam, [fam.a])
+    return quotient_invariants(sizes, quotient, fam.a)
 
 
 def _girth(m):
@@ -442,15 +442,18 @@ def _non_euclidean_girth_diameter_claims(q: int, sigma: int) -> list:
     """The half-plane girth and diameter rules, checked for every distance a.
 
     Girth and diameter of each V_q(sigma, a) come from its q x q
-    distance-class quotient (``halfplane_distance_quotients``,
-    ``quotient_girth_diameter``), so no graph is built: O(q^2) per a.
+    distance-class quotient (``distance_quotients``, which computes the
+    classes once for all a, and ``quotient_invariants``), so no graph is
+    built: O(q^2) per a.
     """
     girth_rows, girth_bad = [], 0
     unclassified = []
     range_bad = 0
     diam_rows, diam_bad = [], 0
-    for a, quotient in halfplane_distance_quotients(q, sigma):
-        gg, dd = quotient_girth_diameter(quotient)
+    a_values = [a for a in range(1, q) if a != (4 * sigma) % q]
+    quotients = distance_quotients(FamilySpec(kind="noneuclidean", q=q, sigma=sigma), a_values)
+    for a, (sizes, quotient) in zip(a_values, quotients):
+        gg, dd, _, _ = quotient_invariants(sizes, quotient, a)
         if gg not in (3, 4):
             range_bad += 1
         # girth: sufficient conditions only; a - 3*sigma = 0 counts as square

@@ -98,7 +98,23 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+# The selectors each verify suite reads; any other one given is refused.
+_SUITE_SELECTORS = {
+    "circles": ("q",),
+    "girth-diameter": ("q", "family"),
+    "degree": ("q", "m"),
+    "main": ("q",),
+    "mt1": ("q",),
+    "code": ("k",),
+}
+
+
 def _cmd_verify(args) -> int:
+    for flag in ("family", "q", "m", "k"):
+        _require(
+            getattr(args, flag) is None or flag in _SUITE_SELECTORS[args.suite],
+            f"--{flag} is not read by the {args.suite} suite",
+        )
     if args.suite == "circles":
         _require(args.q is not None, "--q is required for the circles suite")
         cert = verify_circle_lemma(args.q)

@@ -15,14 +15,16 @@ quotient's test oracle.  ``eccentricity_uniformity_check`` spot-checks the
 transitivity assumption; the tests run it on built family graphs.
 
 BFS has two kernels over one padded neighbour matrix, chosen by how many
-roots a question has.  One frontier kernel handles single roots: distances,
-components, and family girth and diameter.  The bit-parallel kernel handles
-root sets (girth and diameter of ad-hoc graphs, the spot check's sampled
-roots): every vertex carries a bit per root, and roots run in blocks whose
-bit arrays stay within ``_BFS_WORD_BUDGET`` 64-bit words, fixed up front.
-``quotient_girth_diameter`` runs the single-root girth test over a
-distance-class quotient instead of a graph, and ``quotient_invariants`` adds
-the triangles and components that the class sizes give.
+roots a question has, and both keep their working arrays within
+``_BFS_WORD_BUDGET`` 64-bit words.  One frontier kernel handles single
+roots: distances, components, and family girth and diameter; it gathers
+each level's neighbour rows in chunks of that size.  The bit-parallel kernel
+handles root sets (girth and diameter of ad-hoc graphs, the spot check's
+sampled roots): every vertex carries a bit per root, and roots run in blocks
+whose bit arrays stay within the budget, fixed up front.
+``quotient_invariants`` runs the single-root girth test over a
+distance-class quotient instead of a graph, and adds the diameter,
+triangles and components that the classes give.
 """
 import math
 from dataclasses import dataclass
@@ -86,25 +88,35 @@ def _neighbor_rows(graph) -> np.ndarray:
     return rows
 
 
+# 64-bit words (32 MiB) that one BFS working array may take: a frontier
+# level's gather chunk, or a root block's bit array.
+_BFS_WORD_BUDGET = 1 << 22
+
+
 def _frontier_bfs(nbr: np.ndarray, root: int):
     """BFS from one root over the ``_neighbor_rows`` matrix, one vectorized
-    step per level.  Yields (level, dist, reach) per level: dist holds the
+    step per level.  Yields (level, dist, hits) per level: dist holds the
     distances so far (-1 unseen) and dist[n] = n, so the padding sentinel is
-    never unseen nor equal to a level; reach holds the level's neighbours,
-    repeats included."""
+    never unseen nor equal to a level; hits[v] counts the neighbours of v at
+    this level.  A level's neighbour rows are gathered in chunks of at most
+    ``_BFS_WORD_BUDGET`` entries (one row at least), and all of them are
+    counted before the next level is marked, so memory stays O(n) plus one
+    chunk."""
     n = len(nbr)
     dist = np.full(n + 1, -1, dtype=np.int64)
     dist[n] = n
     dist[root] = 0
     frontier = np.array([root], dtype=np.int64)
+    step = max(1, _BFS_WORD_BUDGET // max(1, nbr.shape[1]))
     level = 0
     while frontier.size:
-        reach = nbr[frontier].ravel()
-        yield level, dist, reach
+        hits = np.bincount(nbr[frontier[:step]].ravel(), minlength=n + 1)
+        for lo in range(step, frontier.size, step):
+            hits += np.bincount(nbr[frontier[lo:lo + step]].ravel(), minlength=n + 1)
+        yield level, dist, hits
         level += 1
-        new = reach[dist[reach] < 0]
-        dist[new] = level
-        frontier = np.flatnonzero(dist[:n] == level)
+        frontier = np.flatnonzero((hits[:n] > 0) & (dist[:n] < 0))
+        dist[frontier] = level
 
 
 def bfs_distances(graph, root: int) -> np.ndarray:
@@ -124,14 +136,12 @@ def eccentricity(graph, root: int) -> float:
 def _root_cycle_bound(graph, root: int) -> float:
     """Itai-Rodeh cycle bound from one root, exact for roots on a shortest
     cycle.  At level k, an edge inside the level closes a walk of length
-    2k + 1; an unseen vertex with two level-k neighbours (a repeat in reach:
-    rows hold no duplicates) closes one of length 2k + 2."""
-    for k, dist, reach in _frontier_bfs(_neighbor_rows(graph), root):
-        seen = dist[reach]
-        if (seen == k).any():
+    2k + 1; an unseen vertex with two level-k neighbours closes one of
+    length 2k + 2."""
+    for k, dist, hits in _frontier_bfs(_neighbor_rows(graph), root):
+        if hits[dist == k].any():
             return 2 * k + 1
-        new = reach[seen < 0]
-        if np.unique(new).size < new.size:
+        if (hits[dist < 0] >= 2).any():
             return 2 * k + 2
     return math.inf
 
@@ -145,10 +155,8 @@ def _root_cycle_bound(graph, root: int) -> float:
 # n*dmax*w word operations whatever the number of roots.  Bit arrays have
 # n + 1 rows: the padding sentinel n of ``_neighbor_rows`` keeps a 0 row.
 # Roots run in blocks small enough that one (n + 1, w) array stays within
-# _BFS_WORD_BUDGET words (32 MiB), fixed before anything is allocated; a
-# single word per vertex is the floor.
-
-_BFS_WORD_BUDGET = 1 << 22
+# _BFS_WORD_BUDGET words, fixed before anything is allocated; a single word
+# per vertex is the floor.
 
 
 def _neighbor_columns(graph) -> np.ndarray:
@@ -270,13 +278,25 @@ def diameter(graph) -> float:
     return max(_eccentricities(graph, np.arange(graph.n)), default=0)
 
 
-def _quotient_levels(quotient: np.ndarray) -> tuple:
-    """(girth, levels): BFS over the classes of a distance-class quotient
-    from class 0, with the Itai-Rodeh test of ``_root_cycle_bound`` at each
-    level k.  An edge between two level-k classes closes a walk of length
-    2k + 1; a class first reached at level k + 1 whose vertices have two
-    level-k neighbours closes one of length 2k + 2.  levels[j] is the
-    distance of class j from the root, -1 where BFS never reaches it."""
+def quotient_invariants(sizes: np.ndarray, quotient: np.ndarray, conn_class: int) -> tuple:
+    """(girth, diameter, triangles, components) of a Cayley graph Cay(G, S)
+    from a distance-class quotient: sizes[k] vertices in class k, each with
+    quotient[k, j] neighbours in class j, where class 0 is the identity
+    alone, the distance from it is constant on every class, and S is the
+    class ``conn_class``.
+
+    Girth and diameter come from a BFS over the classes from class 0, with
+    the Itai-Rodeh test of ``_root_cycle_bound`` at each level k: an edge
+    between two level-k classes closes a walk of length 2k + 1, and a class
+    first reached at level k + 1 whose vertices have two level-k neighbours
+    one of length 2k + 2.  As with ``girth`` and ``diameter`` on the graph,
+    both are exact, math.inf for no cycle or a disconnected graph.
+
+    Each s in S has quotient[S, S] neighbours in S, so n*d*quotient[S, S]
+    counts every triangle six times, as ``_triangles_through_identity`` does.
+    The classes BFS reaches make up the component of the identity, and the
+    components are the cosets of the subgroup S generates, all of one size.
+    """
     level = np.full(len(quotient), -1)
     level[0] = 0
     best, k = math.inf, 0
@@ -290,35 +310,9 @@ def _quotient_levels(quotient: np.ndarray) -> tuple:
             elif (into_k[new] >= 2).any():
                 best = 2 * k + 2
         if not new.any():
-            return best, level
+            break
         k += 1
         level[new] = k
-
-
-def quotient_girth_diameter(quotient: np.ndarray) -> tuple:
-    """Girth and diameter of a vertex-transitive graph from a distance-class
-    quotient: quotient[k, j] neighbours in class j for each vertex of class
-    k, where class 0 is the root alone and the distance from the root is
-    constant on every class.
-
-    As with ``girth`` and ``diameter`` on the graph, both are exact,
-    math.inf for no cycle or a disconnected graph.
-    """
-    best, level = _quotient_levels(quotient)
-    return best, (int(level.max()) if (level >= 0).all() else math.inf)
-
-
-def quotient_invariants(sizes: np.ndarray, quotient: np.ndarray, conn_class: int) -> tuple:
-    """(girth, diameter, triangles, components) of a Cayley graph Cay(G, S)
-    from a distance-class quotient as in ``quotient_girth_diameter``, with
-    sizes[k] vertices in class k and S the class ``conn_class``.
-
-    Each s in S has quotient[S, S] neighbours in S, so n*d*quotient[S, S]
-    counts every triangle six times, as ``_triangles_through_identity`` does.
-    The classes BFS reaches make up the component of the identity, and the
-    components are the cosets of the subgroup S generates, all of one size.
-    """
-    best, level = _quotient_levels(quotient)
     n, reached = int(sizes.sum()), int(sizes[level >= 0].sum())
     total = n * int(quotient[0].sum()) * int(quotient[conn_class, conn_class])
     if total % 6 or n % reached:

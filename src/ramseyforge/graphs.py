@@ -8,11 +8,15 @@ Four families:
   * alon          vertices GF(2)^{3k}, difference set the sums
                   (w0, w0^3, w0^5) + (w1, w1^3, w1^5), w0 in W0, w1 in W1
 
-All four are Cayley graphs with vertex 0 the group identity.
-``connection_set`` gives the neighbours of vertex 0 without a build, and the
-Euclidean and half-plane families have distance-class quotients
-(``euclidean_distance_quotient``, ``halfplane_distance_quotient``) from
-which certificates read their invariants instead of from a built graph.
+All four are Cayley graphs with vertex 0 the group identity, and each
+family's group law is written once, in ``_product``.  Every builder fills
+its neighbour matrix from it, in row blocks of bounded size.
+``connection_set`` gives the neighbours of vertex 0 without a build.  The
+Euclidean and half-plane families also have distance classes, written once
+in ``_classes``: the connection set at distance a is class a, and
+``distance_quotients`` gives the distance-class quotient for any number of
+a from one computation of the classes.  Certificates read their invariants
+from it instead of from a built graph.
 
 Vertex codecs are frozen: euclidean index = sum x_i * q^i (coordinate 0 least
 significant), half-plane index = x*(q-1) + (y-1), code-graph index = integer
@@ -252,160 +256,135 @@ def euclidean_degree(q: int, m: int, a: int) -> int:
     return q ** (m - 1) - sign * q ** ((m - 2) // 2)
 
 
-def _coords_matrix(q: int, m: int) -> np.ndarray:
-    """(q^m, m) coordinates of every point of F_q^m, in codec order; called
-    once the vertex limit has passed."""
-    idx = np.arange(q**m, dtype=np.int64)
-    coords = np.empty((len(idx), m), dtype=np.int64)
-    for i in range(m):
-        coords[:, i] = (idx // q**i) % q
-    return coords
+def _product(family: FamilySpec, g: np.ndarray, conn: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the (len(g), len(conn)) matrix of group products
+    g*s as codec indices, and return it.  Vertex 0 is the identity.
 
-
-def _cayley_graph(family: FamilySpec, conn: np.ndarray, products) -> Graph:
-    """Cayley graph Cay(G, S) on the family's group G, with S = conn from
-    ``connection_set``, which refuses a graph past the size limits.
-
-    Vertex 0 is the identity of G in every codec, so S is its neighbor set.
-    ``products(conn)`` returns the (|G|, |S|) matrix whose row g lists the
-    products g*s, s in S.
+    D_q^m(a) lives on (F_q^m, +), the code graphs on (GF(2)^t, XOR), and
+    V_q(sigma, a) on Aff(1, q): the maps z -> y*z + x act simply transitively
+    on the half-plane and keep d(z, w), with product (x, y)*(t, v) =
+    (x + y*t, y*v) and identity (0, 1).
     """
-    rows = products(conn)
+    q = family.q
+    if family.kind == "euclidean":
+        out[...] = 0
+        for i in range(family.m):
+            w = q**i
+            out += (g[:, None] // w + conn // w) % q * w
+    elif family.kind == "noneuclidean":
+        x, y = np.divmod(g[:, None], q - 1)
+        t, v = np.divmod(conn, q - 1)
+        y += 1
+        out[...] = (x + y * t) % q * (q - 1) + y * (v + 1) % q - 1
+    else:
+        np.bitwise_xor(g[:, None], conn, out=out)
+    return out
+
+
+def _classes(family: FamilySpec) -> np.ndarray:
+    """Distance class of every vertex of a Euclidean or half-plane family,
+    with the identity alone in class 0 and the connection set at distance a
+    the class a.  Called once the size limits have passed.
+
+    For D_q^m(a) the class of x is Q(x), except that the nonzero null vectors
+    make up class q.  For V_q(sigma, a) it is the Poincare distance of (x, y)
+    from the base point (0, 1), (x^2 - sigma*(1 - y)^2) / y mod q: class 0 is
+    (0, 1) alone, class 4*sigma is (0, -1) alone, and every other class a is
+    the circle of q + 1 points around (0, 1) at distance a.
+    """
+    q, idx = family.q, np.arange(family.n, dtype=np.int64)
+    if family.kind == "noneuclidean":
+        x, y = np.divmod(idx, q - 1)
+        y += 1
+        inverse = np.array([0] + [pow(v, -1, q) for v in range(1, q)], dtype=np.int64)
+        return (x * x - family.sigma * (1 - y) ** 2) % q * inverse[y] % q
+    classes = sum((idx // q**i % q) ** 2 for i in range(family.m)) % q
+    classes[classes == 0] = q
+    classes[0] = 0
+    return classes
+
+
+# Rows of the neighbour matrix are filled a block at a time, so a product's
+# temporaries stay within this many entries whatever the size of the graph.
+_ROW_BLOCK_ENTRIES = 1 << 18
+
+
+def _cayley_graph(family: FamilySpec) -> Graph:
+    """Cayley graph Cay(G, S) on the family's group G, with S the sorted
+    ``connection_set``, which refuses a graph past the size limits: row g of
+    the neighbour matrix lists the products g*s, s in S."""
+    conn = connection_set(family)
+    n, d = family.n, len(conn)
+    rows = np.empty((n, d), dtype=np.int64)
+    step = max(1, _ROW_BLOCK_ENTRIES // max(1, d))
+    for lo in range(0, n, step):
+        _product(family, np.arange(lo, min(n, lo + step), dtype=np.int64), conn, rows[lo:lo + step])
     indptr, indices = _csr_from_rows(rows)
-    return Graph(family, len(rows), indptr, indices, degree=len(conn))
+    return Graph(family, n, indptr, indices, degree=d)
 
 
 def build_euclidean(q: int, m: int = 2, a: int = 1) -> Graph:
     """Cayley graph on (F_q^m, +) whose connection set is the sphere Q = a."""
-    family = FamilySpec(kind="euclidean", q=q, m=m, a=a)
-
-    def translates(sphere):
-        coords = _coords_matrix(q, m)
-        weights = q ** np.arange(m, dtype=np.int64)
-        rows = np.empty((len(coords), len(sphere)), dtype=np.int64)
-        # one column at a time keeps the temporaries at (n, m)
-        for col, s_idx in enumerate(sphere):
-            rows[:, col] = ((coords + coords[s_idx]) % q) @ weights
-        return rows
-
-    return _cayley_graph(family, connection_set(family), translates)
-
-
-def euclidean_distance_quotient(family: FamilySpec) -> tuple:
-    """The distance-class quotient (sizes, T) of D_q^m(a), without building
-    the graph.  Class 0 is the origin, class c the sphere Q = c for each
-    c != 0, and the last class the nonzero null vectors; that one is left out
-    when empty, as it is when m = 2 and q = 3 mod 4.  sizes[k] counts the
-    points of class k and T[k, j] the neighbours in class j of each of them.
-
-    O(m, q) fixes the origin and keeps Q, so it acts on every D_q^m(a) by
-    automorphisms, and by Witt's extension theorem it is transitive on each
-    class.  So T does not depend on which point of class k is taken, and the
-    distance from the origin is constant on each class (an equitable
-    partition: Godsil & Royle, Algebraic Graph Theory, ch. 9).  With one
-    representative g_k per class, T[k, j] = #{s in S : class(g_k + s) = j}
-    for the sphere S = {Q = a}: O(q |S|) work and O(n m) memory.  Refused
-    where building D_q^m(a) would be, with the same message, before any work.
-    """
-    sphere = connection_set(family)  # refused here, as the build is
-    q, m = family.q, family.m
-    coords = _coords_matrix(q, m)
-    classes = (coords**2).sum(axis=1) % q
-    classes[classes == 0] = q
-    classes[0] = 0
-    present, first, sizes = np.unique(classes, return_index=True, return_counts=True)
-    images = ((coords[first, None, :] + coords[sphere]) % q) @ (q ** np.arange(m, dtype=np.int64))
-    cells = np.arange(len(first))[:, None] * (q + 1) + classes[images]
-    quotient = np.bincount(cells.ravel(), minlength=len(first) * (q + 1)).reshape(-1, q + 1)
-    return sizes, quotient[:, present]
-
-
-def _halfplane_points(q: int) -> tuple:
-    """Coordinates (x, y) of every half-plane point, in codec order."""
-    x, y = np.divmod(np.arange(q * (q - 1), dtype=np.int64), q - 1)
-    return x, y + 1
-
-
-def _distance_class(q: int, sigma: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Class of each point (x, y): its Poincare distance from the base point
-    (0, 1), (x^2 - sigma*(1 - y)^2) / y mod q, for 0 <= x < q and 0 < y < q.
-
-    Class 0 is (0, 1) alone and class 4*sigma is (0, -1) alone; every other
-    class a is the circle of q + 1 points around (0, 1) at distance a.
-    """
-    inverse = np.array([0] + [pow(v, -1, q) for v in range(1, q)], dtype=np.int64)
-    return (x * x - sigma * (1 - y) ** 2) % q * inverse[y] % q
+    return _cayley_graph(FamilySpec(kind="euclidean", q=q, m=m, a=a))
 
 
 def build_non_euclidean(q: int, sigma: int, a: int) -> Graph:
-    """Graph on the finite half-plane with edges at Poincare distance a.
+    """Graph on the finite half-plane with edges at Poincare distance a: a
+    Cayley graph on Aff(1, q) whose connection set is the circle of class a
+    around (0, 1)."""
+    return _cayley_graph(FamilySpec(kind="noneuclidean", q=q, sigma=sigma, a=a))
 
-    The maps z -> y*z + x act simply transitively on the half-plane and keep
-    d(z, w), so this is a Cayley graph on Aff(1, q) with product
-    (x, y)*(t, v) = (x + y*t, y*v) and identity (0, 1).  Its connection set is
-    the circle of class a around (0, 1), from ``_distance_class``.
+
+def _degree(family: FamilySpec, a: int) -> int:
+    """Degree of the Euclidean or half-plane family's graph at distance a."""
+    if family.kind == "euclidean":
+        return euclidean_degree(family.q, family.m, a)
+    return family.q + 1
+
+
+def _class_members(classes: np.ndarray, a: int, degree: int) -> np.ndarray:
+    """The vertices of class a, the connection set at distance a, checked
+    against the degree formula."""
+    members = np.flatnonzero(classes == a)
+    if len(members) != degree:
+        raise AssertionError(f"class {a} has {len(members)} points, not the degree {degree}")
+    return members
+
+
+def distance_quotients(family: FamilySpec, a_values):
+    """The distance-class quotient (sizes, T) of the family's graph at each
+    distance a in ``a_values``, in order, without building a graph: sizes[k]
+    counts the vertices of class k (``_classes``, computed once for all a)
+    and T[k, j] the neighbours in class j of each of them.
+
+    The classes are the orbits of the identity's stabiliser among the
+    automorphisms of every graph of the family: for D_q^m(a), O(m, q) keeps
+    Q and by Witt's extension theorem is transitive on each class; for
+    V_q(sigma, a) the circles around (0, 1) are the orbits of its stabiliser
+    among the half-plane isometries (Terras, Fourier Analysis on Finite
+    Groups and Applications, ch. 19-20).  So T does not depend on which
+    point of class k is taken, and the distance from the identity is
+    constant on each class (an equitable partition: Godsil & Royle,
+    Algebraic Graph Theory, ch. 9).  With one representative g_k per class,
+    T[k, j] = #{s in S_a : class(g_k * s) = j}: O(q d) work per a for degree
+    d.  Refused where building the family's graph at any of the a would be,
+    with the same message, before any work.
     """
-    family = FamilySpec(kind="noneuclidean", q=q, sigma=sigma, a=a)
+    n = family.n  # refused here, before the degree formula takes q^(m-1)
+    degrees = [_degree(family, a) for a in a_values]
+    for degree in degrees:
+        _check_size(n, degree)
+    classes = _classes(family)
+    _, reps, sizes = np.unique(classes, return_index=True, return_counts=True)
+    c = len(sizes)  # the classes are 0, 1, ..., c - 1
+    cells = np.arange(c)[:, None] * c
 
-    def affine_images(circle):
-        x, y = _halfplane_points(q)
-        t, v = x[circle], y[circle]
-        return (
-            ((x[:, None] + y[:, None] * t) % q) * (q - 1)
-            + (y[:, None] * v) % q
-            - 1
-        )
+    def quotient(a, degree):
+        conn = _class_members(classes, a, degree)
+        images = _product(family, reps, conn, np.empty((c, degree), dtype=np.int64))
+        return sizes, np.bincount((cells + classes[images]).ravel(), minlength=c * c).reshape(c, c)
 
-    return _cayley_graph(family, connection_set(family), affine_images)
-
-
-def _halfplane_quotients(family: FamilySpec) -> tuple:
-    """(sizes, quotient) for the half-plane of ``family``: sizes[k] points in
-    distance class k and quotient(a) the matrix T of V_q(sigma, a), in
-    O(q^2) per call.  Refused where building the family's graph would be,
-    with the same message, before any work."""
-    q = family.q
-    _check_size(family.n, q + 1)
-    x, y = _halfplane_points(q)
-    classes = _distance_class(q, family.sigma, x, y)
-    _, first, sizes = np.unique(classes, return_index=True, return_counts=True)  # no class is empty
-    gx, gy = x[first, None], y[first, None]
-    row_base = np.arange(q)[:, None] * q
-
-    def quotient(a):
-        circle = classes == a
-        t, v = x[circle], y[circle]
-        j = _distance_class(q, family.sigma, (gx + gy * t) % q, (gy * v) % q)
-        return np.bincount((row_base + j).ravel(), minlength=q * q).reshape(q, q)
-
-    return sizes, quotient
-
-
-def halfplane_distance_quotient(family: FamilySpec) -> tuple:
-    """The distance-class quotient (sizes, T) of V_q(sigma, a) for the
-    family's own a, as in ``halfplane_distance_quotients``; sizes[k] counts
-    the points of class k."""
-    sizes, quotient = _halfplane_quotients(family)
-    return sizes, quotient(family.a)
-
-
-def halfplane_distance_quotients(q: int, sigma: int):
-    """The distance-class quotient of V_q(sigma, a) for every valid a, in
-    increasing a, without building a graph: pairs (a, T) where T[k, j] counts
-    the neighbours in class j of a point of class k (``_distance_class``).
-
-    The circles around (0, 1) are the orbits of its stabiliser among the
-    isometries of the half-plane (Terras, Fourier Analysis on Finite Groups
-    and Applications, ch. 19-20), and these are automorphisms of every
-    V_q(sigma, a).  So T does not depend on which point of class k is taken,
-    and the distance from the identity is constant on each class.  Each T
-    costs O(q^2), with one representative g_k per class and T[k, j] =
-    #{s in S_a : class(g_k * s) = j}.  Refused where building V_q(sigma, a)
-    would be, with the same message, before any work.
-    """
-    family = FamilySpec(kind="noneuclidean", q=q, sigma=sigma)
-    _, quotient = _halfplane_quotients(family)
-    return ((a, quotient(a)) for a in range(1, q) if a != (4 * family.sigma) % q)
+    return (quotient(a, degree) for a, degree in zip(a_values, degrees))
 
 
 def bch_connection_set(k: int) -> list:
@@ -433,18 +412,9 @@ def alon_connection_set(k: int) -> list:
     return sorted(sums)
 
 
-def _xor_cayley_graph(family: FamilySpec) -> Graph:
-    """Cayley graph on (GF(2)^t, XOR) over the family's connection set."""
-    return _cayley_graph(
-        family,
-        connection_set(family),
-        lambda conn: np.arange(family.n, dtype=np.int64)[:, None] ^ conn,
-    )
-
-
 def build_code_graph_bch(k: int) -> Graph:
     """Cayley graph on GF(2)^{2k} with connection set {(z, z^3)}; (2^k - 1)-regular."""
-    return _xor_cayley_graph(FamilySpec(kind="bch", k=k))
+    return _cayley_graph(FamilySpec(kind="bch", k=k))
 
 
 def build_code_graph_alon(k: int) -> Graph:
@@ -453,7 +423,7 @@ def build_code_graph_alon(k: int) -> Graph:
     The claimed degree 2^(k-1) * (2^(k-1) - 1) is checked against the actual
     deduplicated sum count; a mismatch is recorded in meta, not an error.
     """
-    graph = _xor_cayley_graph(FamilySpec(kind="alon", k=k))
+    graph = _cayley_graph(FamilySpec(kind="alon", k=k))
     w0s, w1s = alon_split(k)
     claimed = (1 << (k - 1)) * ((1 << (k - 1)) - 1)
     graph.meta.update(
@@ -470,31 +440,21 @@ def build_code_graph_alon(k: int) -> Graph:
 
 def connection_set(family: FamilySpec) -> np.ndarray:
     """The connection set S of the family's Cayley graph, sorted: the
-    neighbour list of vertex 0, which is the identity in every codec.
+    neighbour list of vertex 0, which is the identity in every codec, and
+    for the Euclidean and half-plane families the class a of ``_classes``.
 
     Refused where building the graph would be, with the same message, before
     any work: the vertex limit (``FamilySpec.n``) first, then the (n, |S|)
     neighbour matrix.
     """
     n = family.n  # refused here, before the degree formula takes q^(m-1)
-    if family.kind == "euclidean":
-        q, m = family.q, family.m
-        degree = euclidean_degree(q, m, family.a)
-        _check_size(n, degree)
-        sphere = np.flatnonzero((_coords_matrix(q, m) ** 2).sum(axis=1) % q == family.a)
-        if len(sphere) != degree:
-            raise AssertionError(f"sphere size {len(sphere)} != formula {degree}")
-        return sphere
-    if family.kind == "noneuclidean":
-        q = family.q
-        _check_size(n, q + 1)
-        circle = np.flatnonzero(_distance_class(q, family.sigma, *_halfplane_points(q)) == family.a)
-        if len(circle) != q + 1:
-            raise AssertionError(f"half-plane circle has {len(circle)} points, not q+1")
-        return circle
-    conn = bch_connection_set(family.k) if family.kind == "bch" else alon_connection_set(family.k)
-    _check_size(n, len(conn))
-    return np.sort(np.asarray(conn, dtype=np.int64))
+    if family.kind in ("bch", "alon"):
+        conn = bch_connection_set(family.k) if family.kind == "bch" else alon_connection_set(family.k)
+        _check_size(n, len(conn))
+        return np.sort(np.asarray(conn, dtype=np.int64))
+    degree = _degree(family, family.a)
+    _check_size(n, degree)
+    return _class_members(_classes(family), family.a, degree)
 
 
 def build_family(family: FamilySpec) -> Graph:

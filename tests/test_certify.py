@@ -617,9 +617,13 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
         return graph
 
     def counting_oracle(oracle):
-        # keyed by family: graph oracles take a graph, the others a FamilySpec
+        # keyed by family: graph oracles take a graph, the others a FamilySpec;
+        # the quotient also by the distances a it reads
         def wrapper(first, *args, **kwargs):
-            calls[oracle.__name__, getattr(first, "family", first)] += 1
+            key = (oracle.__name__, getattr(first, "family", first))
+            if oracle.__name__ == "distance_quotients":
+                key += (tuple(args[0]),)
+            calls[key] += 1
             return oracle(first, *args, **kwargs)
         return wrapper
 
@@ -629,7 +633,7 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
     monkeypatch.setattr(graphs, "_cayley_graph", counting_cayley_graph)
     oracles = (
         "triangle_count", "exact_independence", "cayley_spectrum_abelian", "connection_set",
-        "euclidean_distance_quotient", "halfplane_distance_quotient",
+        "distance_quotients",
     )
     for name in oracles:
         monkeypatch.setattr(certify, name, counting_oracle(getattr(certify, name)))
@@ -643,15 +647,21 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
     # a Euclidean or half-plane row builds its graph only for exact alpha, so
     # not past limits.VERIFY_ALPHA_CAP vertices: the q = 11 Euclidean row and
     # both half-plane rows build nothing; every other row builds once
-    quotients = {"euclidean": "euclidean_distance_quotient", "noneuclidean": "halfplane_distance_quotient"}
-    expected = [s for s in jobs if s.kind not in quotients or s.n <= limits.VERIFY_ALPHA_CAP]
+    geometric = ("euclidean", "noneuclidean")
+    expected = [s for s in jobs if s.kind not in geometric or s.n <= limits.VERIFY_ALPHA_CAP]
     assert [s.label() for s in expected] == ["D_7(1)", "BCH_2", "BCH_4", "ALON_2"]
     assert Counter(g.family for g in built) == Counter(expected)
+    quotient_reads = Counter()
     for spec in jobs:
-        if spec.kind in quotients:
-            assert calls[quotients[spec.kind], spec] == 1 and calls["triangle_count", spec] == 0, spec
+        if spec.kind in geometric:
+            quotient_reads["distance_quotients", spec, (spec.a,)] += 1
+            assert calls["triangle_count", spec] == 0, spec
         else:
             assert calls["triangle_count", spec] == 1, spec
+    # the half-plane girth/diameter suite of the q = 13 row reads all its a at once
+    suite = FamilySpec(kind="noneuclidean", q=13, sigma=2)
+    quotient_reads["distance_quotients", suite, tuple(a for a in range(1, 13) if a != 8)] += 1
+    assert Counter({key: n for key, n in calls.items() if key[0] == "distance_quotients"}) == quotient_reads
     assert max(calls.values()) == 1, calls
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ramseyforge
 from ramseyforge import cli, graphs, limits
 from ramseyforge.cli import main
 from ramseyforge.errors import SizeLimitExceeded
@@ -22,11 +23,15 @@ from ramseyforge.graphs import FamilySpec, build_family
 from ramseyforge.spectral import cayley_spectrum_abelian
 
 BASE = [sys.executable, "-m", "ramseyforge"]
+# the subprocess imports the package from where this process found it
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(ramseyforge.__file__))
 
 
-def run(*args, **kw):
+def run(*args, env=None, **kw):
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     return subprocess.run(
-        BASE + list(args), capture_output=True, text=True, timeout=300, **kw
+        BASE + list(args), capture_output=True, text=True, timeout=300, env=env, **kw
     )
 
 
@@ -160,6 +165,32 @@ def test_verify_code_pass():
     assert doc["overall"] == "pass"
 
 
+_SUITE_ARGV = {
+    "circles": ["--q", "7"],
+    "girth-diameter": ["--q", "7"],
+    "degree": ["--q", "7"],
+    "main": ["--q", "7"],
+    "mt1": ["--q", "17"],
+    "code": ["--k", "3"],
+}
+_FLAG_VALUES = {"family": "noneuclidean", "q": "7", "m": "3", "k": "3"}
+_UNREAD = {
+    "circles": ("family", "m", "k"),
+    "girth-diameter": ("m", "k"),
+    "degree": ("family", "k"),
+    "main": ("family", "m", "k"),
+    "mt1": ("family", "m", "k"),
+    "code": ("family", "q", "m"),
+}
+
+
+@pytest.mark.parametrize("suite, flag", [(s, f) for s, flags in _UNREAD.items() for f in flags])
+def test_verify_refuses_a_selector_its_suite_does_not_read(capsys, suite, flag):
+    argv = ["verify", "--suite", suite, *_SUITE_ARGV[suite], f"--{flag}", _FLAG_VALUES[flag]]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: --{flag} is not read by the {suite} suite\n")
+
+
 def test_verify_code_records_a_sum_set_graph_past_the_size_limit():
     # ALON_7 has 8^7 = 2,097,152 vertices; BCH_7 (16,384) is still certified
     env = {k: v for k, v in os.environ.items() if k != "RAMSEY_FORGE_MAX_N"}
@@ -225,7 +256,7 @@ def test_main_suite_refuses_a_large_neighbor_matrix_before_any_work(capsys, monk
     def no_coordinates(*args):
         raise AssertionError("the quotient started work before its size check")
 
-    monkeypatch.setattr(graphs, "_coords_matrix", no_coordinates)
+    monkeypatch.setattr(graphs, "_classes", no_coordinates)
     assert main(["verify", "--suite", "main", "--q", "19"]) == 2
     assert capsys.readouterr() == ("", f"error: {built.value}\n")
 

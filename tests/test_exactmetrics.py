@@ -1,6 +1,7 @@
 """Tests for BFS metrics, triangle counting, and the exhaustive optimizers."""
 
 import math
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from ramseyforge.exactmetrics import (
     girth,
     greedy_coloring,
     metrics_report,
-    quotient_girth_diameter,
     quotient_invariants,
     triangle_count,
 )
@@ -100,7 +100,6 @@ def test_quotient_girth_diameter_matches_the_graph(name):
     classes = np.where(dist < 0, dist.max() + 1, dist)
     reps = [int(np.flatnonzero(classes == k)[0]) for k in range(classes.max() + 1)]
     quotient = np.array([np.bincount(classes[graph.neighbors(r)], minlength=len(reps)) for r in reps])
-    assert quotient_girth_diameter(quotient) == (girth(graph), diameter(graph))
     want = (girth(graph), diameter(graph), triangle_count(graph), connected_components(graph)[0])
     assert quotient_invariants(np.bincount(classes), quotient, 1) == want
 
@@ -270,6 +269,34 @@ def test_frontier_bfs_on_irregular_graphs_matches_oracle():
         same = labels[:, None] == labels[None, :]
         assert (same == (dist >= 0)).all() and count == len(sizes) == len(set(labels)), label
     assert irregular >= 20
+
+
+def test_frontier_bfs_gathers_each_level_in_bounded_chunks(monkeypatch):
+    """With a word budget far below n*d, each level is gathered in chunks:
+    girth, diameter and components are those of a one-chunk gather, and the
+    traced peak of diameter and connected_components is bounded by n and the
+    budget alone, the same bound for both degrees of D_13^3."""
+    specs = [FamilySpec(kind="euclidean", q=13, m=3, a=a) for a in (1, 2)] + [
+        FamilySpec(kind="euclidean", q=7, a=1),
+        FamilySpec(kind="noneuclidean", q=13, sigma=2, a=1),
+        FamilySpec(kind="bch", k=5),
+    ]
+    graphs = [build_family(spec) for spec in specs]
+    want = [(girth(g), diameter(g), connected_components(g)[0]) for g in graphs]
+    budget = 256
+    monkeypatch.setattr(exactmetrics, "_BFS_WORD_BUDGET", budget)
+    assert [(girth(g), diameter(g), connected_components(g)[0]) for g in graphs] == want
+    assert {g.degree for g in graphs[:2]} == {156, 182}
+    for g in graphs[:2]:
+        assert g.n * g.degree > 100 * budget
+        for oracle in (diameter, connected_components):
+            tracemalloc.start()
+            try:
+                oracle(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * (budget + 8 * (g.n + 1)), (g.family.label(), oracle.__name__, peak)
 
 
 def _girth_family_specs():

@@ -17,26 +17,23 @@ from ramseyforge.exactmetrics import (
     connected_components,
     diameter,
     girth,
-    quotient_girth_diameter,
     quotient_invariants,
     triangle_count,
 )
 from ramseyforge.graphs import (
     FamilySpec,
     _check_size,
-    _distance_class,
-    _halfplane_points,
+    _classes,
+    _product,
     alon_connection_set,
     alon_split,
     bch_connection_set,
     build_family,
     connection_set,
+    distance_quotients,
     euclidean_degree,
-    euclidean_distance_quotient,
     export_graph,
     graph_from_edges,
-    halfplane_distance_quotient,
-    halfplane_distance_quotients,
 )
 from ramseyforge.spectral import cayley_spectrum_abelian
 
@@ -236,29 +233,28 @@ def test_half_plane_adjacency_matches_poincare_distance():
 def test_distance_class_quotient_matches_the_built_graph(q):
     """Class invariance, checked on the graphs: for every non-square sigma and
     valid a, the quotient's girth and diameter are those of V_q(sigma, a)."""
-    x, y = _halfplane_points(q)
     for sigma in range(1, q):
         if quadratic_character(sigma, q) != -1:
             continue
-        classes = _distance_class(q, sigma, x, y)
+        classes = _classes(FamilySpec(kind="noneuclidean", q=q, sigma=sigma))
         assert classes.tolist() == [
-            poincare_distance((0, 1), (int(u), int(v)), sigma, q) for u, v in zip(x, y)
+            poincare_distance((0, 1), (v // (q - 1), v % (q - 1) + 1), sigma, q) for v in range(q * (q - 1))
         ]
         sizes = np.bincount(classes, minlength=q)
         assert sizes[0] == sizes[4 * sigma % q] == 1
         assert np.delete(sizes, [0, 4 * sigma % q]).tolist() == [q + 1] * (q - 2)
-        distances = []
-        for a, quotient in halfplane_distance_quotients(q, sigma):
+        a_values = [a for a in range(1, q) if a != 4 * sigma % q]
+        quotients = list(distance_quotients(FamilySpec(kind="noneuclidean", q=q, sigma=sigma), a_values))
+        assert len(quotients) == len(a_values)
+        for a, (sizes, quotient) in zip(a_values, quotients):
             assert (quotient.sum(axis=1) == q + 1).all(), (q, sigma, a)
+            assert sizes.tolist() == np.bincount(classes).tolist()
             g = build("noneuclidean", q=q, sigma=sigma, a=a)
-            assert quotient_girth_diameter(quotient) == (girth(g), diameter(g)), (q, sigma, a)
-            # the single-a form is the same quotient, with the class sizes
-            sizes, single = halfplane_distance_quotient(g.family)
-            assert np.array_equal(single, quotient) and sizes.tolist() == np.bincount(classes).tolist()
+            # the single-a call on the graph's own spec is the same quotient
+            [(_, single)] = distance_quotients(g.family, [a])
+            assert np.array_equal(single, quotient)
             want = (girth(g), diameter(g), triangle_count(g), connected_components(g)[0])
-            assert quotient_invariants(sizes, single, a) == want, (q, sigma, a)
-            distances.append(a)
-        assert distances == [a for a in range(1, q) if a != 4 * sigma % q]
+            assert quotient_invariants(sizes, quotient, a) == want, (q, sigma, a)
 
 
 _ODD_PRIMES = [q for q in range(3, 32) if is_odd_prime(q)]
@@ -282,9 +278,9 @@ def test_euclidean_distance_quotient_matches_the_built_graph(q, m, a_values):
     labels[0] = 0
     null_class = not (m == 2 and q % 4 == 3)
     assert (labels == q).any() == null_class
-    for a in a_values:
+    quotients = distance_quotients(FamilySpec(kind="euclidean", q=q, m=m), list(a_values))
+    for a, (sizes, quotient) in zip(a_values, quotients):
         spec = FamilySpec(kind="euclidean", q=q, m=m, a=a)
-        sizes, quotient = euclidean_distance_quotient(spec)
         d = euclidean_degree(q, m, a)
         assert sizes.tolist() == np.bincount(labels)[np.bincount(labels) > 0].tolist()
         assert sizes.sum() == n and len(sizes) == q + null_class
@@ -325,10 +321,14 @@ def _fail_if_called(*args):
     raise AssertionError("work started before the size refusal")
 
 
+def own_distance_quotient(spec):
+    return distance_quotients(spec, [spec.a])
+
+
 @pytest.mark.parametrize("lever", ["RAMSEY_FORGE_MAX_N", "MAX_NEIGHBOR_ENTRIES"])
 @pytest.mark.parametrize("route, spec", [
-    (euclidean_distance_quotient, FamilySpec(kind="euclidean", q=19, a=1)),
-    (halfplane_distance_quotient, FamilySpec(kind="noneuclidean", q=29, sigma=3, a=6)),
+    (own_distance_quotient, FamilySpec(kind="euclidean", q=19, a=1)),
+    (own_distance_quotient, FamilySpec(kind="noneuclidean", q=29, sigma=3, a=6)),
     (connection_set, FamilySpec(kind="euclidean", q=19, a=1)),
     (connection_set, FamilySpec(kind="noneuclidean", q=29, sigma=3, a=6)),
     (connection_set, FamilySpec(kind="bch", k=4)),
@@ -341,8 +341,8 @@ def test_graphless_routes_refuse_where_the_build_would(monkeypatch, route, spec,
         monkeypatch.setattr(limits, lever, 100)
     with pytest.raises(SizeLimitExceeded) as built:
         build_family(spec)
-    monkeypatch.setattr(graphs, "_coords_matrix", _fail_if_called)
-    monkeypatch.setattr(graphs, "_halfplane_points", _fail_if_called)
+    monkeypatch.setattr(graphs, "_classes", _fail_if_called)
+    monkeypatch.setattr(graphs, "_product", _fail_if_called)
     with pytest.raises(SizeLimitExceeded) as read:
         route(spec)
     assert str(read.value) == str(built.value)
@@ -383,6 +383,43 @@ def test_translation_invariance_sampled():
         su = g.encode(tuple((a + b) % 7 for a, b in zip(pu, t)))
         sv = g.encode(tuple((a + b) % 7 for a, b in zip(pv, t)))
         assert g.adjacency_oracle(u, v) == g.adjacency_oracle(su, sv)
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec(kind="euclidean", q=5, a=2),
+    FamilySpec(kind="euclidean", q=3, m=3, a=1),
+    FamilySpec(kind="noneuclidean", q=7, sigma=3, a=1),
+    FamilySpec(kind="bch", k=2),
+    FamilySpec(kind="alon", k=2),
+], ids=FamilySpec.label)
+def test_product_is_a_group_law(spec):
+    """On codec indices, _product has identity 0 on both sides and is
+    associative on every triple, and the connection set is closed under
+    inverses."""
+    n = spec.n
+    assert n <= 200  # small enough to check every triple
+    g = np.arange(n, dtype=np.int64)
+    table = _product(spec, g, g, np.empty((n, n), dtype=np.int64))
+    assert np.array_equal(table[0], g) and np.array_equal(table[:, 0], g)
+    left = table[table[:, :, None], g]  # (g*h)*k
+    right = table[g[:, None, None], table[None, :, :]]  # g*(h*k)
+    assert np.array_equal(left, right)
+    inverse = np.argmax(table == 0, axis=1)
+    assert (table[g, inverse] == 0).all() and (table[inverse, g] == 0).all()
+    conn = connection_set(spec)
+    assert sorted(inverse[conn].tolist()) == conn.tolist()
+
+
+def test_halfplane_product_is_the_affine_law():
+    """(x, y)*(t, v) = (x + y*t, y*v), through the vertex codec."""
+    graph = build("noneuclidean", q=7, sigma=3, a=1)
+    g = np.arange(graph.n, dtype=np.int64)
+    table = _product(graph.family, g, g, np.empty((graph.n, graph.n), dtype=np.int64))
+    for u in range(graph.n):
+        x, y = graph.decode(u)
+        for w in range(graph.n):
+            t, v = graph.decode(w)
+            assert table[u, w] == graph.encode((x + y * t, y * v)), (u, w)
 
 
 # ---------------------------------------------------------------------------
