@@ -14,12 +14,15 @@ search when feasible, else a spectral ratio bound).
 Every certificate and sweep row measures its graph through one ``_Measured``
 record, which builds the graph only when an exact oracle needs it: exact
 independence up to limits.VERIFY_ALPHA_CAP vertices, exact toughness, and
-every measure of the code families.  Euclidean and half-plane graphs read
-triangles, girth, diameter and components from one distance-class quotient
-route, ``graphs.distance_quotients`` through
-``exactmetrics.quotient_invariants``; the half-plane girth/diameter suite
-reads all of its distances a from one computation of the classes.  Every
-family reads its spectrum from its connection set.
+every measure of the code families.  Every family graph reads triangles,
+girth, diameter and components from one quotient: the distance-class
+quotient of ``graphs.distance_quotients`` for the Euclidean and half-plane
+families, the built graph as its own for the code families.  Girth,
+diameter and components come from one walk over it,
+``exactmetrics.quotient_invariants``, and triangles from
+``exactmetrics.quotient_triangles``, which does not walk.  The half-plane
+girth/diameter suite reads all of its distances a from one computation of
+the classes.  Every family reads its spectrum from its connection set.
 """
 import contextlib
 import csv
@@ -50,12 +53,11 @@ from .errors import (
     UnsupportedFamily,
 )
 from .exactmetrics import (
-    connected_components,
-    diameter,
+    _cayley_quotient,
     exact_independence,
     exact_toughness,
-    girth,
     quotient_invariants,
+    quotient_triangles,
     triangle_count,
 )
 from .graphs import (
@@ -266,10 +268,9 @@ class _Measured:
 
     A graph is built only on first use of ``graph``, by the oracles that need
     one: exact alpha (n <= limits.VERIFY_ALPHA_CAP), exact toughness, the
-    Ramsey witness and every measure of the code families.  Euclidean and
-    half-plane graphs read triangles, girth, diameter and components from
-    their distance-class quotient, and all four families read their spectrum
-    from the connection set.
+    Ramsey witness and the quotient of a code family.  Every family reads
+    triangles, girth, diameter and components from its ``_quotient``, and
+    its spectrum from the connection set.
     """
 
     def __init__(self, source):
@@ -290,39 +291,32 @@ class _Measured:
         """Vertex count, refused past the vertex limit as the build would be."""
         return self.graph.n if self.family is None else self.family.n
 
-    @property
-    def has_quotient(self) -> bool:
-        return self.family is not None and self.family.kind in ("euclidean", "noneuclidean")
-
     def __call__(self, oracle):
         if oracle not in self._results:
             self._results[oracle] = oracle(self)
         return self._results[oracle]
 
 
-def _quotient_invariants(m) -> tuple:
-    """(girth, diameter, triangles, components) of a Euclidean or half-plane
-    graph from its distance-class quotient; the class of the connection set
-    is a in both families."""
+def _quotient(m) -> tuple:
+    """The (sizes, nbr) quotient of a family graph: the distance-class
+    quotient of a Euclidean or half-plane graph, whose connection set is
+    class a, and a built code-family graph as its own."""
     fam = m.family
-    [(sizes, quotient)] = distance_quotients(fam, [fam.a])
-    return quotient_invariants(sizes, quotient, fam.a)
+    if fam.kind in ("bch", "alon"):
+        return _cayley_quotient(m.graph)
+    [quotient] = distance_quotients(fam, [fam.a])
+    return quotient
 
 
-def _girth(m):
-    return m(_quotient_invariants)[0] if m.has_quotient else girth(m.graph)
-
-
-def _diameter(m):
-    return m(_quotient_invariants)[1] if m.has_quotient else diameter(m.graph)
+def _walk(m) -> tuple:
+    """(girth, diameter, components) of a family graph."""
+    return quotient_invariants(*m(_quotient))
 
 
 def _triangles(m) -> int:
-    return m(_quotient_invariants)[2] if m.has_quotient else triangle_count(m.graph)
-
-
-def _components(m) -> int:
-    return m(_quotient_invariants)[3] if m.has_quotient else connected_components(m.graph)[0]
+    if m.family is None:
+        return triangle_count(m.graph)
+    return quotient_triangles(*m(_quotient))
 
 
 def _connection_set(m):
@@ -385,7 +379,7 @@ def _diameter_claim(m, claim_id: str, statement: str, allowed) -> Claim:
     spot check (tests run ``eccentricity_uniformity_check`` on built family
     graphs).
     """
-    diam = m(_diameter)
+    diam = m(_walk)[1]
     if allowed is None:
         status = "recorded"
     else:
@@ -401,7 +395,7 @@ def _diameter_claim(m, claim_id: str, statement: str, allowed) -> Claim:
 
 def _euclidean_girth_diameter(m) -> Certificate:
     q = m.family.q
-    measured_girth = m(_girth)
+    measured_girth = m(_walk)[0]
     chi3 = quadratic_character(3, q)
     expected_girth = 3 if chi3 >= 0 else 4
     claims = [
@@ -452,8 +446,8 @@ def _non_euclidean_girth_diameter_claims(q: int, sigma: int) -> list:
     diam_rows, diam_bad = [], 0
     a_values = [a for a in range(1, q) if a != (4 * sigma) % q]
     quotients = distance_quotients(FamilySpec(kind="noneuclidean", q=q, sigma=sigma), a_values)
-    for a, (sizes, quotient) in zip(a_values, quotients):
-        gg, dd, _, _ = quotient_invariants(sizes, quotient, a)
+    for a, (sizes, nbr) in zip(a_values, quotients):
+        gg, dd, _ = quotient_invariants(sizes, nbr)
         if gg not in (3, 4):
             range_bad += 1
         # girth: sufficient conditions only; a - 3*sigma = 0 counts as square
@@ -765,7 +759,7 @@ def _mt1(m) -> Certificate:
     fam = m.family
     n, q, sigma, a = m.n, fam.q, fam.sigma, fam.a
     triangles = m(_triangles)
-    measured_girth = m(_girth)
+    measured_girth = m(_walk)[0]
     summary = m(_spectrum)
     d = summary.d
 
@@ -1161,9 +1155,10 @@ def _sweep_row(spec: FamilySpec):
     try:
         m = _Measured(spec)
         n = m.n
+        d = len(m(_connection_set))
+        girth, diameter, components = m(_walk)
         row.update(
-            n=n, d=len(m(_connection_set)), girth=m(_girth), diameter=m(_diameter),
-            triangles=m(_triangles), components=m(_components),
+            n=n, d=d, girth=girth, diameter=diameter, triangles=m(_triangles), components=components,
         )
         # The benchmark reference in perfbench/reference/ records half-plane
         # rows past 2500 vertices with blank spectral cells; this condition

@@ -6,25 +6,21 @@ expensive oracles carry hard size caps; callers that want bounds for larger
 graphs should use the spectral module instead.
 
 Graphs built by the family constructors are Cayley graphs, hence vertex
-transitive: girth and eccentricity are measured from a single root there,
-and the total triangle count is n/3 times the count through one vertex.
-Certificates read Euclidean and half-plane graphs from a distance-class
-quotient instead (``quotient_invariants``), so on those families the
-single-root routes over a built graph serve ``metrics_report`` and are the
-quotient's test oracle.  ``eccentricity_uniformity_check`` spot-checks the
-transitivity assumption; the tests run it on built family graphs.
+transitive, and are measured through one quotient form (sizes, nbr): a
+built graph is its own quotient with every class one vertex
+(``_cayley_quotient``), and certificates read the Euclidean and half-plane
+families from their distance-class quotients instead.  One walk from the
+identity, ``quotient_invariants``, gives girth, diameter and components, and
+``quotient_triangles`` reads triangles from the identity's neighbour rows.
+``eccentricity_uniformity_check`` spot-checks transitivity; the tests run it
+on built family graphs.
 
-BFS has two kernels over one padded neighbour matrix, chosen by how many
-roots a question has, and both keep their working arrays within
-``_BFS_WORD_BUDGET`` 64-bit words.  One frontier kernel handles single
-roots: distances, components, and family girth and diameter; it gathers
-each level's neighbour rows in chunks of that size.  The bit-parallel kernel
-handles root sets (girth and diameter of ad-hoc graphs, the spot check's
-sampled roots): every vertex carries a bit per root, and roots run in blocks
-whose bit arrays stay within the budget, fixed up front.
-``quotient_invariants`` runs the single-root girth test over a
-distance-class quotient instead of a graph, and adds the diameter,
-triangles and components that the classes give.
+Ad-hoc graphs take the bit-parallel kernel, which runs girth and diameter
+from every root at once over a padded neighbour matrix: each vertex carries
+a bit per root, and roots run in blocks whose bit arrays stay within
+``_BFS_WORD_BUDGET`` 64-bit words, fixed up front.  The walk and
+``bfs_distances`` gather each BFS level in chunks of that size, and
+``connected_components`` runs one BFS per component over the CSR lists.
 """
 import math
 from dataclasses import dataclass
@@ -64,10 +60,6 @@ class IndependenceResult:
     nodes: int
 
 
-def _is_transitive_family(graph) -> bool:
-    return graph.family is not None
-
-
 def _neighbor_rows(graph) -> np.ndarray:
     """The (n, dmax) neighbour matrix: a view for regular graphs; for
     irregular ones, short rows are padded with the sentinel vertex n, refused
@@ -93,26 +85,35 @@ def _neighbor_rows(graph) -> np.ndarray:
 _BFS_WORD_BUDGET = 1 << 22
 
 
-def _frontier_bfs(nbr: np.ndarray, root: int):
-    """BFS from one root over the ``_neighbor_rows`` matrix, one vectorized
-    step per level.  Yields (level, dist, hits) per level: dist holds the
-    distances so far (-1 unseen) and dist[n] = n, so the padding sentinel is
-    never unseen nor equal to a level; hits[v] counts the neighbours of v at
-    this level.  A level's neighbour rows are gathered in chunks of at most
-    ``_BFS_WORD_BUDGET`` entries (one row at least), and all of them are
-    counted before the next level is marked, so memory stays O(n) plus one
-    chunk."""
+def _frontier_bfs(nbr: np.ndarray, root: int, weights=None):
+    """BFS from one root over an (n, d) neighbour matrix, one vectorized step
+    per level.  Yields (level, dist, hits) per level: dist holds the
+    distances so far (-1 unseen) and dist[n] = n, so the padding sentinel of
+    ``_neighbor_rows`` is never unseen nor equal to a level; hits[v] counts
+    the entries v has in the rows of this level.  With ``weights``, row k
+    counts weights[k] times instead of once.  A level's rows are gathered in
+    chunks of at most ``_BFS_WORD_BUDGET`` entries (one row at least), and
+    all of them are counted before the next level is marked, so memory stays
+    O(n) plus one chunk."""
     n = len(nbr)
     dist = np.full(n + 1, -1, dtype=np.int64)
     dist[n] = n
     dist[root] = 0
     frontier = np.array([root], dtype=np.int64)
     step = max(1, _BFS_WORD_BUDGET // max(1, nbr.shape[1]))
+
+    def count(rows):
+        if weights is None:
+            return np.bincount(nbr[rows].ravel(), minlength=n + 1)
+        hits = np.zeros(n + 1, dtype=np.int64)
+        np.add.at(hits, nbr[rows].ravel(), np.repeat(weights[rows], nbr.shape[1]))
+        return hits
+
     level = 0
     while frontier.size:
-        hits = np.bincount(nbr[frontier[:step]].ravel(), minlength=n + 1)
+        hits = count(frontier[:step])
         for lo in range(step, frontier.size, step):
-            hits += np.bincount(nbr[frontier[lo:lo + step]].ravel(), minlength=n + 1)
+            hits += count(frontier[lo:lo + step])
         yield level, dist, hits
         level += 1
         frontier = np.flatnonzero((hits[:n] > 0) & (dist[:n] < 0))
@@ -124,26 +125,6 @@ def bfs_distances(graph, root: int) -> np.ndarray:
     for _, dist, _ in _frontier_bfs(_neighbor_rows(graph), root):
         pass
     return dist[:graph.n]
-
-
-def eccentricity(graph, root: int) -> float:
-    dist = bfs_distances(graph, root)
-    if (dist < 0).any():
-        return math.inf
-    return int(dist.max())
-
-
-def _root_cycle_bound(graph, root: int) -> float:
-    """Itai-Rodeh cycle bound from one root, exact for roots on a shortest
-    cycle.  At level k, an edge inside the level closes a walk of length
-    2k + 1; an unseen vertex with two level-k neighbours closes one of
-    length 2k + 2."""
-    for k, dist, hits in _frontier_bfs(_neighbor_rows(graph), root):
-        if hits[dist == k].any():
-            return 2 * k + 1
-        if (hits[dist < 0] >= 2).any():
-            return 2 * k + 2
-    return math.inf
 
 
 # --- bit-parallel BFS from a set of roots ------------------------------------
@@ -216,11 +197,11 @@ def _eccentricities(graph, roots) -> list:
 def _shortest_cycle(graph) -> float:
     """Girth by bit-parallel BFS from every root at once (Itai-Rodeh).
 
-    The root-set kernel; a single root takes the frontier kernel through
-    ``_root_cycle_bound``, which finds the same per-root bound: at level k,
-    an edge between two frontier vertices of one root closes a walk of
-    length 2k + 1, an unseen vertex with two frontier neighbours of one root
-    one of length 2k + 2.  The minimum over roots is the girth.
+    The root-set kernel; ``quotient_invariants`` runs the same per-root test
+    from the identity alone: at level k, an edge between two frontier
+    vertices of one root closes a walk of length 2k + 1, an unseen vertex
+    with two frontier neighbours of one root one of length 2k + 2.  The
+    minimum over roots is the girth.
     """
     n = graph.n
     cols = _neighbor_columns(graph)
@@ -254,71 +235,75 @@ def _shortest_cycle(graph) -> float:
     return best
 
 
-def girth(graph) -> float:
-    """Length of a shortest cycle, math.inf for forests.
+def _cayley_quotient(graph) -> tuple:
+    """A built family graph as its own quotient: every class one vertex, and
+    the neighbour matrix as the matrix of neighbour classes."""
+    return np.ones(graph.n, dtype=np.int64), graph.indices.reshape(graph.n, graph.degree)
 
-    Frontier BFS from vertex 0 when the graph is a known vertex-transitive
-    family (every vertex then lies on some shortest cycle), bit-parallel BFS
-    from all roots otherwise.
-    """
-    if _is_transitive_family(graph):
-        return _root_cycle_bound(graph, 0)
+
+def girth(graph) -> float:
+    """Length of a shortest cycle, math.inf for forests: from the identity
+    alone for a vertex-transitive family graph (``quotient_invariants``), by
+    bit-parallel BFS from all roots otherwise."""
+    if graph.family is not None:
+        return quotient_invariants(*_cayley_quotient(graph))[0]
     return _shortest_cycle(graph)
 
 
 def diameter(graph) -> float:
-    """Diameter, math.inf when disconnected.
-
-    Vertex-transitive graphs have all eccentricities equal, so one BFS
-    suffices for the known families; other graphs take the maximum over a
-    bit-parallel BFS from all roots.
-    """
-    if _is_transitive_family(graph):
-        return eccentricity(graph, 0)
+    """Diameter, math.inf when disconnected: the eccentricity of the identity
+    for a vertex-transitive family graph (``quotient_invariants``), the
+    largest from a bit-parallel BFS from all roots otherwise."""
+    if graph.family is not None:
+        return quotient_invariants(*_cayley_quotient(graph))[1]
     return max(_eccentricities(graph, np.arange(graph.n)), default=0)
 
 
-def quotient_invariants(sizes: np.ndarray, quotient: np.ndarray, conn_class: int) -> tuple:
-    """(girth, diameter, triangles, components) of a Cayley graph Cay(G, S)
-    from a distance-class quotient: sizes[k] vertices in class k, each with
-    quotient[k, j] neighbours in class j, where class 0 is the identity
-    alone, the distance from it is constant on every class, and S is the
-    class ``conn_class``.
+def quotient_invariants(sizes: np.ndarray, nbr: np.ndarray) -> tuple:
+    """(girth, diameter, components) of a Cayley graph Cay(G, S) from a
+    quotient (sizes, nbr): sizes[k] vertices in class k, the neighbours of
+    each in the classes nbr[k], and class 0 the identity alone.  A built
+    family graph is its own quotient (``_cayley_quotient``).
 
-    Girth and diameter come from a BFS over the classes from class 0, with
-    the Itai-Rodeh test of ``_root_cycle_bound`` at each level k: an edge
-    between two level-k classes closes a walk of length 2k + 1, and a class
-    first reached at level k + 1 whose vertices have two level-k neighbours
-    one of length 2k + 2.  As with ``girth`` and ``diameter`` on the graph,
-    both are exact, math.inf for no cycle or a disconnected graph.
-
-    Each s in S has quotient[S, S] neighbours in S, so n*d*quotient[S, S]
-    counts every triangle six times, as ``_triangles_through_identity`` does.
-    The classes BFS reaches make up the component of the identity, and the
-    components are the cosets of the subgroup S generates, all of one size.
+    One frontier BFS from class 0 in which row k counts sizes[k] times:
+    since sizes[k]*T[k, j] = sizes[j]*T[j, k] for T[k, j] neighbours in
+    class j of a vertex of class k, hits[j] is sizes[j] times the level-k
+    neighbours of a vertex of class j.  At level k the Itai-Rodeh test reads
+    the girth: an edge inside the level closes a walk of length 2k + 1, an
+    unseen class with two level-k neighbours one of length 2k + 2.  By
+    transitivity girth and diameter are exact, math.inf for no cycle or a
+    disconnected graph.  The components are the cosets of the subgroup S
+    generates, all the size of the one the BFS reaches.
     """
-    level = np.full(len(quotient), -1)
-    level[0] = 0
-    best, k = math.inf, 0
-    while True:
-        at_k = level == k
-        into_k = quotient[:, at_k].sum(axis=1)  # level-k neighbours per vertex of each class
-        new = (level < 0) & (into_k > 0)
+    c = len(sizes)
+    best = math.inf
+    for k, dist, hits in _frontier_bfs(nbr, 0, sizes if sizes.max() > 1 else None):
         if best == math.inf:
-            if (into_k[at_k] > 0).any():
+            unseen = dist[:c] < 0
+            if hits[dist == k].any():
                 best = 2 * k + 1
-            elif (into_k[new] >= 2).any():
+            elif (hits[:c][unseen] >= 2 * sizes[unseen]).any():
                 best = 2 * k + 2
-        if not new.any():
-            break
-        k += 1
-        level[new] = k
-    n, reached = int(sizes.sum()), int(sizes[level >= 0].sum())
-    total = n * int(quotient[0].sum()) * int(quotient[conn_class, conn_class])
-    if total % 6 or n % reached:
+    n, reached = int(sizes.sum()), int(sizes[dist[:c] >= 0].sum())
+    if n % reached:
         raise AssertionError("class sizes and quotient are not those of a Cayley graph")
-    diam = int(level.max()) if reached == n else math.inf
-    return best, diam, total // 6, n // reached
+    return best, k if reached == n else math.inf, n // reached
+
+
+def quotient_triangles(sizes: np.ndarray, nbr: np.ndarray) -> int:
+    """Triangles of Cay(G, S) from a quotient of ``quotient_invariants``:
+    O(|S|^2) on a built graph, one row on a distance-class quotient.  The
+    classes in row 0 make up S, and a vertex of such a class j has as many
+    neighbours in S as row j has entries in S, so the sum of sizes[j] times
+    that counts the adjacent pairs (s, t) in S x S, twice the triangles at
+    the identity; n times the sum counts every triangle six times."""
+    conn = np.unique(nbr[0])
+    in_conn = np.zeros(len(nbr), dtype=bool)
+    in_conn[conn] = True
+    total = int(sizes.sum()) * int(sizes[conn] @ in_conn[nbr[conn]].sum(axis=1))
+    if total % 6:
+        raise AssertionError("Cayley triangle total not divisible by 6")
+    return total // 6
 
 
 def eccentricity_uniformity_check(graph) -> bool:
@@ -355,45 +340,56 @@ def _triangles_bitset(graph) -> int:
     return total // 3
 
 
-def _triangles_through_identity(graph) -> int:
-    """n*P/6 for a Cayley graph Cay(G, S) with vertex 0 the identity.
-
-    P counts the ordered pairs (s, t) in S x S with t adjacent to s, i.e.
-    twice the triangles through vertex 0; transitivity gives every vertex
-    the same number, and each triangle has three vertices.
-    """
-    nbr = graph.indices.reshape(graph.n, graph.degree)
-    in_conn = np.zeros(graph.n, dtype=bool)
-    in_conn[nbr[0]] = True
-    pairs = int(in_conn[nbr[nbr[0]]].sum())
-    total = graph.n * pairs
-    if total % 6:
-        raise AssertionError("Cayley triangle total not divisible by 6")
-    return total // 6
-
-
 def triangle_count(graph) -> int:
-    """Exact triangle count: through the identity for family (Cayley) graphs,
-    by packed-bitset neighbor intersections (size-capped) for ad-hoc graphs."""
-    if _is_transitive_family(graph):
-        return _triangles_through_identity(graph)
+    """Exact triangle count: through the identity for family (Cayley) graphs
+    (``quotient_triangles``), by packed-bitset neighbor intersections
+    (size-capped) for ad-hoc graphs."""
+    if graph.family is not None:
+        return quotient_triangles(*_cayley_quotient(graph))
     return _triangles_bitset(graph)
 
 
 def connected_components(graph):
-    """(count, labels, sizes); components numbered by smallest vertex."""
-    n = graph.n
-    nbr = _neighbor_rows(graph)  # padded once, not once per component
+    """(count, labels, sizes); components numbered by smallest vertex.
+
+    One BFS per component over the CSR lists, with one queue that takes
+    every vertex once: a level reads the neighbour lists of its own vertices
+    only, in chunks whose working arrays stay within ``_BFS_WORD_BUDGET``
+    words (one list at least), so the search is O(n + m) and its memory
+    beyond the graph O(n) plus one chunk.
+    """
+    n, indptr = graph.n, graph.indptr
     labels = np.full(n, -1, dtype=np.int64)
-    sizes = []
+    slot = np.empty(n, dtype=np.int64)  # picks one copy of each vertex a chunk reaches
+    queue = np.empty(n, dtype=np.int64)
+    tail, sizes = 0, []
     for start in range(n):
         if labels[start] >= 0:
             continue
-        for _, dist, _ in _frontier_bfs(nbr, start):
-            pass
-        members = dist[:n] >= 0
-        labels[members] = len(sizes)
-        sizes.append(int(members.sum()))
+        label = len(sizes)
+        labels[start] = label
+        if indptr[start] == indptr[start + 1]:  # isolated: no search to start
+            sizes.append(1)
+            continue
+        queue[tail] = start
+        begin, head, tail = tail, tail, tail + 1
+        while head < tail:
+            head, level = tail, queue[head:tail]
+            starts = indptr[level]
+            counts = indptr[level + 1] - starts
+            step = max(1, _BFS_WORD_BUDGET // (3 * int(counts.max())))  # 3 arrays of a chunk at once
+            for lo in range(0, len(level), step):
+                first, count = starts[lo:lo + step], counts[lo:lo + step]
+                ends = np.cumsum(count)
+                nbrs = graph.indices[np.arange(ends[-1]) + np.repeat(first - ends + count, count)]
+                new = nbrs[labels[nbrs] < 0]
+                order = np.arange(len(new))
+                slot[new] = order
+                new = new[slot[new] == order]
+                labels[new] = label
+                queue[tail:tail + len(new)] = new
+                tail += len(new)
+        sizes.append(tail - begin)
     return len(sizes), labels, sizes
 
 
@@ -571,13 +567,15 @@ def greedy_coloring(graph, order: str = "degree-descending"):
 
 
 def metrics_report(graph) -> MetricsReport:
-    comp_count, _, _ = connected_components(graph)
+    """Exact metrics; a family graph takes one walk of ``quotient_invariants``
+    and one ``quotient_triangles`` over its own quotient."""
+    if graph.family is None:
+        walk = girth(graph), diameter(graph), connected_components(graph)[0]
+        triangles = triangle_count(graph)
+    else:
+        quotient = _cayley_quotient(graph)
+        walk, triangles = quotient_invariants(*quotient), quotient_triangles(*quotient)
     return MetricsReport(
-        n=graph.n,
-        degree=graph.degree,
-        girth=girth(graph),
-        diameter=diameter(graph),
-        triangles=triangle_count(graph),
-        components=comp_count,
-        is_vertex_transitive_assumed=_is_transitive_family(graph),
+        n=graph.n, degree=graph.degree, girth=walk[0], diameter=walk[1], triangles=triangles,
+        components=walk[2], is_vertex_transitive_assumed=graph.family is not None,
     )

@@ -352,22 +352,23 @@ def _class_members(classes: np.ndarray, a: int, degree: int) -> np.ndarray:
 
 
 def distance_quotients(family: FamilySpec, a_values):
-    """The distance-class quotient (sizes, T) of the family's graph at each
+    """The distance-class quotient (sizes, nbr) of the family's graph at each
     distance a in ``a_values``, in order, without building a graph: sizes[k]
     counts the vertices of class k (``_classes``, computed once for all a)
-    and T[k, j] the neighbours in class j of each of them.
+    and nbr[k] holds the classes of the products g_k * s, s in the
+    connection set, for one representative g_k of class k.  A built Cayley
+    graph is the trivial quotient of this form, every class one vertex.
 
     The classes are the orbits of the identity's stabiliser among the
     automorphisms of every graph of the family: for D_q^m(a), O(m, q) keeps
     Q and by Witt's extension theorem is transitive on each class; for
     V_q(sigma, a) the circles around (0, 1) are the orbits of its stabiliser
     among the half-plane isometries (Terras, Fourier Analysis on Finite
-    Groups and Applications, ch. 19-20).  So T does not depend on which
-    point of class k is taken, and the distance from the identity is
-    constant on each class (an equitable partition: Godsil & Royle,
-    Algebraic Graph Theory, ch. 9).  With one representative g_k per class,
-    T[k, j] = #{s in S_a : class(g_k * s) = j}: O(q d) work per a for degree
-    d.  Refused where building the family's graph at any of the a would be,
+    Groups and Applications, ch. 19-20).  So nbr[k] holds, up to order, the
+    neighbour classes of every point of class k, and the distance from the
+    identity is constant on each class (an equitable partition: Godsil &
+    Royle, Algebraic Graph Theory, ch. 9).  O(q d) work per a for degree d.
+    Refused where building the family's graph at any of the a would be,
     with the same message, before any work.
     """
     n = family.n  # refused here, before the degree formula takes q^(m-1)
@@ -376,13 +377,10 @@ def distance_quotients(family: FamilySpec, a_values):
         _check_size(n, degree)
     classes = _classes(family)
     _, reps, sizes = np.unique(classes, return_index=True, return_counts=True)
-    c = len(sizes)  # the classes are 0, 1, ..., c - 1
-    cells = np.arange(c)[:, None] * c
 
     def quotient(a, degree):
         conn = _class_members(classes, a, degree)
-        images = _product(family, reps, conn, np.empty((c, degree), dtype=np.int64))
-        return sizes, np.bincount((cells + classes[images]).ravel(), minlength=c * c).reshape(c, c)
+        return sizes, classes[_product(family, reps, conn, np.empty((len(reps), degree), dtype=np.int64))]
 
     return (quotient(a, degree) for a, degree in zip(a_values, degrees))
 

@@ -633,7 +633,7 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
     monkeypatch.setattr(graphs, "_cayley_graph", counting_cayley_graph)
     oracles = (
         "triangle_count", "exact_independence", "cayley_spectrum_abelian", "connection_set",
-        "distance_quotients",
+        "distance_quotients", "_cayley_quotient",
     )
     for name in oracles:
         monkeypatch.setattr(certify, name, counting_oracle(getattr(certify, name)))
@@ -651,13 +651,15 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
     expected = [s for s in jobs if s.kind not in geometric or s.n <= limits.VERIFY_ALPHA_CAP]
     assert [s.label() for s in expected] == ["D_7(1)", "BCH_2", "BCH_4", "ALON_2"]
     assert Counter(g.family for g in built) == Counter(expected)
+    # every family row reads triangles, girth, diameter and components from
+    # one quotient: the distance classes, or a code graph as its own
     quotient_reads = Counter()
     for spec in jobs:
         if spec.kind in geometric:
             quotient_reads["distance_quotients", spec, (spec.a,)] += 1
-            assert calls["triangle_count", spec] == 0, spec
         else:
-            assert calls["triangle_count", spec] == 1, spec
+            assert calls["_cayley_quotient", spec] == 1, spec
+        assert calls["triangle_count", spec] == 0, spec
     # the half-plane girth/diameter suite of the q = 13 row reads all its a at once
     suite = FamilySpec(kind="noneuclidean", q=13, sigma=2)
     quotient_reads["distance_quotients", suite, tuple(a for a in range(1, 13) if a != 8)] += 1

@@ -16,7 +16,6 @@ from ramseyforge.exactmetrics import (
     bfs_distances,
     connected_components,
     diameter,
-    eccentricity,
     eccentricity_uniformity_check,
     exact_independence,
     exact_max_cut_and_bisection,
@@ -25,6 +24,7 @@ from ramseyforge.exactmetrics import (
     greedy_coloring,
     metrics_report,
     quotient_invariants,
+    quotient_triangles,
     triangle_count,
 )
 from ramseyforge.graphs import FamilySpec, build_family, graph_from_edges
@@ -64,8 +64,8 @@ def test_bfs_unreachable_is_minus_one():
 
 
 def test_eccentricity():
-    assert eccentricity(path(5), 0) == 4
-    assert eccentricity(path(5), 2) == 2
+    assert bfs_distances(path(5), 0).max() == 4
+    assert bfs_distances(path(5), 2).max() == 2
 
 
 def test_girth_small_graphs():
@@ -93,15 +93,21 @@ QUOTIENT_CASES = {
 @pytest.mark.parametrize("name", list(QUOTIENT_CASES))
 def test_quotient_girth_diameter_matches_the_graph(name):
     # on these graphs the distance from vertex 0 (unreached vertices as one
-    # more class) gives classes whose members have equal neighbour counts;
-    # all are Cayley graphs whose connection set is the distance-1 class
+    # more class) gives classes whose members have equal neighbour classes;
+    # all are Cayley graphs whose connection set is the distance-1 class.
+    # The classes come from the matrix-power oracle, and on these ad-hoc
+    # graphs girth, diameter, triangles and components from the root-set
+    # kernels, the bitset count and the CSR component search, none of which
+    # runs the frontier walk
     graph = QUOTIENT_CASES[name]
-    dist = bfs_distances(graph, 0)
+    us, vs = graph.edge_arrays()
+    dist = _oracle_distances(graph.n, zip(us.tolist(), vs.tolist()))[0]
     classes = np.where(dist < 0, dist.max() + 1, dist)
     reps = [int(np.flatnonzero(classes == k)[0]) for k in range(classes.max() + 1)]
-    quotient = np.array([np.bincount(classes[graph.neighbors(r)], minlength=len(reps)) for r in reps])
-    want = (girth(graph), diameter(graph), triangle_count(graph), connected_components(graph)[0])
-    assert quotient_invariants(np.bincount(classes), quotient, 1) == want
+    nbr = np.array([classes[graph.neighbors(r)] for r in reps])
+    sizes = np.bincount(classes)
+    assert quotient_invariants(sizes, nbr) == (girth(graph), diameter(graph), connected_components(graph)[0])
+    assert quotient_triangles(sizes, nbr) == triangle_count(graph)
 
 
 def test_euclidean_girth_diameter_frozen():
@@ -255,7 +261,7 @@ def test_root_set_bfs_matches_oracles(monkeypatch, budget):
 
 
 def test_frontier_bfs_on_irregular_graphs_matches_oracle():
-    """Distances from every root and the components of the padded-row graphs."""
+    """Distances from every root over the padded rows, and the components."""
     irregular = 0
     for label, n, edges in _kernel_cases():
         g = graph_from_edges(n, edges)
@@ -316,7 +322,7 @@ def _girth_family_specs():
 
 @pytest.mark.parametrize("spec", list(_girth_family_specs()), ids=FamilySpec.label)
 def test_family_girth_matches_all_roots_oracle(spec):
-    """The frontier kernel's girth from vertex 0 is the minimum over all roots."""
+    """The walk's girth from the identity is the minimum over all roots."""
     g = build_family(spec)
     us, vs = g.edge_arrays()
     assert girth(g) == _oracle_girth(g.n, zip(us.tolist(), vs.tolist()))
@@ -329,7 +335,7 @@ def test_spot_check_eccentricities_match_single_root_bfs():
         build("noneuclidean", q=13, sigma=2, a=2),
     ):
         roots = [0, 5, g.n // 2, g.n - 1]
-        assert exactmetrics._eccentricities(g, roots) == [eccentricity(g, r) for r in roots]
+        assert exactmetrics._eccentricities(g, roots) == [bfs_distances(g, r).max() for r in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +390,83 @@ def test_connected_components():
     assert labels[0] == labels[1] and labels[2] == labels[3]
 
 
+def _many_component_cases():
+    """(label, n, edges): matchings, forests and small cycles among isolated
+    vertices, each with many components."""
+    rng = np.random.default_rng(1978)
+    cases = [
+        ("matching", 120, [(2 * i, 2 * i + 1) for i in range(30)]),
+        ("reversed matching", 90, [(89 - 2 * i, 88 - 2 * i) for i in range(40)]),
+        ("triangles", 99, [(3 * i + j, 3 * i + (j + 1) % 3) for i in range(33) for j in range(3)]),
+        ("stars", 100, [(10 * i, 10 * i + j) for i in range(0, 10, 2) for j in range(1, 10)]),
+        # two frontier vertices of a square reach its far corner together
+        ("squares", 100, [(4 * i + j, 4 * i + (j + 1) % 4) for i in range(20) for j in range(4)]),
+    ]
+    for i in range(6):
+        n = int(rng.integers(80, 250))
+        edges = {tuple(sorted(int(x) for x in rng.choice(n, size=2, replace=False))) for _ in range(n // 3)}
+        cases.append((f"sparse {i}", n, sorted(edges)))
+    return cases
+
+
+@pytest.mark.parametrize("budget", [None, 1, 3])
+def test_components_match_oracle_on_many_component_graphs(monkeypatch, budget):
+    """Labels against the matrix-power oracle; a small word budget reads a
+    level's neighbour lists in several chunks."""
+    if budget is not None:
+        monkeypatch.setattr(exactmetrics, "_BFS_WORD_BUDGET", budget)
+    for label, n, edges in _many_component_cases():
+        count, labels, sizes = connected_components(graph_from_edges(n, edges))
+        reach = _oracle_distances(n, edges) >= 0
+        assert ((labels[:, None] == labels[None, :]) == reach).all(), label
+        smallest = [int(np.flatnonzero(labels == c)[0]) for c in range(count)]
+        assert smallest == sorted(smallest) and smallest[0] == 0, label
+        assert sizes == np.bincount(labels).tolist() and count > n // 4, label
+
+
+def test_components_trace_memory_linear_in_the_graph():
+    # padding a star's rows to the centre's degree traced 100 MiB at 3,001 vertices
+    star = graph_from_edges(3001, [(0, v) for v in range(1, 3001)])
+    tracemalloc.start()
+    try:
+        count, _, _ = connected_components(star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 1
+    assert peak < 64 * (star.n + len(star.indices)), peak
+
+
+@pytest.mark.parametrize("spec", [FamilySpec(kind="bch", k=k) for k in range(2, 7)] + [
+    FamilySpec(kind="alon", k=k) for k in (2, 4)
+], ids=FamilySpec.label)
+def test_code_graph_walk_matches_root_set_kernels(spec):
+    """A built code graph is its own quotient: the walk from the identity and
+    the triangle rows give what the all-roots kernels, the CSR component
+    search and the bitset count give, disconnected graphs included."""
+    g = build_family(spec)
+    quotient = exactmetrics._cayley_quotient(g)
+    want = (
+        exactmetrics._shortest_cycle(g),
+        max(exactmetrics._eccentricities(g, np.arange(g.n))),
+        connected_components(g)[0],
+    )
+    assert quotient_invariants(*quotient) == want
+    assert quotient_triangles(*quotient) == exactmetrics._triangles_bitset(g)
+    disconnected = spec.label() in ("BCH_2", "ALON_2", "ALON_4")
+    assert (want[1] == math.inf) == disconnected and (want[2] > 1) == disconnected
+
+
 def test_padded_neighbor_matrix_respects_the_entry_limit(monkeypatch):
-    # padding every row of a star to the centre's degree takes n * (n - 1) entries
+    # padding every row of a star to the centre's degree takes n * (n - 1)
+    # entries; the component search reads the CSR lists and pads nothing
     star = graph_from_edges(50, [(0, v) for v in range(1, 50)])
     monkeypatch.setattr(limits, "MAX_NEIGHBOR_ENTRIES", 50 * 49 - 1)
-    for oracle in (connected_components, girth, diameter):
+    for oracle in (girth, diameter):
         with pytest.raises(SizeLimitExceeded, match="MAX_NEIGHBOR_ENTRIES"):
             oracle(star)
+    count, labels, sizes = connected_components(star)
+    assert count == 1 and sizes == [50] and not labels.any()
     monkeypatch.setattr(limits, "MAX_NEIGHBOR_ENTRIES", 50 * 49)
     assert connected_components(star)[0] == 1
     assert girth(star) == math.inf

@@ -14,10 +14,14 @@ from ramseyforge.errors import (
     SizeLimitExceeded,
 )
 from ramseyforge.exactmetrics import (
+    _eccentricities,
+    _shortest_cycle,
+    _triangles_bitset,
     connected_components,
     diameter,
     girth,
     quotient_invariants,
+    quotient_triangles,
     triangle_count,
 )
 from ramseyforge.graphs import (
@@ -229,10 +233,24 @@ def test_half_plane_adjacency_matches_poincare_distance():
                 assert (adj == (dist == a)).all(), (q, sigma, a)
 
 
+def _root_set_invariants(g) -> tuple:
+    """(girth, diameter, components, triangles) of a built family graph from
+    the root-set kernels (girth from all roots, the diameter as the
+    eccentricity of the identity), the CSR component search and the bitset
+    count, none of which runs the quotient walk."""
+    return _shortest_cycle(g), _eccentricities(g, [0])[0], connected_components(g)[0], _triangles_bitset(g)
+
+
+def _quotient_reads(sizes, nbr) -> tuple:
+    return (*quotient_invariants(sizes, nbr), quotient_triangles(sizes, nbr))
+
+
 @pytest.mark.parametrize("q", [q for q in range(3, 32) if is_odd_prime(q)])
 def test_distance_class_quotient_matches_the_built_graph(q):
     """Class invariance, checked on the graphs: for every non-square sigma and
-    valid a, the quotient's girth and diameter are those of V_q(sigma, a)."""
+    valid a, every vertex has the neighbour classes of its class row, and the
+    quotient's girth, diameter, components and triangles are those of
+    V_q(sigma, a)."""
     for sigma in range(1, q):
         if quadratic_character(sigma, q) != -1:
             continue
@@ -246,15 +264,16 @@ def test_distance_class_quotient_matches_the_built_graph(q):
         a_values = [a for a in range(1, q) if a != 4 * sigma % q]
         quotients = list(distance_quotients(FamilySpec(kind="noneuclidean", q=q, sigma=sigma), a_values))
         assert len(quotients) == len(a_values)
-        for a, (sizes, quotient) in zip(a_values, quotients):
-            assert (quotient.sum(axis=1) == q + 1).all(), (q, sigma, a)
+        for a, (sizes, nbr) in zip(a_values, quotients):
+            assert nbr.shape == (q, q + 1), (q, sigma, a)
             assert sizes.tolist() == np.bincount(classes).tolist()
             g = build("noneuclidean", q=q, sigma=sigma, a=a)
             # the single-a call on the graph's own spec is the same quotient
             [(_, single)] = distance_quotients(g.family, [a])
-            assert np.array_equal(single, quotient)
-            want = (girth(g), diameter(g), triangle_count(g), connected_components(g)[0])
-            assert quotient_invariants(sizes, quotient, a) == want, (q, sigma, a)
+            assert np.array_equal(single, nbr)
+            seen = np.sort(classes[g.indices.reshape(g.n, g.degree)], axis=1)
+            assert np.array_equal(seen, np.sort(nbr, axis=1)[classes]), (q, sigma, a)
+            assert _quotient_reads(sizes, nbr) == _root_set_invariants(g), (q, sigma, a)
 
 
 _ODD_PRIMES = [q for q in range(3, 32) if is_odd_prime(q)]
@@ -268,9 +287,14 @@ _ODD_PRIMES = [q for q in range(3, 32) if is_odd_prime(q)]
     ids=[f"D_{q}" for q in _ODD_PRIMES] + [f"D_{q}^3" for q in _ODD_PRIMES if q <= 13] + ["D_31^3(1)"],
 )
 def test_euclidean_distance_quotient_matches_the_built_graph(q, m, a_values):
-    """The quotient's girth, diameter, triangles and components are those of
+    """The quotient's girth, diameter, components and triangles are those of
     the built D_q^m(a); on the smaller graphs, every vertex of a class has
-    the neighbour counts of its class row (the partition is equitable)."""
+    the neighbour classes of its class row (the partition is equitable).
+
+    D_31^3(1) is too large for the all-roots kernels and the bitset count:
+    there triangles are counted through vertex 0 in plain Python, girth is 3
+    because that count is positive, and the diameter is the eccentricity of
+    vertex 0 from the root-set kernel."""
     n = q**m
     coords = np.array([[v // q**i % q for i in range(m)] for v in range(n)])
     labels = (coords**2).sum(axis=1) % q
@@ -279,19 +303,23 @@ def test_euclidean_distance_quotient_matches_the_built_graph(q, m, a_values):
     null_class = not (m == 2 and q % 4 == 3)
     assert (labels == q).any() == null_class
     quotients = distance_quotients(FamilySpec(kind="euclidean", q=q, m=m), list(a_values))
-    for a, (sizes, quotient) in zip(a_values, quotients):
+    for a, (sizes, nbr) in zip(a_values, quotients):
         spec = FamilySpec(kind="euclidean", q=q, m=m, a=a)
         d = euclidean_degree(q, m, a)
         assert sizes.tolist() == np.bincount(labels)[np.bincount(labels) > 0].tolist()
         assert sizes.sum() == n and len(sizes) == q + null_class
-        assert quotient.shape == (len(sizes), len(sizes)) and (quotient.sum(axis=1) == d).all()
+        assert nbr.shape == (len(sizes), d)
         g = build_family(spec)
-        want = (girth(g), diameter(g), triangle_count(g), connected_components(g)[0])
-        assert quotient_invariants(sizes, quotient, a) == want, spec.label()
         if n <= 2197:
-            seen = np.zeros((n, q + 1), dtype=np.int64)
-            np.add.at(seen, (np.repeat(np.arange(n), d), labels[g.indices]), 1)
-            assert np.array_equal(seen[:, : len(sizes)], quotient[labels]), spec.label()
+            seen = np.sort(labels[g.indices.reshape(n, d)], axis=1)
+            assert np.array_equal(seen, np.sort(nbr, axis=1)[labels]), spec.label()
+            want = _root_set_invariants(g)
+        else:
+            conn = set(g.neighbors(0).tolist())
+            pairs = sum(len(conn.intersection(g.neighbors(s).tolist())) for s in conn)
+            assert pairs > 0
+            want = 3, _eccentricities(g, [0])[0], connected_components(g)[0], n * pairs // 6
+        assert _quotient_reads(sizes, nbr) == want, spec.label()
 
 
 @pytest.mark.parametrize("spec", [

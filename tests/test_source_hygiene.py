@@ -2,7 +2,8 @@
 module imports a name it never uses, every module-level private function or
 class is referenced somewhere in the package besides its own definition,
 size refusals go through ``limits.check``, which reads each limit when it runs,
-and certify builds a graph only through ``_Measured``."""
+certify builds a graph only through ``_Measured``, and the measuring modules
+do not import the graph module."""
 
 import ast
 import pathlib
@@ -108,3 +109,17 @@ def test_certify_builds_graphs_only_inside_measured():
     assert named, "certify no longer builds graphs through _Measured"
     outside = [f"line {node.lineno}" for node in named if id(node) not in inside]
     assert not outside, f"certify names a graph builder outside _Measured: {outside}"
+
+
+def _imports_graphs(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[-1] == "graphs" or any(a.name == "graphs" for a in node.names)
+    return isinstance(node, ast.Import) and any(a.name.split(".")[-1] == "graphs" for a in node.names)
+
+
+@pytest.mark.parametrize("module", ["exactmetrics.py", "spectral.py"])
+def test_measures_import_nothing_from_graphs(module):
+    # exact and spectral measures take arrays and built graphs, never family
+    # specs, so graphs sits above them and the quotient walk reads only arrays
+    found = [f"line {node.lineno}" for node in ast.walk(TREES[module]) if _imports_graphs(node)]
+    assert not found, f"{module} imports from graphs: {found}"
