@@ -18,9 +18,9 @@ on built family graphs.
 Ad-hoc graphs take the bit-parallel kernel, which runs girth and diameter
 from every root at once over a padded neighbour matrix: each vertex carries
 a bit per root, and roots run in blocks whose bit arrays stay within
-``_BFS_WORD_BUDGET`` 64-bit words, fixed up front.  The walk and
-``bfs_distances`` gather each BFS level in chunks of that size, and
-``connected_components`` runs one BFS per component over the CSR lists.
+``_BFS_WORD_BUDGET`` 64-bit words, fixed up front.  The walk gathers each
+BFS level in chunks of that size, and ``connected_components`` runs one BFS
+per component over the CSR lists.
 """
 import math
 from dataclasses import dataclass
@@ -88,24 +88,22 @@ _BFS_WORD_BUDGET = 1 << 22
 def _frontier_bfs(nbr: np.ndarray, root: int, weights=None):
     """BFS from one root over an (n, d) neighbour matrix, one vectorized step
     per level.  Yields (level, dist, hits) per level: dist holds the
-    distances so far (-1 unseen) and dist[n] = n, so the padding sentinel of
-    ``_neighbor_rows`` is never unseen nor equal to a level; hits[v] counts
-    the entries v has in the rows of this level.  With ``weights``, row k
-    counts weights[k] times instead of once.  A level's rows are gathered in
-    chunks of at most ``_BFS_WORD_BUDGET`` entries (one row at least), and
-    all of them are counted before the next level is marked, so memory stays
-    O(n) plus one chunk."""
+    distances so far (-1 unseen), and hits[v] counts the entries v has in
+    the rows of this level.  With ``weights``, row k counts weights[k] times
+    instead of once.  A level's rows are gathered in chunks of at most
+    ``_BFS_WORD_BUDGET`` entries (one row at least), and all of them are
+    counted before the next level is marked, so memory stays O(n) plus one
+    chunk."""
     n = len(nbr)
-    dist = np.full(n + 1, -1, dtype=np.int64)
-    dist[n] = n
+    dist = np.full(n, -1, dtype=np.int64)
     dist[root] = 0
     frontier = np.array([root], dtype=np.int64)
     step = max(1, _BFS_WORD_BUDGET // max(1, nbr.shape[1]))
 
     def count(rows):
         if weights is None:
-            return np.bincount(nbr[rows].ravel(), minlength=n + 1)
-        hits = np.zeros(n + 1, dtype=np.int64)
+            return np.bincount(nbr[rows].ravel(), minlength=n)
+        hits = np.zeros(n, dtype=np.int64)
         np.add.at(hits, nbr[rows].ravel(), np.repeat(weights[rows], nbr.shape[1]))
         return hits
 
@@ -116,15 +114,8 @@ def _frontier_bfs(nbr: np.ndarray, root: int, weights=None):
             hits += count(frontier[lo:lo + step])
         yield level, dist, hits
         level += 1
-        frontier = np.flatnonzero((hits[:n] > 0) & (dist[:n] < 0))
+        frontier = np.flatnonzero((hits > 0) & (dist < 0))
         dist[frontier] = level
-
-
-def bfs_distances(graph, root: int) -> np.ndarray:
-    """Distance array from root, -1 for unreachable vertices."""
-    for _, dist, _ in _frontier_bfs(_neighbor_rows(graph), root):
-        pass
-    return dist[:graph.n]
 
 
 # --- bit-parallel BFS from a set of roots ------------------------------------
@@ -275,16 +266,15 @@ def quotient_invariants(sizes: np.ndarray, nbr: np.ndarray) -> tuple:
     disconnected graph.  The components are the cosets of the subgroup S
     generates, all the size of the one the BFS reaches.
     """
-    c = len(sizes)
     best = math.inf
     for k, dist, hits in _frontier_bfs(nbr, 0, sizes if sizes.max() > 1 else None):
         if best == math.inf:
-            unseen = dist[:c] < 0
+            unseen = dist < 0
             if hits[dist == k].any():
                 best = 2 * k + 1
-            elif (hits[:c][unseen] >= 2 * sizes[unseen]).any():
+            elif (hits[unseen] >= 2 * sizes[unseen]).any():
                 best = 2 * k + 2
-    n, reached = int(sizes.sum()), int(sizes[dist[:c] >= 0].sum())
+    n, reached = int(sizes.sum()), int(sizes[dist >= 0].sum())
     if n % reached:
         raise AssertionError("class sizes and quotient are not those of a Cayley graph")
     return best, k if reached == n else math.inf, n // reached
@@ -427,8 +417,12 @@ def exact_toughness(graph) -> ToughnessResult:
     """min |S| / c(G - S) over vertex sets S with c(G - S) >= 2.
 
     Exhaustive over subsets by increasing size, lexicographic within a size,
-    keeping the first strict improvement.  Complete graphs have no
-    disconnecting set; the result is the math.inf sentinel, not an error.
+    keeping the first strict improvement.  Removing s vertices leaves at most
+    n - s components, so no set of size s can beat s / (n - s), which grows
+    with s: the search stops at the first size where that reaches the best
+    value, and since ties never replace the witness the result is the full
+    enumeration's.  Complete graphs have no disconnecting set; the result is
+    the math.inf sentinel, not an error.
     """
     n = graph.n
     limits.check("TOUGHNESS_CAP", n, f"exact toughness on {n} vertices")
@@ -442,6 +436,8 @@ def exact_toughness(graph) -> ToughnessResult:
     best_witness = None
     best_comps = None
     for size in range(1, n - 1):
+        if best is not None and Fraction(size, n - size) >= best:
+            break
         for subset in combinations(range(n), size):
             removed = 0
             for v in subset:
@@ -467,81 +463,98 @@ def exact_independence(graph) -> IndependenceResult:
     Graphs past limits.INDEPENDENCE_CAP are refused.  If the search visits
     more than limits.NODE_BUDGET nodes (read when the search starts) the best
     set found so far comes back flagged ``exact=False`` rather than raising.
+    A node keeps its work small (search state in closure variables, bits
+    cleared with ``x ^= x & -x``, the cover counted only until it exceeds
+    what the prune test needs) while the pick, the bound, the branch order
+    and the budget check alone decide the tree: node counts and witnesses
+    are those of the plain dict-and-mask form the tests keep as the oracle.
     """
     n = graph.n
     limits.check("INDEPENDENCE_CAP", n, f"exact independence on {n} vertices")
     budget = limits.NODE_BUDGET
     masks = _neighbor_masks(graph)
-    state = {"best": 0, "best_set": 0, "nodes": 0, "exceeded": False}
+    best = best_set = nodes = 0
+    exceeded = False
 
-    def cover_bound(open_set: int) -> int:
-        cliques = 0
-        rem = open_set
+    def cover_exceeds(rem: int, room: int) -> bool:
+        # whether a greedy clique cover of rem takes more than room cliques,
+        # counted only as far as that answer needs
         while rem:
-            v = (rem & -rem).bit_length() - 1
-            rem &= ~(1 << v)
-            cand = rem & masks[v]
+            if not room:
+                return True
+            room -= 1
+            low = rem & -rem
+            rem ^= low
+            cand = rem & masks[low.bit_length() - 1]
             while cand:
-                u = (cand & -cand).bit_length() - 1
-                rem &= ~(1 << u)
-                cand &= masks[u]
-            cliques += 1
-        return cliques
+                low = cand & -cand
+                rem ^= low
+                cand &= masks[low.bit_length() - 1]
+        return False
 
     def branch(open_set: int, size: int, chosen: int):
-        state["nodes"] += 1
-        if state["nodes"] > budget:
-            state["exceeded"] = True
+        nonlocal best, best_set, nodes, exceeded
+        nodes += 1
+        if nodes > budget:
+            exceeded = True
             return
         # every prefix of the include chain is independent, so record it even
         # when the budget cuts the search off before a leaf
-        if size > state["best"]:
-            state["best"] = size
-            state["best_set"] = chosen
+        if size > best:
+            best, best_set = size, chosen
         if not open_set:
             return
-        if size + cover_bound(open_set) <= state["best"]:
+        if not cover_exceeds(open_set, best - size):
             return
-        pick = -1
         pick_deg = -1
         scan = open_set
         while scan:
-            b = scan & -scan
-            scan ^= b
-            v = b.bit_length() - 1
+            low = scan & -scan
+            scan ^= low
+            v = low.bit_length() - 1
             deg = (open_set & masks[v]).bit_count()
             if deg > pick_deg:
-                pick_deg = deg
-                pick = v
-        bit = 1 << pick
-        branch(open_set & ~masks[pick] & ~bit, size + 1, chosen | bit)
-        if state["exceeded"]:
+                pick_deg, pick, bit = deg, v, low
+        branch(open_set & ~(masks[pick] | bit), size + 1, chosen | bit)
+        if exceeded:
             return
-        branch(open_set & ~bit, size, chosen)
+        branch(open_set ^ bit, size, chosen)
 
     branch((1 << n) - 1, 0, 0)
-    chosen = state["best_set"]
-    witness = tuple(v for v in range(n) if (chosen >> v) & 1)
+    witness = tuple(v for v in range(n) if (best_set >> v) & 1)
     for v in witness:
-        if masks[v] & chosen:
+        if masks[v] & best_set:
             raise AssertionError("branch and bound returned a non-independent set")
-    return IndependenceResult(state["best"], witness, not state["exceeded"], state["nodes"])
+    return IndependenceResult(best, witness, not exceeded, nodes)
 
 
 def exact_max_cut_and_bisection(graph):
-    """(max cut size, min balanced-bisection size) by enumerating all
-    2^(n-1) two-colorings with vertex n-1 pinned to side 0."""
+    """(max cut size, min balanced-bisection size) over all 2^(n-1)
+    two-colorings with vertex n-1 pinned to side 0.
+
+    The table of cut values is built vertex by vertex: vertex v doubles the
+    table over the colorings of 0..v-1, bit u of an index being u's side.
+    If ``across`` counts v's lower neighbours on side 1, v adds ``across``
+    on side 0 and its lower degree minus ``across`` on side 1, so the new
+    table is the old one plus each, concatenated.  O(2^n) word operations in
+    all; the pinned vertex only adds ``across``.
+    """
     n = graph.n
     limits.check("CUT_CAP", n, f"exact cut enumeration on {n} vertices")
     if n < 2:
         raise BadParameter("cuts need at least 2 vertices")
-    assigns = np.arange(1 << (n - 1), dtype=np.int64)
-    cut = np.zeros(len(assigns), dtype=np.int32)
-    us, vs = graph.edge_arrays()
-    for u, v in zip(us.tolist(), vs.tolist()):
-        cut += (((assigns >> u) ^ (assigns >> v)) & 1).astype(np.int32)
+    masks = _neighbor_masks(graph)
+    assigns = np.arange(1 << (n - 1), dtype=np.uint64)
+    cut = np.zeros(1, dtype=np.int32)
+    for v in range(n):
+        lower = masks[v] & ((1 << v) - 1)
+        across = np.bitwise_count(assigns[:len(cut)] & np.uint64(lower))
+        if v == n - 1:
+            cut += across
+        else:
+            cut = np.concatenate((cut + across, cut + (lower.bit_count() - across)))
     max_cut = int(cut.max())
-    side1 = np.bitwise_count(assigns.astype(np.uint64))
+    side1 = np.bitwise_count(assigns)
     balanced = (side1 == n // 2) | (side1 == n - n // 2)
     bisection = int(cut[balanced].min())
     return max_cut, bisection

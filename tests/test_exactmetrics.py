@@ -1,5 +1,6 @@
 """Tests for BFS metrics, triangle counting, and the exhaustive optimizers."""
 
+import itertools
 import math
 import tracemalloc
 from collections import deque
@@ -13,7 +14,6 @@ from ramseyforge.algebra import find_nonsquare
 from ramseyforge.certify import verify_circle_lemma
 from ramseyforge.errors import SizeLimitExceeded, TooLarge
 from ramseyforge.exactmetrics import (
-    bfs_distances,
     connected_components,
     diameter,
     eccentricity_uniformity_check,
@@ -52,20 +52,19 @@ def complete(n):
 # ---------------------------------------------------------------------------
 
 def test_bfs_distances_cycle():
-    g = cycle(6)
-    d = bfs_distances(g, 0)
-    assert list(d) == [0, 1, 2, 3, 2, 1]
+    d = _graph_distances(cycle(6))
+    assert list(d[0]) == [0, 1, 2, 3, 2, 1]
 
 
 def test_bfs_unreachable_is_minus_one():
-    g = graph_from_edges(4, [(0, 1), (2, 3)])
-    d = bfs_distances(g, 0)
-    assert list(d) == [0, 1, -1, -1]
+    d = _graph_distances(graph_from_edges(4, [(0, 1), (2, 3)]))
+    assert list(d[0]) == [0, 1, -1, -1]
 
 
 def test_eccentricity():
-    assert bfs_distances(path(5), 0).max() == 4
-    assert bfs_distances(path(5), 2).max() == 2
+    d = _graph_distances(path(5))
+    assert d[0].max() == 4
+    assert d[2].max() == 2
 
 
 def test_girth_small_graphs():
@@ -100,8 +99,7 @@ def test_quotient_girth_diameter_matches_the_graph(name):
     # kernels, the bitset count and the CSR component search, none of which
     # runs the frontier walk
     graph = QUOTIENT_CASES[name]
-    us, vs = graph.edge_arrays()
-    dist = _oracle_distances(graph.n, zip(us.tolist(), vs.tolist()))[0]
+    dist = _graph_distances(graph)[0]
     classes = np.where(dist < 0, dist.max() + 1, dist)
     reps = [int(np.flatnonzero(classes == k)[0]) for k in range(classes.max() + 1)]
     nbr = np.array([classes[graph.neighbors(r)] for r in reps])
@@ -167,6 +165,12 @@ def _oracle_distances(n, edges):
             return dist
         dist[new] = k
         reach |= new
+
+
+def _graph_distances(graph):
+    """``_oracle_distances`` of a built graph, read off its edge list."""
+    us, vs = graph.edge_arrays()
+    return _oracle_distances(graph.n, zip(us.tolist(), vs.tolist()))
 
 
 def _oracle_cycle_bound(adj, root):
@@ -260,8 +264,9 @@ def test_root_set_bfs_matches_oracles(monkeypatch, budget):
     assert (most_blocks > 1) == (budget is not None)
 
 
-def test_frontier_bfs_on_irregular_graphs_matches_oracle():
-    """Distances from every root over the padded rows, and the components."""
+def test_irregular_graphs_match_oracle_root_by_root():
+    """Eccentricities one root at a time over the padded rows, and the
+    components."""
     irregular = 0
     for label, n, edges in _kernel_cases():
         g = graph_from_edges(n, edges)
@@ -270,7 +275,8 @@ def test_frontier_bfs_on_irregular_graphs_matches_oracle():
         irregular += 1
         dist = _oracle_distances(n, edges)
         for r in range(n):
-            assert bfs_distances(g, r).tolist() == dist[r].tolist(), (label, r)
+            want = math.inf if (dist[r] < 0).any() else int(dist[r].max())
+            assert exactmetrics._eccentricities(g, [r]) == [want], (label, r)
         count, labels, sizes = connected_components(g)
         same = labels[:, None] == labels[None, :]
         assert (same == (dist >= 0)).all() and count == len(sizes) == len(set(labels)), label
@@ -335,7 +341,7 @@ def test_spot_check_eccentricities_match_single_root_bfs():
         build("noneuclidean", q=13, sigma=2, a=2),
     ):
         roots = [0, 5, g.n // 2, g.n - 1]
-        assert exactmetrics._eccentricities(g, roots) == [bfs_distances(g, r).max() for r in roots]
+        assert exactmetrics._eccentricities(g, roots) == _graph_distances(g)[roots].max(axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +524,67 @@ def test_toughness_disconnected_zero():
     assert res.witness == ()
 
 
+def _oracle_toughness(n, edges):
+    """The full enumeration with no early stop: every vertex set by
+    increasing size, lexicographic within a size, keeping the first strict
+    improvement; components counted by union-find over the edge list."""
+    def components(keep):
+        root = {v: v for v in keep}
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for u, v in edges:
+            if u in root and v in root:
+                root[find(u)] = find(v)
+        return len({find(v) for v in keep})
+
+    whole = components(range(n)) if n else 0
+    if whole > 1:
+        return Fraction(0), (), whole
+    best = (math.inf, None, None)
+    for size in range(1, n - 1):
+        for subset in itertools.combinations(range(n), size):
+            comps = components(set(range(n)) - set(subset))
+            if comps >= 2 and Fraction(size, comps) < best[0]:
+                best = (Fraction(size, comps), subset, comps)
+    return best
+
+
+def _small_graph_cases(seed, sizes):
+    """(label, n, edges): edgeless, complete and disconnected graphs, then
+    seeded G(n, p) graphs over a range of densities."""
+    cases = [
+        ("edgeless 5", 5, []),
+        ("K2", 2, [(0, 1)]),
+        ("K5", 5, list(itertools.combinations(range(5), 2))),
+        ("K8", 8, list(itertools.combinations(range(8), 2))),
+        ("K4+K3", 7, list(itertools.combinations(range(4), 2)) + list(itertools.combinations(range(4, 7), 2))),
+        ("C5", 5, [(i, (i + 1) % 5) for i in range(5)]),
+        ("C5+isolated", 7, [(i, (i + 1) % 5) for i in range(5)]),
+    ]
+    rng = np.random.default_rng(seed)
+    for n in sizes:
+        for p in (0.3, 0.5, 0.8):
+            edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
+            cases.append((f"G({n}, {p})", n, edges))
+    return cases
+
+
+def test_toughness_matches_full_enumeration():
+    # the stop at s / (n - s) >= best may not move the value, the witness or
+    # the component count
+    kinds = set()
+    for label, n, edges in _small_graph_cases(2008, range(3, 12)):
+        res = exact_toughness(graph_from_edges(n, edges))
+        want = _oracle_toughness(n, edges)
+        assert (res.value, res.witness, res.components_after) == want, label
+        kinds.add("complete" if want[0] == math.inf else "disconnected" if want[0] == 0 else "cut")
+    assert kinds == {"complete", "disconnected", "cut"}
+
+
 def test_toughness_too_large():
     with pytest.raises(TooLarge):
         exact_toughness(build("euclidean", q=5, a=1))
@@ -560,6 +627,93 @@ def test_independence_budget_flagged_inexact(monkeypatch):
     assert res.size >= 1  # still returns the best set found
 
 
+def _frozen_independence(graph, budget):
+    """The branch and bound in its plain form, kept as the oracle for the
+    search's tree: state in a dict, the whole greedy cover counted at every
+    node, bits cleared with fresh masks and the pick scanned over all
+    indices.  Returns (size, witness, exact, nodes)."""
+    n = graph.n
+    masks = [sum(1 << int(v) for v in graph.neighbors(u)) for u in range(n)]
+    state = {"best": 0, "best_set": 0, "nodes": 0, "exceeded": False}
+
+    def cover_bound(open_set):
+        cliques = 0
+        rem = open_set
+        while rem:
+            v = (rem & -rem).bit_length() - 1
+            rem &= ~(1 << v)
+            cand = rem & masks[v]
+            while cand:
+                u = (cand & -cand).bit_length() - 1
+                rem &= ~(1 << u)
+                cand &= masks[u]
+            cliques += 1
+        return cliques
+
+    def branch(open_set, size, chosen):
+        state["nodes"] += 1
+        if state["nodes"] > budget:
+            state["exceeded"] = True
+            return
+        if size > state["best"]:
+            state["best"] = size
+            state["best_set"] = chosen
+        if not open_set:
+            return
+        if size + cover_bound(open_set) <= state["best"]:
+            return
+        pick = -1
+        pick_deg = -1
+        for v in range(n):
+            if (open_set >> v) & 1:
+                deg = bin(open_set & masks[v]).count("1")
+                if deg > pick_deg:
+                    pick_deg = deg
+                    pick = v
+        bit = 1 << pick
+        branch(open_set & ~masks[pick] & ~bit, size + 1, chosen | bit)
+        if state["exceeded"]:
+            return
+        branch(open_set & ~bit, size, chosen)
+
+    branch((1 << n) - 1, 0, 0)
+    witness = tuple(v for v in range(n) if (state["best_set"] >> v) & 1)
+    return state["best"], witness, not state["exceeded"], state["nodes"]
+
+
+def _independence_graphs():
+    specs = [
+        FamilySpec(kind="euclidean", q=3, a=1),
+        FamilySpec(kind="euclidean", q=7, a=1),
+        FamilySpec(kind="noneuclidean", q=7, sigma=3, a=1),
+        FamilySpec(kind="bch", k=2),
+        FamilySpec(kind="bch", k=3),
+        FamilySpec(kind="alon", k=2),
+    ]
+    graphs = [(spec.label(), build_family(spec)) for spec in specs]
+    rng = np.random.default_rng(1993)
+    for n in (8, 13, 21, 30, 40, 50, 60):
+        for p in (0.1, 0.3, 0.6):
+            upper = np.argwhere(np.triu(rng.random((n, n)) < p, 1))
+            graphs.append((f"G({n}, {p})", graph_from_edges(n, [(int(u), int(v)) for u, v in upper])))
+    return graphs
+
+
+@pytest.mark.parametrize("budget", [5, 50, 500, None])
+def test_independence_matches_frozen_search(monkeypatch, budget):
+    # the same tree node for node: the witness, the exact flag and the node
+    # count all match, under a budget that cuts the search short or none
+    if budget is not None:
+        monkeypatch.setattr(limits, "NODE_BUDGET", budget)
+    cut_short = 0
+    for label, g in _independence_graphs():
+        res = exact_independence(g)
+        want = _frozen_independence(g, limits.NODE_BUDGET)
+        assert (res.size, res.witness, res.exact, res.nodes) == want, label
+        cut_short += not res.exact
+    assert (cut_short > 0) == (budget is not None)
+
+
 def test_independence_too_large():
     with pytest.raises(TooLarge):
         exact_independence(build("noneuclidean", q=19, sigma=2, a=1))
@@ -583,21 +737,21 @@ def test_cuts_complete_bipartite():
     assert exact_max_cut_and_bisection(g) == (4, 2)
 
 
-def test_cuts_brute_reference():
-    """Independent re-derivation of both quantities on C_5."""
-    from itertools import combinations
+def _oracle_cuts(n, edges):
+    """(max cut, min balanced bisection) over all 2^n splits, in plain Python."""
+    best_cut, best_bisection = 0, math.inf
+    for sides in itertools.product((0, 1), repeat=n):
+        cross = sum(sides[u] != sides[v] for u, v in edges)
+        best_cut = max(best_cut, cross)
+        if sum(sides) in (n // 2, n - n // 2):
+            best_bisection = min(best_bisection, cross)
+    return best_cut, best_bisection
 
-    g = cycle(5)
-    edges = [(u, v) for u in range(5) for v in g.neighbors(u) if u < v]
-    best_bip, best_bis = 0, None
-    for r in range(1, 5):
-        for sub in combinations(range(5), r):
-            s = set(sub)
-            cross = sum((u in s) != (v in s) for u, v in edges)
-            best_bip = max(best_bip, cross)
-            if r == 2:
-                best_bis = cross if best_bis is None else min(best_bis, cross)
-    assert exact_max_cut_and_bisection(g) == (best_bip, best_bis)
+
+def test_cuts_brute_reference():
+    """Independent re-derivation of both quantities over all 2^n splits."""
+    for label, n, edges in _small_graph_cases(1935, range(2, 13)):
+        assert exact_max_cut_and_bisection(graph_from_edges(n, edges)) == _oracle_cuts(n, edges), label
 
 
 def test_cuts_too_large():

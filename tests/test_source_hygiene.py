@@ -1,6 +1,7 @@
 """Source hygiene of the package, read with the stdlib ``ast`` module: no
 module imports a name it never uses, every module-level private function or
 class is referenced somewhere in the package besides its own definition,
+every public module-level function is exported or referenced likewise,
 size refusals go through ``limits.check``, which reads each limit when it runs,
 certify builds a graph only through ``_Measured``, and the measuring modules
 do not import the graph module."""
@@ -62,6 +63,34 @@ def test_every_private_definition_is_referenced():
             if refs[node.name] - _references(node)[node.name] <= 0:
                 orphans.append(f"{module}:{node.lineno} {node.name}")
     assert not orphans, f"private definitions nothing refers to: {orphans}"
+
+
+# Public functions the package neither exports nor calls, kept on purpose.
+UNREFERENCED_ON_PURPOSE = {
+    # leaves with its entry in the benchmark's list of traced functions, which
+    # only a change to the benchmark may edit
+    ("algebra.py", "modular_sqrts"),
+    # the independent oracle the circle-intersection tests compare against
+    ("algebra.py", "count_intersections_bruteforce"),
+}
+
+
+def test_every_public_function_is_exported_or_referenced():
+    exported = {name for name, _ in _imported_names(TREES["__init__.py"])}
+    refs = sum((_references(tree) for name, tree in TREES.items() if name != "__init__.py"), Counter())
+    orphans = set()
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith("_"):
+                continue
+            # uses inside the definition itself (recursion) do not count
+            if node.name not in exported and refs[node.name] - _references(node)[node.name] <= 0:
+                orphans.add((module, node.name))
+    # an entry that is exported, referenced or gone leaves the list as well
+    assert orphans == UNREFERENCED_ON_PURPOSE, (
+        f"public functions neither exported nor referenced: {sorted(orphans)}; "
+        f"kept on purpose: {sorted(UNREFERENCED_ON_PURPOSE)}"
+    )
 
 
 @pytest.mark.parametrize("module", [name for name in TREES if name != "limits.py"])
