@@ -41,7 +41,19 @@ def _add_selectors(sub):
     sub.add_argument("--k", type=int, help="code-family parameter, 2..8")
 
 
+# The selectors each family reads; any other one given is refused.
+_FAMILY_SELECTORS = {
+    "euclidean": ("q", "m", "a"),
+    "noneuclidean": ("q", "a", "sigma"),
+    "bch": ("k",),
+    "alon": ("k",),
+}
+
+
 def _spec_from_args(args) -> FamilySpec:
+    _refuse_unread(
+        args, ("q", "m", "a", "sigma", "k"), _FAMILY_SELECTORS[args.family], f"{args.family} family"
+    )
     if args.family in ("bch", "alon"):
         if args.k is None:
             raise ValueError(f"--k is required for the {args.family} family")
@@ -110,11 +122,7 @@ _SUITE_SELECTORS = {
 
 
 def _cmd_verify(args) -> int:
-    for flag in ("family", "q", "m", "k"):
-        _require(
-            getattr(args, flag) is None or flag in _SUITE_SELECTORS[args.suite],
-            f"--{flag} is not read by the {args.suite} suite",
-        )
+    _refuse_unread(args, ("family", "q", "m", "k"), _SUITE_SELECTORS[args.suite], f"{args.suite} suite")
     if args.suite == "circles":
         _require(args.q is not None, "--q is required for the circles suite")
         cert = verify_circle_lemma(args.q)
@@ -159,6 +167,12 @@ def _cmd_sweep(args) -> int:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
+
+
+def _refuse_unread(args, flags, reads, reader: str) -> None:
+    """Refuse the first of ``flags`` given on the command line but not in ``reads``."""
+    for flag in flags:
+        _require(getattr(args, flag) is None or flag in reads, f"--{flag} is not read by the {reader}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

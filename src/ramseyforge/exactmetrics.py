@@ -73,7 +73,7 @@ def _neighbor_rows(graph) -> np.ndarray:
     limits.check(
         "MAX_NEIGHBOR_ENTRIES", entries, f"neighbor matrix of n*d = {n}*{dmax} = {entries} entries"
     )
-    rows = np.full((dmax, n), n, dtype=np.int64).T  # column-major: _neighbor_columns copies nothing
+    rows = np.full((dmax, n), n, dtype=np.int64).T  # column-major: the root-set BFS reads columns
     owners = np.repeat(np.arange(n, dtype=np.int64), counts)
     slots = np.arange(len(graph.indices)) - np.repeat(graph.indptr[:-1], counts)
     rows[owners, slots] = graph.indices
@@ -123,17 +123,12 @@ def _frontier_bfs(nbr: np.ndarray, root: int, weights=None):
 # Every vertex carries a row of w uint64 words; bit j of word i stands for
 # root 64*i + j of the current block.  One level ORs the frontier rows of the
 # neighbours into each vertex, column by column of the (n, dmax) neighbour
-# matrix (kept transposed, so a column is contiguous), so a level costs
+# matrix (read in place: a strided view for a regular graph), so a level costs
 # n*dmax*w word operations whatever the number of roots.  Bit arrays have
 # n + 1 rows: the padding sentinel n of ``_neighbor_rows`` keeps a 0 row.
 # Roots run in blocks small enough that one (n + 1, w) array stays within
 # _BFS_WORD_BUDGET words, fixed before anything is allocated; a single word
 # per vertex is the floor.
-
-
-def _neighbor_columns(graph) -> np.ndarray:
-    """The (dmax, n) transposed neighbour matrix, short rows padded with n."""
-    return np.ascontiguousarray(_neighbor_rows(graph).T)
 
 
 def _root_blocks(n: int, roots: np.ndarray):
@@ -161,7 +156,7 @@ def _eccentricities(graph, roots) -> list:
     """Exact eccentricity of each root (math.inf when it misses a vertex)."""
     n = graph.n
     roots = np.asarray(roots, dtype=np.int64)
-    cols = _neighbor_columns(graph)
+    cols = _neighbor_rows(graph).T
     out = []
     for block in _root_blocks(n, roots):
         frontier = _root_bits(n, block)
@@ -195,7 +190,7 @@ def _shortest_cycle(graph) -> float:
     minimum over roots is the girth.
     """
     n = graph.n
-    cols = _neighbor_columns(graph)
+    cols = _neighbor_rows(graph).T
     best = math.inf
     for block in _root_blocks(n, np.arange(n, dtype=np.int64)):
         if best == 3:
@@ -468,10 +463,23 @@ def exact_independence(graph) -> IndependenceResult:
     what the prune test needs) while the pick, the bound, the branch order
     and the budget check alone decide the tree: node counts and witnesses
     are those of the plain dict-and-mask form the tests keep as the oracle.
+
+    A graph keeps its result per node budget: a later call on the same graph
+    under the same limits.NODE_BUDGET returns the stored result, after the
+    same cap check, without searching again.
     """
     n = graph.n
     limits.check("INDEPENDENCE_CAP", n, f"exact independence on {n} vertices")
     budget = limits.NODE_BUDGET
+    stored = graph._independence.get(budget)
+    if stored is None:
+        stored = graph._independence[budget] = _search_independence(graph, budget)
+    return stored
+
+
+def _search_independence(graph, budget: int) -> IndependenceResult:
+    """The branch and bound of ``exact_independence``, under ``budget`` nodes."""
+    n = graph.n
     masks = _neighbor_masks(graph)
     best = best_set = nodes = 0
     exceeded = False

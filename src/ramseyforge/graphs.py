@@ -135,6 +135,8 @@ class Graph:
         self.indices = indices
         self.degree = degree
         self.meta = meta or {}
+        # exactmetrics.exact_independence's result per limits.NODE_BUDGET
+        self._independence = {}
         indptr.setflags(write=False)
         indices.setflags(write=False)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramseyforge import certify, graphs, limits
+from ramseyforge import certify, exactmetrics, graphs, limits
 from ramseyforge.algebra import quadratic_character
 from ramseyforge.certify import (
     CSV_COLUMNS,
@@ -36,6 +36,7 @@ from ramseyforge.errors import (
     NotTriangleFree,
     TooLarge,
 )
+from ramseyforge.exactmetrics import exact_independence
 from ramseyforge.graphs import FamilySpec, build_family, graph_from_edges
 
 
@@ -368,6 +369,33 @@ def test_ramsey_certificate_from_a_spec_is_the_built_graphs(monkeypatch, spec):
     assert certificate_to_json(ramsey_certificate(spec)) == want
     searched = spec.kind in ("bch", "alon") or spec.n <= limits.VERIFY_ALPHA_CAP
     assert builds == ([spec] if searched else [])
+
+
+def _d7_as_adhoc():
+    g = build_family(FamilySpec(kind="euclidean", q=7, a=1))
+    return graph_from_edges(g.n, list(zip(*(e.tolist() for e in g.edge_arrays()))))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_family(FamilySpec(kind="euclidean", q=7, a=1)),
+    _d7_as_adhoc,
+], ids=["D_7(1)", "D_7(1) ad hoc"])
+def test_ramsey_certificate_reuses_the_graphs_stored_alpha(monkeypatch, make):
+    g = make()
+    searches = []
+    search = exactmetrics._search_independence
+
+    def counting_search(graph, budget):
+        searches.append(graph.n)
+        return search(graph, budget)
+
+    monkeypatch.setattr(exactmetrics, "_search_independence", counting_search)
+    alpha = exact_independence(g)
+    cert = ramsey_certificate(g)
+    assert searches == [49]
+    assert cert.ramsey["method"] == "exact"
+    assert tuple(cert.ramsey["witness"]) == alpha.witness
+    assert cert.ramsey["t"] == alpha.size + 1
 
 
 def test_ramsey_certificate_rejects_triangles():

@@ -191,6 +191,35 @@ def test_verify_refuses_a_selector_its_suite_does_not_read(capsys, suite, flag):
     assert capsys.readouterr() == ("", f"error: --{flag} is not read by the {suite} suite\n")
 
 
+_FAMILY_READS = {
+    "euclidean": ("q", "m", "a"),
+    "noneuclidean": ("q", "a", "sigma"),
+    "bch": ("k",),
+    "alon": ("k",),
+}
+_SELECTOR_VALUES = {"q": "5", "m": "2", "a": "1", "sigma": "2", "k": "2"}
+
+
+def _family_argv(family, flags):
+    return ["--family", family, *[arg for f in flags for arg in (f"--{f}", _SELECTOR_VALUES[f])]]
+
+
+@pytest.mark.parametrize("command", ["build", "stats", "spectrum", "certify-ramsey"])
+@pytest.mark.parametrize("family, flag", [
+    (family, flag) for family, reads in _FAMILY_READS.items() for flag in _SELECTOR_VALUES if flag not in reads
+])
+def test_family_commands_refuse_a_selector_the_family_does_not_read(capsys, command, family, flag):
+    argv = [command, *_family_argv(family, _FAMILY_READS[family] + (flag,))]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: --{flag} is not read by the {family} family\n")
+
+
+@pytest.mark.parametrize("family", list(_FAMILY_READS))
+def test_stats_accepts_every_selector_its_family_reads(capsys, family):
+    assert main(["stats", *_family_argv(family, _FAMILY_READS[family])]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] > 0
+
+
 def test_verify_code_records_a_sum_set_graph_past_the_size_limit():
     # ALON_7 has 8^7 = 2,097,152 vertices; BCH_7 (16,384) is still certified
     env = {k: v for k, v in os.environ.items() if k != "RAMSEY_FORGE_MAX_N"}
@@ -440,8 +469,13 @@ def _argv(draw):
         argv += ["--family", family] if family else []
         flags = ("--q", "--m", "--k")
     else:
-        argv = [command, "--family", draw(st.sampled_from(["euclidean", "noneuclidean", "bch", "alon"]))]
-        flags = ("--q", "--m", "--a", "--sigma", "--k")
+        family = draw(st.sampled_from(list(_FAMILY_READS)))
+        argv = [command, "--family", family]
+        # a selector the family does not read is refused, so it comes one
+        # time in eight and most examples still reach the family's own checks
+        flags = tuple(
+            f"--{f}" for f in _SELECTOR_VALUES if f in _FAMILY_READS[family] or draw(st.integers(0, 7)) == 0
+        )
     for flag in flags:
         value = draw(_ARG)
         argv += [flag, str(value)] if value is not None else []

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import weakref
 from collections import deque
 from fractions import Fraction
 
@@ -717,6 +718,65 @@ def test_independence_matches_frozen_search(monkeypatch, budget):
 def test_independence_too_large():
     with pytest.raises(TooLarge):
         exact_independence(build("noneuclidean", q=19, sigma=2, a=1))
+
+
+def _counting_search(monkeypatch):
+    """Record each graph size the branch and bound runs on."""
+    searches = []
+    search = exactmetrics._search_independence
+
+    def counting(graph, budget):
+        searches.append(graph.n)
+        return search(graph, budget)
+
+    monkeypatch.setattr(exactmetrics, "_search_independence", counting)
+    return searches
+
+
+def test_independence_is_searched_once_per_graph(monkeypatch):
+    searches = _counting_search(monkeypatch)
+    g = build("euclidean", q=7, a=1)
+    first = exact_independence(g)
+    assert exact_independence(g) is first
+    assert searches == [49]
+    # an equal graph is another object, with a search of its own
+    assert exact_independence(build("euclidean", q=7, a=1)) == first
+    assert searches == [49, 49]
+
+
+def test_independence_searches_again_under_another_budget(monkeypatch):
+    g = build("euclidean", q=7, a=1)
+    default = limits.NODE_BUDGET
+    full = exact_independence(g)
+    assert full.exact
+    searches = _counting_search(monkeypatch)
+    monkeypatch.setattr(limits, "NODE_BUDGET", 5)
+    cut = exact_independence(g)
+    assert searches == [49]
+    assert not cut.exact and cut.nodes <= 6
+    assert (cut.size, cut.witness, cut.exact, cut.nodes) == _frozen_independence(g, 5)
+    assert exact_independence(g) is cut
+    # each budget keeps its own result
+    monkeypatch.setattr(limits, "NODE_BUDGET", default)
+    assert exact_independence(g) is full
+    assert searches == [49]
+
+
+def test_independence_cap_refuses_a_graph_with_a_stored_result(monkeypatch):
+    g = cycle(12)
+    assert exact_independence(g).size == 6
+    monkeypatch.setattr(limits, "INDEPENDENCE_CAP", 11)
+    with pytest.raises(TooLarge) as refused:
+        exact_independence(g)
+    assert str(refused.value) == "exact independence on 12 vertices exceeds limits.INDEPENDENCE_CAP = 11"
+
+
+def test_stored_independence_dies_with_its_graph():
+    g = build("bch", k=2)
+    exact_independence(g)
+    alive = weakref.ref(g)
+    del g
+    assert alive() is None
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 module imports a name it never uses, every module-level private function or
 class is referenced somewhere in the package besides its own definition,
 every public module-level function is exported or referenced likewise,
-size refusals go through ``limits.check``, which reads each limit when it runs,
+size refusals go through ``limits.check``, which reads each limit when it runs
+and names a lever the README cap table lists,
 certify builds a graph only through ``_Measured``, and the measuring modules
 do not import the graph module."""
 
@@ -118,6 +119,35 @@ def test_no_default_reads_a_limit(module):
                 ):
                     reads.append(f"line {node.lineno} {getattr(node, 'name', 'lambda')}")
     assert not reads, f"{module} reads a limit in a default value: {reads}"
+
+
+def _cap_table_levers() -> set:
+    """Lever names from the first column of the README cap table."""
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    rows = [line for line in readme.splitlines() if line.startswith("| `")]
+    assert rows, "the README has no cap table"
+    return {row.split("`")[1].removeprefix("limits.") for row in rows}
+
+
+def test_every_checked_lever_has_a_readme_row():
+    # a cap added to limits.check without a row would refuse with a lever the
+    # README never names
+    levers, unnamed = set(), []
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "check"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "limits"
+            ):
+                first = node.args[0] if node.args else None
+                if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                    levers.add(first.value)
+                else:
+                    unnamed.append(f"{module}:{node.lineno}")
+    assert not unnamed, f"limits.check calls whose lever is not a string literal: {unnamed}"
+    assert levers, "no limits.check call found"
+    missing = sorted(levers - _cap_table_levers())
+    assert not missing, f"levers checked in the package with no README cap table row: {missing}"
 
 
 def test_certify_builds_graphs_only_inside_measured():
