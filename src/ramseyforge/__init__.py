@@ -75,6 +75,7 @@ from .spectral import (
     cayley_spectrum_abelian,
     chromatic_lower_bound,
     dense_spectrum,
+    least_eigenvalue,
     ramanujan_check,
     ratio_independence_bound,
     rayleigh_quotient,

@@ -75,7 +75,7 @@ from .spectral import (
     bisection_and_bip_bounds,
     cayley_spectrum_abelian,
     chromatic_lower_bound,
-    dense_spectrum,
+    least_eigenvalue,
     ramanujan_check,
     ratio_independence_bound,
 )
@@ -324,10 +324,9 @@ def _connection_set(m):
 
 
 def _spectrum(m):
-    """The group route for the four families, from the connection set; the
-    dense one for ad-hoc graphs."""
-    if m.family is None:
-        return dense_spectrum(m.graph)
+    """The group route for the four families, from the connection set.  An
+    ad-hoc graph has no spectrum here: its ratio bound reads only the least
+    eigenvalue (``_ratio_bound``)."""
     return cayley_spectrum_abelian(m.family, m(_connection_set))
 
 
@@ -341,6 +340,9 @@ def _exact_alpha(m):
 
 
 def _ratio_bound(m) -> float:
+    if m.family is None:
+        g = m.graph
+        return ratio_independence_bound(g.n, g.degree, g.degree - least_eigenvalue(g))
     summary = m(_spectrum)
     return ratio_independence_bound(summary.n, summary.d, summary.theta_n)
 

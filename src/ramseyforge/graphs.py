@@ -493,11 +493,15 @@ def export_graph(graph: Graph, fmt: str) -> bytes:
         lines.extend(f"e {u + 1} {v + 1}" for u, v in zip(us.tolist(), vs.tolist()))
         return ("\n".join(lines) + "\n").encode()
     if fmt == "edge-jsonl":
-        lines = []
-        for u, v in zip(us.tolist(), vs.tolist()):
-            pu, pv = graph.decode(u), graph.decode(v)
-            pu = list(pu) if isinstance(pu, tuple) else pu
-            pv = list(pv) if isinstance(pv, tuple) else pv
-            lines.append(json.dumps({"u": u, "v": v, "pu": pu, "pv": pv}))
+        # each line is json.dumps({"u": u, "v": v, "pu": ..., "pv": ...}),
+        # with every vertex's point encoded once
+        points = []
+        for idx in range(graph.n):
+            point = graph.decode(idx)
+            points.append(json.dumps(list(point) if isinstance(point, tuple) else point))
+        lines = [
+            f'{{"u": {u}, "v": {v}, "pu": {points[u]}, "pv": {points[v]}}}'
+            for u, v in zip(us.tolist(), vs.tolist())
+        ]
         return ("\n".join(lines) + "\n").encode()
     raise BadParameter(f"unknown export format {fmt!r}")

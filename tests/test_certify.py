@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramseyforge import certify, exactmetrics, graphs, limits
+from ramseyforge import certify, exactmetrics, graphs, limits, spectral
 from ramseyforge.algebra import quadratic_character
 from ramseyforge.certify import (
     CSV_COLUMNS,
@@ -351,6 +351,44 @@ def test_ramsey_certificate_ratio_route():
     assert cert.overall == "pass"
     assert cert.ramsey["t"] == 82
     assert cert.ramsey["method"] == "spectral-ratio"
+
+
+def _circulant(n, offsets):
+    return graph_from_edges(n, [(v, (v + s) % n) for v in range(n) for s in offsets])
+
+
+@pytest.mark.parametrize("n,offsets", [
+    (300, (101, 106, 111, 116, 121, 126, 131, 136)),
+    (2000, (667, 704, 741, 778, 815, 852, 889, 926)),
+])
+def test_adhoc_ratio_bound_matches_the_cosine_formula(monkeypatch, n, offsets):
+    # offsets in (n/3, n/2) and their negatives form a sum-free set, so the
+    # circulant is triangle-free; its eigenvalues are sum_s cos(2 pi j s / n)
+    def no_dense(graph):
+        raise AssertionError("the Cholesky check should have proven the Lanczos value")
+
+    g = _circulant(n, offsets)
+    d = 2 * len(offsets)
+    lam = sum(2 * np.cos(2 * np.pi * np.arange(n) * s / n) for s in offsets).min()
+    want = n * -lam / (d - lam)
+    monkeypatch.setattr(spectral, "dense_spectrum", no_dense)
+    cert = ramsey_certificate(g)
+    got = cert.ramsey["alpha_bound"]
+    assert g.degree == d and cert.ramsey["method"] == "spectral-ratio"
+    # within 1e-9 of the true bound, and never below it
+    assert got == pytest.approx(want, rel=1e-9) and got >= want * (1 - 1e-12)
+    assert cert.ramsey["t"] == math.floor(got) + 1
+
+
+@pytest.mark.parametrize("n,offsets,t", [
+    (5, (1,), 3),  # C_5
+    (8, (1, 4), 4),  # the Wagner graph
+    (13, (1, 5), 5),
+])
+def test_ramsey_critical_circulants_reach_the_known_ramsey_number(ramsey_r3, n, offsets, t):
+    cert = ramsey_certificate(_circulant(n, offsets))
+    assert cert.ramsey["method"] == "exact" and cert.ramsey["t"] == t
+    assert cert.ramsey["n"] == ramsey_r3[t] - 1
 
 
 @pytest.mark.parametrize("spec", [

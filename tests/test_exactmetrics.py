@@ -12,7 +12,7 @@ import pytest
 
 from ramseyforge import exactmetrics, limits
 from ramseyforge.algebra import find_nonsquare
-from ramseyforge.certify import verify_circle_lemma
+from ramseyforge.certify import ramsey_certificate, verify_circle_lemma
 from ramseyforge.errors import SizeLimitExceeded, TooLarge
 from ramseyforge.exactmetrics import (
     connected_components,
@@ -29,7 +29,7 @@ from ramseyforge.exactmetrics import (
     triangle_count,
 )
 from ramseyforge.graphs import FamilySpec, build_family, graph_from_edges
-from ramseyforge.spectral import dense_spectrum
+from ramseyforge.spectral import dense_spectrum, least_eigenvalue
 
 
 def build(kind, **kw):
@@ -824,10 +824,16 @@ def _refusal(lever, call, arg, size, what, error=TooLarge):
 
 
 D3 = FamilySpec(kind="euclidean", q=3, a=1)  # 9 vertices of degree 4
+# triangle-free (offsets in (n/3, n/2) are sum-free) and past VERIFY_ALPHA_CAP,
+# so its certificate takes the ratio bound
+C120 = graph_from_edges(120, [(v, (v + s) % 120) for v in range(120) for s in (41, 47, 53)])
 
 
 @pytest.mark.parametrize("lever,call,arg,size,what,error", [
     _refusal("DENSE_SPECTRUM_CAP", dense_spectrum, build_family(D3), 9, "dense spectrum on 9 vertices"),
+    # the Cholesky check behind the ad-hoc ratio bound holds an n x n matrix too
+    _refusal("DENSE_SPECTRUM_CAP", least_eigenvalue, C120, 120, "dense spectrum on 120 vertices"),
+    _refusal("DENSE_SPECTRUM_CAP", ramsey_certificate, C120, 120, "dense spectrum on 120 vertices"),
     _refusal("TOUGHNESS_CAP", exact_toughness, build_family(D3), 9, "exact toughness on 9 vertices"),
     _refusal("INDEPENDENCE_CAP", exact_independence, build_family(D3), 9, "exact independence on 9 vertices"),
     _refusal("CUT_CAP", exact_max_cut_and_bisection, build_family(D3), 9, "exact cut enumeration on 9 vertices"),

@@ -535,6 +535,33 @@ def test_edge_jsonl_export_adhoc():
     assert g.encode(3) == 3
 
 
+def _edge_jsonl_per_edge(g) -> bytes:
+    """The exporter's bytes as one json.dumps per edge, decoding both ends."""
+    lines = []
+    for u, v in zip(*(a.tolist() for a in g.edge_arrays())):
+        pu, pv = g.decode(u), g.decode(v)
+        pu = list(pu) if isinstance(pu, tuple) else pu
+        pv = list(pv) if isinstance(pv, tuple) else pv
+        lines.append(json.dumps({"u": u, "v": v, "pu": pu, "pv": pv}))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build("euclidean", q=7, a=1),
+    lambda: build("euclidean", q=5, m=3, a=1),
+    lambda: build("noneuclidean", q=17, sigma=3, a=6),
+    lambda: build("bch", k=2),
+    lambda: graph_from_edges(300, [(v, (v + s) % 300) for v in range(300) for s in (1, 7, 41)]),
+], ids=["D_7(1)", "D_5^3(1)", "V_17(3,6)", "BCH_2", "circulant-300"])
+def test_edge_jsonl_export_matches_per_edge_json_dumps(make):
+    g = make()
+    assert export_graph(g, "edge-jsonl") == _edge_jsonl_per_edge(g)
+
+
+def test_edge_jsonl_export_of_an_edgeless_graph_is_one_newline():
+    assert export_graph(graph_from_edges(3, []), "edge-jsonl") == b"\n"
+
+
 def test_export_bad_format():
     g = build("euclidean", q=3, a=1)
     with pytest.raises(BadParameter):

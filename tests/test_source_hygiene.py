@@ -4,11 +4,14 @@ class is referenced somewhere in the package besides its own definition,
 every public module-level function is exported or referenced likewise,
 size refusals go through ``limits.check``, which reads each limit when it runs
 and names a lever the README cap table lists,
-certify builds a graph only through ``_Measured``, and the measuring modules
-do not import the graph module."""
+certify builds a graph only through ``_Measured``, the measuring modules
+do not import the graph module, and every import is the standard library, the
+package itself or a declared dependency."""
 
 import ast
 import pathlib
+import re
+import sys
 from collections import Counter
 
 import pytest
@@ -182,3 +185,24 @@ def test_measures_import_nothing_from_graphs(module):
     # specs, so graphs sits above them and the quotient walk reads only arrays
     found = [f"line {node.lineno}" for node in ast.walk(TREES[module]) if _imports_graphs(node)]
     assert not found, f"{module} imports from graphs: {found}"
+
+
+def test_every_import_is_stdlib_the_package_or_a_declared_dependency():
+    # an undeclared import (scipy is often installed but is not declared)
+    # would fail only where it is missing
+    tomllib = pytest.importorskip("tomllib")
+    with open(PACKAGE.parent.parent / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    allowed = set(sys.stdlib_module_names) | {"ramseyforge"}
+    allowed |= {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_") for dep in declared}
+    found = []
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{module}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
+    assert not found, f"imports outside the stdlib, the package and [project] dependencies: {found}"

@@ -6,8 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ramseyforge import limits
+from ramseyforge import limits, spectral
 from ramseyforge.algebra import find_nonsquare
 from ramseyforge.errors import (
     BadParameter,
@@ -33,6 +35,7 @@ from ramseyforge.spectral import (
     cayley_spectrum_abelian,
     chromatic_lower_bound,
     dense_spectrum,
+    least_eigenvalue,
     ramanujan_check,
     ratio_independence_bound,
     rayleigh_quotient,
@@ -160,6 +163,90 @@ def test_dense_spectrum_gates():
     big = FamilySpec(kind="euclidean", q=53, a=1)  # 2809 > 2500 cap
     with pytest.raises(TooLarge):
         dense_spectrum(build_family(big))
+
+
+def _circulant(n, offsets):
+    return graph_from_edges(n, [(v, (v + s) % n) for v in range(n) for s in offsets])
+
+
+def _relabelled_copies(n, edges, perm):
+    """len(perm) // n disjoint copies of an n-vertex graph, vertex i of the
+    union renamed perm[i]."""
+    return [(perm[c * n + u], perm[c * n + v]) for c in range(len(perm) // n) for u, v in edges]
+
+
+@st.composite
+def _regular_graphs(draw):
+    """(graph, bipartite): circulants, random lifts of circulants, bipartite
+    circulants, K_n and edgeless graphs, as one copy or a disjoint union of
+    up to three copies under a random vertex labelling."""
+    kind = draw(st.sampled_from(["circulant", "lift", "bipartite", "complete", "edgeless"]))
+    if kind in ("complete", "edgeless"):
+        n = draw(st.integers(1, 24))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)] if kind == "complete" else []
+    else:
+        n = draw(st.integers(2, 40).map(lambda k: 2 * k) if kind == "bipartite" else st.integers(3, 60))
+        pool = range(1, n // 2 + 1, 2) if kind == "bipartite" else range(1, n // 2 + 1)
+        offsets = draw(st.sets(st.sampled_from(list(pool)), min_size=1, max_size=5))
+        edges = [(v, (v + s) % n) for v in range(n) for s in offsets]
+        if kind == "lift":
+            # a random k-lift: vertex (v, i) is v * k + i, and each base edge
+            # carries its own permutation of the k sheets
+            k = draw(st.integers(2, 4))
+            base = {(min(u, v), max(u, v)) for u, v in edges}
+            edges = [
+                (u * k + i, v * k + pi)
+                for u, v in sorted(base)
+                for i, pi in enumerate(draw(st.permutations(range(k))))
+            ]
+            n *= k
+    copies = draw(st.integers(1, 3))
+    perm = draw(st.permutations(range(copies * n)))
+    return graph_from_edges(copies * n, _relabelled_copies(n, edges, perm)), kind == "bipartite"
+
+
+@settings(max_examples=120, deadline=None)
+@given(_regular_graphs())
+def test_least_eigenvalue_matches_the_dense_spectrum(case):
+    g, bipartite = case
+    dense = float(dense_spectrum(g).eigenvalues[-1])
+    scale = max(1.0, abs(dense))
+    got = least_eigenvalue(g)
+    assert abs(got - dense) <= 1e-9 * scale
+    # a lower bound: the ratio bound read from it is never below the true one
+    assert got <= dense + 1e-12 * scale
+    if bipartite:
+        assert abs(got + g.degree) <= 1e-9 * g.degree
+
+
+@pytest.mark.parametrize("lanczos", [
+    lambda g: float(np.linalg.eigvalsh(spectral._adjacency(g))[0]) + 0.5,  # 0.5 above lambda_min
+    lambda g: None,  # no convergence
+], ids=["estimate-too-high", "no-convergence"])
+def test_least_eigenvalue_returns_dense_when_lanczos_is_wrong(monkeypatch, lanczos):
+    g = _circulant(13, (1, 5))
+    checks, positive_definite = [], spectral._positive_definite
+
+    def check(a):
+        checks.append(positive_definite(a))
+        return checks[-1]
+
+    monkeypatch.setattr(spectral, "_lanczos_least", lanczos)
+    monkeypatch.setattr(spectral, "_positive_definite", check)
+    assert least_eigenvalue(g) == float(dense_spectrum(g).eigenvalues[-1])
+    assert checks == ([False] if lanczos(g) is not None else [])
+
+
+def test_positive_definite_check_across_cholesky_blocks(monkeypatch):
+    # three diagonal blocks: a definite matrix passes; lowering its last
+    # diagonal entry past the last pivot's Schur complement makes it
+    # indefinite, which only the last block's factorisation can see
+    monkeypatch.setattr(spectral, "_CHOLESKY_BLOCK", 16)
+    x = np.random.default_rng(5).standard_normal((40, 40))
+    spd = x @ x.T + 1e-3 * np.eye(40)
+    assert spectral._positive_definite(spd.copy())
+    spd[-1, -1] -= 1.01 / np.linalg.inv(spd)[-1, -1]
+    assert not spectral._positive_definite(spd)
 
 
 def _abelian_cases():
