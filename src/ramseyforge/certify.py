@@ -13,16 +13,17 @@ search when feasible, else a spectral ratio bound).
 
 Every certificate and sweep row measures its graph through one ``_Measured``
 record, which builds the graph only when an exact oracle needs it: exact
-independence up to limits.VERIFY_ALPHA_CAP vertices, exact toughness, and
-every measure of the code families.  Every family graph reads triangles,
-girth, diameter and components from one quotient: the distance-class
+independence up to limits.VERIFY_ALPHA_CAP vertices, exact toughness, and a
+sweep row's girth/diameter walk over a code family.  Every family graph
+reads girth, diameter and components from one quotient: the distance-class
 quotient of ``graphs.distance_quotients`` for the Euclidean and half-plane
-families, the built graph as its own for the code families.  Girth,
-diameter and components come from one walk over it,
-``exactmetrics.quotient_invariants``, and triangles from
-``exactmetrics.quotient_triangles``, which does not walk.  The half-plane
-girth/diameter suite reads all of its distances a from one computation of
-the classes.  Every family reads its spectrum from its connection set.
+families, the built graph as its own for the code families.  They come
+from one walk over it, ``exactmetrics.quotient_invariants``.  Triangles come
+from the identity's neighbours in S (``exactmetrics.quotient_triangles``
+on a distance-class quotient, the products over S x S for a code family),
+with no walk.  The half-plane girth/diameter suite reads all of its
+distances a from one computation of the classes.  Every family reads its
+spectrum from its connection set S.
 """
 import contextlib
 import csv
@@ -41,8 +42,6 @@ from .algebra import (
     find_nonsquare,
     is_generator,
     is_odd_prime,
-    predicted_intersections,
-    predicted_intersections_null,
     quadratic_character,
 )
 from .errors import (
@@ -54,6 +53,7 @@ from .errors import (
 )
 from .exactmetrics import (
     _cayley_quotient,
+    _identity_triangles,
     exact_independence,
     exact_toughness,
     quotient_invariants,
@@ -64,6 +64,7 @@ from .graphs import (
     FamilySpec,
     Graph,
     _bounded_power,
+    _product,
     alon_split,
     build_family,
     connection_set,
@@ -174,6 +175,19 @@ def primes_in(lo: int, hi: int, residue: Optional[dict] = None) -> list:
 
 # --- circle lemma -------------------------------------------------------------
 
+def _circle_predictor_tables(q: int) -> tuple:
+    """(pred, null): pred[k - 1, i - 1, j - 1] = chi(i*j - (k - i - j)^2/4) + 1
+    and null[i - 1, j - 1] = [i != j], for i, j, k in 1..q-1, from one
+    quadratic-character lookup over the (i, j, k) grid.  The scalar forms
+    are ``predicted_intersections`` and ``predicted_intersections_null``."""
+    chi = np.array([quadratic_character(a, q) for a in range(q)], dtype=np.int64)
+    r = np.arange(1, q, dtype=np.int64)
+    k, i, j = r[:, None, None], r[None, :, None], r[None, None, :]
+    pred = chi[(i * j - (k - i - j) ** 2 * pow(4, -1, q)) % q] + 1
+    null = (r[:, None] != r[None, :]).astype(np.int64)
+    return pred, null
+
+
 def verify_circle_lemma(q: int) -> Certificate:
     """Exhaustively compare circle-intersection counts against the quadratic
     character predictor, for every pair of centers and all nonzero radii."""
@@ -183,22 +197,7 @@ def verify_circle_lemma(q: int) -> Certificate:
     xs = np.arange(q * q, dtype=np.int64)
     px, py = xs % q, xs // q
     quad_from_origin = (px * px + py * py) % q
-
-    pred_cache = {}
-
-    def predictor_table(k: int) -> np.ndarray:
-        if k not in pred_cache:
-            table = np.empty((q - 1, q - 1), dtype=np.int64)
-            for i in range(1, q):
-                for j in range(1, q):
-                    table[i - 1, j - 1] = predicted_intersections(i, j, k, q)
-            pred_cache[k] = table
-        return pred_cache[k]
-
-    null_table = np.empty((q - 1, q - 1), dtype=np.int64)
-    for i in range(1, q):
-        for j in range(1, q):
-            null_table[i - 1, j - 1] = predicted_intersections_null(i, j, q)
+    pred, null_table = _circle_predictor_tables(q)
 
     checked = mismatches = 0
     null_checked = null_mismatches = 0
@@ -206,12 +205,11 @@ def verify_circle_lemma(q: int) -> Certificate:
         tx, ty = target % q, target // q
         k = (tx * tx + ty * ty) % q
         quad_from_target = ((px - tx) ** 2 + (py - ty) ** 2) % q
-        counts = np.zeros((q, q), dtype=np.int64)
-        np.add.at(counts, (quad_from_origin, quad_from_target), 1)
-        observed = counts[1:, 1:]
+        counts = np.bincount(quad_from_origin * q + quad_from_target, minlength=q * q)
+        observed = counts.reshape(q, q)[1:, 1:]
         if k != 0:
             checked += observed.size
-            mismatches += int((observed != predictor_table(k)).sum())
+            mismatches += int((observed != pred[k - 1]).sum())
         else:
             null_checked += observed.size
             null_mismatches += int((observed != null_table).sum())
@@ -267,10 +265,14 @@ class _Measured:
     and returns the stored result on every later call.
 
     A graph is built only on first use of ``graph``, by the oracles that need
-    one: exact alpha (n <= limits.VERIFY_ALPHA_CAP), exact toughness, the
-    Ramsey witness and the quotient of a code family.  Every family reads
-    triangles, girth, diameter and components from its ``_quotient``, and
-    its spectrum from the connection set.
+    one: exact alpha (n <= limits.VERIFY_ALPHA_CAP) with its Ramsey witness,
+    exact toughness, and the quotient of a code family, which only a sweep
+    row's girth/diameter walk reads.  Every family reads its spectrum from
+    the connection set S, and girth, diameter and components from its
+    ``_quotient``.  A Euclidean or half-plane graph reads triangles from its
+    distance-class quotient; a code graph, which is fully given by S, reads
+    triangles from the products over S x S and its greedy independent set
+    from the neighbours v*S, so it is built for neither.
     """
 
     def __init__(self, source):
@@ -300,7 +302,8 @@ class _Measured:
 def _quotient(m) -> tuple:
     """The (sizes, nbr) quotient of a family graph: the distance-class
     quotient of a Euclidean or half-plane graph, whose connection set is
-    class a, and a built code-family graph as its own."""
+    class a, and a built code-family graph as its own.  Only the walk
+    (``_walk``) reads a code family's, so only a sweep row builds it."""
     fam = m.family
     if fam.kind in ("bch", "alon"):
         return _cayley_quotient(m.graph)
@@ -314,8 +317,16 @@ def _walk(m) -> tuple:
 
 
 def _triangles(m) -> int:
-    if m.family is None:
+    """Triangles: a code graph's from the products s*t over S x S (the
+    group law, no build), a Euclidean or half-plane graph's from its
+    distance-class quotient, an ad-hoc graph's by ``triangle_count``."""
+    fam = m.family
+    if fam is None:
         return triangle_count(m.graph)
+    if fam.kind in ("bch", "alon"):
+        conn = m(_connection_set)
+        products = _product(fam, conn, conn, np.empty((len(conn), len(conn)), dtype=np.int64))
+        return _identity_triangles(m.n, conn, np.ones(len(conn), dtype=np.int64), products)
     return quotient_triangles(*m(_quotient))
 
 
@@ -823,20 +834,24 @@ def _mt1(m) -> Certificate:
 
 # --- code graphs ----------------------------------------------------------------
 
-def _greedy_independent_size(graph) -> int:
-    chosen = np.zeros(graph.n, dtype=bool)
-    blocked = np.zeros(graph.n, dtype=bool)
-    for v in range(graph.n):
+def _greedy_independent_size(m) -> int:
+    """Size of the greedy independent set that takes the vertices in index
+    order, each unless a chosen vertex blocks it.  A chosen v blocks its
+    neighbours v*S, read from the group law, so no graph is built."""
+    fam, conn = m.family, m(_connection_set)
+    blocked = np.zeros(m.n, dtype=bool)
+    nbrs = np.empty((1, len(conn)), dtype=np.int64)
+    chosen = 0
+    for v in range(m.n):
         if not blocked[v]:
-            chosen[v] = True
-            blocked[v] = True
-            blocked[graph.neighbors(v)] = True
-    return int(chosen.sum())
+            chosen += 1
+            blocked[_product(fam, np.array([v]), conn, nbrs)] = True
+    return chosen
 
 
 def _code_alpha_claims(m, prefix, cap_value, cap_label, assert_cap) -> Claim:
     evidence = {
-        "greedy_lower": _ev(_greedy_independent_size(m.graph), "computed-exact"),
+        "greedy_lower": _ev(_greedy_independent_size(m), "computed-exact"),
         "cap_form": _ev(cap_value, "paper-bound"),
     }
     upper, method, _ = _alpha_bound(m)
@@ -861,16 +876,16 @@ def _code_alpha_claims(m, prefix, cap_value, cap_label, assert_cap) -> Claim:
 
 
 def _bch(m) -> Certificate:
-    g = m.graph
-    n, k = g.n, g.family.k
+    degree = len(m(_connection_set))  # a refusal comes before any claim
+    n, k = m.n, m.family.k
     triangles = m(_triangles)
     claims = [
         Claim(
             "bch_regular",
             "the graph is (2^k - 1)-regular on 2^(2k) vertices",
-            "pass" if (g.degree == (1 << k) - 1 and n == 1 << (2 * k)) else "fail",
+            "pass" if (degree == (1 << k) - 1 and n == 1 << (2 * k)) else "fail",
             {
-                "degree": _ev(g.degree, "computed-exact"),
+                "degree": _ev(degree, "computed-exact"),
                 "n": _ev(n, "computed-exact"),
             },
         ),
@@ -885,19 +900,18 @@ def _bch(m) -> Certificate:
     ]
     return Certificate(
         kind="code-graphs",
-        family=g.family.to_dict(),
+        family=m.family.to_dict(),
         params={"k": k, "code": "bch"},
         claims=claims,
     )
 
 
 def _alon(m) -> Certificate:
-    g = m.graph
-    n, k = g.n, g.family.k
+    actual_degree = len(m(_connection_set))  # a refusal comes before any claim
+    n, k = m.n, m.family.k
     triangles = m(_triangles)
     w0, w1 = alon_split(k)
     claimed_degree = (1 << (k - 1)) * ((1 << (k - 1)) - 1)
-    actual_degree = g.degree
     claims = [
         Claim(
             "alon_partition",
@@ -931,7 +945,7 @@ def _alon(m) -> Certificate:
     ]
     return Certificate(
         kind="code-graphs",
-        family=g.family.to_dict(),
+        family=m.family.to_dict(),
         params={"k": k, "code": "alon"},
         claims=claims,
     )
@@ -947,7 +961,8 @@ def verify_code_graphs(k: int) -> Certificate:
     skipped = "the sum-set family needs alpha -> alpha^7 bijective, which fails when 3 divides k"
     if k % 3:
         try:
-            # _alon reads m.graph first, so a refusal comes before any claim
+            # _alon reads the connection set first, which refuses as the
+            # build would, so a refusal comes before any claim
             alon = _alon(_Measured(FamilySpec(kind="alon", k=k)))
         except SizeLimitExceeded as exc:
             skipped = "the sum-set graph exceeds the size limits"
@@ -971,8 +986,7 @@ def ramsey_certificate(source) -> Certificate:
     """R(3, t) > n record for a triangle-free graph: t = floor(alpha_bound)+1
     where alpha_bound is the exact independence number when feasible, else a
     spectral ratio bound.  ``source`` is a built Graph or a FamilySpec; from
-    a spec, a Euclidean or half-plane graph is built only for the exact
-    search."""
+    a spec, a graph is built only for the exact search."""
     m = _Measured(source)
     triangles = m(_triangles)
     if triangles != 0:

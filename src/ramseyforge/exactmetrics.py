@@ -278,14 +278,24 @@ def quotient_invariants(sizes: np.ndarray, nbr: np.ndarray) -> tuple:
 def quotient_triangles(sizes: np.ndarray, nbr: np.ndarray) -> int:
     """Triangles of Cay(G, S) from a quotient of ``quotient_invariants``:
     O(|S|^2) on a built graph, one row on a distance-class quotient.  The
-    classes in row 0 make up S, and a vertex of such a class j has as many
-    neighbours in S as row j has entries in S, so the sum of sizes[j] times
-    that counts the adjacent pairs (s, t) in S x S, twice the triangles at
-    the identity; n times the sum counts every triangle six times."""
+    classes in row 0 make up S, each standing for sizes[j] elements of S,
+    and row j lists the neighbour classes of a vertex of class j
+    (``_identity_triangles``)."""
     conn = np.unique(nbr[0])
-    in_conn = np.zeros(len(nbr), dtype=bool)
-    in_conn[conn] = True
-    total = int(sizes.sum()) * int(sizes[conn] @ in_conn[nbr[conn]].sum(axis=1))
+    return _identity_triangles(int(sizes.sum()), conn, sizes[conn], nbr[conn])
+
+
+def _identity_triangles(n: int, conn: np.ndarray, weights: np.ndarray, rows: np.ndarray) -> int:
+    """Triangles of a Cayley graph Cay(G, S) on n vertices, read at the
+    identity.  ``conn`` holds the sorted labels of S (its elements, or its
+    classes in a quotient), weights[i] the elements of S that conn[i] stands
+    for, and rows[i] the labels of the neighbours of (a vertex of) conn[i]:
+    for a code graph, the products s*t over S x S (``graphs._product``).  A
+    vertex of conn[i] has as many neighbours in S as rows[i] has entries in
+    conn, so the sum of weights[i] times that counts the adjacent pairs
+    (s, t) in S x S, twice the triangles at the identity; n times the sum
+    counts every triangle six times."""
+    total = n * int(weights @ np.isin(rows, conn).sum(axis=1))
     if total % 6:
         raise AssertionError("Cayley triangle total not divisible by 6")
     return total // 6
@@ -464,6 +474,14 @@ def exact_independence(graph) -> IndependenceResult:
     and the budget check alone decide the tree: node counts and witnesses
     are those of the plain dict-and-mask form the tests keep as the oracle.
 
+    On a family graph (``graph.family`` not None, a Cayley graph, so vertex
+    transitive) the search takes only the include branch of the root's pick.
+    Some maximum independent set holds any given vertex, so the exclude
+    branch could never raise the best size; the witness, the first maximum
+    set in depth-first order, lies in the include branch and stays the same;
+    and the nodes visited first are the same, so under any node budget
+    ``exact`` can only turn true and the node count only fall.
+
     A graph keeps its result per node budget: a later call on the same graph
     under the same limits.NODE_BUDGET returns the stored result, after the
     same cap check, without searching again.
@@ -481,6 +499,7 @@ def _search_independence(graph, budget: int) -> IndependenceResult:
     """The branch and bound of ``exact_independence``, under ``budget`` nodes."""
     n = graph.n
     masks = _neighbor_masks(graph)
+    transitive = graph.family is not None
     best = best_set = nodes = 0
     exceeded = False
 
@@ -524,7 +543,9 @@ def _search_independence(graph, budget: int) -> IndependenceResult:
             if deg > pick_deg:
                 pick_deg, pick, bit = deg, v, low
         branch(open_set & ~(masks[pick] | bit), size + 1, chosen | bit)
-        if exceeded:
+        if exceeded or (transitive and not chosen):
+            # only the root has chosen == 0 on a family graph: some maximum
+            # set holds its pick, so the exclude branch cannot raise best
             return
         branch(open_set ^ bit, size, chosen)
 

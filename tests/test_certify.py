@@ -13,7 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramseyforge import certify, exactmetrics, graphs, limits, spectral
-from ramseyforge.algebra import quadratic_character
+from ramseyforge.algebra import (
+    predicted_intersections,
+    predicted_intersections_null,
+    quadratic_character,
+)
 from ramseyforge.certify import (
     CSV_COLUMNS,
     SweepConfig,
@@ -76,6 +80,16 @@ def test_circle_lemma_q13_isotropic():
     cert = verify_circle_lemma(13)
     assert cert.overall == "pass"
     assert cert.claim("isotropic_intersections").status == "pass"
+
+
+@pytest.mark.parametrize("q", [5, 7, 13, 31])
+def test_circle_predictor_tables_match_the_scalar_predictors(q):
+    pred, null = certify._circle_predictor_tables(q)
+    assert pred.shape == (q - 1, q - 1, q - 1) and null.shape == (q - 1, q - 1)
+    for k in range(1, q):
+        want = [[predicted_intersections(i, j, k, q) for j in range(1, q)] for i in range(1, q)]
+        assert pred[k - 1].tolist() == want, k
+    assert null.tolist() == [[predicted_intersections_null(i, j, q) for j in range(1, q)] for i in range(1, q)]
 
 
 def test_circle_lemma_gates():
@@ -322,6 +336,74 @@ def test_code_graphs_k4_bch_cap_via_ratio():
     assert claim.evidence["method"]["value"] == "spectral-ratio"
 
 
+@pytest.mark.parametrize("argv,built", [
+    (["verify", "--suite", "code", "--k", "5"], []),
+    (["certify-ramsey", "--family", "bch", "--k", "7"], []),
+    (["certify-ramsey", "--family", "alon", "--k", "4"], []),
+    (["verify", "--suite", "code", "--k", "3"], ["BCH_3"]),
+])
+def test_code_certificates_build_only_for_exact_alpha(monkeypatch, capsys, argv, built):
+    # every family builder goes through graphs._cayley_graph; a code graph is
+    # built only for exact alpha, n <= limits.VERIFY_ALPHA_CAP (BCH_3, 64)
+    labels = []
+    cayley_graph = graphs._cayley_graph
+
+    def counting_cayley_graph(family):
+        labels.append(family.label())
+        return cayley_graph(family)
+
+    monkeypatch.setattr(graphs, "_cayley_graph", counting_cayley_graph)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert labels == built
+
+
+def _csr_greedy_independent_size(graph) -> int:
+    """The greedy of ``certify._greedy_independent_size`` over the CSR lists
+    of a built graph."""
+    chosen = np.zeros(graph.n, dtype=bool)
+    blocked = np.zeros(graph.n, dtype=bool)
+    for v in range(graph.n):
+        if not blocked[v]:
+            chosen[v] = True
+            blocked[v] = True
+            blocked[graph.neighbors(v)] = True
+    return int(chosen.sum())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec(kind="bch", k=k) for k in range(2, 8)] + [FamilySpec(kind="alon", k=k) for k in (2, 4, 5)],
+    ids=FamilySpec.label,
+)
+def test_group_law_greedy_matches_the_csr_greedy(spec):
+    m = certify._Measured(spec)
+    got = certify._greedy_independent_size(m)
+    assert m._graph is None
+    assert got == _csr_greedy_independent_size(build_family(spec))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec(kind="bch", k=k) for k in range(2, 6)] + [FamilySpec(kind="alon", k=k) for k in (2, 4)],
+    ids=FamilySpec.label,
+)
+@pytest.mark.parametrize("extra", [0, 3])
+def test_code_triangles_from_s_times_s_match_the_bitset_count(monkeypatch, spec, extra):
+    # the code graphs are triangle-free, so the same connection set with
+    # extra elements s0 ^ s, s in S, which close triangles {0, s0, s0 ^ s},
+    # checks the count where it is not 0
+    conn = graphs.connection_set(spec)
+    conn = np.union1d(conn, conn[0] ^ conn[1:1 + extra])
+    monkeypatch.setattr(certify, "connection_set", lambda family: conn)
+    monkeypatch.setattr(graphs, "connection_set", lambda family: conn)
+    m = certify._Measured(spec)
+    got = certify._triangles(m)
+    assert m._graph is None
+    assert got == exactmetrics._triangles_bitset(build_family(spec))
+    assert (got > 0) == (extra > 0)
+
+
 def test_code_graphs_bad_k():
     with pytest.raises(BadParameter):
         verify_code_graphs(1)
@@ -399,13 +481,13 @@ def test_ramsey_critical_circulants_reach_the_known_ramsey_number(ramsey_r3, n, 
     FamilySpec(kind="alon", k=2),
 ], ids=FamilySpec.label)
 def test_ramsey_certificate_from_a_spec_is_the_built_graphs(monkeypatch, spec):
-    # a family graph is built only for the exact search (or, for the code
-    # families, for every measure); the certificate is the same either way
+    # a family graph is built only for the exact search; the certificate is
+    # the same either way
     want = certificate_to_json(ramsey_certificate(build_family(spec)))
     builds = []
     monkeypatch.setattr(certify, "build_family", lambda s: builds.append(s) or build_family(s))
     assert certificate_to_json(ramsey_certificate(spec)) == want
-    searched = spec.kind in ("bch", "alon") or spec.n <= limits.VERIFY_ALPHA_CAP
+    searched = spec.n <= limits.VERIFY_ALPHA_CAP
     assert builds == ([spec] if searched else [])
 
 

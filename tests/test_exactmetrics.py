@@ -28,7 +28,7 @@ from ramseyforge.exactmetrics import (
     quotient_triangles,
     triangle_count,
 )
-from ramseyforge.graphs import FamilySpec, build_family, graph_from_edges
+from ramseyforge.graphs import FamilySpec, Graph, build_family, graph_from_edges
 from ramseyforge.spectral import dense_spectrum, least_eigenvalue
 
 
@@ -632,7 +632,8 @@ def _frozen_independence(graph, budget):
     """The branch and bound in its plain form, kept as the oracle for the
     search's tree: state in a dict, the whole greedy cover counted at every
     node, bits cleared with fresh masks and the pick scanned over all
-    indices.  Returns (size, witness, exact, nodes)."""
+    indices.  On a family graph (vertex transitive) only the include branch
+    of the root's pick is searched.  Returns (size, witness, exact, nodes)."""
     n = graph.n
     masks = [sum(1 << int(v) for v in graph.neighbors(u)) for u in range(n)]
     state = {"best": 0, "best_set": 0, "nodes": 0, "exceeded": False}
@@ -651,7 +652,7 @@ def _frozen_independence(graph, budget):
             cliques += 1
         return cliques
 
-    def branch(open_set, size, chosen):
+    def branch(open_set, size, chosen, root=False):
         state["nodes"] += 1
         if state["nodes"] > budget:
             state["exceeded"] = True
@@ -675,9 +676,11 @@ def _frozen_independence(graph, budget):
         branch(open_set & ~masks[pick] & ~bit, size + 1, chosen | bit)
         if state["exceeded"]:
             return
+        if root and graph.family is not None:
+            return
         branch(open_set & ~bit, size, chosen)
 
-    branch((1 << n) - 1, 0, 0)
+    branch((1 << n) - 1, 0, 0, root=True)
     witness = tuple(v for v in range(n) if (state["best_set"] >> v) & 1)
     return state["best"], witness, not state["exceeded"], state["nodes"]
 
@@ -713,6 +716,40 @@ def test_independence_matches_frozen_search(monkeypatch, budget):
         assert (res.size, res.witness, res.exact, res.nodes) == want, label
         cut_short += not res.exact
     assert (cut_short > 0) == (budget is not None)
+
+
+def _as_adhoc(graph):
+    """The same CSR lists with no family, so the search takes both branches
+    of the root."""
+    return Graph(None, graph.n, graph.indptr, graph.indices, degree=graph.degree)
+
+
+@pytest.mark.parametrize("budget", [5, 50, 500, None])
+def test_independence_root_rule_keeps_size_and_witness(monkeypatch, budget):
+    # a family graph skips the exclude branch of the root: against the plain
+    # tree over the same lists, the size and witness match, exact is no
+    # worse and the node count no larger
+    if budget is not None:
+        monkeypatch.setattr(limits, "NODE_BUDGET", budget)
+    family = [(label, g) for label, g in _independence_graphs() if g.family is not None]
+    assert len(family) == 6
+    saved = 0
+    for label, g in family:
+        res = exact_independence(g)
+        size, witness, exact, nodes = _frozen_independence(_as_adhoc(g), limits.NODE_BUDGET)
+        assert (res.size, res.witness) == (size, witness), label
+        assert res.exact >= exact and res.nodes <= nodes, label
+        saved += nodes - res.nodes
+    # a budget of 5 cuts every search short inside the root's include branch
+    assert (saved > 0) == (budget != 5)
+
+
+def test_independence_root_pick_outside_every_maximum_set():
+    # on an ad-hoc graph the root rule stays off: the centre of a star has
+    # the highest degree, so it is the root's pick, and lies in no maximum set
+    star = graph_from_edges(9, [(0, v) for v in range(1, 9)])
+    res = exact_independence(star)
+    assert (res.size, res.witness, res.exact) == (8, tuple(range(1, 9)), True)
 
 
 def test_independence_too_large():
