@@ -16,8 +16,9 @@ record, which builds the graph only when an exact oracle needs it: exact
 independence up to limits.VERIFY_ALPHA_CAP vertices, exact toughness, and a
 sweep row's girth/diameter walk over a code family.  Every family graph
 reads girth, diameter and components from one quotient: the distance-class
-quotient of ``graphs.distance_quotients`` for the Euclidean and half-plane
-families, the built graph as its own for the code families.  They come
+quotient (``graphs.distance_quotients``) for the Euclidean and half-plane
+families, read with their connection set S from one computation of the
+classes, and the built graph as its own for the code families.  They come
 from one walk over it, ``exactmetrics.quotient_invariants``.  Triangles come
 from the identity's neighbours in S (``exactmetrics.quotient_triangles``
 on a distance-class quotient, the products over S x S for a code family),
@@ -64,6 +65,7 @@ from .graphs import (
     FamilySpec,
     Graph,
     _bounded_power,
+    _class_quotients,
     _product,
     alon_split,
     build_family,
@@ -269,10 +271,12 @@ class _Measured:
     exact toughness, and the quotient of a code family, which only a sweep
     row's girth/diameter walk reads.  Every family reads its spectrum from
     the connection set S, and girth, diameter and components from its
-    ``_quotient``.  A Euclidean or half-plane graph reads triangles from its
-    distance-class quotient; a code graph, which is fully given by S, reads
-    triangles from the products over S x S and its greedy independent set
-    from the neighbours v*S, so it is built for neither.
+    ``_quotient``.  A Euclidean or half-plane graph reads S and its
+    distance-class quotient from one computation of its classes
+    (``_distance_classes``), and triangles from that quotient; a code
+    graph, which is fully given by S, reads triangles from the products
+    over S x S and its greedy independent set from the neighbours v*S, so
+    it is built for neither.
     """
 
     def __init__(self, source):
@@ -299,16 +303,22 @@ class _Measured:
         return self._results[oracle]
 
 
+def _distance_classes(m) -> tuple:
+    """(S, (sizes, nbr)) of a Euclidean or half-plane graph: its connection
+    set, class a, and its distance-class quotient, from one computation of
+    the classes."""
+    [pair] = _class_quotients(m.family, [m.family.a])
+    return pair
+
+
 def _quotient(m) -> tuple:
     """The (sizes, nbr) quotient of a family graph: the distance-class
-    quotient of a Euclidean or half-plane graph, whose connection set is
-    class a, and a built code-family graph as its own.  Only the walk
-    (``_walk``) reads a code family's, so only a sweep row builds it."""
-    fam = m.family
-    if fam.kind in ("bch", "alon"):
+    quotient of a Euclidean or half-plane graph, and a built code-family
+    graph as its own.  Only the walk (``_walk``) reads a code family's, so
+    only a sweep row builds it."""
+    if m.family.kind in ("bch", "alon"):
         return _cayley_quotient(m.graph)
-    [quotient] = distance_quotients(fam, [fam.a])
-    return quotient
+    return m(_distance_classes)[1]
 
 
 def _walk(m) -> tuple:
@@ -331,7 +341,9 @@ def _triangles(m) -> int:
 
 
 def _connection_set(m):
-    return connection_set(m.family)
+    if m.family.kind in ("bch", "alon"):
+        return connection_set(m.family)
+    return m(_distance_classes)[0]
 
 
 def _spectrum(m):

@@ -373,6 +373,13 @@ def distance_quotients(family: FamilySpec, a_values):
     Refused where building the family's graph at any of the a would be,
     with the same message, before any work.
     """
+    return (quotient for _, quotient in _class_quotients(family, a_values))
+
+
+def _class_quotients(family: FamilySpec, a_values):
+    """(S, (sizes, nbr)) at each a in ``a_values``: the connection set at
+    distance a, which the quotient reads anyway, and ``distance_quotients``'
+    quotient, from one computation of the classes for all a."""
     n = family.n  # refused here, before the degree formula takes q^(m-1)
     degrees = [_degree(family, a) for a in a_values]
     for degree in degrees:
@@ -382,7 +389,8 @@ def distance_quotients(family: FamilySpec, a_values):
 
     def quotient(a, degree):
         conn = _class_members(classes, a, degree)
-        return sizes, classes[_product(family, reps, conn, np.empty((len(reps), degree), dtype=np.int64))]
+        products = _product(family, reps, conn, np.empty((len(reps), degree), dtype=np.int64))
+        return conn, (sizes, classes[products])
 
     return (quotient(a, degree) for a, degree in zip(a_values, degrees))
 

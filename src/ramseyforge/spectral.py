@@ -8,20 +8,22 @@ Eigenvalues come by four routes:
   * character sums  the abelian Cayley families live on (Z_p)^m: p = q for
                     D_q^m(a), p = 2 for the code graphs.  One DFT of the
                     connection-set indicator gives every eigenvalue: exact
-                    integers for the code graphs, floats for D_q^m(a)
+                    integers for the code graphs, floats for D_q^m(a).  An
+                    ad-hoc circulant, Cay(Z_n, S), takes the same route
   * least only      ``least_eigenvalue``, behind the ratio bound of an ad-hoc
                     graph (the only number of its spectrum a certificate
-                    reads): a Lanczos estimate, proven a lower bound by one
-                    Cholesky factorisation of the shifted n x n adjacency
-                    matrix, with the dense route as its fallback
+                    reads): the least character sum of a circulant, else a
+                    Lanczos estimate proven a lower bound by one Cholesky
+                    factorisation of the shifted n x n adjacency matrix, with
+                    the dense route as its fallback
   * dense           symmetric diagonalization of the n x n adjacency matrix;
                     used for ``spectrum --method dense``, as the test oracle
                     and as the fallback above
 
-The two group routes read only the family and its connection set, so they
-need no built graph.  Tests cross-check them, and ``least_eigenvalue``,
-against the dense one.  The last two routes hold an n x n matrix and are
-capped at limits.DENSE_SPECTRUM_CAP vertices.
+The two group routes read only a connection set, so they need no built
+graph.  Tests cross-check them, and ``least_eigenvalue``, against the dense
+one.  The Cholesky check and the dense route hold an n x n matrix and are
+capped at limits.DENSE_SPECTRUM_CAP vertices; a circulant is not.
 
 Bound conventions, for a d-regular graph on n vertices with adjacency
 eigenvalues d = lambda_1 >= ... >= lambda_n and Laplacian eigenvalues
@@ -102,9 +104,10 @@ def dense_spectrum(graph) -> SpectralSummary:
 # this, or after min(n, _LANCZOS_STEPS) steps.
 _LANCZOS_TOL = 1e-11
 _LANCZOS_STEPS = 300
-# The check runs at mu = theta - _SHIFT * max(1, |theta|): a margin above the
-# rounding error of an n x n Cholesky factorisation, and a bound that moves
-# by about 1e-10 relative.
+# least_eigenvalue returns mu = theta - _SHIFT * max(1, |theta|) for a
+# circulant's least character sum or a Lanczos estimate theta: a margin above
+# the rounding error of an n-point FFT or of an n x n Cholesky factorisation,
+# and a bound that moves by about 1e-10 relative.
 _SHIFT = 1e-10
 _CHOLESKY_BLOCK = 256
 
@@ -160,23 +163,50 @@ def _positive_definite(a: np.ndarray) -> bool:
     return True
 
 
+def _circulant_connection_set(graph):
+    """S = neighbours(0) if the regular graph is the circulant Cay(Z_n, S),
+    whose vertex v has the neighbours (S + v) mod n, else None.
+
+    A CSR row holds d distinct vertices, so it is (S + v) mod n exactly when
+    every (u - v) mod n, u a neighbour of v, lies in S: one O(n*d) lookup."""
+    n, d = graph.n, graph.degree
+    conn = graph.neighbors(0)
+    member = np.zeros(n, dtype=bool)
+    member[conn] = True
+    offsets = (graph.indices.reshape(n, d) - np.arange(n)[:, None]) % n
+    return conn if member[offsets].all() else None
+
+
+def _below(theta: float) -> float:
+    """theta - _SHIFT * max(1, |theta|), the bound returned for an estimate
+    theta of lambda_min."""
+    return theta - _SHIFT * max(1.0, abs(theta))
+
+
 def least_eigenvalue(graph) -> float:
     """A proven lower bound on the least adjacency eigenvalue of a regular
     graph, within about 1e-10 relative of it.
 
-    Lanczos estimates lambda_min by a Ritz value theta >= lambda_min; one
-    Cholesky factorisation of A - mu*I, mu = theta - 1e-10 * max(1, |theta|),
-    then proves lambda_min > mu, and mu is returned.  If Lanczos does not
-    converge or the factorisation fails, the dense spectrum's least eigenvalue
-    is returned instead.  Both the check and the dense route hold an n x n
-    matrix, so both are capped by limits.DENSE_SPECTRUM_CAP.
+    A circulant Cay(Z_n, S) reads lambda_min as the least character sum, one
+    n-point DFT of the indicator of S, whose rounding (about 1e-13) is far
+    below the margin: theta - 1e-10 * max(1, |theta|) is returned.  Any
+    other graph takes Lanczos, which estimates lambda_min by a Ritz value
+    theta >= lambda_min; one Cholesky factorisation of A - mu*I,
+    mu = theta - 1e-10 * max(1, |theta|), then proves lambda_min > mu, and mu
+    is returned.  If Lanczos does not converge or the factorisation fails,
+    the dense spectrum's least eigenvalue is returned instead.  Both the
+    check and the dense route hold an n x n matrix, so a graph that is not a
+    circulant is capped by limits.DENSE_SPECTRUM_CAP.
     """
     _require_regular(graph)
     n = graph.n
+    conn = _circulant_connection_set(graph)
+    if conn is not None:
+        return _below(float(_character_spectrum((n,), conn).min()))
     limits.check("DENSE_SPECTRUM_CAP", n, f"dense spectrum on {n} vertices")
     theta = _lanczos_least(graph)
     if theta is not None:
-        mu = theta - _SHIFT * max(1.0, abs(theta))
+        mu = _below(theta)
         shifted = _adjacency(graph)
         shifted.flat[::n + 1] = -mu
         if _positive_definite(shifted):
@@ -185,18 +215,19 @@ def least_eigenvalue(graph) -> float:
     return float(dense_spectrum(graph).eigenvalues[-1])
 
 
-def _character_spectrum(family, conn: np.ndarray) -> np.ndarray:
-    """Spectrum of Cay((Z_p)^m, S): the DFT of the indicator of S.
+def _character_spectrum(shape, conn: np.ndarray) -> np.ndarray:
+    """Spectrum of the Cayley graph Cay(Z_p1 x ... x Z_pm, S), with
+    ``shape`` = (p1, ..., pm): the DFT of the indicator of S.
 
-    The codecs number x in (Z_p)^m as sum x_i * p^i, so the indicator reshapes
-    to a (p,) * m array.  S = -S makes the transform real; for p = 2 every
-    butterfly is an integer addition, so code-graph eigenvalues are exact.
+    The families live on (Z_p)^m, shape (p,) * m, and their codecs number x
+    as sum x_i * p^i, so the indicator reshapes to that shape; a circulant
+    lives on Z_n, shape (n,).  S = -S makes the transform real; for p = 2
+    every butterfly is an integer addition, so code-graph eigenvalues are
+    exact.
     """
-    n = family.n
-    p, m = (family.q, family.m) if family.kind == "euclidean" else (2, n.bit_length() - 1)
-    indicator = np.zeros(n)
+    indicator = np.zeros(math.prod(shape))
     indicator[conn] = 1.0
-    return np.fft.fftn(indicator.reshape((p,) * m)).real.ravel()
+    return np.fft.fftn(indicator.reshape(shape)).real.ravel()
 
 
 def _character_spectrum_affine(family, conn: np.ndarray) -> np.ndarray:
@@ -240,7 +271,8 @@ def cayley_spectrum_abelian(family, conn: np.ndarray) -> SpectralSummary:
     if family.kind == "noneuclidean":
         eig, method = _character_spectrum_affine(family, conn), "affine-irreps"
     else:
-        eig, method = _character_spectrum(family, conn), "character-sum"
+        p, m = (family.q, family.m) if family.kind == "euclidean" else (2, family.n.bit_length() - 1)
+        eig, method = _character_spectrum((p,) * m, conn), "character-sum"
     eig = np.sort(eig)[::-1]
     return SpectralSummary(n=family.n, d=len(conn), eigenvalues=eig, method=method)
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -290,6 +291,22 @@ def test_mt1_q53_past_the_dense_cap(capsys):
     assert doc["ramsey"]["method"] == "spectral-ratio"
 
 
+@pytest.mark.parametrize("verify,q", [(verify_main_theorem, 139), (verify_mt1, 41)])
+def test_a_certificate_computes_the_distance_classes_once(monkeypatch, verify, q):
+    # S (for the spectrum) and the distance-class quotient (for the walk and
+    # the triangles) come from one pass over the vertices
+    calls, classes = [], graphs._classes
+
+    def counting(family):
+        calls.append(family)
+        return classes(family)
+
+    monkeypatch.setattr(graphs, "_classes", counting)
+    cert = verify(q)
+    assert [family.q for family in calls] == [q]
+    assert cert.claim("triangle_free").status == "pass"
+
+
 def test_mt1_residue_gate():
     for q in [13, 7, 5, 12]:
         with pytest.raises(BadResidue):
@@ -447,7 +464,7 @@ def test_adhoc_ratio_bound_matches_the_cosine_formula(monkeypatch, n, offsets):
     # offsets in (n/3, n/2) and their negatives form a sum-free set, so the
     # circulant is triangle-free; its eigenvalues are sum_s cos(2 pi j s / n)
     def no_dense(graph):
-        raise AssertionError("the Cholesky check should have proven the Lanczos value")
+        raise AssertionError("a circulant's bound should come from its character sums")
 
     g = _circulant(n, offsets)
     d = 2 * len(offsets)
@@ -460,6 +477,36 @@ def test_adhoc_ratio_bound_matches_the_cosine_formula(monkeypatch, n, offsets):
     # within 1e-9 of the true bound, and never below it
     assert got == pytest.approx(want, rel=1e-9) and got >= want * (1 - 1e-12)
     assert cert.ramsey["t"] == math.floor(got) + 1
+
+
+def test_adhoc_circulant_past_the_dense_cap_needs_no_n_by_n_array():
+    # a triangle-free circulant on 3001 > limits.DENSE_SPECTRUM_CAP vertices:
+    # its ratio bound is one 3001-point DFT; a relabelled copy, whose bound
+    # needs the n x n Cholesky check, is refused as before
+    n, offsets = 3001, (1001, 1062, 1123, 1184, 1245, 1306, 1367, 1428, 1489)
+    assert n > limits.DENSE_SPECTRUM_CAP
+    g = _circulant(n, offsets)
+    tracemalloc.start()
+    try:
+        cert = ramsey_certificate(g)
+        whole = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        spectral.least_eigenvalue(g)
+        spectrum = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.overall == "pass" and cert.ramsey["method"] == "spectral-ratio"
+    lam = sum(2 * np.cos(2 * np.pi * np.arange(n) * s / n) for s in offsets).min()
+    assert cert.ramsey["alpha_bound"] == pytest.approx(n * -lam / (len(offsets) * 2 - lam), rel=1e-9)
+    # the n x n float64 matrix alone would take n^2 * 8 = 72 MB; the bitset
+    # triangle count sets the certificate's peak
+    assert whole < n * n * 8 / 2 and spectrum < 2**20
+    perm = np.random.default_rng(n).permutation(n).tolist()
+    us, vs = g.edge_arrays()
+    relabelled = graph_from_edges(n, [(perm[u], perm[v]) for u, v in zip(us.tolist(), vs.tolist())])
+    with pytest.raises(TooLarge) as exc:
+        ramsey_certificate(relabelled)
+    assert str(exc.value) == f"dense spectrum on {n} vertices exceeds limits.DENSE_SPECTRUM_CAP = 2500"
 
 
 @pytest.mark.parametrize("n,offsets,t", [
@@ -758,6 +805,7 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
     ]
     built = []
     calls = Counter()
+    quotient_oracles = ("distance_quotients", "_class_quotients")
 
     def counting_cayley_graph(*args):
         graph = cayley_graph(*args)
@@ -769,7 +817,7 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
         # the quotient also by the distances a it reads
         def wrapper(first, *args, **kwargs):
             key = (oracle.__name__, getattr(first, "family", first))
-            if oracle.__name__ == "distance_quotients":
+            if oracle.__name__ in quotient_oracles:
                 key += (tuple(args[0]),)
             calls[key] += 1
             return oracle(first, *args, **kwargs)
@@ -781,7 +829,7 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
     monkeypatch.setattr(graphs, "_cayley_graph", counting_cayley_graph)
     oracles = (
         "triangle_count", "exact_independence", "cayley_spectrum_abelian", "connection_set",
-        "distance_quotients", "_cayley_quotient",
+        "_cayley_quotient", *quotient_oracles,
     )
     for name in oracles:
         monkeypatch.setattr(certify, name, counting_oracle(getattr(certify, name)))
@@ -800,18 +848,18 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
     assert [s.label() for s in expected] == ["D_7(1)", "BCH_2", "BCH_4", "ALON_2"]
     assert Counter(g.family for g in built) == Counter(expected)
     # every family row reads triangles, girth, diameter and components from
-    # one quotient: the distance classes, or a code graph as its own
+    # one quotient: the distance classes, read with S, or a code graph as its own
     quotient_reads = Counter()
     for spec in jobs:
         if spec.kind in geometric:
-            quotient_reads["distance_quotients", spec, (spec.a,)] += 1
+            quotient_reads["_class_quotients", spec, (spec.a,)] += 1
         else:
             assert calls["_cayley_quotient", spec] == 1, spec
         assert calls["triangle_count", spec] == 0, spec
     # the half-plane girth/diameter suite of the q = 13 row reads all its a at once
     suite = FamilySpec(kind="noneuclidean", q=13, sigma=2)
     quotient_reads["distance_quotients", suite, tuple(a for a in range(1, 13) if a != 8)] += 1
-    assert Counter({key: n for key, n in calls.items() if key[0] == "distance_quotients"}) == quotient_reads
+    assert Counter({key: n for key, n in calls.items() if key[0] in quotient_oracles}) == quotient_reads
     assert max(calls.values()) == 1, calls
 
 

@@ -861,9 +861,14 @@ def _refusal(lever, call, arg, size, what, error=TooLarge):
 
 
 D3 = FamilySpec(kind="euclidean", q=3, a=1)  # 9 vertices of degree 4
-# triangle-free (offsets in (n/3, n/2) are sum-free) and past VERIFY_ALPHA_CAP,
-# so its certificate takes the ratio bound
-C120 = graph_from_edges(120, [(v, (v + s) % 120) for v in range(120) for s in (41, 47, 53)])
+# a circulant, triangle-free (offsets in (n/3, n/2) are sum-free) and past
+# VERIFY_ALPHA_CAP, so its certificate takes the ratio bound; relabelled by a
+# fixed permutation, so that bound is not read as a character sum but takes
+# Lanczos and the n x n Cholesky check
+_PERM120 = np.random.default_rng(120).permutation(120).tolist()
+C120 = graph_from_edges(
+    120, [(_PERM120[v], _PERM120[(v + s) % 120]) for v in range(120) for s in (41, 47, 53)]
+)
 
 
 @pytest.mark.parametrize("lever,call,arg,size,what,error", [

@@ -165,14 +165,20 @@ def test_dense_spectrum_gates():
         dense_spectrum(build_family(big))
 
 
-def _circulant(n, offsets):
-    return graph_from_edges(n, [(v, (v + s) % n) for v in range(n) for s in offsets])
-
-
 def _relabelled_copies(n, edges, perm):
     """len(perm) // n disjoint copies of an n-vertex graph, vertex i of the
     union renamed perm[i]."""
     return [(perm[c * n + u], perm[c * n + v]) for c in range(len(perm) // n) for u, v in edges]
+
+
+def _circulant(n, offsets, seed=None):
+    """The circulant on Z_n with connection set +-offsets; with a seed, a
+    copy relabelled by that seed's fixed random permutation, which is not a
+    circulant in its own labels."""
+    edges = [(v, (v + s) % n) for v in range(n) for s in offsets]
+    if seed is not None:
+        edges = _relabelled_copies(n, edges, np.random.default_rng(seed).permutation(n).tolist())
+    return graph_from_edges(n, edges)
 
 
 @st.composite
@@ -224,7 +230,9 @@ def test_least_eigenvalue_matches_the_dense_spectrum(case):
     lambda g: None,  # no convergence
 ], ids=["estimate-too-high", "no-convergence"])
 def test_least_eigenvalue_returns_dense_when_lanczos_is_wrong(monkeypatch, lanczos):
-    g = _circulant(13, (1, 5))
+    # relabelled, so that the graph takes Lanczos and the Cholesky check
+    g = _circulant(13, (1, 5), seed=13)
+    assert spectral._circulant_connection_set(g) is None
     checks, positive_definite = [], spectral._positive_definite
 
     def check(a):
@@ -247,6 +255,72 @@ def test_positive_definite_check_across_cholesky_blocks(monkeypatch):
     assert spectral._positive_definite(spd.copy())
     spd[-1, -1] -= 1.01 / np.linalg.inv(spd)[-1, -1]
     assert not spectral._positive_definite(spd)
+
+
+def _spy_lanczos(monkeypatch):
+    """Record the graphs that reach Lanczos."""
+    seen, lanczos = [], spectral._lanczos_least
+
+    def spy(graph):
+        seen.append(graph)
+        return lanczos(graph)
+
+    monkeypatch.setattr(spectral, "_lanczos_least", spy)
+    return seen
+
+
+_CIRCULANTS = [
+    (5, (1,)), (12, (1, 6)), (13, (1, 5)), (40, (3, 7, 20)), (97, (1, 2, 5, 17, 40)),
+    (300, (101, 106, 111, 116, 121, 126, 131, 136)),
+]
+
+
+@pytest.mark.parametrize("n,offsets", _CIRCULANTS)
+def test_circulants_are_recognised_in_their_own_labels_only(n, offsets):
+    conn = spectral._circulant_connection_set(_circulant(n, offsets))
+    assert conn.tolist() == sorted({s % n for s in offsets} | {-s % n for s in offsets})
+    assert spectral._circulant_connection_set(_circulant(n, offsets, seed=n)) is None
+
+
+def _two_switch(graph):
+    """A regular graph with the edges (a, b), (c, e) of ``graph`` replaced
+    by (a, c), (b, e), for the first such pair whose new edges are absent:
+    every degree stays."""
+    edges = set(zip(*(side.tolist() for side in graph.edge_arrays())))
+    for a, b in sorted(edges):
+        for c, e in sorted(edges):
+            new = {(min(a, c), max(a, c)), (min(b, e), max(b, e))}
+            if len({a, b, c, e}) == 4 and not new & edges:
+                return graph_from_edges(graph.n, (edges - {(a, b), (c, e)}) | new)
+    raise AssertionError("no 2-switch")
+
+
+@pytest.mark.parametrize("n,offsets", [(13, (1, 5)), (40, (3, 7, 20)), (300, (101, 113, 127))])
+def test_a_regular_mutant_of_a_circulant_takes_lanczos(monkeypatch, n, offsets):
+    circulant = _circulant(n, offsets)
+    g = _two_switch(circulant)
+    assert g.degree == circulant.degree
+    assert spectral._circulant_connection_set(g) is None
+    seen = _spy_lanczos(monkeypatch)
+    dense = float(dense_spectrum(g).eigenvalues[-1])
+    got = least_eigenvalue(g)
+    assert seen == [g]
+    assert abs(got - dense) <= 1e-9 * max(1.0, abs(dense)) and got <= dense
+
+
+@pytest.mark.parametrize("n,offsets", _CIRCULANTS + [(2000, (667, 704, 741, 778, 815, 852, 889, 926))])
+def test_circulant_least_eigenvalue_is_the_least_character_sum(monkeypatch, n, offsets):
+    g = _circulant(n, offsets)
+    seen = _spy_lanczos(monkeypatch)
+    got = least_eigenvalue(g)
+    assert seen == []
+    conn = g.neighbors(0)
+    cosine = min(sum(math.cos(2 * math.pi * j * s / n) for s in conn.tolist()) for j in range(n))
+    dense = float(dense_spectrum(g).eigenvalues[-1])
+    for want in (cosine, dense):
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+    # a lower bound: the ratio bound read from it is never below the true one
+    assert got <= dense and got <= cosine
 
 
 def _abelian_cases():
