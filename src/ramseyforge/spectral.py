@@ -12,18 +12,18 @@ Eigenvalues come by four routes:
                     ad-hoc circulant, Cay(Z_n, S), takes the same route
   * least only      ``least_eigenvalue``, behind the ratio bound of an ad-hoc
                     graph (the only number of its spectrum a certificate
-                    reads): the least character sum of a circulant, else a
-                    Lanczos estimate proven a lower bound by one Cholesky
-                    factorisation of the shifted n x n adjacency matrix, with
-                    the dense route as its fallback
+                    reads): the least character sum of a circulant, else the
+                    dense route's least eigenvalue, each less a margin of
+                    1e-10 relative
   * dense           symmetric diagonalization of the n x n adjacency matrix;
                     used for ``spectrum --method dense``, as the test oracle
-                    and as the fallback above
+                    and for an ad-hoc graph that is not a circulant
 
 The two group routes read only a connection set, so they need no built
-graph.  Tests cross-check them, and ``least_eigenvalue``, against the dense
-one.  The Cholesky check and the dense route hold an n x n matrix and are
-capped at limits.DENSE_SPECTRUM_CAP vertices; a circulant is not.
+graph.  Tests cross-check them against the dense one, and
+``least_eigenvalue`` against closed forms.  The dense route holds an n x n
+matrix and is capped at limits.DENSE_SPECTRUM_CAP vertices; a circulant is
+not.
 
 Bound conventions, for a d-regular graph on n vertices with adjacency
 eigenvalues d = lambda_1 >= ... >= lambda_n and Laplacian eigenvalues
@@ -78,21 +78,14 @@ def _require_regular(graph) -> int:
     return graph.degree
 
 
-def _adjacency(graph) -> np.ndarray:
-    """The n x n float64 adjacency matrix."""
-    n = graph.n
-    adj = np.zeros((n, n), dtype=np.float64)
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
-    adj[rows, graph.indices] = 1.0
-    return adj
-
-
 def dense_spectrum(graph) -> SpectralSummary:
     """Full spectrum via symmetric dense diagonalization."""
     d = _require_regular(graph)
     n = graph.n
     limits.check("DENSE_SPECTRUM_CAP", n, f"dense spectrum on {n} vertices")
-    adj = _adjacency(graph)
+    adj = np.zeros((n, n), dtype=np.float64)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
+    adj[rows, graph.indices] = 1.0
     try:
         eig = np.linalg.eigvalsh(adj)
     except np.linalg.LinAlgError as exc:
@@ -100,67 +93,11 @@ def dense_spectrum(graph) -> SpectralSummary:
     return SpectralSummary(n=n, d=d, eigenvalues=eig[::-1].copy(), method="dense")
 
 
-# Lanczos stops once the Ritz residual of its smallest Ritz value is below
-# this, or after min(n, _LANCZOS_STEPS) steps.
-_LANCZOS_TOL = 1e-11
-_LANCZOS_STEPS = 300
-# least_eigenvalue returns mu = theta - _SHIFT * max(1, |theta|) for a
-# circulant's least character sum or a Lanczos estimate theta: a margin above
-# the rounding error of an n-point FFT or of an n x n Cholesky factorisation,
-# and a bound that moves by about 1e-10 relative.
+# least_eigenvalue returns theta - _SHIFT * max(1, |theta|) for lambda_min
+# computed as theta: a margin above the rounding error of an n-point FFT or
+# of a dense symmetric eigensolve (about n * eps * ||A||, 1e-11 at n = 2500,
+# d = 16), and a bound that moves by about 1e-10 relative.
 _SHIFT = 1e-10
-_CHOLESKY_BLOCK = 256
-
-
-def _lanczos_least(graph):
-    """Smallest Ritz value of the adjacency matrix, or None if its residual
-    has not dropped below _LANCZOS_TOL within min(n, _LANCZOS_STEPS) steps.
-
-    Lanczos with full reorthogonalisation from a fixed random start; the
-    matvec is a bincount over the CSR.  A Ritz value is a Rayleigh quotient,
-    so it never lies below lambda_min.
-    """
-    n = graph.n
-    steps = min(n, _LANCZOS_STEPS)
-    counts = np.diff(graph.indptr)
-    basis = np.empty((steps, n))
-    alpha, beta = np.zeros(steps), np.zeros(steps)
-    start = np.random.default_rng(0).standard_normal(n)
-    basis[0] = start / np.linalg.norm(start)
-    for k in range(steps):
-        w = np.bincount(graph.indices, weights=np.repeat(basis[k], counts), minlength=n)
-        w = w.astype(np.float64, copy=False)  # bincount gives int64 when there are no edges
-        alpha[k] = basis[k] @ w
-        for _ in range(2):  # Gram-Schmidt twice keeps the basis orthogonal to rounding
-            w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
-        beta[k] = np.linalg.norm(w)
-        tridiagonal = np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
-        ritz, vectors = np.linalg.eigh(tridiagonal)
-        if beta[k] * abs(vectors[-1, 0]) < _LANCZOS_TOL:
-            return float(ritz[0])
-        if k + 1 < steps:
-            basis[k + 1] = w / beta[k]
-    return None
-
-
-def _positive_definite(a: np.ndarray) -> bool:
-    """Whether the symmetric matrix ``a`` is positive definite, by a blocked
-    right-looking Cholesky factorisation that overwrites ``a``: LAPACK on each
-    diagonal block, a solve for the panel below it, and the Schur update of
-    the trailing matrix one column block at a time, so that no temporary
-    exceeds n x _CHOLESKY_BLOCK entries."""
-    n, b = len(a), _CHOLESKY_BLOCK
-    for k in range(0, n, b):
-        e = min(k + b, n)
-        try:
-            a[k:e, k:e] = np.linalg.cholesky(a[k:e, k:e])
-        except np.linalg.LinAlgError:
-            return False
-        panel = np.linalg.solve(a[k:e, k:e], a[e:, k:e].T).T  # L21 = A21 L11^-T
-        for j in range(e, n, b):
-            f = min(j + b, n)
-            a[j:, j:f] -= panel[j - e:] @ panel[j - e:f - e].T
-    return True
 
 
 def _circulant_connection_set(graph):
@@ -178,41 +115,27 @@ def _circulant_connection_set(graph):
 
 
 def _below(theta: float) -> float:
-    """theta - _SHIFT * max(1, |theta|), the bound returned for an estimate
-    theta of lambda_min."""
+    """theta - _SHIFT * max(1, |theta|), the bound returned for a computed
+    lambda_min theta."""
     return theta - _SHIFT * max(1.0, abs(theta))
 
 
 def least_eigenvalue(graph) -> float:
-    """A proven lower bound on the least adjacency eigenvalue of a regular
-    graph, within about 1e-10 relative of it.
+    """A lower bound on the least adjacency eigenvalue of a regular graph,
+    within about 1e-10 relative of it.
 
     A circulant Cay(Z_n, S) reads lambda_min as the least character sum, one
-    n-point DFT of the indicator of S, whose rounding (about 1e-13) is far
-    below the margin: theta - 1e-10 * max(1, |theta|) is returned.  Any
-    other graph takes Lanczos, which estimates lambda_min by a Ritz value
-    theta >= lambda_min; one Cholesky factorisation of A - mu*I,
-    mu = theta - 1e-10 * max(1, |theta|), then proves lambda_min > mu, and mu
-    is returned.  If Lanczos does not converge or the factorisation fails,
-    the dense spectrum's least eigenvalue is returned instead.  Both the
-    check and the dense route hold an n x n matrix, so a graph that is not a
-    circulant is capped by limits.DENSE_SPECTRUM_CAP.
+    n-point DFT of the indicator of S, with no n x n array and no cap; any
+    other graph reads it from the dense spectrum, capped by
+    limits.DENSE_SPECTRUM_CAP.  Either value theta is returned as
+    theta - 1e-10 * max(1, |theta|), a margin far above the rounding of
+    both routes.
     """
     _require_regular(graph)
-    n = graph.n
     conn = _circulant_connection_set(graph)
     if conn is not None:
-        return _below(float(_character_spectrum((n,), conn).min()))
-    limits.check("DENSE_SPECTRUM_CAP", n, f"dense spectrum on {n} vertices")
-    theta = _lanczos_least(graph)
-    if theta is not None:
-        mu = _below(theta)
-        shifted = _adjacency(graph)
-        shifted.flat[::n + 1] = -mu
-        if _positive_definite(shifted):
-            return mu
-        del shifted  # free the n x n array before the dense route makes its own
-    return float(dense_spectrum(graph).eigenvalues[-1])
+        return _below(float(_character_spectrum((graph.n,), conn).min()))
+    return _below(float(dense_spectrum(graph).eigenvalues[-1]))
 
 
 def _character_spectrum(shape, conn: np.ndarray) -> np.ndarray:

@@ -482,7 +482,7 @@ def test_adhoc_ratio_bound_matches_the_cosine_formula(monkeypatch, n, offsets):
 def test_adhoc_circulant_past_the_dense_cap_needs_no_n_by_n_array():
     # a triangle-free circulant on 3001 > limits.DENSE_SPECTRUM_CAP vertices:
     # its ratio bound is one 3001-point DFT; a relabelled copy, whose bound
-    # needs the n x n Cholesky check, is refused as before
+    # needs the dense spectrum, is refused as before
     n, offsets = 3001, (1001, 1062, 1123, 1184, 1245, 1306, 1367, 1428, 1489)
     assert n > limits.DENSE_SPECTRUM_CAP
     g = _circulant(n, offsets)

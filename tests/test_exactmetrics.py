@@ -864,7 +864,7 @@ D3 = FamilySpec(kind="euclidean", q=3, a=1)  # 9 vertices of degree 4
 # a circulant, triangle-free (offsets in (n/3, n/2) are sum-free) and past
 # VERIFY_ALPHA_CAP, so its certificate takes the ratio bound; relabelled by a
 # fixed permutation, so that bound is not read as a character sum but takes
-# Lanczos and the n x n Cholesky check
+# the dense route
 _PERM120 = np.random.default_rng(120).permutation(120).tolist()
 C120 = graph_from_edges(
     120, [(_PERM120[v], _PERM120[(v + s) % 120]) for v in range(120) for s in (41, 47, 53)]
@@ -873,7 +873,7 @@ C120 = graph_from_edges(
 
 @pytest.mark.parametrize("lever,call,arg,size,what,error", [
     _refusal("DENSE_SPECTRUM_CAP", dense_spectrum, build_family(D3), 9, "dense spectrum on 9 vertices"),
-    # the Cholesky check behind the ad-hoc ratio bound holds an n x n matrix too
+    # the ad-hoc ratio bound of a graph that is not a circulant reads the dense spectrum
     _refusal("DENSE_SPECTRUM_CAP", least_eigenvalue, C120, 120, "dense spectrum on 120 vertices"),
     _refusal("DENSE_SPECTRUM_CAP", ramsey_certificate, C120, 120, "dense spectrum on 120 vertices"),
     _refusal("TOUGHNESS_CAP", exact_toughness, build_family(D3), 9, "exact toughness on 9 vertices"),

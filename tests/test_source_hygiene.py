@@ -1,12 +1,12 @@
 """Source hygiene of the package, read with the stdlib ``ast`` module: no
-module imports a name it never uses, every module-level private function or
-class is referenced somewhere in the package besides its own definition,
-every public module-level function is exported or referenced likewise,
-size refusals go through ``limits.check``, which reads each limit when it runs
-and names a lever the README cap table lists,
-certify builds a graph only through ``_Measured``, the measuring modules
-do not import the graph module, and every import is the standard library, the
-package itself or a declared dependency."""
+module imports a name it never uses, every module-level private function,
+class or constant is referenced somewhere in the package besides its own
+definition, every public module-level function is exported or referenced
+likewise, size refusals go through ``limits.check``, which reads each limit
+when it runs and names a lever the README cap table lists, certify builds a
+graph only through ``_Measured``, the measuring modules do not import the
+graph module, and every import is the standard library, the package itself
+or a declared dependency."""
 
 import ast
 import pathlib
@@ -54,18 +54,30 @@ def test_no_unused_imports(module):
     assert not unused, f"{module} imports names it never uses: {unused}"
 
 
+def _defined_names(node):
+    """Names a module-level statement defines: a function or class, or the
+    plain-name targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [target.id for target in node.targets if isinstance(target, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def test_every_private_definition_is_referenced():
     refs = sum((_references(tree) for tree in TREES.values()), Counter())
     orphans = []
     for module, tree in TREES.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("__") or not node.name.startswith("_"):
-                continue
-            # uses inside the definition itself (recursion) do not count
-            if refs[node.name] - _references(node)[node.name] <= 0:
-                orphans.append(f"{module}:{node.lineno} {node.name}")
+            for name in _defined_names(node):
+                if name.startswith("__") or not name.startswith("_"):
+                    continue
+                # uses inside the definition itself (recursion, the assigned
+                # name) do not count
+                if refs[name] - _references(node)[name] <= 0:
+                    orphans.append(f"{module}:{node.lineno} {name}")
     assert not orphans, f"private definitions nothing refers to: {orphans}"
 
 

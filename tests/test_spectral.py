@@ -220,53 +220,65 @@ def test_least_eigenvalue_matches_the_dense_spectrum(case):
     got = least_eigenvalue(g)
     assert abs(got - dense) <= 1e-9 * scale
     # a lower bound: the ratio bound read from it is never below the true one
-    assert got <= dense + 1e-12 * scale
+    assert got < dense
     if bipartite:
         assert abs(got + g.degree) <= 1e-9 * g.degree
 
 
-@pytest.mark.parametrize("lanczos", [
-    lambda g: float(np.linalg.eigvalsh(spectral._adjacency(g))[0]) + 0.5,  # 0.5 above lambda_min
-    lambda g: None,  # no convergence
-], ids=["estimate-too-high", "no-convergence"])
-def test_least_eigenvalue_returns_dense_when_lanczos_is_wrong(monkeypatch, lanczos):
-    # relabelled, so that the graph takes Lanczos and the Cholesky check
-    g = _circulant(13, (1, 5), seed=13)
-    assert spectral._circulant_connection_set(g) is None
-    checks, positive_definite = [], spectral._positive_definite
-
-    def check(a):
-        checks.append(positive_definite(a))
-        return checks[-1]
-
-    monkeypatch.setattr(spectral, "_lanczos_least", lanczos)
-    monkeypatch.setattr(spectral, "_positive_definite", check)
-    assert least_eigenvalue(g) == float(dense_spectrum(g).eigenvalues[-1])
-    assert checks == ([False] if lanczos(g) is not None else [])
-
-
-def test_positive_definite_check_across_cholesky_blocks(monkeypatch):
-    # three diagonal blocks: a definite matrix passes; lowering its last
-    # diagonal entry past the last pivot's Schur complement makes it
-    # indefinite, which only the last block's factorisation can see
-    monkeypatch.setattr(spectral, "_CHOLESKY_BLOCK", 16)
-    x = np.random.default_rng(5).standard_normal((40, 40))
-    spd = x @ x.T + 1e-3 * np.eye(40)
-    assert spectral._positive_definite(spd.copy())
-    spd[-1, -1] -= 1.01 / np.linalg.inv(spd)[-1, -1]
-    assert not spectral._positive_definite(spd)
-
-
-def _spy_lanczos(monkeypatch):
-    """Record the graphs that reach Lanczos."""
-    seen, lanczos = [], spectral._lanczos_least
+def _spy_dense(monkeypatch):
+    """Record the graphs whose least eigenvalue is read from the dense route."""
+    seen, dense = [], spectral.dense_spectrum
 
     def spy(graph):
         seen.append(graph)
-        return lanczos(graph)
+        return dense(graph)
 
-    monkeypatch.setattr(spectral, "_lanczos_least", spy)
+    monkeypatch.setattr(spectral, "dense_spectrum", spy)
     return seen
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return graph_from_edges(10, outer + spokes + inner)
+
+
+def _complete(n):
+    return graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def _complete_bipartite(m):
+    return graph_from_edges(2 * m, [(u, m + v) for u in range(m) for v in range(m)])
+
+
+def _cosine_least(n, offsets):
+    """min over j of sum_{s in S} cos(2 pi j s / n), S = +-offsets: the least
+    eigenvalue of the circulant Cay(Z_n, S)."""
+    conn = sorted({s % n for s in offsets} | {-s % n for s in offsets})
+    return min(sum(math.cos(2 * math.pi * j * s / n) for s in conn) for j in range(n))
+
+
+@pytest.mark.parametrize("graph,lam,dense_route", [
+    # vertex-transitive but not a Cayley graph, so not a circulant
+    pytest.param(_petersen(), -2.0, True, id="petersen"),
+    pytest.param(_complete_bipartite(2), -2.0, True, id="K_2,2"),
+    pytest.param(_complete_bipartite(4), -4.0, True, id="K_4,4"),
+    pytest.param(_complete_bipartite(9), -9.0, True, id="K_9,9"),
+    # every labelling of K_n is the circulant Cay(Z_n, Z_n - {0})
+    pytest.param(_complete(2), -1.0, False, id="K_2"),
+    pytest.param(_complete(7), -1.0, False, id="K_7"),
+    pytest.param(_complete(30), -1.0, False, id="K_30"),
+    pytest.param(_circulant(13, (1, 5), seed=13), _cosine_least(13, (1, 5)), True, id="C13-relabelled"),
+    pytest.param(_circulant(300, (101, 113, 127), seed=300), _cosine_least(300, (101, 113, 127)), True,
+                 id="C300-relabelled"),
+])
+def test_least_eigenvalue_matches_a_closed_form(monkeypatch, graph, lam, dense_route):
+    # oracles that share no code with either route
+    seen = _spy_dense(monkeypatch)
+    got = least_eigenvalue(graph)
+    assert seen == ([graph] if dense_route else [])
+    assert abs(got - (lam - 1e-10 * max(1.0, abs(lam)))) <= 1e-12
 
 
 _CIRCULANTS = [
@@ -296,13 +308,13 @@ def _two_switch(graph):
 
 
 @pytest.mark.parametrize("n,offsets", [(13, (1, 5)), (40, (3, 7, 20)), (300, (101, 113, 127))])
-def test_a_regular_mutant_of_a_circulant_takes_lanczos(monkeypatch, n, offsets):
+def test_a_regular_mutant_of_a_circulant_takes_the_dense_route(monkeypatch, n, offsets):
     circulant = _circulant(n, offsets)
     g = _two_switch(circulant)
     assert g.degree == circulant.degree
     assert spectral._circulant_connection_set(g) is None
-    seen = _spy_lanczos(monkeypatch)
     dense = float(dense_spectrum(g).eigenvalues[-1])
+    seen = _spy_dense(monkeypatch)
     got = least_eigenvalue(g)
     assert seen == [g]
     assert abs(got - dense) <= 1e-9 * max(1.0, abs(dense)) and got <= dense
@@ -311,11 +323,10 @@ def test_a_regular_mutant_of_a_circulant_takes_lanczos(monkeypatch, n, offsets):
 @pytest.mark.parametrize("n,offsets", _CIRCULANTS + [(2000, (667, 704, 741, 778, 815, 852, 889, 926))])
 def test_circulant_least_eigenvalue_is_the_least_character_sum(monkeypatch, n, offsets):
     g = _circulant(n, offsets)
-    seen = _spy_lanczos(monkeypatch)
+    seen = _spy_dense(monkeypatch)
     got = least_eigenvalue(g)
     assert seen == []
-    conn = g.neighbors(0)
-    cosine = min(sum(math.cos(2 * math.pi * j * s / n) for s in conn.tolist()) for j in range(n))
+    cosine = _cosine_least(n, offsets)
     dense = float(dense_spectrum(g).eigenvalues[-1])
     for want in (cosine, dense):
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
