@@ -21,6 +21,13 @@ a bit per root, and roots run in blocks whose bit arrays stay within
 ``_BFS_WORD_BUDGET`` 64-bit words, fixed up front.  The walk gathers each
 BFS level in chunks of that size, and ``connected_components`` runs one BFS
 per component over the CSR lists.
+
+The exhaustive oracles work on Python ints as vertex bitmasks.  The
+independence branch and bound keeps a stack of open sets, not a recursion,
+and reads each node's pick from the open degrees packed in the lanes of one
+int (``exact_independence``); the toughness enumeration compares values as
+integer cross products and stops counting a set's components once they can
+no longer beat the best value.
 """
 import math
 from dataclasses import dataclass
@@ -398,7 +405,11 @@ def _neighbor_masks(graph) -> list:
     return masks
 
 
-def _mask_components(remaining: int, masks: list) -> int:
+def _mask_components(remaining: int, masks: list, need: int = 0) -> int:
+    """Components of the graph induced on the bitmask ``remaining``.  With
+    ``need``, the count stops as soon as the components found, plus one for
+    each vertex outside them, fall below it, and the (smaller) count so far
+    comes back: the count is exact whenever it reaches ``need``."""
     comps = 0
     rem = remaining
     while rem:
@@ -414,7 +425,9 @@ def _mask_components(remaining: int, masks: list) -> int:
                 nxt |= masks[b.bit_length() - 1]
             frontier = nxt & rem & ~grown
             grown |= frontier
-        rem &= ~grown
+            if comps + (rem ^ grown).bit_count() < need:
+                return comps
+        rem ^= grown
     return comps
 
 
@@ -426,8 +439,11 @@ def exact_toughness(graph) -> ToughnessResult:
     n - s components, so no set of size s can beat s / (n - s), which grows
     with s: the search stops at the first size where that reaches the best
     value, and since ties never replace the witness the result is the full
-    enumeration's.  Complete graphs have no disconnecting set; the result is
-    the math.inf sentinel, not an error.
+    enumeration's.  Values compare as integer cross products, with one
+    Fraction built at the end, and a set's components are counted only while
+    they can still reach the count that would strictly beat the best value.
+    Complete graphs have no disconnecting set; the result is the math.inf
+    sentinel, not an error.
     """
     n = graph.n
     limits.check("TOUGHNESS_CAP", n, f"exact toughness on {n} vertices")
@@ -437,27 +453,25 @@ def exact_toughness(graph) -> ToughnessResult:
         comps0 = _mask_components(full, masks)
         if comps0 > 1:
             return ToughnessResult(Fraction(0), (), comps0)
-    best = None
-    best_witness = None
-    best_comps = None
+    vertex_bits = [1 << v for v in range(n)]
+    best_size = best_comps = best_witness = None
     for size in range(1, n - 1):
-        if best is not None and Fraction(size, n - size) >= best:
+        if best_size is None:
+            need = 2
+        elif size * best_comps >= best_size * (n - size):
             break
-        for subset in combinations(range(n), size):
-            removed = 0
-            for v in subset:
-                removed |= 1 << v
-            comps = _mask_components(full & ~removed, masks)
-            if comps < 2:
-                continue
-            value = Fraction(size, comps)
-            if best is None or value < best:
-                best = value
-                best_witness = subset
-                best_comps = comps
-    if best is None:
+        else:
+            # a set of this size beats best_size / best_comps only with more
+            # than size * best_comps / best_size components
+            need = max(2, size * best_comps // best_size + 1)
+        for subset, bits in zip(combinations(range(n), size), combinations(vertex_bits, size)):
+            comps = _mask_components(full ^ sum(bits), masks, need)
+            if comps >= need:
+                best_size, best_comps, best_witness = size, comps, subset
+                need = comps + 1
+    if best_size is None:
         return ToughnessResult(math.inf, None, None)
-    return ToughnessResult(best, best_witness, best_comps)
+    return ToughnessResult(Fraction(best_size, best_comps), best_witness, best_comps)
 
 
 def exact_independence(graph) -> IndependenceResult:
@@ -468,11 +482,20 @@ def exact_independence(graph) -> IndependenceResult:
     Graphs past limits.INDEPENDENCE_CAP are refused.  If the search visits
     more than limits.NODE_BUDGET nodes (read when the search starts) the best
     set found so far comes back flagged ``exact=False`` rather than raising.
-    A node keeps its work small (search state in closure variables, bits
-    cleared with ``x ^= x & -x``, the cover counted only until it exceeds
-    what the prune test needs) while the pick, the bound, the branch order
-    and the budget check alone decide the tree: node counts and witnesses
-    are those of the plain dict-and-mask form the tests keep as the oracle.
+    The pick, the bound, the branch order and the budget check alone decide
+    the tree, so node counts and witnesses are those of the plain
+    dict-and-mask form the tests keep as the oracle (D_7(1): 414 nodes); a
+    node only does less work than that form:
+
+    - the pick reads no neighbour list: every vertex's open degree sits in a
+      fixed-width lane of one int, and a node that branches subtracts the
+      precomputed lanes of just the vertices its parent's step closed, so
+      the pick is one argmax over the lanes;
+    - the cover is skipped when the open set is too large for any cover to
+      fit the room left (|open| > omega * room, omega = 2 on a triangle-free
+      graph and n otherwise), and counted only until its answer is sure;
+    - the search runs from an explicit stack, exclude child pushed under the
+      include child, so its depth is not bounded by Python's recursion limit.
 
     On a family graph (``graph.family`` not None, a Cayley graph, so vertex
     transitive) the search takes only the include branch of the root's pick.
@@ -495,61 +518,93 @@ def exact_independence(graph) -> IndependenceResult:
     return stored
 
 
+def _lane_bytes(n: int) -> int:
+    """Bytes per lane of the pick's lane int: the least of 1, 2, 4, 8, ...
+    that holds every lane value, all below 2n."""
+    width = 1
+    while 2 * n > 1 << (8 * width):
+        width *= 2
+    return width
+
+
 def _search_independence(graph, budget: int) -> IndependenceResult:
     """The branch and bound of ``exact_independence``, under ``budget`` nodes."""
     n = graph.n
     masks = _neighbor_masks(graph)
     transitive = graph.family is not None
+    # a clique cover of the open set takes at least |open| / omega cliques
+    triangle_free = triangle_count(graph) == 0
+    omega = 2 if triangle_free else n
+    # vertex v adds n to its own lane and 1 to each neighbour's, so a node's
+    # lane int, the sum over its open set, holds n + open degree in an open
+    # vertex's lane and the open degree alone, below n, in a closed one's
+    width = _lane_bytes(n)
+    lane = np.dtype(f"<u{width}")  # little-endian, as int.to_bytes writes
+    rows = np.zeros((n, n), dtype=lane)
+    rows[np.repeat(np.arange(n), np.diff(graph.indptr)), graph.indices] = 1
+    rows[np.arange(n), np.arange(n)] = n
+    contrib = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    del rows
     best = best_set = nodes = 0
     exceeded = False
 
     def cover_exceeds(rem: int, room: int) -> bool:
-        # whether a greedy clique cover of rem takes more than room cliques,
-        # counted only as far as that answer needs
-        while rem:
-            if not room:
+        # whether a greedy clique cover of rem takes more than room cliques:
+        # decided as soon as the r vertices left need more than room (r >
+        # omega * room) or fit in it one by one (r <= room)
+        r = rem.bit_count()
+        while r > room:
+            if r > omega * room:
                 return True
             room -= 1
             low = rem & -rem
             rem ^= low
+            r -= 1
             cand = rem & masks[low.bit_length() - 1]
+            if triangle_free:  # no clique takes a third vertex
+                if cand:
+                    rem ^= cand & -cand
+                    r -= 1
+                continue
             while cand:
                 low = cand & -cand
                 rem ^= low
+                r -= 1
                 cand &= masks[low.bit_length() - 1]
         return False
 
-    def branch(open_set: int, size: int, chosen: int):
-        nonlocal best, best_set, nodes, exceeded
+    # a node on the stack: its open set, size and chosen set, its parent's
+    # lane int and the vertices the step from the parent closed, whose
+    # contributions come off only if the node branches
+    stack = [((1 << n) - 1, 0, 0, sum(contrib), 0)]
+    while stack:
+        open_set, size, chosen, lanes, closed = stack.pop()
         nodes += 1
         if nodes > budget:
             exceeded = True
-            return
+            break
         # every prefix of the include chain is independent, so record it even
         # when the budget cuts the search off before a leaf
         if size > best:
             best, best_set = size, chosen
         if not open_set:
-            return
+            continue
         if not cover_exceeds(open_set, best - size):
-            return
-        pick_deg = -1
-        scan = open_set
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            v = low.bit_length() - 1
-            deg = (open_set & masks[v]).bit_count()
-            if deg > pick_deg:
-                pick_deg, pick, bit = deg, v, low
-        branch(open_set & ~(masks[pick] | bit), size + 1, chosen | bit)
-        if exceeded or (transitive and not chosen):
+            continue
+        while closed:
+            low = closed & -closed
+            closed ^= low
+            lanes -= contrib[low.bit_length() - 1]
+        # the first largest lane: highest open degree, lowest index on ties
+        pick = int(np.frombuffer(lanes.to_bytes(n * width, "little"), dtype=lane).argmax())
+        bit = 1 << pick
+        if chosen or not transitive:
             # only the root has chosen == 0 on a family graph: some maximum
             # set holds its pick, so the exclude branch cannot raise best
-            return
-        branch(open_set ^ bit, size, chosen)
+            stack.append((open_set ^ bit, size, chosen, lanes, bit))
+        shut = open_set & (masks[pick] | bit)
+        stack.append((open_set ^ shut, size + 1, chosen | bit, lanes, shut))
 
-    branch((1 << n) - 1, 0, 0)
     witness = tuple(v for v in range(n) if (best_set >> v) & 1)
     for v in witness:
         if masks[v] & best_set:

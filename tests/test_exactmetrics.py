@@ -566,6 +566,12 @@ def _small_graph_cases(seed, sizes):
         ("C5", 5, [(i, (i + 1) % 5) for i in range(5)]),
         ("C5+isolated", 7, [(i, (i + 1) % 5) for i in range(5)]),
     ]
+    return cases + _seeded_graph_cases(seed, sizes)
+
+
+def _seeded_graph_cases(seed, sizes):
+    """(label, n, edges) of seeded G(n, p) graphs, p in 0.3, 0.5 and 0.8."""
+    cases = []
     rng = np.random.default_rng(seed)
     for n in sizes:
         for p in (0.3, 0.5, 0.8):
@@ -575,10 +581,12 @@ def _small_graph_cases(seed, sizes):
 
 
 def test_toughness_matches_full_enumeration():
-    # the stop at s / (n - s) >= best may not move the value, the witness or
-    # the component count
+    # the stop at s / (n - s) >= best, the cross-multiplied comparisons and
+    # the component count cut short below the count that would beat the best
+    # value may not move the value, the witness or the component count
     kinds = set()
-    for label, n, edges in _small_graph_cases(2008, range(3, 12)):
+    cases = _small_graph_cases(2008, range(3, 12)) + _seeded_graph_cases(1979, range(12, 15))
+    for label, n, edges in cases:
         res = exact_toughness(graph_from_edges(n, edges))
         want = _oracle_toughness(n, edges)
         assert (res.value, res.witness, res.components_after) == want, label
@@ -700,7 +708,33 @@ def _independence_graphs():
         for p in (0.1, 0.3, 0.6):
             upper = np.argwhere(np.triu(rng.random((n, n)) < p, 1))
             graphs.append((f"G({n}, {p})", graph_from_edges(n, [(int(u), int(v)) for u, v in upper])))
+    # triangle-free, where the search skips the cover of an open set too
+    # large for two-vertex cliques to fit the room left
+    for n in (40, 50, 60):
+        graphs.append((f"maximal triangle-free {n}", graph_from_edges(n, _maximal_triangle_free(rng, n))))
+    # a hub of degree past 255 takes a lane wider than one byte
+    n, hub = 280, 130
+    edges = [(hub, v) for v in range(n) if v != hub and v % 29]
+    edges += [(u, v) for u, v in itertools.combinations(range(250, n), 2) if rng.random() < 0.3]
+    wide = graph_from_edges(n, edges)
+    assert wide.degree_of(hub) >= 256
+    graphs.append((f"hub of degree {wide.degree_of(hub)}", wide))
     return graphs
+
+
+def _maximal_triangle_free(rng, n):
+    """Edges of the random triangle-free process: every pair in a seeded
+    order, taken unless it closes a triangle."""
+    pairs = list(itertools.combinations(range(n), 2))
+    nbr = [0] * n
+    edges = []
+    for i in rng.permutation(len(pairs)):
+        u, v = pairs[i]
+        if not nbr[u] & nbr[v]:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+            edges.append((u, v))
+    return edges
 
 
 @pytest.mark.parametrize("budget", [5, 50, 500, None])
@@ -716,6 +750,43 @@ def test_independence_matches_frozen_search(monkeypatch, budget):
         assert (res.size, res.witness, res.exact, res.nodes) == want, label
         cut_short += not res.exact
     assert (cut_short > 0) == (budget is not None)
+
+
+def test_independence_cover_skip_needs_triangle_freeness(monkeypatch):
+    # a cover of m vertices takes at least m / 2 cliques only when no clique
+    # has three vertices: told that graphs with triangles have none, the
+    # search skips covers that would have pruned and visits more nodes than
+    # the frozen tree, though the size and the witness cannot move
+    graphs = [(label, g) for label, g in _independence_graphs() if triangle_count(g)]
+    monkeypatch.setattr(exactmetrics, "triangle_count", lambda graph: 0)
+    grown = 0
+    for label, g in graphs:
+        res = exact_independence(g)
+        size, witness, exact, nodes = _frozen_independence(g, limits.NODE_BUDGET)
+        assert (res.size, res.witness, res.exact) == (size, witness, exact), label
+        assert res.nodes >= nodes, label
+        grown += res.nodes > nodes
+    assert grown > 0
+
+
+def test_independence_searches_past_the_recursion_limit(monkeypatch):
+    # the search keeps its own stack: a recursive search would go 1,200
+    # calls deep on the edgeless graph and 1,199 on the path
+    monkeypatch.setattr(limits, "INDEPENDENCE_CAP", 1200)
+    for edges, alpha in (([], 1200), ([(i, i + 1) for i in range(1199)], 600)):
+        g = graph_from_edges(1200, edges)
+        res = exact_independence(g)
+        assert (res.size, res.exact) == (alpha, True)
+        chosen = set(res.witness)
+        assert len(chosen) == alpha and not any(u in chosen and v in chosen for u, v in edges)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 128, 129, 2**15, 2**15 + 1, 2**31, 2**31 + 1])
+def test_lane_width_holds_every_lane_value(n):
+    # lanes hold values below 2n in the least width of 1, 2, 4 or 8 bytes
+    width = exactmetrics._lane_bytes(n)
+    assert 2 * n <= 256**width
+    assert width == 1 or 2 * n > 256 ** (width // 2)
 
 
 def _as_adhoc(graph):
