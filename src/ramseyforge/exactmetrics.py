@@ -492,8 +492,9 @@ def exact_independence(graph) -> IndependenceResult:
       precomputed lanes of just the vertices its parent's step closed, so
       the pick is one argmax over the lanes;
     - the cover is skipped when the open set is too large for any cover to
-      fit the room left (|open| > omega * room, omega = 2 on a triangle-free
-      graph and n otherwise), and counted only until its answer is sure;
+      fit the room left (|open| > omega * room, omega = 2 when no edge's ends
+      share a neighbour, read from the search's own masks, and n otherwise),
+      and counted only until its answer is sure;
     - the search runs from an explicit stack, exclude child pushed under the
       include child, so its depth is not bounded by Python's recursion limit.
 
@@ -527,14 +528,25 @@ def _lane_bytes(n: int) -> int:
     return width
 
 
+def _triangle_free(masks: list) -> bool:
+    """Whether no edge's two ends share a neighbour, read from the masks."""
+    for v, mask in enumerate(masks):
+        higher = mask >> (v + 1) << (v + 1)  # each edge once, from its lower end
+        while higher:
+            low = higher & -higher
+            higher ^= low
+            if masks[low.bit_length() - 1] & mask:
+                return False
+    return True
+
+
 def _search_independence(graph, budget: int) -> IndependenceResult:
     """The branch and bound of ``exact_independence``, under ``budget`` nodes."""
     n = graph.n
     masks = _neighbor_masks(graph)
     transitive = graph.family is not None
     # a clique cover of the open set takes at least |open| / omega cliques
-    triangle_free = triangle_count(graph) == 0
-    omega = 2 if triangle_free else n
+    omega = 2 if _triangle_free(masks) else n
     # vertex v adds n to its own lane and 1 to each neighbour's, so a node's
     # lane int, the sum over its open set, holds n + open degree in an open
     # vertex's lane and the open degree alone, below n, in a closed one's
@@ -561,11 +573,6 @@ def _search_independence(graph, budget: int) -> IndependenceResult:
             rem ^= low
             r -= 1
             cand = rem & masks[low.bit_length() - 1]
-            if triangle_free:  # no clique takes a third vertex
-                if cand:
-                    rem ^= cand & -cand
-                    r -= 1
-                continue
             while cand:
                 low = cand & -cand
                 rem ^= low

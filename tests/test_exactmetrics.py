@@ -712,7 +712,7 @@ def _independence_graphs():
     # large for two-vertex cliques to fit the room left
     for n in (40, 50, 60):
         graphs.append((f"maximal triangle-free {n}", graph_from_edges(n, _maximal_triangle_free(rng, n))))
-    # a hub of degree past 255 takes a lane wider than one byte
+    # n = 280 > 128 takes two-byte lanes, and an open lane reaches n + 269
     n, hub = 280, 130
     edges = [(hub, v) for v in range(n) if v != hub and v % 29]
     edges += [(u, v) for u, v in itertools.combinations(range(250, n), 2) if rng.random() < 0.3]
@@ -758,7 +758,7 @@ def test_independence_cover_skip_needs_triangle_freeness(monkeypatch):
     # search skips covers that would have pruned and visits more nodes than
     # the frozen tree, though the size and the witness cannot move
     graphs = [(label, g) for label, g in _independence_graphs() if triangle_count(g)]
-    monkeypatch.setattr(exactmetrics, "triangle_count", lambda graph: 0)
+    monkeypatch.setattr(exactmetrics, "_triangle_free", lambda masks: True)
     grown = 0
     for label, g in graphs:
         res = exact_independence(g)
@@ -767,6 +767,20 @@ def test_independence_cover_skip_needs_triangle_freeness(monkeypatch):
         assert res.nodes >= nodes, label
         grown += res.nodes > nodes
     assert grown > 0
+
+
+def test_triangle_freeness_from_masks_matches_the_triangle_count():
+    for label, g in _independence_graphs():
+        free = exactmetrics._triangle_free(exactmetrics._neighbor_masks(g))
+        assert free == (triangle_count(g) == 0), label
+
+
+def test_independence_reads_no_triangle_cap(monkeypatch):
+    # omega comes from the search's own masks, not from the capped bitset
+    # triangle count, so only INDEPENDENCE_CAP can refuse the search
+    monkeypatch.setattr(limits, "BITSET_TRIANGLE_CAP", 1)
+    for edges in ([(0, 1), (1, 2), (2, 0), (2, 3)], [(0, 1), (1, 2), (2, 3), (3, 4)]):
+        assert exact_independence(graph_from_edges(5, edges)).size == 3
 
 
 def test_independence_searches_past_the_recursion_limit(monkeypatch):
