@@ -15,12 +15,13 @@ identity, ``quotient_invariants``, gives girth, diameter and components, and
 ``eccentricity_uniformity_check`` spot-checks transitivity; the tests run it
 on built family graphs.
 
-Ad-hoc graphs take the bit-parallel kernel, which runs girth and diameter
-from every root at once over a padded neighbour matrix: each vertex carries
-a bit per root, and roots run in blocks whose bit arrays stay within
-``_BFS_WORD_BUDGET`` 64-bit words, fixed up front.  The walk gathers each
-BFS level in chunks of that size, and ``connected_components`` runs one BFS
-per component over the CSR lists.
+Ad-hoc graphs take the bit-parallel kernel, ``_root_walk``: one BFS from
+every root at once gives girth and eccentricities, reading the CSR columns of
+a relabelling by falling degree, so no row is padded.  Each vertex carries a
+bit per root, and roots run in blocks whose bit arrays stay within
+``_BFS_WORD_BUDGET`` 64-bit words, fixed up front.  The quotient walk gathers
+each BFS level in chunks of that size, and ``connected_components`` runs one
+BFS per component over the CSR lists.
 
 The exhaustive oracles work on Python ints as vertex bitmasks.  The
 independence branch and bound keeps a stack of open sets, not a recursion,
@@ -67,28 +68,8 @@ class IndependenceResult:
     nodes: int
 
 
-def _neighbor_rows(graph) -> np.ndarray:
-    """The (n, dmax) neighbour matrix: a view for regular graphs; for
-    irregular ones, short rows are padded with the sentinel vertex n, refused
-    before allocating past limits.MAX_NEIGHBOR_ENTRIES."""
-    n = graph.n
-    if graph.degree is not None:
-        return graph.indices.reshape(n, graph.degree)
-    counts = np.diff(graph.indptr)
-    dmax = int(counts.max()) if n else 0
-    entries = n * dmax
-    limits.check(
-        "MAX_NEIGHBOR_ENTRIES", entries, f"neighbor matrix of n*d = {n}*{dmax} = {entries} entries"
-    )
-    rows = np.full((dmax, n), n, dtype=np.int64).T  # column-major: the root-set BFS reads columns
-    owners = np.repeat(np.arange(n, dtype=np.int64), counts)
-    slots = np.arange(len(graph.indices)) - np.repeat(graph.indptr[:-1], counts)
-    rows[owners, slots] = graph.indices
-    return rows
-
-
-# 64-bit words (32 MiB) that one BFS working array may take: a frontier
-# level's gather chunk, or a root block's bit array.
+# 64-bit words (32 MiB) that one BFS working array may take: a gather chunk
+# of the quotient walk or of the component search, or a root block's bit array.
 _BFS_WORD_BUDGET = 1 << 22
 
 
@@ -128,29 +109,21 @@ def _frontier_bfs(nbr: np.ndarray, root: int, weights=None):
 # --- bit-parallel BFS from a set of roots ------------------------------------
 #
 # Every vertex carries a row of w uint64 words; bit j of word i stands for
-# root 64*i + j of the current block.  One level ORs the frontier rows of the
-# neighbours into each vertex, column by column of the (n, dmax) neighbour
-# matrix (read in place: a strided view for a regular graph), so a level costs
-# n*dmax*w word operations whatever the number of roots.  Bit arrays have
-# n + 1 rows: the padding sentinel n of ``_neighbor_rows`` keeps a 0 row.
-# Roots run in blocks small enough that one (n + 1, w) array stays within
-# _BFS_WORD_BUDGET words, fixed before anything is allocated; a single word
-# per vertex is the floor.
+# root 64*i + j of the current block.  Vertices are relabelled by falling
+# degree (``_degree_columns``), so the j-th neighbours of the vertices of
+# degree above j form one column over a prefix of the rows, and a level ORs
+# the frontier rows each column names into that prefix: 2m*w word operations
+# per level whatever the number of roots, and no row is padded.  Roots run in
+# blocks small enough that one (n, w) array stays within _BFS_WORD_BUDGET
+# words, fixed before anything is allocated; a single word per vertex is the
+# floor.
 
 
 def _root_blocks(n: int, roots: np.ndarray):
-    """Roots in blocks whose (n + 1, w) bit arrays fit the word budget."""
-    step = 64 * max(1, _BFS_WORD_BUDGET // (n + 1))
+    """Roots in blocks whose (n, w) bit arrays fit the word budget."""
+    step = 64 * max(1, _BFS_WORD_BUDGET // max(1, n))
     for lo in range(0, len(roots), step):
         yield roots[lo:lo + step]
-
-
-def _root_bits(n: int, block: np.ndarray) -> np.ndarray:
-    """(n + 1, w) array with bit i set on row block[i]: the level-0 frontier."""
-    words = np.zeros((n + 1, (len(block) + 63) // 64), dtype=np.uint64)
-    i = np.arange(len(block))
-    words[block, i >> 6] = np.left_shift(np.uint64(1), (i & 63).astype(np.uint64))
-    return words
 
 
 def _bit_flags(words: np.ndarray, count: int) -> np.ndarray:
@@ -159,73 +132,71 @@ def _bit_flags(words: np.ndarray, count: int) -> np.ndarray:
     return ((words[i >> 6] >> (i & 63).astype(np.uint64)) & np.uint64(1)).astype(bool)
 
 
-def _eccentricities(graph, roots) -> list:
-    """Exact eccentricity of each root (math.inf when it misses a vertex)."""
+def _degree_columns(graph) -> tuple:
+    """(rank, cols): vertex v relabelled rank[v] by falling degree, ties in
+    index order, and cols[j] the relabelled j-th neighbours of the
+    len(cols[j]) first vertices in the new order, those of degree above j.
+    Each CSR entry is copied once; nothing is padded."""
+    counts = np.diff(graph.indptr)
+    order = np.argsort(-counts, kind="stable")
+    rank = np.empty(graph.n, dtype=np.int64)
+    rank[order] = np.arange(graph.n)
+    starts = graph.indptr[order]
+    lengths = graph.n - np.cumsum(np.bincount(counts))[:-1]
+    return rank, [rank[graph.indices[starts[:k] + j]] for j, k in enumerate(lengths.tolist())]
+
+
+def _root_walk(graph, roots, eccentricities: bool = True) -> tuple:
+    """(girth, eccentricities) from one bit-parallel BFS from the root set.
+
+    The eccentricities come in the order of ``roots``, math.inf for a root
+    that misses a vertex.  The girth is the Itai-Rodeh test over the roots,
+    the one ``quotient_invariants`` runs from the identity alone: at level
+    k, an edge between two frontier vertices of one root closes a walk of
+    length 2k + 1, an unseen vertex with two frontier neighbours of one root
+    one of length 2k + 2.  The minimum over all roots is the girth
+    (math.inf for a forest); over a subset it is never below it.  A level
+    runs the test only while 2k + 1 is below the best so far, and is a
+    plain OR after that.  With ``eccentricities`` False a block stops at the
+    first level past the test, and the girth comes back with None.
+    """
     n = graph.n
-    roots = np.asarray(roots, dtype=np.int64)
-    cols = _neighbor_rows(graph).T
-    out = []
-    for block in _root_blocks(n, roots):
-        frontier = _root_bits(n, block)
+    rank, cols = _degree_columns(graph)
+    best, out = math.inf, []
+    for block in _root_blocks(n, rank[np.asarray(roots, dtype=np.int64)]):
+        frontier = np.zeros((n, (len(block) + 63) // 64), dtype=np.uint64)  # bit i on row block[i]
+        i = np.arange(len(block))
+        frontier[block, i >> 6] = np.left_shift(np.uint64(1), (i & 63).astype(np.uint64))
         seen = frontier.copy()
         ecc = np.zeros(len(block), dtype=np.int64)
         level = 0
-        while True:
-            nxt = np.zeros((n, frontier.shape[1]), dtype=np.uint64)
-            for col in cols:
-                nxt |= frontier[col]
-            nxt &= ~seen[:n]
-            reached = np.bitwise_or.reduce(nxt, axis=0)
+        while eccentricities or 2 * level + 1 < best:
+            once = np.zeros_like(frontier)
+            if 2 * level + 1 < best:
+                twice = np.zeros_like(frontier)
+                for col in cols:
+                    hit = frontier[col]
+                    twice[:len(col)] |= once[:len(col)] & hit
+                    once[:len(col)] |= hit
+                if (once & frontier).any():
+                    best = 2 * level + 1
+                elif (twice & ~seen).any():
+                    best = 2 * level + 2
+                del twice
+            else:
+                for col in cols:
+                    once[:len(col)] |= frontier[col]
+            once &= ~seen
+            reached = np.bitwise_or.reduce(once, axis=0)
             if not reached.any():
                 break
             level += 1
             ecc[_bit_flags(reached, len(block))] = level
-            frontier[:n] = nxt
-            seen[:n] |= nxt
-        complete = _bit_flags(np.bitwise_and.reduce(seen[:n], axis=0), len(block))
+            frontier = once
+            seen |= once
+        complete = _bit_flags(np.bitwise_and.reduce(seen, axis=0), len(block))
         out.extend(int(e) if ok else math.inf for e, ok in zip(ecc.tolist(), complete.tolist()))
-    return out
-
-
-def _shortest_cycle(graph) -> float:
-    """Girth by bit-parallel BFS from every root at once (Itai-Rodeh).
-
-    The root-set kernel; ``quotient_invariants`` runs the same per-root test
-    from the identity alone: at level k, an edge between two frontier
-    vertices of one root closes a walk of length 2k + 1, an unseen vertex
-    with two frontier neighbours of one root one of length 2k + 2.  The
-    minimum over roots is the girth.
-    """
-    n = graph.n
-    cols = _neighbor_rows(graph).T
-    best = math.inf
-    for block in _root_blocks(n, np.arange(n, dtype=np.int64)):
-        if best == 3:
-            break
-        frontier = _root_bits(n, block)
-        seen = frontier.copy()
-        level = 0
-        while 2 * level + 1 < best:
-            once = np.zeros((n, frontier.shape[1]), dtype=np.uint64)
-            twice = np.zeros_like(once)
-            for col in cols:
-                hit = frontier[col]
-                twice |= once & hit
-                once |= hit
-            if (once & frontier[:n]).any():
-                best = 2 * level + 1
-                break
-            unseen = ~seen[:n]
-            if (twice & unseen).any():
-                best = 2 * level + 2
-                break
-            once &= unseen
-            if not once.any():
-                break
-            frontier[:n] = once
-            seen[:n] |= once
-            level += 1
-    return best
+    return best, out if eccentricities else None
 
 
 def _cayley_quotient(graph) -> tuple:
@@ -237,19 +208,19 @@ def _cayley_quotient(graph) -> tuple:
 def girth(graph) -> float:
     """Length of a shortest cycle, math.inf for forests: from the identity
     alone for a vertex-transitive family graph (``quotient_invariants``), by
-    bit-parallel BFS from all roots otherwise."""
+    bit-parallel BFS from all roots otherwise (``_root_walk``)."""
     if graph.family is not None:
         return quotient_invariants(*_cayley_quotient(graph))[0]
-    return _shortest_cycle(graph)
+    return _root_walk(graph, np.arange(graph.n), eccentricities=False)[0]
 
 
 def diameter(graph) -> float:
     """Diameter, math.inf when disconnected: the eccentricity of the identity
     for a vertex-transitive family graph (``quotient_invariants``), the
-    largest from a bit-parallel BFS from all roots otherwise."""
+    largest from a bit-parallel BFS from all roots otherwise (``_root_walk``)."""
     if graph.family is not None:
         return quotient_invariants(*_cayley_quotient(graph))[1]
-    return max(_eccentricities(graph, np.arange(graph.n)), default=0)
+    return max(_root_walk(graph, np.arange(graph.n))[1], default=0)
 
 
 def quotient_invariants(sizes: np.ndarray, nbr: np.ndarray) -> tuple:
@@ -313,7 +284,7 @@ def eccentricity_uniformity_check(graph) -> bool:
     if graph.n == 0:
         return True
     roots = np.unique(np.linspace(0, graph.n - 1, num=min(8, graph.n)).astype(np.int64))
-    return len(set(_eccentricities(graph, roots))) == 1
+    return len(set(_root_walk(graph, roots)[1])) == 1
 
 
 def _triangles_bitset(graph) -> int:
@@ -671,10 +642,12 @@ def greedy_coloring(graph, order: str = "degree-descending"):
 
 
 def metrics_report(graph) -> MetricsReport:
-    """Exact metrics; a family graph takes one walk of ``quotient_invariants``
-    and one ``quotient_triangles`` over its own quotient."""
+    """Exact metrics; an ad-hoc graph takes one ``_root_walk`` from all
+    roots, a family graph one walk of ``quotient_invariants`` and one
+    ``quotient_triangles`` over its own quotient."""
     if graph.family is None:
-        walk = girth(graph), diameter(graph), connected_components(graph)[0]
+        shortest, ecc = _root_walk(graph, np.arange(graph.n))
+        walk = shortest, max(ecc, default=0), connected_components(graph)[0]
         triangles = triangle_count(graph)
     else:
         quotient = _cayley_quotient(graph)

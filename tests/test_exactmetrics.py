@@ -254,7 +254,7 @@ def test_root_set_bfs_matches_oracles(monkeypatch, budget):
         most_blocks = max(most_blocks, len(list(exactmetrics._root_blocks(n, np.arange(n)))))
         dist = _oracle_distances(n, edges)
         ecc = [math.inf if (row < 0).any() else int(row.max()) for row in dist]
-        assert exactmetrics._eccentricities(g, np.arange(n)) == ecc, label
+        assert exactmetrics._root_walk(g, np.arange(n))[1] == ecc, label
         assert diameter(g) == max(ecc, default=0), label
         want_girth = _oracle_girth(n, edges)
         assert girth(g) == want_girth, label
@@ -266,8 +266,8 @@ def test_root_set_bfs_matches_oracles(monkeypatch, budget):
 
 
 def test_irregular_graphs_match_oracle_root_by_root():
-    """Eccentricities one root at a time over the padded rows, and the
-    components."""
+    """Eccentricities one root at a time over the degree-ordered columns,
+    and the components."""
     irregular = 0
     for label, n, edges in _kernel_cases():
         g = graph_from_edges(n, edges)
@@ -277,7 +277,7 @@ def test_irregular_graphs_match_oracle_root_by_root():
         dist = _oracle_distances(n, edges)
         for r in range(n):
             want = math.inf if (dist[r] < 0).any() else int(dist[r].max())
-            assert exactmetrics._eccentricities(g, [r]) == [want], (label, r)
+            assert exactmetrics._root_walk(g, [r])[1] == [want], (label, r)
         count, labels, sizes = connected_components(g)
         same = labels[:, None] == labels[None, :]
         assert (same == (dist >= 0)).all() and count == len(sizes) == len(set(labels)), label
@@ -342,7 +342,7 @@ def test_spot_check_eccentricities_match_single_root_bfs():
         build("noneuclidean", q=13, sigma=2, a=2),
     ):
         roots = [0, 5, g.n // 2, g.n - 1]
-        assert exactmetrics._eccentricities(g, roots) == _graph_distances(g)[roots].max(axis=1).tolist()
+        assert exactmetrics._root_walk(g, roots)[1] == _graph_distances(g)[roots].max(axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -453,31 +453,83 @@ def test_code_graph_walk_matches_root_set_kernels(spec):
     search and the bitset count give, disconnected graphs included."""
     g = build_family(spec)
     quotient = exactmetrics._cayley_quotient(g)
-    want = (
-        exactmetrics._shortest_cycle(g),
-        max(exactmetrics._eccentricities(g, np.arange(g.n))),
-        connected_components(g)[0],
-    )
+    shortest, ecc = exactmetrics._root_walk(g, np.arange(g.n))
+    want = shortest, max(ecc), connected_components(g)[0]
     assert quotient_invariants(*quotient) == want
     assert quotient_triangles(*quotient) == exactmetrics._triangles_bitset(g)
     disconnected = spec.label() in ("BCH_2", "ALON_2", "ALON_4")
     assert (want[1] == math.inf) == disconnected and (want[2] > 1) == disconnected
 
 
-def test_padded_neighbor_matrix_respects_the_entry_limit(monkeypatch):
-    # padding every row of a star to the centre's degree takes n * (n - 1)
-    # entries; the component search reads the CSR lists and pads nothing
-    star = graph_from_edges(50, [(0, v) for v in range(1, 50)])
-    monkeypatch.setattr(limits, "MAX_NEIGHBOR_ENTRIES", 50 * 49 - 1)
-    for oracle in (girth, diameter):
-        with pytest.raises(SizeLimitExceeded, match="MAX_NEIGHBOR_ENTRIES"):
-            oracle(star)
-    count, labels, sizes = connected_components(star)
-    assert count == 1 and sizes == [50] and not labels.any()
-    monkeypatch.setattr(limits, "MAX_NEIGHBOR_ENTRIES", 50 * 49)
-    assert connected_components(star)[0] == 1
-    assert girth(star) == math.inf
-    assert diameter(star) == 2
+def test_root_walk_pads_nothing_and_reads_no_entry_limit(monkeypatch):
+    """The walk reads CSR columns, so no n x dmax matrix exists to refuse:
+    the ad-hoc oracles run with limits.MAX_NEIGHBOR_ENTRIES at 0, and a
+    3,001-vertex star traces O(n + m) plus a root block's bit arrays, where
+    padding every row to the centre's degree took n * (n - 1) entries."""
+    star = graph_from_edges(3001, [(0, v) for v in range(1, 3001)])
+    monkeypatch.setattr(limits, "MAX_NEIGHBOR_ENTRIES", 0)
+    for g in (star, path(7), cycle(9), graph_from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4)])):
+        report = metrics_report(g)
+        assert (report.girth, report.diameter) == (girth(g), diameter(g))
+        eccentricity_uniformity_check(g)
+    n, m = star.n, star.num_edges
+    words = min(max(1, exactmetrics._BFS_WORD_BUDGET // n), (n + 63) // 64)  # per vertex in a root block
+    tracemalloc.start()
+    try:
+        result = girth(star), diameter(star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (math.inf, 2)
+    assert peak < 8 * (8 * n * words + 8 * (n + 2 * m)), peak
+
+
+def test_metrics_report_takes_one_root_walk(monkeypatch):
+    """An ad-hoc report reads girth and diameter from a single walk, and
+    equals the oracles read one by one."""
+    graphs = [graph_from_edges(n, edges) for _, n, edges in _kernel_cases()[::5]] + [path(1), cycle(8)]
+    walk = exactmetrics._root_walk
+    calls = []
+
+    def spy(graph, *args, **kwargs):
+        calls.append(graph)
+        return walk(graph, *args, **kwargs)
+
+    for g in graphs:
+        want = girth(g), diameter(g), connected_components(g)[0]
+        monkeypatch.setattr(exactmetrics, "_root_walk", spy)
+        calls.clear()
+        report = metrics_report(g)
+        monkeypatch.setattr(exactmetrics, "_root_walk", walk)
+        assert calls == [g]
+        assert (report.girth, report.diameter, report.components) == want
+
+
+def test_root_walk_eccentricities_follow_the_given_roots():
+    """Roots come back in the order given, not in the walk's degree order:
+    vertex 0 here is a leaf and vertex 5 the hub of largest degree."""
+    edges = [(0, 1), (1, 2), (2, 3), (5, 1), (5, 2), (5, 3), (5, 4), (5, 6), (6, 7)]
+    g = graph_from_edges(8, edges)
+    assert g.degree is None and int(np.argmax(np.diff(g.indptr))) == 5
+    ecc = [int(row.max()) for row in _oracle_distances(8, edges)]
+    assert len(set(ecc)) > 1
+    for roots in ([0, 5, 7], [7, 5, 0], [5], [3, 0, 6, 1, 4, 2, 7, 5]):
+        assert exactmetrics._root_walk(g, roots)[1] == [ecc[r] for r in roots], roots
+
+
+def test_root_subset_girth_is_never_below_the_girth():
+    rng = np.random.default_rng(11)
+    tighter = 0
+    for label, n, edges in _kernel_cases():
+        g = graph_from_edges(n, edges)
+        full = exactmetrics._root_walk(g, np.arange(n))[0]
+        assert full == _oracle_girth(n, edges), label
+        for size in {min(n, 1), min(n, 2), n // 4}:
+            roots = rng.choice(n, size=size, replace=False)
+            shortest = exactmetrics._root_walk(g, roots)[0]
+            assert shortest >= full, (label, roots)
+            tighter += shortest > full
+    assert tighter > 0
 
 
 def test_bch_k2_is_bipartite_double_cover():

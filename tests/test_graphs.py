@@ -14,8 +14,7 @@ from ramseyforge.errors import (
     SizeLimitExceeded,
 )
 from ramseyforge.exactmetrics import (
-    _eccentricities,
-    _shortest_cycle,
+    _root_walk,
     _triangles_bitset,
     connected_components,
     diameter,
@@ -235,10 +234,11 @@ def test_half_plane_adjacency_matches_poincare_distance():
 
 def _root_set_invariants(g) -> tuple:
     """(girth, diameter, components, triangles) of a built family graph from
-    the root-set kernels (girth from all roots, the diameter as the
+    the root-set kernel (girth from all roots, the diameter as the
     eccentricity of the identity), the CSR component search and the bitset
     count, none of which runs the quotient walk."""
-    return _shortest_cycle(g), _eccentricities(g, [0])[0], connected_components(g)[0], _triangles_bitset(g)
+    shortest, ecc = _root_walk(g, np.arange(g.n))
+    return shortest, ecc[0], connected_components(g)[0], _triangles_bitset(g)
 
 
 def _quotient_reads(sizes, nbr) -> tuple:
@@ -291,7 +291,7 @@ def test_euclidean_distance_quotient_matches_the_built_graph(q, m, a_values):
     the built D_q^m(a); on the smaller graphs, every vertex of a class has
     the neighbour classes of its class row (the partition is equitable).
 
-    D_31^3(1) is too large for the all-roots kernels and the bitset count:
+    D_31^3(1) is too large for the all-roots kernel and the bitset count:
     there triangles are counted through vertex 0 in plain Python, girth is 3
     because that count is positive, and the diameter is the eccentricity of
     vertex 0 from the root-set kernel."""
@@ -318,7 +318,7 @@ def test_euclidean_distance_quotient_matches_the_built_graph(q, m, a_values):
             conn = set(g.neighbors(0).tolist())
             pairs = sum(len(conn.intersection(g.neighbors(s).tolist())) for s in conn)
             assert pairs > 0
-            want = 3, _eccentricities(g, [0])[0], connected_components(g)[0], n * pairs // 6
+            want = 3, _root_walk(g, [0])[1][0], connected_components(g)[0], n * pairs // 6
         assert _quotient_reads(sizes, nbr) == want, spec.label()
 
 

@@ -165,6 +165,20 @@ def test_every_checked_lever_has_a_readme_row():
     assert not missing, f"levers checked in the package with no README cap table row: {missing}"
 
 
+def test_neighbor_entry_limit_guards_builds_only():
+    # MAX_NEIGHBOR_ENTRIES bounds the (n, d) neighbour matrix a Cayley
+    # builder allocates; the measures read CSR lists and columns, which are
+    # the graph's own size, so no other module may name the lever
+    naming = {
+        module for module, tree in TREES.items() if module != "limits.py" and any(
+            (isinstance(node, ast.Constant) and node.value == "MAX_NEIGHBOR_ENTRIES")
+            or (isinstance(node, ast.Attribute) and node.attr == "MAX_NEIGHBOR_ENTRIES")
+            for node in ast.walk(tree)
+        )
+    }
+    assert naming == {"graphs.py"}, f"modules naming MAX_NEIGHBOR_ENTRIES: {sorted(naming)}"
+
+
 def test_certify_builds_graphs_only_inside_measured():
     # a certificate builds a family graph only when an exact oracle asks
     # _Measured for one; a builder named anywhere else in certify would be
