@@ -16,15 +16,16 @@ record, which builds the graph only when an exact oracle needs it: exact
 independence up to limits.VERIFY_ALPHA_CAP vertices, exact toughness, and a
 sweep row's girth/diameter walk over a code family.  Every family graph
 reads girth, diameter and components from one quotient: the distance-class
-quotient (``graphs.distance_quotients``) for the Euclidean and half-plane
-families, read with their connection set S from one computation of the
-classes, and the built graph as its own for the code families.  They come
-from one walk over it, ``exactmetrics.quotient_invariants``.  Triangles come
-from the identity's neighbours in S (``exactmetrics.quotient_triangles``
-on a distance-class quotient, the products over S x S for a code family),
-with no walk.  The half-plane girth/diameter suite reads all of its
-distances a from one computation of the classes.  Every family reads its
-spectrum from its connection set S.
+quotient (``graphs.distance_quotient``) for the Euclidean and half-plane
+families, read with their connection set S from the record's one
+computation of the classes (``graphs.distance_classes``), and the built
+graph as its own for the code families.  They come from one walk over it,
+``exactmetrics.quotient_invariants``.  Triangles come from the identity's
+neighbours in S (``exactmetrics.quotient_triangles`` on a distance-class
+quotient, the products over S x S for a code family), with no walk.  The
+half-plane girth/diameter suite reads all of its distances a from that same
+computation, so a sweep row computes its classes once.  Every family reads
+its spectrum from its connection set S.
 """
 import contextlib
 import csv
@@ -65,12 +66,12 @@ from .graphs import (
     FamilySpec,
     Graph,
     _bounded_power,
-    _class_quotients,
     _product,
     alon_split,
     build_family,
     connection_set,
-    distance_quotients,
+    distance_classes,
+    distance_quotient,
     euclidean_degree,
 )
 from .spectral import (
@@ -271,8 +272,8 @@ class _Measured:
     exact toughness, and the quotient of a code family, which only a sweep
     row's girth/diameter walk reads.  Every family reads its spectrum from
     the connection set S, and girth, diameter and components from its
-    ``_quotient``.  A Euclidean or half-plane graph reads S and its
-    distance-class quotient from one computation of its classes
+    ``_quotient``.  A Euclidean or half-plane graph computes its classes
+    once (``_partition``), reads S and its distance-class quotient from them
     (``_distance_classes``), and triangles from that quotient; a code
     graph, which is fully given by S, reads triangles from the products
     over S x S and its greedy independent set from the neighbours v*S, so
@@ -303,12 +304,16 @@ class _Measured:
         return self._results[oracle]
 
 
+def _partition(m) -> tuple:
+    """(classes, reps, sizes) of a Euclidean or half-plane family, computed
+    once for its own quotient and for any suite that reads other a."""
+    return distance_classes(m.family)
+
+
 def _distance_classes(m) -> tuple:
     """(S, (sizes, nbr)) of a Euclidean or half-plane graph: its connection
-    set, class a, and its distance-class quotient, from one computation of
-    the classes."""
-    [pair] = _class_quotients(m.family, [m.family.a])
-    return pair
+    set, class a, and its distance-class quotient."""
+    return distance_quotient(m.family, m(_partition), m.family.a)
 
 
 def _quotient(m) -> tuple:
@@ -457,22 +462,23 @@ def _euclidean_girth_diameter(m) -> Certificate:
     return Certificate(kind="girth-diameter", family=fam, params=params, claims=claims)
 
 
-def _non_euclidean_girth_diameter_claims(q: int, sigma: int) -> list:
+def _halfplane_girth_diameter(m) -> Certificate:
     """The half-plane girth and diameter rules, checked for every distance a.
 
     Girth and diameter of each V_q(sigma, a) come from its q x q
-    distance-class quotient (``distance_quotients``, which computes the
-    classes once for all a, and ``quotient_invariants``), so no graph is
-    built: O(q^2) per a.
+    distance-class quotient (``distance_quotient`` on the record's one
+    ``_partition``, and ``quotient_invariants``), so no graph is built:
+    O(q^2) per a.
     """
+    q, sigma = m.family.q, m.family.sigma
     girth_rows, girth_bad = [], 0
     unclassified = []
     range_bad = 0
     diam_rows, diam_bad = [], 0
-    a_values = [a for a in range(1, q) if a != (4 * sigma) % q]
-    quotients = distance_quotients(FamilySpec(kind="noneuclidean", q=q, sigma=sigma), a_values)
-    for a, (sizes, nbr) in zip(a_values, quotients):
-        gg, dd, _ = quotient_invariants(sizes, nbr)
+    for a in range(1, q):
+        if a == (4 * sigma) % q:
+            continue
+        gg, dd, _ = quotient_invariants(*distance_quotient(m.family, m(_partition), a)[1])
         if gg not in (3, 4):
             range_bad += 1
         # girth: sufficient conditions only; a - 3*sigma = 0 counts as square
@@ -532,23 +538,19 @@ def _non_euclidean_girth_diameter_claims(q: int, sigma: int) -> list:
             "is all the construction uses)",
         ),
     ]
-    return claims
+    fam = {"kind": "noneuclidean", "q": q, "sigma": sigma}
+    params = {"q": q, "family": "noneuclidean", "sigma": sigma}
+    return Certificate(kind="girth-diameter", family=fam, params=params, claims=claims)
 
 
 def verify_girth_diameter(q: int, family: str = "euclidean") -> Certificate:
     """Measure girth and diameter and compare against every theorem clause
-    whose hypothesis applies; inapplicable clauses are recorded."""
-    if not is_odd_prime(q):
-        raise BadParameter(f"q={q} is not an odd prime")
-    if family == "euclidean":
-        return _euclidean_girth_diameter(_Measured(FamilySpec(kind="euclidean", q=q, m=2, a=1)))
-    if family != "noneuclidean":
+    whose hypothesis applies; inapplicable clauses are recorded.  The
+    half-plane suite reads V_q(sigma, a) at the smallest non-square sigma."""
+    if family not in ("euclidean", "noneuclidean"):
         raise UnsupportedFamily(f"no girth/diameter theorems for family {family!r}")
-    sigma = find_nonsquare(q)
-    claims = _non_euclidean_girth_diameter_claims(q, sigma)
-    fam = {"kind": "noneuclidean", "q": q, "sigma": sigma}
-    params = {"q": q, "family": family, "sigma": sigma}
-    return Certificate(kind="girth-diameter", family=fam, params=params, claims=claims)
+    m = _Measured(FamilySpec(kind=family, q=q))  # refuses q that is not an odd prime
+    return _euclidean_girth_diameter(m) if family == "euclidean" else _halfplane_girth_diameter(m)
 
 
 # --- degree formula -----------------------------------------------------------
@@ -1125,11 +1127,8 @@ def _check_int(value, what: str) -> None:
 def _default_halfplane_params(q: int):
     if _in_halfplane_theorem_domain(q):
         return 3, 6
-    sigma = find_nonsquare(q)
-    for a in range(1, q):
-        if a != (4 * sigma) % q:
-            return sigma, a
-    raise BadParameter(f"no valid distance parameter mod {q}")
+    # a = 1 is never 4*sigma: that would make sigma = (2^-1)^2 a square
+    return find_nonsquare(q), 1
 
 
 def _sweep_jobs(config: SweepConfig) -> list:
@@ -1162,7 +1161,7 @@ def _certificate_for(spec: FamilySpec, m: _Measured) -> Certificate:
     if spec.kind == "noneuclidean":
         if _in_halfplane_theorem_domain(spec.q) and spec.sigma == 3 and spec.a == 6:
             return _mt1(m)
-        return verify_girth_diameter(spec.q, "noneuclidean")
+        return _halfplane_girth_diameter(m)
     return _bch(m) if spec.kind == "bch" else _alon(m)
 
 

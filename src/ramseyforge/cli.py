@@ -4,9 +4,16 @@ run theorem-verification suites, emit Ramsey certificates, drive sweeps.
 Exit codes: 0 all claims pass or recorded, 1 any claim failed, 2 usage or
 IO error.  Stdout carries only the payload (JSON, DIMACS, or JSON lines);
 diagnostics go to stderr.
+
+One table per command decides which selectors it reads, the first of them
+required, and any other one given is refused: ``_FAMILY_SELECTORS`` for the
+family commands, ``_SUITES`` for the verify suites, which also holds the call
+that makes each suite's certificate.  The parser is built once per process,
+on the first ``main`` call.
 """
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -41,7 +48,8 @@ def _add_selectors(sub):
     sub.add_argument("--k", type=int, help="code-family parameter, 2..8")
 
 
-# The selectors each family reads; any other one given is refused.
+# The selectors each family reads, the first of them required; any other one
+# given is refused.
 _FAMILY_SELECTORS = {
     "euclidean": ("q", "m", "a"),
     "noneuclidean": ("q", "a", "sigma"),
@@ -51,18 +59,9 @@ _FAMILY_SELECTORS = {
 
 
 def _spec_from_args(args) -> FamilySpec:
-    _refuse_unread(
-        args, ("q", "m", "a", "sigma", "k"), _FAMILY_SELECTORS[args.family], f"{args.family} family"
-    )
-    if args.family in ("bch", "alon"):
-        if args.k is None:
-            raise ValueError(f"--k is required for the {args.family} family")
-        return FamilySpec(kind=args.family, k=args.k)
-    if args.q is None:
-        raise ValueError(f"--q is required for the {args.family} family")
-    if args.family == "euclidean":
-        return FamilySpec(kind="euclidean", q=args.q, m=args.m, a=args.a)
-    return FamilySpec(kind="noneuclidean", q=args.q, sigma=args.sigma, a=args.a)
+    reads = _FAMILY_SELECTORS[args.family]
+    _check_selectors(args, ("q", "m", "a", "sigma", "k"), reads, f"{args.family} family")
+    return FamilySpec(kind=args.family, **{flag: getattr(args, flag) for flag in reads})
 
 
 def _print_json(payload) -> None:
@@ -110,37 +109,25 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-# The selectors each verify suite reads; any other one given is refused.
-_SUITE_SELECTORS = {
-    "circles": ("q",),
-    "girth-diameter": ("q", "family"),
-    "degree": ("q", "m"),
-    "main": ("q",),
-    "mt1": ("q",),
-    "code": ("k",),
+# Each verify suite: the selectors it reads, the first of them required (any
+# other one given is refused), and the call that makes its certificate.  The
+# calls look their verify_* function up when they run.
+_SUITES = {
+    "circles": (("q",), lambda args: verify_circle_lemma(args.q)),
+    "girth-diameter": (
+        ("q", "family"), lambda args: verify_girth_diameter(args.q, args.family or "euclidean")
+    ),
+    "degree": (("q", "m"), lambda args: verify_degree_formula(args.q, 2 if args.m is None else args.m)),
+    "main": (("q",), lambda args: verify_main_theorem(args.q)),
+    "mt1": (("q",), lambda args: verify_mt1(args.q)),
+    "code": (("k",), lambda args: verify_code_graphs(args.k)),
 }
 
 
 def _cmd_verify(args) -> int:
-    _refuse_unread(args, ("family", "q", "m", "k"), _SUITE_SELECTORS[args.suite], f"{args.suite} suite")
-    if args.suite == "circles":
-        _require(args.q is not None, "--q is required for the circles suite")
-        cert = verify_circle_lemma(args.q)
-    elif args.suite == "girth-diameter":
-        _require(args.q is not None, "--q is required for the girth-diameter suite")
-        cert = verify_girth_diameter(args.q, args.family or "euclidean")
-    elif args.suite == "degree":
-        _require(args.q is not None, "--q is required for the degree suite")
-        cert = verify_degree_formula(args.q, args.m if args.m is not None else 2)
-    elif args.suite == "main":
-        _require(args.q is not None, "--q is required for the main suite")
-        cert = verify_main_theorem(args.q)
-    elif args.suite == "mt1":
-        _require(args.q is not None, "--q is required for the mt1 suite")
-        cert = verify_mt1(args.q)
-    else:
-        _require(args.k is not None, "--k is required for the code suite")
-        cert = verify_code_graphs(args.k)
+    reads, certificate = _SUITES[args.suite]
+    _check_selectors(args, ("family", "q", "m", "k"), reads, f"{args.suite} suite")
+    cert = certificate(args)
     print(certificate_to_json(cert))
     return 0 if cert.overall == "pass" else 1
 
@@ -164,17 +151,17 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(message)
-
-
-def _refuse_unread(args, flags, reads, reader: str) -> None:
-    """Refuse the first of ``flags`` given on the command line but not in ``reads``."""
+def _check_selectors(args, flags, reads, reader: str) -> None:
+    """Refuse the first of ``flags`` given on the command line but not in
+    ``reads``, then require the first of ``reads``."""
     for flag in flags:
-        _require(getattr(args, flag) is None or flag in reads, f"--{flag} is not read by the {reader}")
+        if getattr(args, flag) is not None and flag not in reads:
+            raise ValueError(f"--{flag} is not read by the {reader}")
+    if getattr(args, reads[0]) is None:
+        raise ValueError(f"--{reads[0]} is required for the {reader}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramseyforge",
@@ -205,11 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spectrum)
 
     p = subs.add_parser("verify", help="run a theorem-verification suite")
-    p.add_argument(
-        "--suite",
-        choices=("circles", "girth-diameter", "degree", "main", "mt1", "code"),
-        required=True,
-    )
+    p.add_argument("--suite", choices=tuple(_SUITES), required=True)
     p.add_argument("--family", choices=("euclidean", "noneuclidean"))
     p.add_argument("--q", type=int)
     p.add_argument("--m", type=int)
@@ -229,8 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NotTriangleFree as exc:

@@ -73,39 +73,6 @@ class IndependenceResult:
 _BFS_WORD_BUDGET = 1 << 22
 
 
-def _frontier_bfs(nbr: np.ndarray, root: int, weights=None):
-    """BFS from one root over an (n, d) neighbour matrix, one vectorized step
-    per level.  Yields (level, dist, hits) per level: dist holds the
-    distances so far (-1 unseen), and hits[v] counts the entries v has in
-    the rows of this level.  With ``weights``, row k counts weights[k] times
-    instead of once.  A level's rows are gathered in chunks of at most
-    ``_BFS_WORD_BUDGET`` entries (one row at least), and all of them are
-    counted before the next level is marked, so memory stays O(n) plus one
-    chunk."""
-    n = len(nbr)
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[root] = 0
-    frontier = np.array([root], dtype=np.int64)
-    step = max(1, _BFS_WORD_BUDGET // max(1, nbr.shape[1]))
-
-    def count(rows):
-        if weights is None:
-            return np.bincount(nbr[rows].ravel(), minlength=n)
-        hits = np.zeros(n, dtype=np.int64)
-        np.add.at(hits, nbr[rows].ravel(), np.repeat(weights[rows], nbr.shape[1]))
-        return hits
-
-    level = 0
-    while frontier.size:
-        hits = count(frontier[:step])
-        for lo in range(step, frontier.size, step):
-            hits += count(frontier[lo:lo + step])
-        yield level, dist, hits
-        level += 1
-        frontier = np.flatnonzero((hits > 0) & (dist < 0))
-        dist[frontier] = level
-
-
 # --- bit-parallel BFS from a set of roots ------------------------------------
 #
 # Every vertex carries a row of w uint64 words; bit j of word i stands for
@@ -229,24 +196,47 @@ def quotient_invariants(sizes: np.ndarray, nbr: np.ndarray) -> tuple:
     each in the classes nbr[k], and class 0 the identity alone.  A built
     family graph is its own quotient (``_cayley_quotient``).
 
-    One frontier BFS from class 0 in which row k counts sizes[k] times:
-    since sizes[k]*T[k, j] = sizes[j]*T[j, k] for T[k, j] neighbours in
-    class j of a vertex of class k, hits[j] is sizes[j] times the level-k
-    neighbours of a vertex of class j.  At level k the Itai-Rodeh test reads
-    the girth: an edge inside the level closes a walk of length 2k + 1, an
-    unseen class with two level-k neighbours one of length 2k + 2.  By
-    transitivity girth and diameter are exact, math.inf for no cycle or a
-    disconnected graph.  The components are the cosets of the subgroup S
-    generates, all the size of the one the BFS reaches.
+    One frontier BFS from class 0, one vectorized step per level, in which
+    hits[j] counts the entries class j has in the rows of the level, row k
+    counting sizes[k] times: since sizes[k]*T[k, j] = sizes[j]*T[j, k] for
+    T[k, j] neighbours in class j of a vertex of class k, hits[j] is
+    sizes[j] times the level's neighbours of a vertex of class j.  A level's
+    rows are gathered in chunks of at most ``_BFS_WORD_BUDGET`` entries (one
+    row at least), and all of them are counted before the next level is
+    marked, so memory stays O(c) plus one chunk for c classes.  At level k
+    the Itai-Rodeh test reads the girth: an edge inside the level closes a
+    walk of length 2k + 1, an unseen class with two level-k neighbours one
+    of length 2k + 2.  By transitivity girth and diameter are exact,
+    math.inf for no cycle or a disconnected graph.  The components are the
+    cosets of the subgroup S generates, all the size of the one the BFS
+    reaches.
     """
-    best = math.inf
-    for k, dist, hits in _frontier_bfs(nbr, 0, sizes if sizes.max() > 1 else None):
+    c, d = nbr.shape
+    step = max(1, _BFS_WORD_BUDGET // max(1, d))
+    weighted = sizes.max() > 1
+    dist = np.full(c, -1, dtype=np.int64)
+    dist[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
+    best, k = math.inf, 0
+    while True:
+        hits = np.zeros(c, dtype=np.int64)
+        for lo in range(0, frontier.size, step):
+            rows = frontier[lo:lo + step]
+            if weighted:
+                np.add.at(hits, nbr[rows].ravel(), np.repeat(sizes[rows], d))
+            else:
+                hits += np.bincount(nbr[rows].ravel(), minlength=c)
         if best == math.inf:
             unseen = dist < 0
             if hits[dist == k].any():
                 best = 2 * k + 1
             elif (hits[unseen] >= 2 * sizes[unseen]).any():
                 best = 2 * k + 2
+        frontier = np.flatnonzero((hits > 0) & (dist < 0))
+        if not frontier.size:
+            break
+        k += 1
+        dist[frontier] = k
     n, reached = int(sizes.sum()), int(sizes[dist >= 0].sum())
     if n % reached:
         raise AssertionError("class sizes and quotient are not those of a Cayley graph")

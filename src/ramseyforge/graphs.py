@@ -13,10 +13,10 @@ family's group law is written once, in ``_product``.  Every builder fills
 its neighbour matrix from it, in row blocks of bounded size.
 ``connection_set`` gives the neighbours of vertex 0 without a build.  The
 Euclidean and half-plane families also have distance classes, written once
-in ``_classes``: the connection set at distance a is class a, and
-``distance_quotients`` gives the distance-class quotient for any number of
-a from one computation of the classes.  Certificates read their invariants
-from it instead of from a built graph.
+in ``_classes``: the connection set at distance a is class a.
+``distance_classes`` computes the classes once, and ``distance_quotient``
+reads from them the distance-class quotient at any a.  Certificates read
+their invariants from it instead of from a built graph.
 
 Vertex codecs are frozen: euclidean index = sum x_i * q^i (coordinate 0 least
 significant), half-plane index = x*(q-1) + (y-1), code-graph index = integer
@@ -353,46 +353,44 @@ def _class_members(classes: np.ndarray, a: int, degree: int) -> np.ndarray:
     return members
 
 
-def distance_quotients(family: FamilySpec, a_values):
-    """The distance-class quotient (sizes, nbr) of the family's graph at each
-    distance a in ``a_values``, in order, without building a graph: sizes[k]
-    counts the vertices of class k (``_classes``, computed once for all a)
-    and nbr[k] holds the classes of the products g_k * s, s in the
-    connection set, for one representative g_k of class k.  A built Cayley
-    graph is the trivial quotient of this form, every class one vertex.
+def distance_classes(family: FamilySpec) -> tuple:
+    """(classes, reps, sizes) of a Euclidean or half-plane family: the
+    distance class of every vertex (``_classes``), one representative of
+    each class, and its size.  Refused where building the family's graph
+    would be, with the same message, before any work.
 
     The classes are the orbits of the identity's stabiliser among the
     automorphisms of every graph of the family: for D_q^m(a), O(m, q) keeps
     Q and by Witt's extension theorem is transitive on each class; for
     V_q(sigma, a) the circles around (0, 1) are the orbits of its stabiliser
     among the half-plane isometries (Terras, Fourier Analysis on Finite
-    Groups and Applications, ch. 19-20).  So nbr[k] holds, up to order, the
-    neighbour classes of every point of class k, and the distance from the
-    identity is constant on each class (an equitable partition: Godsil &
-    Royle, Algebraic Graph Theory, ch. 9).  O(q d) work per a for degree d.
-    Refused where building the family's graph at any of the a would be,
-    with the same message, before any work.
+    Groups and Applications, ch. 19-20).  So the classes are one equitable
+    partition for every distance a (Godsil & Royle, Algebraic Graph Theory,
+    ch. 9), and ``distance_quotient`` reads each a from it.
     """
-    return (quotient for _, quotient in _class_quotients(family, a_values))
-
-
-def _class_quotients(family: FamilySpec, a_values):
-    """(S, (sizes, nbr)) at each a in ``a_values``: the connection set at
-    distance a, which the quotient reads anyway, and ``distance_quotients``'
-    quotient, from one computation of the classes for all a."""
     n = family.n  # refused here, before the degree formula takes q^(m-1)
-    degrees = [_degree(family, a) for a in a_values]
-    for degree in degrees:
-        _check_size(n, degree)
+    _check_size(n, _degree(family, family.a))
     classes = _classes(family)
     _, reps, sizes = np.unique(classes, return_index=True, return_counts=True)
+    return classes, reps, sizes
 
-    def quotient(a, degree):
-        conn = _class_members(classes, a, degree)
-        products = _product(family, reps, conn, np.empty((len(reps), degree), dtype=np.int64))
-        return conn, (sizes, classes[products])
 
-    return (quotient(a, degree) for a, degree in zip(a_values, degrees))
+def distance_quotient(family: FamilySpec, partition, a: int) -> tuple:
+    """(S, (sizes, nbr)) of the family's graph at distance a, from the
+    ``distance_classes`` partition, without building a graph: S is class a,
+    the connection set, sizes[k] counts the vertices of class k, and nbr[k]
+    holds the classes of the products g_k * s, s in S, for the
+    representative g_k of class k.  By the equitable partition nbr[k] holds,
+    up to order, the neighbour classes of every point of class k, and the
+    distance from the identity is constant on each class.  A built Cayley
+    graph is the trivial quotient of this form, every class one vertex.
+    O(c d) work for c classes and degree d.
+    """
+    classes, reps, sizes = partition
+    degree = _degree(family, a)
+    conn = _class_members(classes, a, degree)
+    products = _product(family, reps, conn, np.empty((len(reps), degree), dtype=np.int64))
+    return conn, (sizes, classes[products])
 
 
 def bch_connection_set(k: int) -> list:

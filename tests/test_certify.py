@@ -805,31 +805,33 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
     ]
     built = []
     calls = Counter()
-    quotient_oracles = ("distance_quotients", "_class_quotients")
+    classes = Counter()
 
     def counting_cayley_graph(*args):
         graph = cayley_graph(*args)
         built.append(graph)
         return graph
 
+    def counting_classes(family):
+        classes[family] += 1
+        return real_classes(family)
+
     def counting_oracle(oracle):
-        # keyed by family: graph oracles take a graph, the others a FamilySpec;
-        # the quotient also by the distances a it reads
+        # keyed by family: graph oracles take a graph, the others a FamilySpec
         def wrapper(first, *args, **kwargs):
-            key = (oracle.__name__, getattr(first, "family", first))
-            if oracle.__name__ in quotient_oracles:
-                key += (tuple(args[0]),)
-            calls[key] += 1
+            calls[oracle.__name__, getattr(first, "family", first)] += 1
             return oracle(first, *args, **kwargs)
         return wrapper
 
     # every family builder goes through graphs._cayley_graph, so this sees
-    # each graph built anywhere, the half-plane suite included
-    cayley_graph = graphs._cayley_graph
+    # each graph built anywhere, the half-plane suite included; every
+    # computation of the distance classes goes through graphs._classes
+    cayley_graph, real_classes = graphs._cayley_graph, graphs._classes
     monkeypatch.setattr(graphs, "_cayley_graph", counting_cayley_graph)
+    monkeypatch.setattr(graphs, "_classes", counting_classes)
     oracles = (
         "triangle_count", "exact_independence", "cayley_spectrum_abelian", "connection_set",
-        "_cayley_quotient", *quotient_oracles,
+        "_cayley_quotient",
     )
     for name in oracles:
         monkeypatch.setattr(certify, name, counting_oracle(getattr(certify, name)))
@@ -847,19 +849,16 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
     expected = [s for s in jobs if s.kind not in geometric or s.n <= limits.VERIFY_ALPHA_CAP]
     assert [s.label() for s in expected] == ["D_7(1)", "BCH_2", "BCH_4", "ALON_2"]
     assert Counter(g.family for g in built) == Counter(expected)
-    # every family row reads triangles, girth, diameter and components from
-    # one quotient: the distance classes, read with S, or a code graph as its own
-    quotient_reads = Counter()
+    # a Euclidean or half-plane row computes its distance classes once, for
+    # S, its quotient and the half-plane suite's every a, and once more when
+    # it builds its graph for exact alpha
+    assert classes == Counter({s: 1 + (s in expected) for s in jobs if s.kind in geometric})
+    # a code row reads triangles, girth, diameter and components from the
+    # built graph as its own quotient
     for spec in jobs:
-        if spec.kind in geometric:
-            quotient_reads["_class_quotients", spec, (spec.a,)] += 1
-        else:
+        if spec.kind not in geometric:
             assert calls["_cayley_quotient", spec] == 1, spec
         assert calls["triangle_count", spec] == 0, spec
-    # the half-plane girth/diameter suite of the q = 13 row reads all its a at once
-    suite = FamilySpec(kind="noneuclidean", q=13, sigma=2)
-    quotient_reads["distance_quotients", suite, tuple(a for a in range(1, 13) if a != 8)] += 1
-    assert Counter({key: n for key, n in calls.items() if key[0] in quotient_oracles}) == quotient_reads
     assert max(calls.values()) == 1, calls
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface, via subprocess except
 where a test calls ``main`` in-process to time it or to run many examples."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -27,11 +28,11 @@ BASE = [sys.executable, "-m", "ramseyforge"]
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(ramseyforge.__file__))
 
 
-def run(*args, env=None, **kw):
+def run(*args, env=None, base=BASE, **kw):
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     return subprocess.run(
-        BASE + list(args), capture_output=True, text=True, timeout=300, env=env, **kw
+        base + list(args), capture_output=True, text=True, timeout=300, env=env, **kw
     )
 
 
@@ -442,6 +443,46 @@ def test_unknown_flag():
 def test_missing_required_selector():
     res = run("stats", "--family", "euclidean")
     assert res.returncode == 2
+
+
+_REQUIRED_BY_SUITE = {"circles": "q", "girth-diameter": "q", "degree": "q", "main": "q", "mt1": "q", "code": "k"}
+
+
+@pytest.mark.parametrize("argv, line", [
+    pytest.param(argv, f"error: --{flag} is required for the {reader}\n", id=" ".join(argv))
+    for argv, flag, reader in [
+        (["verify", "--suite", suite], flag, f"{suite} suite") for suite, flag in _REQUIRED_BY_SUITE.items()
+    ] + [
+        ([command, "--family", family], reads[0], f"{family} family")
+        for command in ("build", "stats", "spectrum", "certify-ramsey")
+        for family, reads in _FAMILY_READS.items()
+    ]
+])
+def test_missing_required_selector_names_the_flag_and_its_reader(capsys, argv, line):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", line)
+
+
+def test_a_second_main_call_constructs_no_parser(capsys, monkeypatch):
+    # the parser is built once per process, on the first main call
+    argv = ["verify", "--suite", "circles", "--q", "7"]
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    constructed = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        constructed.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(argv) == 0
+    assert capsys.readouterr() == first
+    assert constructed == []
+    # and not at import
+    probe = "from ramseyforge import cli; print(cli._build_parser.cache_info().currsize)"
+    res = run("-c", probe, base=[sys.executable])
+    assert (res.returncode, res.stdout) == (0, "0\n"), res.stderr
 
 
 def test_bad_family_value():

@@ -33,7 +33,8 @@ from ramseyforge.graphs import (
     bch_connection_set,
     build_family,
     connection_set,
-    distance_quotients,
+    distance_classes,
+    distance_quotient,
     euclidean_degree,
     export_graph,
     graph_from_edges,
@@ -81,6 +82,15 @@ def test_half_plane_degenerate_a():
         build("noneuclidean", q=5, sigma=2, a=3)  # a = 4*sigma mod 5
     with pytest.raises(DegenerateDistance):
         FamilySpec(kind="noneuclidean", q=5, sigma=2, a=0)
+
+
+def test_half_plane_distance_one_is_never_degenerate():
+    # 4*sigma = 1 would make sigma = (2^-1)^2 a square, so a = 1 is valid for
+    # every non-square sigma: the sweep's default half-plane parameters use it
+    for q in filter(is_odd_prime, range(3, 500)):
+        for sigma in range(1, q):
+            if quadratic_character(sigma, q) == -1:
+                assert FamilySpec(kind="noneuclidean", q=q, sigma=sigma, a=1).a == 1
 
 
 def test_half_plane_sigma_must_be_nonsquare():
@@ -261,15 +271,16 @@ def test_distance_class_quotient_matches_the_built_graph(q):
         sizes = np.bincount(classes, minlength=q)
         assert sizes[0] == sizes[4 * sigma % q] == 1
         assert np.delete(sizes, [0, 4 * sigma % q]).tolist() == [q + 1] * (q - 2)
-        a_values = [a for a in range(1, q) if a != 4 * sigma % q]
-        quotients = list(distance_quotients(FamilySpec(kind="noneuclidean", q=q, sigma=sigma), a_values))
-        assert len(quotients) == len(a_values)
-        for a, (sizes, nbr) in zip(a_values, quotients):
+        spec = FamilySpec(kind="noneuclidean", q=q, sigma=sigma)
+        partition = distance_classes(spec)
+        assert np.array_equal(partition[0], classes)
+        for a in [a for a in range(1, q) if a != 4 * sigma % q]:
+            _, (sizes, nbr) = distance_quotient(spec, partition, a)
             assert nbr.shape == (q, q + 1), (q, sigma, a)
             assert sizes.tolist() == np.bincount(classes).tolist()
             g = build("noneuclidean", q=q, sigma=sigma, a=a)
-            # the single-a call on the graph's own spec is the same quotient
-            [(_, single)] = distance_quotients(g.family, [a])
+            # the graph's own spec gives the same quotient
+            _, (_, single) = distance_quotient(g.family, distance_classes(g.family), a)
             assert np.array_equal(single, nbr)
             seen = np.sort(classes[g.indices.reshape(g.n, g.degree)], axis=1)
             assert np.array_equal(seen, np.sort(nbr, axis=1)[classes]), (q, sigma, a)
@@ -302,9 +313,10 @@ def test_euclidean_distance_quotient_matches_the_built_graph(q, m, a_values):
     labels[0] = 0
     null_class = not (m == 2 and q % 4 == 3)
     assert (labels == q).any() == null_class
-    quotients = distance_quotients(FamilySpec(kind="euclidean", q=q, m=m), list(a_values))
-    for a, (sizes, nbr) in zip(a_values, quotients):
+    partition = distance_classes(FamilySpec(kind="euclidean", q=q, m=m))
+    for a in a_values:
         spec = FamilySpec(kind="euclidean", q=q, m=m, a=a)
+        _, (sizes, nbr) = distance_quotient(spec, partition, a)
         d = euclidean_degree(q, m, a)
         assert sizes.tolist() == np.bincount(labels)[np.bincount(labels) > 0].tolist()
         assert sizes.sum() == n and len(sizes) == q + null_class
@@ -350,7 +362,7 @@ def _fail_if_called(*args):
 
 
 def own_distance_quotient(spec):
-    return distance_quotients(spec, [spec.a])
+    return distance_quotient(spec, distance_classes(spec), spec.a)
 
 
 @pytest.mark.parametrize("lever", ["RAMSEY_FORGE_MAX_N", "MAX_NEIGHBOR_ENTRIES"])
