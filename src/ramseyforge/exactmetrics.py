@@ -25,8 +25,9 @@ BFS per component over the CSR lists.
 
 The exhaustive oracles work on Python ints as vertex bitmasks.  The
 independence branch and bound keeps a stack of open sets, not a recursion,
-and reads each node's pick from the open degrees packed in the lanes of one
-int (``exact_independence``); the toughness enumeration compares values as
+reads each node's pick from the open degrees packed in the lanes of one int,
+and on a triangle-free graph prunes with a matching grown by augmenting paths
+(``exact_independence``); the toughness enumeration compares values as
 integer cross products and stops counting a set's components once they can
 no longer beat the best value.
 """
@@ -277,6 +278,10 @@ def eccentricity_uniformity_check(graph) -> bool:
     return len(set(_root_walk(graph, roots)[1])) == 1
 
 
+# 64-bit words of neighbour rows that one chunk of edges gathers per end.
+_TRIANGLE_CHUNK_WORDS = 1 << 16
+
+
 def _triangles_bitset(graph) -> int:
     n = graph.n
     limits.check("BITSET_TRIANGLE_CAP", n, f"bitset triangle count on {n} vertices")
@@ -293,7 +298,7 @@ def _triangles_bitset(graph) -> int:
     rows = rows.reshape(n, words)
     eu, ev = graph.edge_arrays()
     total = 0
-    step = max(1, 4_000_000 // max(1, words))
+    step = max(1, _TRIANGLE_CHUNK_WORDS // max(1, words))
     for lo in range(0, len(eu), step):
         chunk_u = eu[lo:lo + step]
         chunk_v = ev[lo:lo + step]
@@ -439,23 +444,39 @@ def exact_independence(graph) -> IndependenceResult:
     """Maximum independent set by branch and bound over vertex bitmasks.
 
     Branches on the highest-degree vertex of the open set (lowest index on
-    ties), include branch first, pruned by a greedy clique-cover bound.
+    ties), include branch first.  A node is pruned when a bound on alpha of
+    its open set fits the room left, best minus the node's size:
+
+    - on a graph with triangles, the number of cliques of a greedy clique
+      cover (``_cover_exceeds``);
+    - on a triangle-free graph (no edge's ends share a neighbour, read from
+      the search's own masks), |open| minus a matching: the greedy one in
+      vertex order, which pairs what the greedy cover pairs, grown by
+      augmenting paths only until the prune is decided
+      (``_matching_exceeds``).  D_7(1) takes 246 nodes where the cover took
+      414, BCH_3 386 where it took 1,222.
+
     Graphs past limits.INDEPENDENCE_CAP are refused.  If the search visits
     more than limits.NODE_BUDGET nodes (read when the search starts) the best
     set found so far comes back flagged ``exact=False`` rather than raising.
-    The pick, the bound, the branch order and the budget check alone decide
-    the tree, so node counts and witnesses are those of the plain
-    dict-and-mask form the tests keep as the oracle (D_7(1): 414 nodes); a
-    node only does less work than that form:
+
+    A valid bound prunes only subtrees that hold no set larger than the best
+    one so far, so at every node visited the best set is the one the full
+    depth-first order has found by then, whatever the bound: every bound
+    finds the same first maximum set, and the size and witness are those of
+    the plain dict-and-mask form with the greedy cover that the tests keep
+    as the oracle.  The matching is never smaller than the greedy one, so a
+    triangle-free search visits a subset of the oracle's nodes, in the same
+    order: under any node budget ``exact`` and the size can only rise and
+    the node count only fall.  A node does less work than that form:
 
     - the pick reads no neighbour list: every vertex's open degree sits in a
       fixed-width lane of one int, and a node that branches subtracts the
       precomputed lanes of just the vertices its parent's step closed, so
       the pick is one argmax over the lanes;
-    - the cover is skipped when the open set is too large for any cover to
-      fit the room left (|open| > omega * room, omega = 2 when no edge's ends
-      share a neighbour, read from the search's own masks, and n otherwise),
-      and counted only until its answer is sure;
+    - sets number vertices from the top bit, so the bounds read the lowest
+      vertex of a set by ``bit_length`` and build no int to find it, and
+      stop as soon as their answer is sure;
     - the search runs from an explicit stack, exclude child pushed under the
       include child, so its depth is not bounded by Python's recursion limit.
 
@@ -501,13 +522,143 @@ def _triangle_free(masks: list) -> bool:
     return True
 
 
+# The independence search numbers vertices from the top bit: the vertex at
+# bit p of a set is vertex n - 1 - p, so the lowest-numbered vertex of a set is
+# its top bit, read by bit_length without building a new int.  masks[p] and
+# bits[p] are the neighbours and the bit of the vertex at bit p.
+
+
+def _cover_exceeds(open_set: int, room: int, masks: list, bits: list) -> bool:
+    """Whether a greedy clique cover of ``open_set`` takes more than ``room``
+    cliques.  Each clique starts at the lowest uncovered vertex and takes, in
+    vertex order, every uncovered vertex adjacent to all it holds.  Decided
+    as soon as the vertices left fit the room one by one, or the room runs
+    out with vertices left."""
+    r = open_set.bit_count()
+    while r > room:
+        if not room:
+            return True
+        room -= 1
+        p = open_set.bit_length() - 1
+        open_set ^= bits[p]
+        r -= 1
+        cand = open_set & masks[p]
+        while cand:
+            p = cand.bit_length() - 1
+            open_set ^= bits[p]
+            r -= 1
+            cand &= masks[p]
+    return False
+
+
+def _matching_exceeds(open_set: int, room: int, masks: list, bits: list, mate: list) -> bool:
+    """Whether |open| - |M| exceeds ``room`` for a matching M of the open set
+    grown only as far as the answer needs.  Each pair of M holds at most one
+    vertex of an independent set, so a False answer proves alpha(G[open]) <=
+    room on any graph.  ``mate`` is scratch space, one entry per bit.
+
+    M starts as the greedy matching in vertex order (the lowest unmatched
+    vertex takes its lowest unmatched neighbour), which on a triangle-free
+    graph pairs what ``_cover_exceeds`` pairs, so this never branches where
+    the greedy cover prunes.  It then grows by augmenting paths from the free
+    vertices in vertex order, one alternating BFS per root; the BFS does not
+    shrink blossoms, so it may miss a path through an odd cycle, which only
+    weakens the bound.  The answer is False once M reaches need = |open| -
+    room pairs, and True once the vertices M could still cover cannot supply
+    the pairs missing."""
+    r = open_set.bit_count()
+    need = r - room
+    if need <= 0:
+        return False
+    if 2 * need > r:
+        return True
+    spare = r - 2 * need  # open vertices that need pairs may leave uncovered
+    free = lone = pairs = 0
+    rem = open_set
+    while rem:
+        v = rem.bit_length() - 1
+        rem ^= bits[v]
+        cand = rem & masks[v]
+        if cand:
+            u = cand.bit_length() - 1
+            rem ^= bits[u]
+            mate[u] = v
+            mate[v] = u
+            pairs += 1
+            if pairs >= need:
+                return False
+        elif open_set & masks[v]:
+            free |= bits[v]
+        else:
+            # no open neighbour, so no matching covers it
+            lone |= bits[v]
+            spare -= 1
+            if spare < 0:
+                return True
+    # M is maximal: a free vertex has only matched open neighbours, and each
+    # augmenting path covers its root and one more free vertex
+    matched = open_set ^ free ^ lone
+    roots = free
+    while roots:
+        start = roots.bit_length() - 1
+        root = bits[start]
+        roots ^= root
+        if not free & root:
+            continue  # covered as the far end of an earlier path
+        if 2 * (need - pairs) > free.bit_count():
+            return True
+        free ^= root
+        # x an outer vertex, y an unseen matched neighbour, mate[y] the next
+        # outer vertex (already out of unseen if x, y and mate[y] form a
+        # triangle); a free neighbour of x ends the path
+        unseen = matched | free
+        pred = {}
+        queue = [start]
+        for x in queue:
+            step = masks[x] & unseen
+            ends = step & free
+            if ends:
+                break
+            unseen ^= step
+            while step:
+                y = step.bit_length() - 1
+                step ^= bits[y]
+                pred[y] = x
+                y = mate[y]
+                queue.append(y)
+                unseen &= ~bits[y]
+        else:
+            continue  # no path found: the root stays free
+        y = ends.bit_length() - 1
+        free ^= bits[y]
+        matched |= root | bits[y]
+        # flip the path: the end, x, mate[x], pred[mate[x]], ... the root
+        while x != start:
+            old = mate[x]
+            mate[x] = y
+            mate[y] = x
+            y = old
+            x = pred[y]
+        mate[x] = y
+        mate[y] = x
+        pairs += 1
+        if pairs >= need:
+            return False
+    return True
+
+
 def _search_independence(graph, budget: int) -> IndependenceResult:
     """The branch and bound of ``exact_independence``, under ``budget`` nodes."""
     n = graph.n
-    masks = _neighbor_masks(graph)
+    top = n - 1
     transitive = graph.family is not None
-    # a clique cover of the open set takes at least |open| / omega cliques
-    omega = 2 if _triangle_free(masks) else n
+    bits = [1 << p for p in range(n)]
+    masks = [0] * n
+    for v in range(n):
+        masks[top - v] = sum(bits[top - int(u)] for u in graph.neighbors(v))
+    # on a triangle-free graph the greedy clique cover is a greedy matching,
+    # which augmenting paths can only grow
+    mate = [0] * n if _triangle_free(masks) else None
     # vertex v adds n to its own lane and 1 to each neighbour's, so a node's
     # lane int, the sum over its open set, holds n + open degree in an open
     # vertex's lane and the open degree alone, below n, in a closed one's
@@ -516,30 +667,10 @@ def _search_independence(graph, budget: int) -> IndependenceResult:
     rows = np.zeros((n, n), dtype=lane)
     rows[np.repeat(np.arange(n), np.diff(graph.indptr)), graph.indices] = 1
     rows[np.arange(n), np.arange(n)] = n
-    contrib = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    contrib = [int.from_bytes(row.tobytes(), "little") for row in rows[::-1]]  # by bit
     del rows
     best = best_set = nodes = 0
     exceeded = False
-
-    def cover_exceeds(rem: int, room: int) -> bool:
-        # whether a greedy clique cover of rem takes more than room cliques:
-        # decided as soon as the r vertices left need more than room (r >
-        # omega * room) or fit in it one by one (r <= room)
-        r = rem.bit_count()
-        while r > room:
-            if r > omega * room:
-                return True
-            room -= 1
-            low = rem & -rem
-            rem ^= low
-            r -= 1
-            cand = rem & masks[low.bit_length() - 1]
-            while cand:
-                low = cand & -cand
-                rem ^= low
-                r -= 1
-                cand &= masks[low.bit_length() - 1]
-        return False
 
     # a node on the stack: its open set, size and chosen set, its parent's
     # lane int and the vertices the step from the parent closed, whose
@@ -557,15 +688,19 @@ def _search_independence(graph, budget: int) -> IndependenceResult:
             best, best_set = size, chosen
         if not open_set:
             continue
-        if not cover_exceeds(open_set, best - size):
+        if mate is None:
+            if not _cover_exceeds(open_set, best - size, masks, bits):
+                continue
+        elif not _matching_exceeds(open_set, best - size, masks, bits, mate):
             continue
         while closed:
-            low = closed & -closed
-            closed ^= low
-            lanes -= contrib[low.bit_length() - 1]
-        # the first largest lane: highest open degree, lowest index on ties
-        pick = int(np.frombuffer(lanes.to_bytes(n * width, "little"), dtype=lane).argmax())
-        bit = 1 << pick
+            p = closed.bit_length() - 1
+            closed ^= bits[p]
+            lanes -= contrib[p]
+        # the first largest lane: highest open degree, lowest index on ties;
+        # pick is that vertex's bit
+        pick = top - int(np.frombuffer(lanes.to_bytes(n * width, "little"), dtype=lane).argmax())
+        bit = bits[pick]
         if chosen or not transitive:
             # only the root has chosen == 0 on a family graph: some maximum
             # set holds its pick, so the exclude branch cannot raise best
@@ -573,9 +708,9 @@ def _search_independence(graph, budget: int) -> IndependenceResult:
         shut = open_set & (masks[pick] | bit)
         stack.append((open_set ^ shut, size + 1, chosen | bit, lanes, shut))
 
-    witness = tuple(v for v in range(n) if (best_set >> v) & 1)
+    witness = tuple(v for v in range(n) if best_set >> (top - v) & 1)
     for v in witness:
-        if masks[v] & best_set:
+        if masks[top - v] & best_set:
             raise AssertionError("branch and bound returned a non-independent set")
     return IndependenceResult(best, witness, not exceeded, nodes)
 
@@ -596,11 +731,13 @@ def exact_max_cut_and_bisection(graph):
     if n < 2:
         raise BadParameter("cuts need at least 2 vertices")
     masks = _neighbor_masks(graph)
-    assigns = np.arange(1 << (n - 1), dtype=np.uint64)
+    # the indices have n - 1 bits, so 32-bit words hold them up to n = 33
+    index = np.uint32 if n - 1 <= 32 else np.uint64
+    assigns = np.arange(1 << (n - 1), dtype=index)
     cut = np.zeros(1, dtype=np.int32)
     for v in range(n):
         lower = masks[v] & ((1 << v) - 1)
-        across = np.bitwise_count(assigns[:len(cut)] & np.uint64(lower))
+        across = np.bitwise_count(assigns[:len(cut)] & index(lower))
         if v == n - 1:
             cut += across
         else:

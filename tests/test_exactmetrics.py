@@ -789,36 +789,59 @@ def _maximal_triangle_free(rng, n):
     return edges
 
 
+def _assert_no_worse(graph, res, want, label):
+    """The search against a plain tree whose nodes it visits a subset of, in
+    the same order: exact no worse and nodes no more; the plain tree's size
+    and witness when it finishes, else a set no smaller; and the witness an
+    independent set of the size found."""
+    size, witness, exact, nodes = want
+    assert res.exact >= exact and res.nodes <= nodes, label
+    if exact:
+        assert (res.size, res.witness) == (size, witness), label
+    else:
+        assert res.size >= size, label
+    assert len(res.witness) == res.size, label
+    assert not any(graph.adjacency_oracle(u, v) for u, v in itertools.combinations(res.witness, 2)), label
+
+
 @pytest.mark.parametrize("budget", [5, 50, 500, None])
 def test_independence_matches_frozen_search(monkeypatch, budget):
-    # the same tree node for node: the witness, the exact flag and the node
-    # count all match, under a budget that cuts the search short or none
+    # graphs with triangles keep the greedy clique cover, so their tree is
+    # the plain one node for node; a triangle-free graph prunes with a
+    # matching at least as large as the greedy one, which any node the plain
+    # tree prunes also prunes, so its nodes are a subset of the plain tree's
     if budget is not None:
         monkeypatch.setattr(limits, "NODE_BUDGET", budget)
-    cut_short = 0
+    cut_short = saved = 0
     for label, g in _independence_graphs():
         res = exact_independence(g)
         want = _frozen_independence(g, limits.NODE_BUDGET)
-        assert (res.size, res.witness, res.exact, res.nodes) == want, label
+        if triangle_count(g):
+            assert (res.size, res.witness, res.exact, res.nodes) == want, label
+        else:
+            _assert_no_worse(g, res, want, label)
+            saved += want[3] - res.nodes
         cut_short += not res.exact
     assert (cut_short > 0) == (budget is not None)
+    if budget is None:
+        assert saved > 0
 
 
 def test_independence_cover_skip_needs_triangle_freeness(monkeypatch):
-    # a cover of m vertices takes at least m / 2 cliques only when no clique
-    # has three vertices: told that graphs with triangles have none, the
-    # search skips covers that would have pruned and visits more nodes than
-    # the frozen tree, though the size and the witness cannot move
+    # the matching bound holds on any graph, so told that graphs with
+    # triangles have none, the search keeps every size and witness; but a
+    # matching bounds a clique by half its size where the cover counts one,
+    # so on disjoint cliques it prunes far less than the plain tree
     graphs = [(label, g) for label, g in _independence_graphs() if triangle_count(g)]
+    cliques = [(5 * c + i, 5 * c + j) for c in range(4) for i, j in itertools.combinations(range(5), 2)]
+    graphs.append(("4 K_5", graph_from_edges(20, cliques)))
     monkeypatch.setattr(exactmetrics, "_triangle_free", lambda masks: True)
-    grown = 0
     for label, g in graphs:
         res = exact_independence(g)
         size, witness, exact, nodes = _frozen_independence(g, limits.NODE_BUDGET)
         assert (res.size, res.witness, res.exact) == (size, witness, exact), label
-        assert res.nodes >= nodes, label
-        grown += res.nodes > nodes
-    assert grown > 0
+    # the last graph, 4 K_5: the plain tree takes 9 nodes
+    assert (res.size, nodes) == (4, 9) and res.nodes > 10 * nodes
 
 
 def test_triangle_freeness_from_masks_matches_the_triangle_count():
@@ -828,11 +851,77 @@ def test_triangle_freeness_from_masks_matches_the_triangle_count():
 
 
 def test_independence_reads_no_triangle_cap(monkeypatch):
-    # omega comes from the search's own masks, not from the capped bitset
-    # triangle count, so only INDEPENDENCE_CAP can refuse the search
+    # triangle-freeness comes from the search's own masks, not from the
+    # capped bitset triangle count, so only INDEPENDENCE_CAP can refuse the
+    # search
     monkeypatch.setattr(limits, "BITSET_TRIANGLE_CAP", 1)
     for edges in ([(0, 1), (1, 2), (2, 0), (2, 3)], [(0, 1), (1, 2), (2, 3), (3, 4)]):
         assert exact_independence(graph_from_edges(5, edges)).size == 3
+
+
+def _bound_masks(n, edges):
+    """(masks, bits) of the bound helpers: masks[p] holds the bits of p's
+    neighbours."""
+    bits = [1 << p for p in range(n)]
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= bits[v]
+        masks[v] |= bits[u]
+    return masks, bits
+
+
+def _alpha_oracle(open_set, masks):
+    """alpha of the graph induced on open_set: the top vertex is in a
+    maximum independent set or not."""
+    if not open_set:
+        return 0
+    p = open_set.bit_length() - 1
+    rest = open_set ^ (1 << p)
+    return max(_alpha_oracle(rest, masks), 1 + _alpha_oracle(rest & ~masks[p], masks))
+
+
+def _bound_cases(seed, count):
+    """(n, edges, bipartite) of seeded triangle-free graphs on at most 14
+    vertices: bipartite ones and maximal triangle-free ones, which hold odd
+    cycles."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        n = int(rng.integers(2, 15))
+        if i % 2:
+            side = rng.random(n) < 0.5
+            p = rng.uniform(0.2, 0.6)
+            edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if side[u] != side[v] and rng.random() < p]
+            cases.append((n, edges, True))
+        else:
+            cases.append((n, _maximal_triangle_free(rng, n), False))
+    return cases
+
+
+def test_matching_bound_is_sound_and_no_weaker_than_the_greedy_cover():
+    # a prune proves alpha(open) <= room; the greedy matching is the greedy
+    # cover's, so the bound never branches where the cover prunes; and on a
+    # bipartite graph, where an alternating BFS finds every augmenting path,
+    # the matching grows to a maximum one, so by Koenig's theorem the bound
+    # prunes exactly when alpha(open) <= room
+    rng = np.random.default_rng(7)
+    grown = 0
+    for n, edges, bipartite in _bound_cases(2016, 60):
+        masks, bits = _bound_masks(n, edges)
+        assert exactmetrics._triangle_free(masks)
+        mate = [0] * n
+        for open_set in [(1 << n) - 1] + [int(rng.integers(0, 1 << n)) for _ in range(6)]:
+            alpha = _alpha_oracle(open_set, masks)
+            for room in range(open_set.bit_count() + 1):
+                branch = exactmetrics._matching_exceeds(open_set, room, masks, bits, mate)
+                cover = exactmetrics._cover_exceeds(open_set, room, masks, bits)
+                assert branch or alpha <= room
+                assert cover or not branch
+                if bipartite:
+                    assert branch == (alpha > room)
+                grown += cover and not branch
+    # augmenting paths prune where the greedy matching alone would not
+    assert grown > 0
 
 
 def test_independence_searches_past_the_recursion_limit(monkeypatch):
@@ -864,8 +953,8 @@ def _as_adhoc(graph):
 @pytest.mark.parametrize("budget", [5, 50, 500, None])
 def test_independence_root_rule_keeps_size_and_witness(monkeypatch, budget):
     # a family graph skips the exclude branch of the root: against the plain
-    # tree over the same lists, the size and witness match, exact is no
-    # worse and the node count no larger
+    # tree over the same lists, exact is no worse, the node count no larger
+    # and the size and witness those of the plain tree when it finishes
     if budget is not None:
         monkeypatch.setattr(limits, "NODE_BUDGET", budget)
     family = [(label, g) for label, g in _independence_graphs() if g.family is not None]
@@ -873,10 +962,13 @@ def test_independence_root_rule_keeps_size_and_witness(monkeypatch, budget):
     saved = 0
     for label, g in family:
         res = exact_independence(g)
-        size, witness, exact, nodes = _frozen_independence(_as_adhoc(g), limits.NODE_BUDGET)
-        assert (res.size, res.witness) == (size, witness), label
-        assert res.exact >= exact and res.nodes <= nodes, label
-        saved += nodes - res.nodes
+        want = _frozen_independence(_as_adhoc(g), limits.NODE_BUDGET)
+        # the include branch comes first, so with the clique cover the
+        # visited nodes are the plain tree's first ones
+        _assert_no_worse(g, res, want, label)
+        if triangle_count(g):
+            assert (res.size, res.witness) == want[:2], label
+        saved += want[3] - res.nodes
     # a budget of 5 cuts every search short inside the root's include branch
     assert (saved > 0) == (budget != 5)
 
