@@ -66,9 +66,9 @@ from .graphs import (
     FamilySpec,
     Graph,
     _bounded_power,
+    _cayley_graph,
     _product,
     alon_split,
-    build_family,
     connection_set,
     distance_classes,
     distance_quotient,
@@ -267,10 +267,11 @@ class _Measured:
     (ad-hoc graphs have family None).  ``m(oracle)`` runs ``oracle(m)`` once
     and returns the stored result on every later call.
 
-    A graph is built only on first use of ``graph``, by the oracles that need
-    one: exact alpha (n <= limits.VERIFY_ALPHA_CAP) with its Ramsey witness,
-    exact toughness, and the quotient of a code family, which only a sweep
-    row's girth/diameter walk reads.  Every family reads its spectrum from
+    A graph is built only on first use of ``graph``, from the record's own
+    connection set S, by the oracles that need one: exact alpha
+    (n <= limits.VERIFY_ALPHA_CAP) with its Ramsey witness, exact toughness,
+    and the quotient of a code family, which only a sweep row's
+    girth/diameter walk reads.  Every family reads its spectrum from
     the connection set S, and girth, diameter and components from its
     ``_quotient``.  A Euclidean or half-plane graph computes its classes
     once (``_partition``), reads S and its distance-class quotient from them
@@ -290,7 +291,7 @@ class _Measured:
     @property
     def graph(self) -> Graph:
         if self._graph is None:
-            self._graph = build_family(self.family)
+            self._graph = _cayley_graph(self.family, self(_connection_set))
         return self._graph
 
     @property
@@ -851,15 +852,18 @@ def _mt1(m) -> Certificate:
 def _greedy_independent_size(m) -> int:
     """Size of the greedy independent set that takes the vertices in index
     order, each unless a chosen vertex blocks it.  A chosen v blocks its
-    neighbours v*S, read from the group law, so no graph is built."""
+    neighbours v*S, read from the group law, so no graph is built.  The
+    scan visits only the chosen vertices: the next is the first unblocked
+    index after v, found by ``bytearray.find``."""
     fam, conn = m.family, m(_connection_set)
-    blocked = np.zeros(m.n, dtype=bool)
+    blocked = bytearray(m.n)
+    marks = np.frombuffer(blocked, dtype=np.uint8)
     nbrs = np.empty((1, len(conn)), dtype=np.int64)
-    chosen = 0
-    for v in range(m.n):
-        if not blocked[v]:
-            chosen += 1
-            blocked[_product(fam, np.array([v]), conn, nbrs)] = True
+    chosen, v = 0, 0
+    while v != -1:
+        chosen += 1
+        marks[_product(fam, np.array([v]), conn, nbrs)] = 1
+        v = blocked.find(0, v + 1)
     return chosen
 
 

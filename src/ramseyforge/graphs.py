@@ -311,11 +311,11 @@ def _classes(family: FamilySpec) -> np.ndarray:
 _ROW_BLOCK_ENTRIES = 1 << 18
 
 
-def _cayley_graph(family: FamilySpec) -> Graph:
-    """Cayley graph Cay(G, S) on the family's group G, with S the sorted
-    ``connection_set``, which refuses a graph past the size limits: row g of
-    the neighbour matrix lists the products g*s, s in S."""
-    conn = connection_set(family)
+def _cayley_graph(family: FamilySpec, conn: np.ndarray) -> Graph:
+    """Cayley graph Cay(G, S) on the family's group G, with S = ``conn`` its
+    sorted connection set, as ``connection_set`` or ``distance_quotient``
+    gives it once the size limits have passed: row g of the neighbour matrix
+    lists the products g*s, s in S."""
     n, d = family.n, len(conn)
     rows = np.empty((n, d), dtype=np.int64)
     step = max(1, _ROW_BLOCK_ENTRIES // max(1, d))
@@ -327,14 +327,16 @@ def _cayley_graph(family: FamilySpec) -> Graph:
 
 def build_euclidean(q: int, m: int = 2, a: int = 1) -> Graph:
     """Cayley graph on (F_q^m, +) whose connection set is the sphere Q = a."""
-    return _cayley_graph(FamilySpec(kind="euclidean", q=q, m=m, a=a))
+    family = FamilySpec(kind="euclidean", q=q, m=m, a=a)
+    return _cayley_graph(family, connection_set(family))
 
 
 def build_non_euclidean(q: int, sigma: int, a: int) -> Graph:
     """Graph on the finite half-plane with edges at Poincare distance a: a
     Cayley graph on Aff(1, q) whose connection set is the circle of class a
     around (0, 1)."""
-    return _cayley_graph(FamilySpec(kind="noneuclidean", q=q, sigma=sigma, a=a))
+    family = FamilySpec(kind="noneuclidean", q=q, sigma=sigma, a=a)
+    return _cayley_graph(family, connection_set(family))
 
 
 def _degree(family: FamilySpec, a: int) -> int:
@@ -414,13 +416,14 @@ def alon_connection_set(k: int) -> list:
     def pack(w):
         return w | (gf2k_pow(w, 3, k) << k) | (gf2k_pow(w, 5, k) << (2 * k))
 
-    sums = {pack(w0) ^ pack(w1) for w0 in w0s for w1 in w1s}
-    return sorted(sums)
+    packed1 = [pack(w1) for w1 in w1s]
+    return sorted({p0 ^ p1 for p0 in map(pack, w0s) for p1 in packed1})
 
 
 def build_code_graph_bch(k: int) -> Graph:
     """Cayley graph on GF(2)^{2k} with connection set {(z, z^3)}; (2^k - 1)-regular."""
-    return _cayley_graph(FamilySpec(kind="bch", k=k))
+    family = FamilySpec(kind="bch", k=k)
+    return _cayley_graph(family, connection_set(family))
 
 
 def build_code_graph_alon(k: int) -> Graph:
@@ -429,7 +432,8 @@ def build_code_graph_alon(k: int) -> Graph:
     The claimed degree 2^(k-1) * (2^(k-1) - 1) is checked against the actual
     deduplicated sum count; a mismatch is recorded in meta, not an error.
     """
-    graph = _cayley_graph(FamilySpec(kind="alon", k=k))
+    family = FamilySpec(kind="alon", k=k)
+    graph = _cayley_graph(family, connection_set(family))
     w0s, w1s = alon_split(k)
     claimed = (1 << (k - 1)) * ((1 << (k - 1)) - 1)
     graph.meta.update(

@@ -7,9 +7,10 @@ Eigenvalues come by four routes:
                     irrep give two (q - 1) x (q - 1) eigenproblems
   * character sums  the abelian Cayley families live on (Z_p)^m: p = q for
                     D_q^m(a), p = 2 for the code graphs.  One DFT of the
-                    connection-set indicator gives every eigenvalue: exact
-                    integers for the code graphs, floats for D_q^m(a).  An
-                    ad-hoc circulant, Cay(Z_n, S), takes the same route
+                    connection-set indicator gives every eigenvalue: for the
+                    code graphs an integer Walsh-Hadamard transform, so exact
+                    integers, and an FFT of floats for D_q^m(a).  An ad-hoc
+                    circulant, Cay(Z_n, S), takes the FFT too
   * least only      ``least_eigenvalue``, behind the ratio bound of an ad-hoc
                     graph (the only number of its spectrum a certificate
                     reads): the least character sum of a circulant, else the
@@ -144,11 +145,30 @@ def _character_spectrum(shape, conn: np.ndarray) -> np.ndarray:
 
     The families live on (Z_p)^m, shape (p,) * m, and their codecs number x
     as sum x_i * p^i, so the indicator reshapes to that shape; a circulant
-    lives on Z_n, shape (n,).  S = -S makes the transform real; for p = 2
-    every butterfly is an integer addition, so code-graph eigenvalues are
-    exact.
+    lives on Z_n, shape (n,).  S = -S makes the transform real.
+
+    On GF(2)^m (the code graphs, every axis of length 2) the characters are
+    +-1 and the DFT is the Walsh-Hadamard transform of the indicator (Fino &
+    Algazi, IEEE Trans. Computers, 1976): m in-place integer passes, each the
+    butterfly (a, b) -> (a + b, a - b), one subtract and one add over a
+    (-1, 2, h) view.  The eigenvalues are exact integers, returned as
+    float64.  Other shapes (D_q^m(a), circulants on Z_n, n > 2) take the
+    FFT.
     """
-    indicator = np.zeros(math.prod(shape))
+    n = math.prod(shape)
+    if set(shape) == {2}:
+        spectrum = np.zeros(n, dtype=np.int64)
+        spectrum[conn] = 1
+        h = 1
+        while h < n:
+            pairs = spectrum.reshape(-1, 2, h)
+            low, high = pairs[:, 0], pairs[:, 1]
+            difference = low - high
+            low += high
+            high[...] = difference
+            h *= 2
+        return spectrum.astype(np.float64)
+    indicator = np.zeros(n)
     indicator[conn] = 1.0
     return np.fft.fftn(indicator.reshape(shape)).real.ravel()
 

@@ -360,16 +360,18 @@ def test_code_graphs_k4_bch_cap_via_ratio():
     (["verify", "--suite", "code", "--k", "3"], ["BCH_3"]),
 ])
 def test_code_certificates_build_only_for_exact_alpha(monkeypatch, capsys, argv, built):
-    # every family builder goes through graphs._cayley_graph; a code graph is
-    # built only for exact alpha, n <= limits.VERIFY_ALPHA_CAP (BCH_3, 64)
+    # every family graph is built by graphs._cayley_graph, which certify
+    # binds too; a code graph is built only for exact alpha,
+    # n <= limits.VERIFY_ALPHA_CAP (BCH_3, 64)
     labels = []
     cayley_graph = graphs._cayley_graph
 
-    def counting_cayley_graph(family):
+    def counting_cayley_graph(family, conn):
         labels.append(family.label())
-        return cayley_graph(family)
+        return cayley_graph(family, conn)
 
     monkeypatch.setattr(graphs, "_cayley_graph", counting_cayley_graph)
+    monkeypatch.setattr(certify, "_cayley_graph", counting_cayley_graph)
     assert main(argv) == 0
     capsys.readouterr()
     assert labels == built
@@ -529,10 +531,12 @@ def test_ramsey_critical_circulants_reach_the_known_ramsey_number(ramsey_r3, n, 
 ], ids=FamilySpec.label)
 def test_ramsey_certificate_from_a_spec_is_the_built_graphs(monkeypatch, spec):
     # a family graph is built only for the exact search; the certificate is
-    # the same either way
+    # the same either way.  Every family graph is built by
+    # graphs._cayley_graph, a record's from its own connection set
     want = certificate_to_json(ramsey_certificate(build_family(spec)))
     builds = []
-    monkeypatch.setattr(certify, "build_family", lambda s: builds.append(s) or build_family(s))
+    cayley_graph = graphs._cayley_graph
+    monkeypatch.setattr(certify, "_cayley_graph", lambda s, conn: builds.append(s) or cayley_graph(s, conn))
     assert certificate_to_json(ramsey_certificate(spec)) == want
     searched = spec.n <= limits.VERIFY_ALPHA_CAP
     assert builds == ([spec] if searched else [])
@@ -823,11 +827,13 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
             return oracle(first, *args, **kwargs)
         return wrapper
 
-    # every family builder goes through graphs._cayley_graph, so this sees
-    # each graph built anywhere, the half-plane suite included; every
-    # computation of the distance classes goes through graphs._classes
+    # every family graph is built by graphs._cayley_graph, which certify
+    # binds too, so this sees each graph built anywhere, the half-plane suite
+    # included; every computation of the distance classes goes through
+    # graphs._classes
     cayley_graph, real_classes = graphs._cayley_graph, graphs._classes
     monkeypatch.setattr(graphs, "_cayley_graph", counting_cayley_graph)
+    monkeypatch.setattr(certify, "_cayley_graph", counting_cayley_graph)
     monkeypatch.setattr(graphs, "_classes", counting_classes)
     oracles = (
         "triangle_count", "exact_independence", "cayley_spectrum_abelian", "connection_set",
@@ -850,9 +856,9 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
     assert [s.label() for s in expected] == ["D_7(1)", "BCH_2", "BCH_4", "ALON_2"]
     assert Counter(g.family for g in built) == Counter(expected)
     # a Euclidean or half-plane row computes its distance classes once, for
-    # S, its quotient and the half-plane suite's every a, and once more when
-    # it builds its graph for exact alpha
-    assert classes == Counter({s: 1 + (s in expected) for s in jobs if s.kind in geometric})
+    # S, its quotient, the half-plane suite's every a and the graph it
+    # builds for exact alpha
+    assert classes == Counter({s: 1 for s in jobs if s.kind in geometric})
     # a code row reads triangles, girth, diameter and components from the
     # built graph as its own quotient
     for spec in jobs:

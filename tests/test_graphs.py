@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ramseyforge import graphs, limits
-from ramseyforge.algebra import is_odd_prime, poincare_distance, quadrance, quadratic_character
+from ramseyforge.algebra import gf2k_pow, is_odd_prime, poincare_distance, quadrance, quadratic_character
 from ramseyforge.errors import (
     BadParameter,
     BadSigma,
@@ -155,6 +155,18 @@ def test_alon_split_sizes():
 
 def test_alon_connection_set_k2():
     assert alon_connection_set(2) == [35, 50]
+
+
+@pytest.mark.parametrize("k", [2, 4, 5, 8])
+def test_alon_connection_set_is_the_pairwise_sum_set(k):
+    # every (w0, w1) pair packs both of its ends: the formula as the family
+    # defines it, (w0, w0^3, w0^5) + (w1, w1^3, w1^5)
+    w0s, w1s = alon_split(k)
+
+    def pack(w):
+        return w | (gf2k_pow(w, 3, k) << k) | (gf2k_pow(w, 5, k) << (2 * k))
+
+    assert alon_connection_set(k) == sorted({pack(w0) ^ pack(w1) for w0 in w0s for w1 in w1s})
 
 
 def test_alon_graph_meta():

@@ -182,9 +182,10 @@ def test_neighbor_entry_limit_guards_builds_only():
 def test_certify_builds_graphs_only_inside_measured():
     # a certificate builds a family graph only when an exact oracle asks
     # _Measured for one; a builder named anywhere else in certify would be
-    # an eager build that the distance-class quotients made unnecessary
+    # an eager build that the distance-class quotients made unnecessary.
+    # _Measured builds through graphs._cayley_graph, from its own S
     builders = {"build_family", "build_euclidean", "build_non_euclidean", "build_code_graph_bch",
-                "build_code_graph_alon"}
+                "build_code_graph_alon", "_cayley_graph"}
     tree = TREES["certify.py"]
     measured = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Measured"]
     assert len(measured) == 1

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ramseyforge import limits, spectral
 from ramseyforge.algebra import find_nonsquare
+from ramseyforge.cli import main
 from ramseyforge.errors import (
     BadParameter,
     TooLarge,
@@ -107,7 +108,7 @@ def test_degree_multiplicity_counts_components():
 
 
 def test_character_route_is_exact_for_xor_graphs():
-    # the DFT over (Z_2)^t (np.fft.fftn on length-2 axes) adds integers; no float fuzz
+    # the DFT over (Z_2)^t (the Walsh-Hadamard transform) adds integers; no float fuzz
     s = group_spectrum(FamilySpec(kind="bch", k=3))
     assert s.method == "character-sum"
     assert np.allclose(s.eigenvalues, np.round(s.eigenvalues), atol=0)
@@ -367,6 +368,37 @@ def test_code_graph_spectrum_is_the_exact_character_sum(spec):
     conn = g.neighbors(0).tolist()
     want = [sum(-1 if (y & s).bit_count() % 2 else 1 for s in conn) for y in range(g.n)]
     assert group_spectrum(spec).eigenvalues.tolist() == sorted(want, reverse=True)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec(kind="bch", k=k) for k in range(2, 8)] + [FamilySpec(kind="alon", k=k) for k in (2, 4, 5)],
+    ids=FamilySpec.label,
+)
+def test_walsh_hadamard_route_is_the_fft_bit_for_bit(spec):
+    # the oracle is the FFT over the (2,) * t array, the route the code
+    # graphs took before the Walsh-Hadamard transform
+    conn = connection_set(spec)
+    t = spec.n.bit_length() - 1
+    indicator = np.zeros(spec.n)
+    indicator[conn] = 1.0
+    want = np.fft.fftn(indicator.reshape((2,) * t)).real.ravel()
+    assert spectral._character_spectrum((2,) * t, conn).tobytes() == want.tobytes()
+
+
+def test_code_graphs_take_no_fft_and_euclidean_graphs_do(monkeypatch, capsys):
+    fftn = np.fft.fftn
+    calls = []
+
+    def refusing_fftn(*args, **kwargs):
+        raise AssertionError("the code graphs take the Walsh-Hadamard route")
+
+    monkeypatch.setattr(np.fft, "fftn", refusing_fftn)
+    assert main(["verify", "--suite", "code", "--k", "5"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(np.fft, "fftn", lambda *args, **kwargs: calls.append(1) or fftn(*args, **kwargs))
+    assert group_spectrum(FamilySpec(kind="euclidean", q=7, a=1)).method == "character-sum"
+    assert calls == [1]
 
 
 def test_character_route_past_the_dense_cap():
