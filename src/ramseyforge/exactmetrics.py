@@ -23,18 +23,17 @@ bit per root, and roots run in blocks whose bit arrays stay within
 each BFS level in chunks of that size, and ``connected_components`` runs one
 BFS per component over the CSR lists.
 
-The exhaustive oracles work on Python ints as vertex bitmasks.  The
-independence branch and bound keeps a stack of open sets, not a recursion,
-reads each node's pick from the open degrees packed in the lanes of one int,
-and on a triangle-free graph prunes with a matching grown by augmenting paths
-(``exact_independence``); the toughness enumeration compares values as
-integer cross products and stops counting a set's components once they can
-no longer beat the best value.
+The independence branch and bound works on Python ints as vertex bitmasks:
+it keeps a stack of open sets, not a recursion, reads each node's pick from
+the open degrees packed in the lanes of one int, and on a triangle-free graph
+prunes with a matching grown by augmenting paths (``exact_independence``).
+Toughness and cuts fill one numpy table over all 2^n vertex sets, doubled
+vertex by vertex: the components left in every set, counted for all sets at
+once (``_component_counts``), and the cut of every two-coloring.
 """
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -371,73 +370,86 @@ def _neighbor_masks(graph) -> list:
     return masks
 
 
-def _mask_components(remaining: int, masks: list, need: int = 0) -> int:
-    """Components of the graph induced on the bitmask ``remaining``.  With
-    ``need``, the count stops as soon as the components found, plus one for
-    each vertex outside them, fall below it, and the (smaller) count so far
-    comes back: the count is exact whenever it reaches ``need``."""
-    comps = 0
-    rem = remaining
-    while rem:
-        comps += 1
-        frontier = rem & -rem
-        grown = frontier
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= masks[b.bit_length() - 1]
-            frontier = nxt & rem & ~grown
-            grown |= frontier
-            if comps + (rem ^ grown).bit_count() < need:
-                return comps
-        rem ^= grown
-    return comps
+def _component_counts(graph) -> np.ndarray:
+    """c(G[T]) for every vertex set T, indexed by its bitmask (bit v for
+    vertex v), as uint8.  O(2^n) memory: four arrays of 2^n 32-bit words at
+    once, with numpy's temporaries about 20 bytes per set at peak.
+
+    The neighbourhood union nb[X] of every set X comes by doubling, as the
+    cut table does: the sets holding vertex v are those below 2^v plus v, so
+    nb[2^v:2^(v+1)] = nb[:2^v] | N(v).  Every set T then grows the
+    component X of its lowest vertex, X |= nb[X] & T, all sets at once, until
+    no X changes: one pass per BFS level, at most n.  T minus X is a smaller
+    set, so c(T) is the length of the chain T, T - X, ... down to the empty
+    set, walked for all sets at once, one step per component.
+    """
+    n = graph.n
+    word = np.uint32 if n <= 32 else np.uint64
+    nb = np.empty(1 << n, dtype=word)
+    nb[0] = 0
+    for v, mask in enumerate(_neighbor_masks(graph)):
+        np.bitwise_or(nb[:1 << v], word(mask), out=nb[1 << v:2 << v])
+    sets = np.arange(1 << n, dtype=word)
+    grown = sets & -sets
+    while True:
+        comp, grown = grown, nb[grown]
+        grown &= sets
+        grown |= comp
+        if np.array_equal(grown, comp):
+            break
+    del nb, comp
+    rest = grown ^ sets  # T minus the component of its lowest vertex
+    del grown, sets
+    counts = np.ones(1 << n, dtype=np.uint8)
+    counts[0] = 0
+    step = rest
+    while step.any():
+        counts += step != 0
+        step = rest[step]
+    return counts
 
 
 def exact_toughness(graph) -> ToughnessResult:
     """min |S| / c(G - S) over vertex sets S with c(G - S) >= 2.
 
-    Exhaustive over subsets by increasing size, lexicographic within a size,
-    keeping the first strict improvement.  Removing s vertices leaves at most
-    n - s components, so no set of size s can beat s / (n - s), which grows
-    with s: the search stops at the first size where that reaches the best
-    value, and since ties never replace the witness the result is the full
-    enumeration's.  Values compare as integer cross products, with one
-    Fraction built at the end, and a set's components are counted only while
-    they can still reach the count that would strictly beat the best value.
+    A disconnected graph gives 0 with the empty witness, and a connected
+    graph on fewer than 3 vertices math.inf, both from one component search
+    before any table.  Otherwise the components after removing every set
+    come from one table of 2^n entries (``_component_counts``), and the set
+    chosen is the full enumeration's first strict improvement over sets by
+    increasing size, lexicographic within a size: the least ratio, then the
+    least |S|, then the first S.  Ratios compare exactly as the integers
+    |S| * (L / c), L = lcm(1..n), with one Fraction built at the end.
     Complete graphs have no disconnecting set; the result is the math.inf
     sentinel, not an error.
     """
     n = graph.n
     limits.check("TOUGHNESS_CAP", n, f"exact toughness on {n} vertices")
-    masks = _neighbor_masks(graph)
-    full = (1 << n) - 1
-    if n:
-        comps0 = _mask_components(full, masks)
-        if comps0 > 1:
-            return ToughnessResult(Fraction(0), (), comps0)
-    vertex_bits = [1 << v for v in range(n)]
-    best_size = best_comps = best_witness = None
-    for size in range(1, n - 1):
-        if best_size is None:
-            need = 2
-        elif size * best_comps >= best_size * (n - size):
-            break
-        else:
-            # a set of this size beats best_size / best_comps only with more
-            # than size * best_comps / best_size components
-            need = max(2, size * best_comps // best_size + 1)
-        for subset, bits in zip(combinations(range(n), size), combinations(vertex_bits, size)):
-            comps = _mask_components(full ^ sum(bits), masks, need)
-            if comps >= need:
-                best_size, best_comps, best_witness = size, comps, subset
-                need = comps + 1
-    if best_size is None:
+    whole = connected_components(graph)[0]
+    if whole > 1:
+        return ToughnessResult(Fraction(0), (), whole)
+    if n < 3:
         return ToughnessResult(math.inf, None, None)
-    return ToughnessResult(Fraction(best_size, best_comps), best_witness, best_comps)
+    # G - S is G[full ^ S], and full ^ S = full - S reverses the table; G is
+    # connected, so c >= 2 exactly on the sets with 1 <= |S| <= n - 2 that cut it
+    after = _component_counts(graph)[::-1]
+    cuts = np.flatnonzero(after >= 2)
+    if not len(cuts):
+        return ToughnessResult(math.inf, None, None)
+    share = np.zeros(n + 1, dtype=np.int64)
+    share[2:] = math.lcm(*range(1, n + 1)) // np.arange(2, n + 1)
+    sizes = np.bitwise_count(cuts)
+    key = sizes * share[after[cuts]]
+    tied = key == key.min()
+    cuts, sizes = cuts[tied], sizes[tied]
+    cuts = cuts[sizes == sizes.min()]
+    # of two sets of one size, the first in lexicographic order holds the
+    # least vertex where they differ: the larger mask with its bits reversed
+    flipped = sum(((cuts >> v) & 1) << (n - 1 - v) for v in range(n))
+    best = int(cuts[flipped.argmax()])
+    witness = tuple(v for v in range(n) if best >> v & 1)
+    comps = int(after[best])
+    return ToughnessResult(Fraction(len(witness), comps), witness, comps)
 
 
 def exact_independence(graph) -> IndependenceResult:

@@ -23,6 +23,7 @@ significant), half-plane index = x*(q-1) + (y-1), code-graph index = integer
 value of the concatenated bitvector (first component least significant).
 """
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
@@ -229,18 +230,6 @@ def _csr_from_rows(rows: np.ndarray) -> tuple:
         raise AssertionError("duplicate neighbor produced by a builder")
     indptr = np.arange(0, n * d + 1, d, dtype=np.int64)
     return indptr, rows.reshape(-1).astype(np.int64, copy=False)
-
-
-def _csr_from_coo(n: int, us: np.ndarray, vs: np.ndarray) -> tuple:
-    order = np.lexsort((vs, us))
-    us, vs = us[order], vs[order]
-    dup = (us[1:] == us[:-1]) & (vs[1:] == vs[:-1])
-    if dup.any():
-        raise AssertionError("duplicate edge entry produced by a builder")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, us + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, vs.astype(np.int64, copy=False)
 
 
 def euclidean_degree(q: int, m: int, a: int) -> int:
@@ -477,21 +466,75 @@ def build_family(family: FamilySpec) -> Graph:
     return build_code_graph_alon(family.k)
 
 
+# Ad-hoc graphs key an edge (u, v) as u*n + v in an int64, so n^2 must fit.
+_MAX_ADHOC_VERTICES = math.isqrt(np.iinfo(np.int64).max)
+
+
+def _checked_pairs(n: int, items) -> np.ndarray:
+    """The pairs of ``items`` one at a time, in input order, as an (m, 2)
+    int64 array; BadParameter at the first entry that is not a pair, holds a
+    vertex that is not an integer, leaves 0..n-1 or is a loop."""
+    out = []
+    for item in items:
+        try:
+            u, v = item
+        except (TypeError, ValueError):
+            raise BadParameter(f"edge entry {item!r} is not a pair (u, v)") from None
+        for x in (u, v):
+            if not isinstance(x, (int, np.integer, np.bool_)):
+                raise BadParameter(f"vertex {x!r} of edge entry {item!r} is not an integer")
+        lo, hi = sorted((int(u), int(v)))
+        if lo < 0 or hi >= n:
+            raise BadParameter(f"edge ({lo}, {hi}) out of range for n={n}")
+        if lo == hi:
+            raise BadParameter(f"loop at vertex {lo}")
+        out.append((lo, hi))
+    return np.array(out, dtype=np.int64).reshape(-1, 2)
+
+
+def _edge_pairs(n: int, edges) -> np.ndarray:
+    """The pairs of ``edges`` as one (m, 2) int64 array of vertices in
+    0..n-1, no pair a loop.  An integer array numpy reads in one pass is
+    checked as a whole; anything else, or an array with a bad pair, goes
+    through ``_checked_pairs``, which reports the first bad entry."""
+    try:
+        items = edges if isinstance(edges, np.ndarray) and edges.ndim else list(edges)
+    except TypeError:
+        raise BadParameter(f"edges {edges!r} is not an iterable of pairs") from None
+    try:
+        pairs = np.asarray(items)
+    except (TypeError, ValueError):  # ragged, or entries numpy cannot stack
+        return _checked_pairs(n, items)
+    if pairs.ndim == 2 and pairs.shape[1] == 2 and pairs.dtype.kind in "biu":
+        if not ((pairs < 0) | (pairs >= n)).any() and not (pairs[:, 0] == pairs[:, 1]).any():
+            return pairs.astype(np.int64, copy=False)
+    return _checked_pairs(n, items)
+
+
 def graph_from_edges(n: int, edges) -> Graph:
-    """Ad-hoc graph (family None) from an iterable of (u, v) pairs."""
-    pairs = {(min(u, v), max(u, v)) for u, v in edges}
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise BadParameter(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise BadParameter(f"loop at vertex {u}")
-    us = np.fromiter((u for u, _ in pairs), dtype=np.int64, count=len(pairs))
-    vs = np.fromiter((v for _, v in pairs), dtype=np.int64, count=len(pairs))
-    indptr, indices = _csr_from_coo(
-        n, np.concatenate([us, vs]), np.concatenate([vs, us])
-    )
-    degrees = np.diff(indptr)
-    degree = int(degrees[0]) if n and degrees.min() == degrees.max() else None
+    """Ad-hoc graph (family None) on vertices 0..n-1 from pairs (u, v): an
+    iterable of pairs or an (m, 2) integer array.  A pair repeated, in
+    either order, is one edge.
+
+    BadParameter for a vertex count that is not an integer in
+    0..``_MAX_ADHOC_VERTICES``, and for the first bad pair in input order:
+    one that is not two items, holds a vertex that is not an integer, has a
+    vertex outside 0..n-1 ("edge (u, v) out of range for n=N", u <= v) or is
+    a loop ("loop at vertex u").  The CSR comes from one sort of the keys
+    u*n + v of both directions of every pair, duplicates dropped.
+    """
+    if not isinstance(n, (int, np.integer)) or not 0 <= n <= _MAX_ADHOC_VERTICES:
+        raise BadParameter(f"vertex count {n!r} is not an integer in 0..{_MAX_ADHOC_VERTICES}")
+    n = int(n)
+    pairs = _edge_pairs(n, edges)
+    us, vs = pairs[:, 0], pairs[:, 1]
+    keys = np.concatenate((us * n + vs, vs * n + us))
+    keys.sort()
+    rows, indices = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)  # no keys when n = 0
+    counts = np.bincount(rows, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    degree = int(counts[0]) if n and counts.min() == counts.max() else None
     return Graph(None, n, indptr, indices, degree=degree)
 
 

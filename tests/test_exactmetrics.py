@@ -633,9 +633,9 @@ def _seeded_graph_cases(seed, sizes):
 
 
 def test_toughness_matches_full_enumeration():
-    # the stop at s / (n - s) >= best, the cross-multiplied comparisons and
-    # the component count cut short below the count that would beat the best
-    # value may not move the value, the witness or the component count
+    # the component table, the integer keys |S| * (L / c) and the tie-breaks
+    # by size, then by lexicographic order, may not move the value, the
+    # witness or the component count
     kinds = set()
     cases = _small_graph_cases(2008, range(3, 12)) + _seeded_graph_cases(1979, range(12, 15))
     for label, n, edges in cases:
@@ -644,6 +644,73 @@ def test_toughness_matches_full_enumeration():
         assert (res.value, res.witness, res.components_after) == want, label
         kinds.add("complete" if want[0] == math.inf else "disconnected" if want[0] == 0 else "cut")
     assert kinds == {"complete", "disconnected", "cut"}
+
+
+def _toughness_triple(graph):
+    res = exact_toughness(graph)
+    return res.value, res.witness, res.components_after
+
+
+def test_toughness_table_matches_full_enumeration_at_the_cap():
+    # one connected graph at n = limits.TOUGHNESS_CAP = 16, where the table
+    # has 2^16 entries
+    n = limits.TOUGHNESS_CAP
+    rng = np.random.default_rng(16)
+    edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.35]
+    want = _oracle_toughness(n, edges)
+    assert want[0] not in (0, math.inf)
+    assert _toughness_triple(graph_from_edges(n, edges)) == want
+
+
+def _components_after(n, edges, removed):
+    """c(G - removed): the components of G with the edges at removed
+    vertices dropped, less the removed vertices, each now alone."""
+    keep = set(range(n)) - set(removed)
+    return connected_components(graph_from_edges(n, [e for e in edges if keep.issuperset(e)]))[0] - len(removed)
+
+
+def test_toughness_tie_between_sizes_goes_to_the_smaller():
+    # C_6 is 1-tough: removing two vertices that are not adjacent leaves two
+    # paths, and removing three alternate ones three vertices, the same ratio
+    edges = [(i, (i + 1) % 6) for i in range(6)]
+    assert _components_after(6, edges, (0, 2, 4)) == 3
+    want = (Fraction(1), (0, 2), 2)
+    assert _oracle_toughness(6, edges) == want
+    assert _toughness_triple(graph_from_edges(6, edges)) == want
+
+
+def test_toughness_tie_within_a_size_goes_to_the_lexicographically_first():
+    # C_6 run as 1-0-2-3-4-5-1: {0, 3} and {1, 2} both cut it in two, and
+    # {0, 3} comes first although its mask, 0b1001, is the larger
+    edges = [(0, 1), (0, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
+    assert _components_after(6, edges, (1, 2)) == 2
+    want = (Fraction(1), (0, 3), 2)
+    assert _oracle_toughness(6, edges) == want
+    assert _toughness_triple(graph_from_edges(6, edges)) == want
+
+
+def test_toughness_small_complete_and_disconnected_graphs():
+    cases = [(0, []), (1, []), (2, []), (2, [(0, 1)])]
+    for n, edges in cases:
+        assert _toughness_triple(graph_from_edges(n, edges)) == _oracle_toughness(n, edges), (n, edges)
+    assert _toughness_triple(graph_from_edges(2, [])) == (Fraction(0), (), 2)
+    assert _toughness_triple(complete(16)) == (math.inf, None, None)
+    # two K_8 joined by nothing: 0 at once, with both components
+    halves = [(u, v) for u, v in itertools.combinations(range(16), 2) if (u < 8) == (v < 8)]
+    assert _toughness_triple(graph_from_edges(16, halves)) == _oracle_toughness(16, halves) == (Fraction(0), (), 2)
+
+
+def test_toughness_table_stays_small_at_the_cap():
+    # 2^16 sets at 16 bytes each, about 1 MiB; the bound leaves room for
+    # numpy's temporaries
+    g = graph_from_edges(16, [(i, (i + 1) % 16) for i in range(16)])
+    tracemalloc.start()
+    try:
+        exact_toughness(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_toughness_too_large():

@@ -618,6 +618,73 @@ def test_graph_from_edges_validation():
         graph_from_edges(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1.5)], "vertex 1.5 of edge entry (0, 1.5) is not an integer"),
+    ([("0", "1")], "vertex '0' of edge entry ('0', '1') is not an integer"),
+    (np.array([[0.0, 1.0]]), "vertex np.float64(0.0) of edge entry array([0., 1.]) is not an integer"),
+    ([(0, 1, 2)], "edge entry (0, 1, 2) is not a pair (u, v)"),
+    ([(0, 1), (2,)], "edge entry (2,) is not a pair (u, v)"),
+    ([(0, 1), 5], "edge entry 5 is not a pair (u, v)"),
+    ([(0, 2**63)], "edge (0, 9223372036854775808) out of range for n=3"),
+    ([(2**70, 1)], "edge (1, 1180591620717411303424) out of range for n=3"),
+    ([(0, -1)], "edge (-1, 0) out of range for n=3"),
+    (np.array([[0, 2**63]], dtype=np.uint64), "edge (0, 9223372036854775808) out of range for n=3"),
+    ([(2, 0), (2, 2)], "loop at vertex 2"),
+    ([(0, 1), (1, 1), (0, 5)], "loop at vertex 1"),
+    ([(0, 1), (5, 0), (1, 1)], "edge (0, 5) out of range for n=3"),
+    ([(0, 1), (0, 1.5), (9, 9)], "vertex 1.5 of edge entry (0, 1.5) is not an integer"),
+    (np.array([[0, 1], [1, 1], [0, 5]]), "loop at vertex 1"),
+    (5, "edges 5 is not an iterable of pairs"),
+])
+def test_graph_from_edges_reports_the_first_bad_pair(edges, message):
+    with pytest.raises(BadParameter) as info:
+        graph_from_edges(3, edges)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n", [-1, 2.0, "3", graphs._MAX_ADHOC_VERTICES + 1])
+def test_graph_from_edges_refuses_a_bad_vertex_count(n):
+    with pytest.raises(BadParameter, match="is not an integer in 0.."):
+        graph_from_edges(n, [])
+
+
+def _oracle_csr(n, edges):
+    """(indptr, indices) from sorted Python sets of neighbours."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    indices = [v for row in nbrs for v in sorted(row)]
+    indptr = np.cumsum([0] + [len(row) for row in nbrs])
+    return indptr, indices
+
+
+@pytest.mark.parametrize("label, n, edges", [
+    ("repeated pairs", 5, [(0, 1), (0, 1), (3, 4), (0, 1), (3, 4)]),
+    ("reversed duplicates", 5, [(1, 0), (0, 1), (4, 2), (2, 4), (2, 4), (3, 1)]),
+    ("empty list: isolated vertices", 4, []),
+    ("no vertices", 0, []),
+    ("circulant", 40, [(v, (v + s) % 40) for v in range(40) for s in (1, 9, 20)]),
+    ("random multigraph", 30, [(u, v) for u, v in np.random.default_rng(5).integers(0, 30, (200, 2)).tolist() if u != v]),
+])
+def test_graph_from_edges_matches_sorted_sets(label, n, edges):
+    indptr, indices = _oracle_csr(n, edges)
+    degrees = np.diff(indptr)
+    regular = int(degrees[0]) if n and degrees.min() == degrees.max() else None
+    for form in ("list", "generator", "array"):
+        if form == "list":
+            given = edges
+        elif form == "generator":
+            given = (e for e in edges)
+        else:
+            given = np.array(edges, dtype=np.int32).reshape(-1, 2)
+        g = graph_from_edges(n, given)
+        assert g.indptr.dtype == g.indices.dtype == np.int64, (label, form)
+        assert g.indptr.tolist() == indptr.tolist(), (label, form)
+        assert g.indices.tolist() == indices, (label, form)
+        assert g.degree == regular, (label, form)
+
+
 def test_size_limit_env(monkeypatch):
     monkeypatch.setenv("RAMSEY_FORGE_MAX_N", "100")
     with pytest.raises(SizeLimitExceeded):
