@@ -13,13 +13,13 @@ search when feasible, else a spectral ratio bound).
 
 Every certificate and sweep row measures its graph through one ``_Measured``
 record, which builds the graph only when an exact oracle needs it: exact
-independence up to limits.VERIFY_ALPHA_CAP vertices, exact toughness, and a
-sweep row's girth/diameter walk over a code family.  Every family graph
-reads girth, diameter and components from one quotient: the distance-class
-quotient (``graphs.distance_quotient``) for the Euclidean and half-plane
-families, read with their connection set S from the record's one
-computation of the classes (``graphs.distance_classes``), and the built
-graph as its own for the code families.  They come from one walk over it,
+independence up to limits.VERIFY_ALPHA_CAP vertices and exact toughness.
+Every family graph reads girth, diameter and components from one quotient:
+the distance-class quotient (``graphs.distance_quotient``) for the
+Euclidean and half-plane families, read with their connection set S from
+the record's one computation of the classes (``graphs.distance_classes``),
+and for the code families the trivial quotient, every vertex's products
+v*S by the group law (``graphs._product``).  They come from one walk over it,
 ``exactmetrics.quotient_invariants``.  Triangles come from the identity's
 neighbours in S (``exactmetrics.quotient_triangles`` on a distance-class
 quotient, the products over S x S for a code family), with no walk.  The
@@ -54,7 +54,6 @@ from .errors import (
     UnsupportedFamily,
 )
 from .exactmetrics import (
-    _cayley_quotient,
     _identity_triangles,
     exact_independence,
     exact_toughness,
@@ -65,8 +64,8 @@ from .exactmetrics import (
 from .graphs import (
     FamilySpec,
     Graph,
-    _bounded_power,
     _cayley_graph,
+    _check_int,
     _product,
     alon_split,
     connection_set,
@@ -194,18 +193,15 @@ def _circle_predictor_tables(q: int) -> tuple:
 def verify_circle_lemma(q: int) -> Certificate:
     """Exhaustively compare circle-intersection counts against the quadratic
     character predictor, for every pair of centers and all nonzero radii."""
-    if not is_odd_prime(q):
-        raise BadParameter(f"q={q} is not an odd prime")
+    plane = FamilySpec(kind="euclidean", q=q)  # refuses q that is not an odd prime
     limits.check("CIRCLE_LEMMA_CAP", q, f"exhaustive circle check at q = {q}")
-    xs = np.arange(q * q, dtype=np.int64)
-    px, py = xs % q, xs // q
+    px, py = plane.coordinates(np.arange(q * q, dtype=np.int64))
     quad_from_origin = (px * px + py * py) % q
     pred, null_table = _circle_predictor_tables(q)
 
     checked = mismatches = 0
     null_checked = null_mismatches = 0
-    for target in range(1, q * q):
-        tx, ty = target % q, target // q
+    for tx, ty in zip(px[1:].tolist(), py[1:].tolist()):
         k = (tx * tx + ty * ty) % q
         quad_from_target = ((px - tx) ** 2 + (py - ty) ** 2) % q
         counts = np.bincount(quad_from_origin * q + quad_from_target, minlength=q * q)
@@ -269,16 +265,15 @@ class _Measured:
 
     A graph is built only on first use of ``graph``, from the record's own
     connection set S, by the oracles that need one: exact alpha
-    (n <= limits.VERIFY_ALPHA_CAP) with its Ramsey witness, exact toughness,
-    and the quotient of a code family, which only a sweep row's
-    girth/diameter walk reads.  Every family reads its spectrum from
-    the connection set S, and girth, diameter and components from its
-    ``_quotient``.  A Euclidean or half-plane graph computes its classes
-    once (``_partition``), reads S and its distance-class quotient from them
-    (``_distance_classes``), and triangles from that quotient; a code
-    graph, which is fully given by S, reads triangles from the products
-    over S x S and its greedy independent set from the neighbours v*S, so
-    it is built for neither.
+    (n <= limits.VERIFY_ALPHA_CAP) with its Ramsey witness and exact
+    toughness.  Every family reads its spectrum from the connection set S,
+    and girth, diameter and components from its ``_quotient``.  A Euclidean
+    or half-plane graph computes its classes once (``_partition``), reads S
+    and its distance-class quotient from them (``_distance_classes``), and
+    triangles from that quotient; a code graph, which is fully given by S,
+    reads triangles from the products over S x S, its greedy independent
+    set from the neighbours v*S and its quotient from the products v*S for
+    every v, so it is built for none of them.
     """
 
     def __init__(self, source):
@@ -319,11 +314,15 @@ def _distance_classes(m) -> tuple:
 
 def _quotient(m) -> tuple:
     """The (sizes, nbr) quotient of a family graph: the distance-class
-    quotient of a Euclidean or half-plane graph, and a built code-family
-    graph as its own.  Only the walk (``_walk``) reads a code family's, so
-    only a sweep row builds it."""
-    if m.family.kind in ("bch", "alon"):
-        return _cayley_quotient(m.graph)
+    quotient of a Euclidean or half-plane graph; for a code family the
+    trivial one, every class one vertex, with nbr[v] the products v*s, s in
+    S, from the group law (a built graph's rows, unsorted).  Only the walk
+    (``_walk``) reads a code family's, so only a sweep row computes it."""
+    fam = m.family
+    if fam.kind in ("bch", "alon"):
+        conn, n = m(_connection_set), m.n
+        nbr = np.empty((n, len(conn)), dtype=np.int64)
+        return np.ones(n, dtype=np.int64), _product(fam, np.arange(n, dtype=np.int64), conn, nbr)
     return m(_distance_classes)[1]
 
 
@@ -559,16 +558,8 @@ def verify_girth_diameter(q: int, family: str = "euclidean") -> Certificate:
 def verify_degree_formula(q: int, m: int) -> Certificate:
     """Brute-force sphere sizes |{v : Q(0,v) = a}| against the closed form,
     for every a != 0."""
-    if not is_odd_prime(q):
-        raise BadParameter(f"q={q} is not an odd prime")
-    if m < 2:
-        raise BadParameter(f"dimension m={m} must be >= 2")
-    n = _bounded_power(q, m)
-    idx = np.arange(n, dtype=np.int64)
-    total = np.zeros(n, dtype=np.int64)
-    for i in range(m):
-        c = (idx // q**i) % q
-        total += c * c
+    space = FamilySpec(kind="euclidean", q=q, m=m)  # refuses bad q or m
+    total = sum(c * c for c in space.coordinates(np.arange(space.n, dtype=np.int64)))
     counts = np.bincount(total % q, minlength=q)
     rows = []
     mismatches = 0
@@ -1121,11 +1112,6 @@ class SweepConfig:
                 f"sweep config key 'out_dir' must be a string, got {cfg['out_dir']!r}"
             )
         return SweepConfig(**cfg)
-
-
-def _check_int(value, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise BadParameter(f"{what} must be an integer, got {value!r}")
 
 
 def _default_halfplane_params(q: int):

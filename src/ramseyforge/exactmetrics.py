@@ -8,8 +8,8 @@ graphs should use the spectral module instead.
 Graphs built by the family constructors are Cayley graphs, hence vertex
 transitive, and are measured through one quotient form (sizes, nbr): a
 built graph is its own quotient with every class one vertex
-(``_cayley_quotient``), and certificates read the Euclidean and half-plane
-families from their distance-class quotients instead.  One walk from the
+(``_cayley_quotient``), and certificates read every family from a quotient
+made without a build (``certify._quotient``) instead.  One walk from the
 identity, ``quotient_invariants``, gives girth, diameter and components, and
 ``quotient_triangles`` reads triangles from the identity's neighbour rows.
 ``eccentricity_uniformity_check`` spot-checks transitivity; the tests run it

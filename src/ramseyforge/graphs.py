@@ -16,13 +16,10 @@ Euclidean and half-plane families also have distance classes, written once
 in ``_classes``: the connection set at distance a is class a.
 ``distance_classes`` computes the classes once, and ``distance_quotient``
 reads from them the distance-class quotient at any a.  Certificates read
-their invariants from it instead of from a built graph.
-
-Vertex codecs are frozen: euclidean index = sum x_i * q^i (coordinate 0 least
-significant), half-plane index = x*(q-1) + (y-1), code-graph index = integer
-value of the concatenated bitvector (first component least significant).
+their invariants from it instead of from a built graph.  The vertex codec,
+between indices and domain points, is written once, in
+``FamilySpec.coordinates`` and ``FamilySpec.index``.
 """
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -41,6 +38,13 @@ from .algebra import (
 from .errors import BadParameter, BadSigma, DegenerateDistance
 
 
+def _check_int(value, what: str) -> None:
+    """BadParameter unless ``value`` is an integer (numpy integers included,
+    bools not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadParameter(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Which family a graph belongs to, with its parameters normalized."""
@@ -53,6 +57,11 @@ class FamilySpec:
     k: Optional[int] = None
 
     def __post_init__(self):
+        for field in ("q", "m", "a", "sigma", "k"):
+            value = getattr(self, field)
+            if value is not None:
+                _check_int(value, field)
+                object.__setattr__(self, field, int(value))
         if self.kind == "euclidean":
             if not is_odd_prime(self.q):
                 raise BadParameter(f"q={self.q} is not an odd prime")
@@ -92,7 +101,11 @@ class FamilySpec:
         """Vertex count, refused past the vertex limit; q^m is refused before
         the power is taken, so a huge m costs no time."""
         if self.kind == "euclidean":
-            return _bounded_power(self.q, self.m)
+            n = 1
+            for _ in range(self.m):
+                n *= self.q
+                limits.check("RAMSEY_FORGE_MAX_N", n, f"graph on {self.q}^{self.m} vertices")
+            return n
         if self.kind == "noneuclidean":
             n = self.q * (self.q - 1)
         elif self.kind == "bch":
@@ -101,6 +114,36 @@ class FamilySpec:
             n = 1 << (3 * self.k)
         limits.check("RAMSEY_FORGE_MAX_N", n, f"graph on {n} vertices")
         return n
+
+    def coordinates(self, idx):
+        """Domain point of vertex index ``idx``, an int or an integer array
+        (each coordinate then an array of its shape), not range-checked
+        (``Graph.decode`` is): (x_0, ..., x_{m-1}) for D_q^m(a), (x, y) for
+        the half-plane, the index itself for a code graph.
+
+        Vertex codecs are frozen: euclidean index = sum x_i * q^i (coordinate
+        0 least significant), half-plane index = x*(q-1) + (y-1), code-graph
+        index = integer value of the concatenated bitvector (first component
+        least significant).  Vertex 0 is the group identity in every codec.
+        """
+        q = self.q
+        if self.kind == "euclidean":
+            return tuple(idx // q**i % q for i in range(self.m))
+        if self.kind == "noneuclidean":
+            x, y = divmod(idx, q - 1)
+            return x, y + 1
+        return idx
+
+    def index(self, coords):
+        """Vertex index of a domain point, the inverse of ``coordinates``:
+        ints or integer arrays, each coordinate reduced mod q."""
+        q = self.q
+        if self.kind == "euclidean":
+            return sum(c % q * q**i for i, c in enumerate(coords))
+        if self.kind == "noneuclidean":
+            x, y = coords
+            return x % q * (q - 1) + y % q - 1
+        return coords
 
     def label(self) -> str:
         if self.kind == "euclidean":
@@ -171,36 +214,41 @@ class Graph:
         keep = us < vs
         return us[keep], vs[keep]
 
-    def decode(self, idx: int):
-        """Domain point for a vertex index; code and ad-hoc graphs use the index."""
-        fam = self.family
-        kind = getattr(fam, "kind", None)
-        if kind == "euclidean":
-            coords = []
-            for _ in range(fam.m):
-                coords.append(idx % fam.q)
-                idx //= fam.q
-            return tuple(coords)
-        if kind == "noneuclidean":
-            return (idx // (fam.q - 1), idx % (fam.q - 1) + 1)
+    def _vertex(self, idx) -> int:
+        """``idx`` as an int, BadParameter unless it is an integer in 0..n-1."""
+        _check_int(idx, "vertex index")
+        if not 0 <= idx < self.n:
+            raise BadParameter(f"vertex {idx} out of range 0..{self.n - 1}")
         return int(idx)
 
+    def decode(self, idx: int):
+        """Domain point of a vertex index (``FamilySpec.coordinates``); code
+        and ad-hoc graphs use the index.  BadParameter for an index that is
+        not an integer in 0..n-1."""
+        idx = self._vertex(idx)
+        return idx if self.family is None else self.family.coordinates(idx)
+
     def encode(self, point) -> int:
+        """Vertex index of a domain point (``FamilySpec.index``), integer
+        coordinates reduced mod q; code and ad-hoc graphs take the index.
+        BadParameter for a point of the wrong dimension (a half-plane point
+        has two), a coordinate that is not an integer, a half-plane point
+        with y = 0 mod q, or an index that is not an integer in 0..n-1."""
         fam = self.family
-        kind = getattr(fam, "kind", None)
-        if kind == "euclidean":
-            if len(point) != fam.m:
-                raise BadParameter(f"point has dimension {len(point)}, expected {fam.m}")
-            idx = 0
-            for i, c in enumerate(point):
-                idx += (c % fam.q) * fam.q**i
-            return idx
-        if kind == "noneuclidean":
-            x, y = point
-            if y % fam.q == 0:
-                raise BadParameter("half-plane points need y != 0")
-            return (x % fam.q) * (fam.q - 1) + (y % fam.q) - 1
-        return int(point)
+        if getattr(fam, "kind", None) not in ("euclidean", "noneuclidean"):
+            return self._vertex(point)
+        dim = fam.m if fam.kind == "euclidean" else 2
+        try:
+            coords = tuple(point)
+        except TypeError:
+            raise BadParameter(f"point {point!r} is not a sequence of coordinates") from None
+        if len(coords) != dim:
+            raise BadParameter(f"point has dimension {len(coords)}, expected {dim}")
+        for c in coords:
+            _check_int(c, "point coordinate")
+        if fam.kind == "noneuclidean" and coords[1] % fam.q == 0:
+            raise BadParameter("half-plane points need y != 0")
+        return fam.index(tuple(map(int, coords)))
 
 
 def _check_size(n: int, degree: int):
@@ -210,16 +258,6 @@ def _check_size(n: int, degree: int):
     limits.check(
         "MAX_NEIGHBOR_ENTRIES", entries, f"neighbor matrix of n*d = {n}*{degree} = {entries} entries"
     )
-
-
-def _bounded_power(q: int, m: int) -> int:
-    """q^m for q >= 2, refused past the vertex limit before the power is
-    taken, so a huge m costs no time."""
-    n = 1
-    for _ in range(m):
-        n *= q
-        limits.check("RAMSEY_FORGE_MAX_N", n, f"graph on {q}^{m} vertices")
-    return n
 
 
 def _csr_from_rows(rows: np.ndarray) -> tuple:
@@ -256,17 +294,12 @@ def _product(family: FamilySpec, g: np.ndarray, conn: np.ndarray, out: np.ndarra
     on the half-plane and keep d(z, w), with product (x, y)*(t, v) =
     (x + y*t, y*v) and identity (0, 1).
     """
-    q = family.q
     if family.kind == "euclidean":
-        out[...] = 0
-        for i in range(family.m):
-            w = q**i
-            out += (g[:, None] // w + conn // w) % q * w
+        sums = zip(family.coordinates(g[:, None]), family.coordinates(conn))
+        out[...] = family.index(tuple(x + s for x, s in sums))
     elif family.kind == "noneuclidean":
-        x, y = np.divmod(g[:, None], q - 1)
-        t, v = np.divmod(conn, q - 1)
-        y += 1
-        out[...] = (x + y * t) % q * (q - 1) + y * (v + 1) % q - 1
+        (x, y), (t, v) = family.coordinates(g[:, None]), family.coordinates(conn)
+        out[...] = family.index((x + y * t, y * v))
     else:
         np.bitwise_xor(g[:, None], conn, out=out)
     return out
@@ -283,13 +316,13 @@ def _classes(family: FamilySpec) -> np.ndarray:
     (0, 1) alone, class 4*sigma is (0, -1) alone, and every other class a is
     the circle of q + 1 points around (0, 1) at distance a.
     """
-    q, idx = family.q, np.arange(family.n, dtype=np.int64)
+    q = family.q
+    point = family.coordinates(np.arange(family.n, dtype=np.int64))
     if family.kind == "noneuclidean":
-        x, y = np.divmod(idx, q - 1)
-        y += 1
+        x, y = point
         inverse = np.array([0] + [pow(v, -1, q) for v in range(1, q)], dtype=np.int64)
         return (x * x - family.sigma * (1 - y) ** 2) % q * inverse[y] % q
-    classes = sum((idx // q**i % q) ** 2 for i in range(family.m)) % q
+    classes = sum(c * c for c in point) % q
     classes[classes == 0] = q
     classes[0] = 0
     return classes
@@ -312,20 +345,6 @@ def _cayley_graph(family: FamilySpec, conn: np.ndarray) -> Graph:
         _product(family, np.arange(lo, min(n, lo + step), dtype=np.int64), conn, rows[lo:lo + step])
     indptr, indices = _csr_from_rows(rows)
     return Graph(family, n, indptr, indices, degree=d)
-
-
-def build_euclidean(q: int, m: int = 2, a: int = 1) -> Graph:
-    """Cayley graph on (F_q^m, +) whose connection set is the sphere Q = a."""
-    family = FamilySpec(kind="euclidean", q=q, m=m, a=a)
-    return _cayley_graph(family, connection_set(family))
-
-
-def build_non_euclidean(q: int, sigma: int, a: int) -> Graph:
-    """Graph on the finite half-plane with edges at Poincare distance a: a
-    Cayley graph on Aff(1, q) whose connection set is the circle of class a
-    around (0, 1)."""
-    family = FamilySpec(kind="noneuclidean", q=q, sigma=sigma, a=a)
-    return _cayley_graph(family, connection_set(family))
 
 
 def _degree(family: FamilySpec, a: int) -> int:
@@ -409,34 +428,6 @@ def alon_connection_set(k: int) -> list:
     return sorted({p0 ^ p1 for p0 in map(pack, w0s) for p1 in packed1})
 
 
-def build_code_graph_bch(k: int) -> Graph:
-    """Cayley graph on GF(2)^{2k} with connection set {(z, z^3)}; (2^k - 1)-regular."""
-    family = FamilySpec(kind="bch", k=k)
-    return _cayley_graph(family, connection_set(family))
-
-
-def build_code_graph_alon(k: int) -> Graph:
-    """Cayley graph on GF(2)^{3k} over the W0 + W1 sum set.
-
-    The claimed degree 2^(k-1) * (2^(k-1) - 1) is checked against the actual
-    deduplicated sum count; a mismatch is recorded in meta, not an error.
-    """
-    family = FamilySpec(kind="alon", k=k)
-    graph = _cayley_graph(family, connection_set(family))
-    w0s, w1s = alon_split(k)
-    claimed = (1 << (k - 1)) * ((1 << (k - 1)) - 1)
-    graph.meta.update(
-        {
-            "w0_size": len(w0s),
-            "w1_size": len(w1s),
-            "sum_set_size": graph.degree,
-            "sum_set_claimed": claimed,
-            "sum_set_matches_claim": graph.degree == claimed,
-        }
-    )
-    return graph
-
-
 def connection_set(family: FamilySpec) -> np.ndarray:
     """The connection set S of the family's Cayley graph, sorted: the
     neighbour list of vertex 0, which is the identity in every codec, and
@@ -457,13 +448,46 @@ def connection_set(family: FamilySpec) -> np.ndarray:
 
 
 def build_family(family: FamilySpec) -> Graph:
-    if family.kind == "euclidean":
-        return build_euclidean(family.q, family.m, family.a)
-    if family.kind == "noneuclidean":
-        return build_non_euclidean(family.q, family.sigma, family.a)
-    if family.kind == "bch":
-        return build_code_graph_bch(family.k)
-    return build_code_graph_alon(family.k)
+    """The family's Cayley graph, Cay(G, S) with S = ``connection_set``.
+
+    An ALON graph records in ``meta`` its partition sizes and its actual
+    deduplicated sum-set size (the degree) against the claimed
+    2^(k-1) * (2^(k-1) - 1); a mismatch is recorded there, not an error.
+    """
+    graph = _cayley_graph(family, connection_set(family))
+    if family.kind == "alon":
+        w0s, w1s = alon_split(family.k)
+        claimed = (1 << (family.k - 1)) * ((1 << (family.k - 1)) - 1)
+        graph.meta.update(
+            {
+                "w0_size": len(w0s),
+                "w1_size": len(w1s),
+                "sum_set_size": graph.degree,
+                "sum_set_claimed": claimed,
+                "sum_set_matches_claim": graph.degree == claimed,
+            }
+        )
+    return graph
+
+
+def build_euclidean(q: int, m: int = 2, a: int = 1) -> Graph:
+    """D_q^m(a): the Cayley graph on (F_q^m, +) over the sphere Q = a."""
+    return build_family(FamilySpec(kind="euclidean", q=q, m=m, a=a))
+
+
+def build_non_euclidean(q: int, sigma: int, a: int) -> Graph:
+    """V_q(sigma, a): the half-plane graph at Poincare distance a."""
+    return build_family(FamilySpec(kind="noneuclidean", q=q, sigma=sigma, a=a))
+
+
+def build_code_graph_bch(k: int) -> Graph:
+    """BCH_k: the Cayley graph on GF(2)^{2k} over {(z, z^3)}."""
+    return build_family(FamilySpec(kind="bch", k=k))
+
+
+def build_code_graph_alon(k: int) -> Graph:
+    """ALON_k: the Cayley graph on GF(2)^{3k} over the W0 + W1 sum set."""
+    return build_family(FamilySpec(kind="alon", k=k))
 
 
 # Ad-hoc graphs key an edge (u, v) as u*n + v in an int64, so n^2 must fit.
@@ -547,11 +571,14 @@ def export_graph(graph: Graph, fmt: str) -> bytes:
         return ("\n".join(lines) + "\n").encode()
     if fmt == "edge-jsonl":
         # each line is json.dumps({"u": u, "v": v, "pu": ..., "pv": ...}),
-        # with every vertex's point encoded once
-        points = []
-        for idx in range(graph.n):
-            point = graph.decode(idx)
-            points.append(json.dumps(list(point) if isinstance(point, tuple) else point))
+        # with every vertex's point formatted once: a coordinate tuple as a
+        # JSON list, an index point (code and ad-hoc graphs) as its decimal
+        idx = np.arange(graph.n, dtype=np.int64)
+        coords = idx if graph.family is None else graph.family.coordinates(idx)
+        if isinstance(coords, tuple):
+            points = [f"[{', '.join(map(str, p))}]" for p in zip(*(c.tolist() for c in coords))]
+        else:
+            points = list(map(str, coords.tolist()))
         lines = [
             f'{{"u": {u}, "v": {v}, "pu": {points[u]}, "pv": {points[v]}}}'
             for u, v in zip(us.tolist(), vs.tolist())

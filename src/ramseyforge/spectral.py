@@ -176,16 +176,17 @@ def _character_spectrum(shape, conn: np.ndarray) -> np.ndarray:
 def _character_spectrum_affine(family, conn: np.ndarray) -> np.ndarray:
     """Spectrum of Cay(Aff(1, q), S) from the irreps of Aff(1, q).
 
-    With S decoded as (t, v) by the half-plane codec, M_j[c, c*v] sums
-    exp(2 pi i j c t / q) over S for c in F_q*.  M_0 carries the q - 1 linear
-    characters (multiplicity 1 each); M_1 is the (q - 1)-dimensional irrep,
-    whose eigenvalues each occur q - 1 times: (q - 1) + (q - 1)^2 = n.
+    With S decoded as points (t, v) (``family.coordinates``), M_j[c, c*v]
+    sums exp(2 pi i j c t / q) over S for c in F_q*, row and column c
+    numbered c - 1.  M_0 carries the q - 1 linear characters (multiplicity 1
+    each); M_1 is the (q - 1)-dimensional irrep, whose eigenvalues each occur
+    q - 1 times: (q - 1) + (q - 1)^2 = n.
     """
     q = family.q
-    t, v = np.divmod(conn, q - 1)
+    t, v = family.coordinates(conn)
     c = np.arange(1, q, dtype=np.int64)[:, None]
     rows = np.broadcast_to(c - 1, (q - 1, len(t)))
-    cols = (c * (v + 1)) % q - 1
+    cols = c * v % q - 1
     m0 = np.zeros((q - 1, q - 1))
     np.add.at(m0, (rows, cols), 1.0)
     m1 = np.zeros((q - 1, q - 1), dtype=np.complex128)

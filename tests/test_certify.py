@@ -837,7 +837,7 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
     monkeypatch.setattr(graphs, "_classes", counting_classes)
     oracles = (
         "triangle_count", "exact_independence", "cayley_spectrum_abelian", "connection_set",
-        "_cayley_quotient",
+        "_quotient",
     )
     for name in oracles:
         monkeypatch.setattr(certify, name, counting_oracle(getattr(certify, name)))
@@ -848,22 +848,21 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
         assert not any(s.startswith("error") for s in res["statuses"])
         jobs += certify._sweep_jobs(cfg)
     assert len(jobs) == 7
-    # a Euclidean or half-plane row builds its graph only for exact alpha, so
-    # not past limits.VERIFY_ALPHA_CAP vertices: the q = 11 Euclidean row and
-    # both half-plane rows build nothing; every other row builds once
+    # a row builds its graph only for exact alpha and exact toughness, so
+    # not past limits.VERIFY_ALPHA_CAP vertices: the q = 11 Euclidean row,
+    # both half-plane rows and BCH_4 build nothing; every other row builds once
     geometric = ("euclidean", "noneuclidean")
-    expected = [s for s in jobs if s.kind not in geometric or s.n <= limits.VERIFY_ALPHA_CAP]
-    assert [s.label() for s in expected] == ["D_7(1)", "BCH_2", "BCH_4", "ALON_2"]
+    expected = [s for s in jobs if s.n <= limits.VERIFY_ALPHA_CAP]
+    assert [s.label() for s in expected] == ["D_7(1)", "BCH_2", "ALON_2"]
     assert Counter(g.family for g in built) == Counter(expected)
     # a Euclidean or half-plane row computes its distance classes once, for
     # S, its quotient, the half-plane suite's every a and the graph it
     # builds for exact alpha
     assert classes == Counter({s: 1 for s in jobs if s.kind in geometric})
-    # a code row reads triangles, girth, diameter and components from the
-    # built graph as its own quotient
+    # every row reads girth, diameter and components from one quotient, a
+    # code row's from the group law, and no row counts triangles on a graph
     for spec in jobs:
-        if spec.kind not in geometric:
-            assert calls["_cayley_quotient", spec] == 1, spec
+        assert calls["_quotient", spec] == 1, spec
         assert calls["triangle_count", spec] == 0, spec
     assert max(calls.values()) == 1, calls
 
@@ -889,6 +888,28 @@ def test_sweep_config_validation():
         SweepConfig.from_dict({"residue": [12]})
     cfg = SweepConfig.from_dict({"q_min": 5, "q_max": 11, "threads": 2})
     assert cfg.q_min == 5 and cfg.threads == 2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: verify_degree_formula(9, 2), "q=9 is not an odd prime"),
+    (lambda: verify_degree_formula(9, 1), "q=9 is not an odd prime"),
+    (lambda: verify_degree_formula(7, 1), "dimension m=1 must be >= 2"),
+    (lambda: verify_degree_formula(7, 9), "graph on 7^9 vertices exceeds RAMSEY_FORGE_MAX_N = 200000"),
+    (lambda: verify_circle_lemma(9), "q=9 is not an odd prime"),
+    (lambda: SweepConfig.from_dict({"q_min": 1.5}), "sweep config key 'q_min' must be an integer, got 1.5"),
+    (lambda: SweepConfig.from_dict({"ks": [True]}), "entry of sweep config key 'ks' must be an integer, got True"),
+    (
+        lambda: SweepConfig.from_dict({"residue": {"mod": "3", "value": 1}}),
+        "sweep config key 'residue.mod' must be an integer, got '3'",
+    ),
+])
+def test_refusal_messages_read_through_the_family_spec(monkeypatch, call, message):
+    # the degree-formula and circle suites validate through FamilySpec, and
+    # the sweep config through the integer check FamilySpec uses
+    monkeypatch.delenv("RAMSEY_FORGE_MAX_N", raising=False)
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 _JSON = st.recursive(

@@ -117,6 +117,29 @@ def test_zero_distance_parameter_rejected():
         FamilySpec(kind="euclidean", q=7, a=7)  # a = 0 mod q would create loops
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(kind="euclidean", q=7.0), "q must be an integer, got 7.0"),
+    (dict(kind="euclidean", q="7"), "q must be an integer, got '7'"),
+    (dict(kind="euclidean", q=True), "q must be an integer, got True"),
+    (dict(kind="euclidean", q=7, a=1.5), "a must be an integer, got 1.5"),
+    (dict(kind="euclidean", q=7, m=2.0), "m must be an integer, got 2.0"),
+    (dict(kind="noneuclidean", q=7, sigma=3.0), "sigma must be an integer, got 3.0"),
+    (dict(kind="bch", k=2.0), "k must be an integer, got 2.0"),
+    (dict(kind="alon", k=[2]), "k must be an integer, got [2]"),
+], ids=repr)
+def test_family_spec_refuses_non_integer_parameters(kwargs, message):
+    with pytest.raises(BadParameter) as exc:
+        FamilySpec(**kwargs)
+    assert str(exc.value) == message
+
+
+def test_family_spec_takes_numpy_integers_as_ints():
+    spec = FamilySpec(kind="euclidean", q=np.int64(7), m=np.int32(2), a=np.uint8(3))
+    assert spec == FamilySpec(kind="euclidean", q=7, m=2, a=3)
+    assert all(type(v) is int for v in (spec.q, spec.m, spec.a))
+    assert json.dumps(spec.to_dict()) == '{"kind": "euclidean", "q": 7, "m": 2, "a": 3}'
+
+
 def test_alon_k_multiple_of_three_rejected():
     with pytest.raises(BadParameter):
         FamilySpec(kind="alon", k=3)
@@ -219,6 +242,89 @@ def test_half_plane_codec_roundtrip():
         seen.add((x, y))
         assert g.encode((x, y)) == u
     assert len(seen) == g.n
+
+
+@pytest.mark.parametrize("spec, idx, point", [
+    (FamilySpec(kind="euclidean", q=5, m=3), 86, (1, 2, 3)),  # 1 + 2*5 + 3*25
+    (FamilySpec(kind="euclidean", q=7), 0, (0, 0)),
+    (FamilySpec(kind="noneuclidean", q=7, sigma=3), 16, (2, 5)),  # 2*(7-1) + (5-1)
+    (FamilySpec(kind="noneuclidean", q=7, sigma=3), 0, (0, 1)),
+    (FamilySpec(kind="bch", k=2), 11, 11),
+    (FamilySpec(kind="alon", k=2), 63, 63),
+], ids=lambda x: x.label() if isinstance(x, FamilySpec) else repr(x))
+def test_codec_literal_cases(spec, idx, point):
+    # pinned by hand: the group law, the quadrance and Poincare adjacency
+    # tests all read the codec they would otherwise check
+    assert spec.coordinates(idx) == point
+    assert spec.index(point) == idx
+    graph = build_family(spec)
+    assert graph.decode(idx) == point
+    assert graph.encode(point) == idx
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec(kind="euclidean", q=5, m=3),
+    FamilySpec(kind="euclidean", q=7),
+    FamilySpec(kind="noneuclidean", q=13, sigma=2),
+    FamilySpec(kind="bch", k=3),
+    FamilySpec(kind="alon", k=2),
+], ids=FamilySpec.label)
+def test_codec_array_round_trip(spec):
+    idx = np.arange(spec.n, dtype=np.int64)
+    coords = spec.coordinates(idx)
+    assert np.array_equal(spec.index(coords), idx)
+    graph = build_family(spec)
+    for u in (0, 1, spec.n // 2, spec.n - 1):
+        point = graph.decode(u)
+        if isinstance(point, tuple):
+            assert point == tuple(int(c[u]) for c in coords)
+        else:
+            assert point == int(coords[u])
+
+
+@pytest.mark.parametrize("spec, point, idx", [
+    (FamilySpec(kind="euclidean", q=5), (-1, 7), 14),  # (4, 2)
+    (FamilySpec(kind="noneuclidean", q=5, sigma=2), (6, -1), 7),  # (1, 4)
+    (FamilySpec(kind="euclidean", q=5), (np.int64(1), np.int64(2)), 11),
+])
+def test_encode_reduces_integer_coordinates_mod_q(spec, point, idx):
+    assert build_family(spec).encode(point) == idx
+
+
+@pytest.mark.parametrize("spec, method, arg, message", [
+    (FamilySpec(kind="euclidean", q=5), "decode", -1, "vertex -1 out of range 0..24"),
+    (FamilySpec(kind="euclidean", q=5), "decode", 25, "vertex 25 out of range 0..24"),
+    (FamilySpec(kind="euclidean", q=5), "decode", 1.5, "vertex index must be an integer, got 1.5"),
+    (FamilySpec(kind="noneuclidean", q=5, sigma=2), "decode", 20, "vertex 20 out of range 0..19"),
+    (FamilySpec(kind="bch", k=2), "decode", 99, "vertex 99 out of range 0..15"),
+    (FamilySpec(kind="euclidean", q=5), "encode", (1.5, 0), "point coordinate must be an integer, got 1.5"),
+    (FamilySpec(kind="euclidean", q=5), "encode", (1, 2, 3), "point has dimension 3, expected 2"),
+    (FamilySpec(kind="euclidean", q=5), "encode", 7, "point 7 is not a sequence of coordinates"),
+    (FamilySpec(kind="noneuclidean", q=5, sigma=2), "encode", (1, 2, 3), "point has dimension 3, expected 2"),
+    (FamilySpec(kind="noneuclidean", q=5, sigma=2), "encode", (1, 5), "half-plane points need y != 0"),
+    (FamilySpec(kind="noneuclidean", q=5, sigma=2), "encode", ("1", 2),
+     "point coordinate must be an integer, got '1'"),
+    (FamilySpec(kind="bch", k=2), "encode", 99, "vertex 99 out of range 0..15"),
+    (FamilySpec(kind="bch", k=2), "encode", -1, "vertex -1 out of range 0..15"),
+    (FamilySpec(kind="alon", k=2), "encode", True, "vertex index must be an integer, got True"),
+], ids=repr)
+def test_codec_refuses_bad_input(spec, method, arg, message):
+    with pytest.raises(BadParameter) as exc:
+        getattr(build_family(spec), method)(arg)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("method, arg, message", [
+    ("decode", 5, "vertex 5 out of range 0..4"),
+    ("encode", 5, "vertex 5 out of range 0..4"),
+    ("encode", 2.0, "vertex index must be an integer, got 2.0"),
+])
+def test_adhoc_codec_refuses_bad_input(method, arg, message):
+    g = graph_from_edges(5, [(0, 1)])
+    assert g.decode(np.int64(4)) == 4 and g.encode(4) == 4
+    with pytest.raises(BadParameter) as exc:
+        getattr(g, method)(arg)
+    assert str(exc.value) == message
 
 
 def test_adjacency_oracle_euclidean():
@@ -575,8 +681,9 @@ def _edge_jsonl_per_edge(g) -> bytes:
     lambda: build("euclidean", q=5, m=3, a=1),
     lambda: build("noneuclidean", q=17, sigma=3, a=6),
     lambda: build("bch", k=2),
+    lambda: build("alon", k=2),
     lambda: graph_from_edges(300, [(v, (v + s) % 300) for v in range(300) for s in (1, 7, 41)]),
-], ids=["D_7(1)", "D_5^3(1)", "V_17(3,6)", "BCH_2", "circulant-300"])
+], ids=["D_7(1)", "D_5^3(1)", "V_17(3,6)", "BCH_2", "ALON_2", "circulant-300"])
 def test_edge_jsonl_export_matches_per_edge_json_dumps(make):
     g = make()
     assert export_graph(g, "edge-jsonl") == _edge_jsonl_per_edge(g)
