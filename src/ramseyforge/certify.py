@@ -25,7 +25,9 @@ neighbours in S (``exactmetrics.quotient_triangles`` on a distance-class
 quotient, the products over S x S for a code family), with no walk.  The
 half-plane girth/diameter suite reads all of its distances a from that same
 computation, so a sweep row computes its classes once.  Every family reads
-its spectrum from its connection set S.
+its spectrum from its connection set S, and its spectral bounds (the eight
+spectral CSV columns) from one ``_bounds`` per record, which the sweep row
+and the theorem certificate both read.
 """
 import contextlib
 import csv
@@ -141,7 +143,7 @@ def _ev(value, provenance: str) -> dict:
 
 def jsonable(x):
     """Make a value JSON-safe: infinities to strings, exact rationals to
-    strings, numpy scalars/arrays to Python values."""
+    strings, numpy scalars to Python values."""
     if isinstance(x, dict):
         return {k: jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -150,12 +152,8 @@ def jsonable(x):
         return str(x)
     if isinstance(x, np.generic):
         x = x.item()
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    if isinstance(x, np.ndarray):
-        return [jsonable(v) for v in x.tolist()]
+    if isinstance(x, float) and math.isinf(x):
+        return "inf" if x > 0 else "-inf"
     return x
 
 
@@ -273,7 +271,8 @@ class _Measured:
     triangles from that quotient; a code graph, which is fully given by S,
     reads triangles from the products over S x S, its greedy independent
     set from the neighbours v*S and its quotient from the products v*S for
-    every v, so it is built for none of them.
+    every v, so it is built for none of them.  The spectral bounds of a
+    family graph come once, from ``_bounds``.
     """
 
     def __init__(self, source):
@@ -381,7 +380,25 @@ def _alpha_bound(m) -> tuple:
     res = m(_exact_alpha)
     if res is not None:
         return res.size, "exact", res.witness
-    return _ratio_bound(m), "spectral-ratio", None
+    return m(_ratio_bound), "spectral-ratio", None
+
+
+def _bounds(m) -> dict:
+    """The spectral CSV columns of a family graph, from its spectrum and
+    ratio bound: toughness_lower is None when lam <= 0."""
+    summary, ratio, n = m(_spectrum), m(_ratio_bound), m.n
+    lam = summary.lam
+    bisection_lower, bip_upper = bisection_and_bip_bounds(n, summary.theta2, summary.theta_n)
+    return {
+        "lambda": lam,
+        "theta2": summary.theta2,
+        "theta_n": summary.theta_n,
+        "toughness_lower": alon_toughness_bound(summary.d, lam) if lam > 0 else None,
+        "independence_upper": ratio,
+        "bisection_lower": bisection_lower,
+        "bip_upper": bip_upper,
+        "chromatic_lower": chromatic_lower_bound(n, ratio),
+    }
 
 
 def _triangle_free_claim(claim_id: str, triangles: int) -> Claim:
@@ -590,14 +607,16 @@ def verify_degree_formula(q: int, m: int) -> Certificate:
 
 # --- main theorems ------------------------------------------------------------
 
-def _spectral_theorem_claims(n, d, q, summary, include_edge_corollary, headline_n):
-    """Shared toughness / bisection / bip / independence / Ramanujan claims."""
-    lam = summary.lam
-    theta2, theta_n = summary.theta2, summary.theta_n
+def _spectral_theorem_claims(m):
+    """The toughness / bisection / bip / Ramanujan claims of a theorem graph,
+    D_q(1) or V_q(3, 6), read from the record's ``_bounds``; a Euclidean
+    graph adds the edge corollary."""
+    bounds, summary, n, q = m(_bounds), m(_spectrum), m.n, m.family.q
+    d, bip_upper = summary.d, bounds["bip_upper"]
     cap_lam = 2.0 * math.sqrt(q)
     claims = []
 
-    bound_measured = alon_toughness_bound(d, lam)
+    bound_measured = bounds["toughness_lower"]
     bound_cap = alon_toughness_bound(d, cap_lam)
     claims.append(
         Claim(
@@ -614,7 +633,6 @@ def _spectral_theorem_claims(n, d, q, summary, include_edge_corollary, headline_
         )
     )
 
-    bis_lower, bip_upper = bisection_and_bip_bounds(n, theta2, theta_n)
     claims.append(
         Claim(
             "bisection_width",
@@ -622,8 +640,8 @@ def _spectral_theorem_claims(n, d, q, summary, include_edge_corollary, headline_
             "asymptotic factor; values recorded, not asserted",
             "recorded",
             {
-                "spectral_lower": _ev(bis_lower, "computed-float"),
-                "cap_form": _ev(headline_n * (q - cap_lam) / 4.0, "paper-bound"),
+                "spectral_lower": _ev(bounds["bisection_lower"], "computed-float"),
+                "cap_form": _ev(n * (q - cap_lam) / 4.0, "paper-bound"),
             },
         )
     )
@@ -635,12 +653,12 @@ def _spectral_theorem_claims(n, d, q, summary, include_edge_corollary, headline_
             "recorded",
             {
                 "spectral_upper": _ev(bip_upper, "computed-float"),
-                "cap_form": _ev(headline_n * (q + cap_lam) / 4.0, "paper-bound"),
+                "cap_form": _ev(n * (q + cap_lam) / 4.0, "paper-bound"),
             },
         )
     )
 
-    if include_edge_corollary:
+    if m.family.kind == "euclidean":
         e = n * d // 2
         cap = e / 2.0 + (e ** (5.0 / 6.0)) / 2.0
         claims.append(
@@ -663,7 +681,7 @@ def _spectral_theorem_claims(n, d, q, summary, include_edge_corollary, headline_
             "every nontrivial eigenvalue satisfies |lam| <= 2*sqrt(q)",
             "pass" if ramanujan_check(summary, q) else "fail",
             {
-                "lambda": _ev(lam, "computed-float"),
+                "lambda": _ev(bounds["lambda"], "computed-float"),
                 "cap": _ev(cap_lam, "paper-bound"),
             },
         )
@@ -708,20 +726,14 @@ def verify_main_theorem(q: int) -> Certificate:
 def _main_theorem(m) -> Certificate:
     n, q = m.n, m.family.q
     triangles = m(_triangles)
-    summary = m(_spectrum)
-    d = summary.d
-
+    bounds = m(_bounds)
     claims = [
         _triangle_free_claim("triangle_free", triangles),
         _diameter_claim(m, "diameter_three", "the graph has diameter exactly 3", (3,)),
+        *_spectral_theorem_claims(m),
     ]
-    claims.extend(
-        _spectral_theorem_claims(
-            n, d, q, summary, include_edge_corollary=True, headline_n=q * q
-        )
-    )
 
-    ratio = _ratio_bound(m)
+    ratio = bounds["independence_upper"]
     cap = 2.0 * q ** 1.5
     claims.append(
         Claim(
@@ -732,7 +744,7 @@ def _main_theorem(m) -> Certificate:
             {
                 "ratio_bound": _ev(ratio, "computed-float"),
                 "cap": _ev(cap, "paper-bound"),
-                "chromatic_lower": _ev(chromatic_lower_bound(n, ratio), "computed-float"),
+                "chromatic_lower": _ev(bounds["chromatic_lower"], "computed-float"),
                 "chromatic_headline": _ev(math.sqrt(q) / 2.0, "paper-bound"),
             },
         )
@@ -779,8 +791,6 @@ def _mt1(m) -> Certificate:
     n, q, sigma, a = m.n, fam.q, fam.sigma, fam.a
     triangles = m(_triangles)
     measured_girth = m(_walk)[0]
-    summary = m(_spectrum)
-    d = summary.d
 
     claims = [
         Claim(
@@ -806,14 +816,10 @@ def _mt1(m) -> Certificate:
             "the graph has diameter exactly 3 (a = 2*sigma, q not in {3, 5})",
             (3,),
         ),
+        *_spectral_theorem_claims(m),
     ]
-    claims.extend(
-        _spectral_theorem_claims(
-            n, d, q, summary, include_edge_corollary=False, headline_n=q * q - q
-        )
-    )
 
-    ratio = _ratio_bound(m)
+    ratio = m(_ratio_bound)
     cap_form = 2.0 * n ** 0.75
     claims.append(
         Claim(
@@ -858,7 +864,7 @@ def _greedy_independent_size(m) -> int:
     return chosen
 
 
-def _code_alpha_claims(m, prefix, cap_value, cap_label, assert_cap) -> Claim:
+def _code_alpha_claims(m, cap_value, cap_label, assert_cap) -> Claim:
     evidence = {
         "greedy_lower": _ev(_greedy_independent_size(m), "computed-exact"),
         "cap_form": _ev(cap_value, "paper-bound"),
@@ -881,7 +887,7 @@ def _code_alpha_claims(m, prefix, cap_value, cap_label, assert_cap) -> Claim:
             f"the independence number is at most {cap_label} with an "
             "unquantified asymptotic factor; bounds recorded, not asserted"
         )
-    return Claim(f"{prefix}_independence", statement, status, evidence)
+    return Claim(f"{m.family.kind}_independence", statement, status, evidence)
 
 
 def _bch(m) -> Certificate:
@@ -899,13 +905,7 @@ def _bch(m) -> Certificate:
             },
         ),
         _triangle_free_claim("bch_triangle_free", triangles),
-        _code_alpha_claims(
-            m,
-            "bch",
-            2.0 * n ** 0.75,
-            "2 * n^(3/4)",
-            assert_cap=True,
-        ),
+        _code_alpha_claims(m, 2.0 * n ** 0.75, "2 * n^(3/4)", assert_cap=True),
     ]
     return Certificate(
         kind="code-graphs",
@@ -944,13 +944,7 @@ def _alon(m) -> Certificate:
             },
         ),
         _triangle_free_claim("alon_triangle_free", triangles),
-        _code_alpha_claims(
-            m,
-            "alon",
-            36.0 * n ** (2.0 / 3.0),
-            "(36 + o(1)) * n^(2/3)",
-            assert_cap=False,
-        ),
+        _code_alpha_claims(m, 36.0 * n ** (2.0 / 3.0), "(36 + o(1)) * n^(2/3)", assert_cap=False),
     ]
     return Certificate(
         kind="code-graphs",
@@ -1181,20 +1175,7 @@ def _sweep_row(spec: FamilySpec):
         # rows past 2500 vertices with blank spectral cells; this condition
         # goes once that reference is recorded again.
         if not (spec.kind == "noneuclidean" and n > limits.DENSE_SPECTRUM_CAP):
-            summary = m(_spectrum)
-            ratio = _ratio_bound(m)
-            bis_lower, bip_upper = bisection_and_bip_bounds(n, summary.theta2, summary.theta_n)
-            row["lambda"] = summary.lam
-            row.update(
-                theta2=summary.theta2,
-                theta_n=summary.theta_n,
-                independence_upper=ratio,
-                bisection_lower=bis_lower,
-                bip_upper=bip_upper,
-                chromatic_lower=chromatic_lower_bound(n, ratio),
-            )
-            if summary.lam > 0:
-                row["toughness_lower"] = alon_toughness_bound(summary.d, summary.lam)
+            row.update(m(_bounds))
         res = m(_exact_alpha)
         if res is not None:
             row["alpha_exact"] = res.size

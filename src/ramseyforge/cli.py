@@ -183,8 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("spectrum", help="print the adjacency spectrum as JSON")
     _add_selectors(p)
     p.add_argument(
-        "--method", choices=("dense", "character", "auto"), default="auto",
-        help="auto and character use the family's group irreps: one DFT over (Z_p)^m for the "
+        "--method", choices=("dense", "character"), default="character",
+        help="character (the default) uses the family's group irreps: one DFT over (Z_p)^m for the "
         "Euclidean and code graphs (exact integers for the latter), Aff(1, q) irreps for "
         "half-plane graphs; dense diagonalizes the n x n adjacency (limits.DENSE_SPECTRUM_CAP "
         "= 2500 vertices)",

@@ -113,7 +113,7 @@ def _degree_columns(graph) -> tuple:
     return rank, [rank[graph.indices[starts[:k] + j]] for j, k in enumerate(lengths.tolist())]
 
 
-def _root_walk(graph, roots, eccentricities: bool = True) -> tuple:
+def _root_walk(graph, roots) -> tuple:
     """(girth, eccentricities) from one bit-parallel BFS from the root set.
 
     The eccentricities come in the order of ``roots``, math.inf for a root
@@ -124,8 +124,7 @@ def _root_walk(graph, roots, eccentricities: bool = True) -> tuple:
     one of length 2k + 2.  The minimum over all roots is the girth
     (math.inf for a forest); over a subset it is never below it.  A level
     runs the test only while 2k + 1 is below the best so far, and is a
-    plain OR after that.  With ``eccentricities`` False a block stops at the
-    first level past the test, and the girth comes back with None.
+    plain OR after that.
     """
     n = graph.n
     rank, cols = _degree_columns(graph)
@@ -137,7 +136,7 @@ def _root_walk(graph, roots, eccentricities: bool = True) -> tuple:
         seen = frontier.copy()
         ecc = np.zeros(len(block), dtype=np.int64)
         level = 0
-        while eccentricities or 2 * level + 1 < best:
+        while True:
             once = np.zeros_like(frontier)
             if 2 * level + 1 < best:
                 twice = np.zeros_like(frontier)
@@ -163,7 +162,7 @@ def _root_walk(graph, roots, eccentricities: bool = True) -> tuple:
             seen |= once
         complete = _bit_flags(np.bitwise_and.reduce(seen, axis=0), len(block))
         out.extend(int(e) if ok else math.inf for e, ok in zip(ecc.tolist(), complete.tolist()))
-    return best, out if eccentricities else None
+    return best, out
 
 
 def _cayley_quotient(graph) -> tuple:
@@ -178,7 +177,7 @@ def girth(graph) -> float:
     bit-parallel BFS from all roots otherwise (``_root_walk``)."""
     if graph.family is not None:
         return quotient_invariants(*_cayley_quotient(graph))[0]
-    return _root_walk(graph, np.arange(graph.n), eccentricities=False)[0]
+    return _root_walk(graph, np.arange(graph.n))[0]
 
 
 def diameter(graph) -> float:

@@ -199,7 +199,11 @@ class Graph:
         return self.degree is not None
 
     def adjacency_oracle(self, u: int, v: int) -> bool:
-        """Membership test on the sorted neighbor list of u."""
+        """Membership test on the sorted neighbor list of u.  BadParameter
+        for a vertex that is not an integer, IndexError for one outside
+        0..n-1."""
+        _check_int(u, "vertex u")
+        _check_int(v, "vertex v")
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise IndexError(f"vertex out of range 0..{self.n - 1}")
         row = self.neighbors(u)

@@ -446,6 +446,14 @@ def test_ramsey_certificate_exact_route():
             assert not g.adjacency_oracle(u, v)
 
 
+def test_ramsey_certificate_without_a_bound_below_n_has_no_record():
+    # alpha = n on an edgeless graph: no t with R(3, t) > n follows
+    cert = ramsey_certificate(graph_from_edges(3, []))
+    assert cert.ramsey is None and "ramsey" not in cert.to_dict()
+    assert [c.claim_id for c in cert.claims] == ["triangle_free", "independence_bound"]
+    assert cert.claim("independence_bound").evidence["alpha_bound"]["value"] == 3.0
+
+
 def test_ramsey_certificate_ratio_route():
     g = build_family(FamilySpec(kind="noneuclidean", q=17, sigma=3, a=6))
     cert = ramsey_certificate(g)
@@ -865,6 +873,61 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
         assert calls["_quotient", spec] == 1, spec
         assert calls["triangle_count", spec] == 0, spec
     assert max(calls.values()) == 1, calls
+
+
+THEOREM_ROWS = [
+    FamilySpec(kind="euclidean", q=19, m=2, a=1),
+    FamilySpec(kind="noneuclidean", q=17, sigma=3, a=6),
+]
+
+
+@pytest.mark.parametrize("spec", THEOREM_ROWS, ids=FamilySpec.label)
+def test_a_theorem_row_computes_each_spectral_bound_once(monkeypatch, spec):
+    # the row's CSV cells and its certificate read one ``_bounds``; the
+    # second toughness bound is the certificate's at the 2*sqrt(q) cap
+    calls = Counter()
+
+    def counting(name, bound):
+        def wrapper(*args):
+            calls[name] += 1
+            return bound(*args)
+        return wrapper
+
+    for name in (
+        "ratio_independence_bound", "bisection_and_bip_bounds", "chromatic_lower_bound",
+        "alon_toughness_bound",
+    ):
+        monkeypatch.setattr(certify, name, counting(name, getattr(certify, name)))
+    row, cert = certify._sweep_row(spec)
+    assert row["status"] == cert.overall
+    assert calls == Counter({
+        "ratio_independence_bound": 1, "bisection_and_bip_bounds": 1, "chromatic_lower_bound": 1,
+        "alon_toughness_bound": 2,
+    })
+
+
+@pytest.mark.parametrize("spec", THEOREM_ROWS, ids=FamilySpec.label)
+def test_a_theorem_rows_spectral_cells_are_its_certificates_evidence(spec):
+    row, cert = certify._sweep_row(spec)
+
+    def evidence(claim_id, key):
+        return cert.claim(claim_id).evidence[key]["value"]
+
+    assert row["lambda"] == evidence("ramanujan", "lambda")
+    assert row["toughness_lower"] == evidence("toughness_spectral", "bound_at_measured_lambda")
+    assert row["bisection_lower"] == evidence("bisection_width", "spectral_lower")
+    assert row["bip_upper"] == evidence("bipartite_subgraph", "spectral_upper")
+    assert row["bisection_lower"] == row["n"] * row["theta2"] / 4.0
+    assert row["bip_upper"] == row["n"] * row["theta_n"] / 4.0
+    if spec.kind == "euclidean":
+        assert row["bip_upper"] == evidence("edge_corollary", "spectral_bip_upper")
+        assert row["independence_upper"] == evidence("independence_ratio", "ratio_bound")
+        assert row["chromatic_lower"] == evidence("independence_ratio", "chromatic_lower")
+    else:
+        assert "edge_corollary" not in [c.claim_id for c in cert.claims]
+        assert row["independence_upper"] == evidence("independence_recorded", "ratio_bound")
+        assert row["independence_upper"] == cert.ramsey["alpha_bound"]
+        assert row["chromatic_lower"] == row["n"] / row["independence_upper"]
 
 
 def test_sweep_csv_is_rfc4180(tmp_path):

@@ -95,7 +95,24 @@ def test_spectrum_character_route():
     assert len(doc["eigenvalues"]) == 16
 
 
-def test_spectrum_auto_uses_affine_irreps_for_half_plane():
+@pytest.mark.parametrize("family", [
+    ("--family", "noneuclidean", "--q", "13", "--sigma", "2", "--a", "1"),
+    ("--family", "bch", "--k", "3"),
+])
+def test_spectrum_defaults_to_the_character_route(family):
+    default = run("spectrum", *family)
+    character = run("spectrum", *family, "--method", "character")
+    assert default.returncode == character.returncode == 0
+    assert default.stdout == character.stdout and default.stderr == character.stderr == ""
+    auto = run("spectrum", *family, "--method", "auto")
+    assert auto.returncode == 2 and auto.stdout == ""
+    assert auto.stderr.startswith("usage: ")
+    assert auto.stderr.endswith(
+        "error: argument --method: invalid choice: 'auto' (choose from 'dense', 'character')\n"
+    )
+
+
+def test_spectrum_default_uses_affine_irreps_for_half_plane():
     args = ("spectrum", "--family", "noneuclidean", "--q", "5", "--sigma", "2", "--a", "1")
     res = run(*args)
     assert res.returncode == 0

@@ -339,6 +339,22 @@ def test_adjacency_oracle_euclidean():
         g.adjacency_oracle(-1, 0)
 
 
+@pytest.mark.parametrize("u, v, message", [
+    (0, 5.0, "vertex v must be an integer, got 5.0"),
+    (0, 1.5, "vertex v must be an integer, got 1.5"),
+    (0.0, 1, "vertex u must be an integer, got 0.0"),
+    (True, 1, "vertex u must be an integer, got True"),
+    (0, False, "vertex v must be an integer, got False"),
+    ("0", 1, "vertex u must be an integer, got '0'"),
+])
+def test_adjacency_oracle_refuses_non_integer_vertices(u, v, message):
+    g = build("euclidean", q=5, a=1)
+    assert g.adjacency_oracle(np.int64(0), np.int32(5)) == g.adjacency_oracle(0, 5)
+    with pytest.raises(BadParameter) as exc:
+        g.adjacency_oracle(u, v)
+    assert str(exc.value) == message
+
+
 def test_half_plane_adjacency_matches_poincare_distance():
     """Every valid (sigma, a): u ~ v exactly when d(decode(u), decode(v)) = a."""
     for q in [5, 7, 13]:
