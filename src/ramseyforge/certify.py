@@ -27,7 +27,9 @@ half-plane girth/diameter suite reads all of its distances a from that same
 computation, so a sweep row computes its classes once.  Every family reads
 its spectrum from its connection set S, and its spectral bounds (the eight
 spectral CSV columns) from one ``_bounds`` per record, which the sweep row
-and the theorem certificate both read.
+and the theorem certificate both read.  Its exact metrics (n, degree |S|,
+girth, diameter, triangles, components) come likewise from one ``_metrics``,
+which the sweep row and the ``stats`` command both read.
 """
 import contextlib
 import csv
@@ -56,6 +58,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .exactmetrics import (
+    MetricsReport,
     _identity_triangles,
     exact_independence,
     exact_toughness,
@@ -342,6 +345,17 @@ def _triangles(m) -> int:
         products = _product(fam, conn, conn, np.empty((len(conn), len(conn)), dtype=np.int64))
         return _identity_triangles(m.n, conn, np.ones(len(conn), dtype=np.int64), products)
     return quotient_triangles(*m(_quotient))
+
+
+def _metrics(m) -> MetricsReport:
+    """The ``stats`` report of a family graph, read in the order the size
+    refusals come in: n, the degree |S|, the walk, the triangles."""
+    n, degree = m.n, len(m(_connection_set))
+    girth, diameter, components = m(_walk)
+    return MetricsReport(
+        n=n, degree=degree, girth=girth, diameter=diameter, triangles=m(_triangles),
+        components=components, is_vertex_transitive_assumed=True,
+    )
 
 
 def _connection_set(m):
@@ -1165,21 +1179,20 @@ def _sweep_row(spec: FamilySpec):
     )
     try:
         m = _Measured(spec)
-        n = m.n
-        d = len(m(_connection_set))
-        girth, diameter, components = m(_walk)
+        met = m(_metrics)
         row.update(
-            n=n, d=d, girth=girth, diameter=diameter, triangles=m(_triangles), components=components,
+            n=met.n, d=met.degree, girth=met.girth, diameter=met.diameter, triangles=met.triangles,
+            components=met.components,
         )
         # The benchmark reference in perfbench/reference/ records half-plane
         # rows past 2500 vertices with blank spectral cells; this condition
         # goes once that reference is recorded again.
-        if not (spec.kind == "noneuclidean" and n > limits.DENSE_SPECTRUM_CAP):
+        if not (spec.kind == "noneuclidean" and met.n > limits.DENSE_SPECTRUM_CAP):
             row.update(m(_bounds))
         res = m(_exact_alpha)
         if res is not None:
             row["alpha_exact"] = res.size
-        if n <= limits.TOUGHNESS_CAP:
+        if met.n <= limits.TOUGHNESS_CAP:
             row["toughness_exact"] = exact_toughness(m.graph).value
         cert = _certificate_for(spec, m)
         row["status"] = cert.overall

@@ -1,6 +1,9 @@
 """Command-line surface: build/export graphs, print metrics and spectra,
 run theorem-verification suites, emit Ramsey certificates, drive sweeps.
 
+Only ``build`` builds a graph: ``stats`` reads the family's certificate
+record (``certify._metrics``), ``spectrum`` the group irreps over S.
+
 Exit codes: 0 all claims pass or recorded, 1 any claim failed, 2 usage or
 IO error.  Stdout carries only the payload (JSON, DIMACS, or JSON lines);
 diagnostics go to stderr.
@@ -19,6 +22,8 @@ import sys
 
 from .certify import (
     SweepConfig,
+    _Measured,
+    _metrics,
     certificate_to_json,
     jsonable,
     ramsey_certificate,
@@ -31,9 +36,8 @@ from .certify import (
     verify_mt1,
 )
 from .errors import NotTriangleFree
-from .exactmetrics import metrics_report
 from .graphs import FamilySpec, build_family, connection_set, export_graph
-from .spectral import cayley_spectrum_abelian, dense_spectrum
+from .spectral import cayley_spectrum_abelian
 
 FAMILIES = ("euclidean", "noneuclidean", "bch", "alon")
 
@@ -83,17 +87,14 @@ def _cmd_build(args) -> int:
 
 def _cmd_stats(args) -> int:
     spec = _spec_from_args(args)
-    met = metrics_report(build_family(spec))
+    met = _Measured(spec)(_metrics)
     _print_json({"family": spec.to_dict(), **dataclasses.asdict(met)})
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     spec = _spec_from_args(args)
-    if args.method == "dense":
-        summary = dense_spectrum(build_family(spec))
-    else:
-        summary = cayley_spectrum_abelian(spec, connection_set(spec))
+    summary = cayley_spectrum_abelian(spec, connection_set(spec))
     _print_json(
         {
             "family": spec.to_dict(),
@@ -180,15 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_selectors(p)
     p.set_defaults(func=_cmd_stats)
 
-    p = subs.add_parser("spectrum", help="print the adjacency spectrum as JSON")
+    p = subs.add_parser("spectrum", help="print the adjacency spectrum (group irreps) as JSON")
     _add_selectors(p)
-    p.add_argument(
-        "--method", choices=("dense", "character"), default="character",
-        help="character (the default) uses the family's group irreps: one DFT over (Z_p)^m for the "
-        "Euclidean and code graphs (exact integers for the latter), Aff(1, q) irreps for "
-        "half-plane graphs; dense diagonalizes the n x n adjacency (limits.DENSE_SPECTRUM_CAP "
-        "= 2500 vertices)",
-    )
     p.set_defaults(func=_cmd_spectrum)
 
     p = subs.add_parser("verify", help="run a theorem-verification suite")

@@ -103,7 +103,10 @@ def _degree_columns(graph) -> tuple:
     """(rank, cols): vertex v relabelled rank[v] by falling degree, ties in
     index order, and cols[j] the relabelled j-th neighbours of the
     len(cols[j]) first vertices in the new order, those of degree above j.
-    Each CSR entry is copied once; nothing is padded."""
+    A regular graph keeps its order, and its columns are strided views of
+    the CSR; otherwise each entry is copied once.  Nothing is padded."""
+    if graph.degree is not None:
+        return np.arange(graph.n), list(graph.indices.reshape(graph.n, graph.degree).T)
     counts = np.diff(graph.indptr)
     order = np.argsort(-counts, kind="stable")
     rank = np.empty(graph.n, dtype=np.int64)

@@ -172,13 +172,12 @@ class Graph:
     adjacency is symmetric by construction.
     """
 
-    def __init__(self, family, n, indptr, indices, degree=None, meta=None):
+    def __init__(self, family, n, indptr, indices, degree=None):
         self.family = family
         self.n = int(n)
         self.indptr = indptr
         self.indices = indices
         self.degree = degree
-        self.meta = meta or {}
         # exactmetrics.exact_independence's result per limits.NODE_BUDGET
         self._independence = {}
         indptr.setflags(write=False)
@@ -452,26 +451,8 @@ def connection_set(family: FamilySpec) -> np.ndarray:
 
 
 def build_family(family: FamilySpec) -> Graph:
-    """The family's Cayley graph, Cay(G, S) with S = ``connection_set``.
-
-    An ALON graph records in ``meta`` its partition sizes and its actual
-    deduplicated sum-set size (the degree) against the claimed
-    2^(k-1) * (2^(k-1) - 1); a mismatch is recorded there, not an error.
-    """
-    graph = _cayley_graph(family, connection_set(family))
-    if family.kind == "alon":
-        w0s, w1s = alon_split(family.k)
-        claimed = (1 << (family.k - 1)) * ((1 << (family.k - 1)) - 1)
-        graph.meta.update(
-            {
-                "w0_size": len(w0s),
-                "w1_size": len(w1s),
-                "sum_set_size": graph.degree,
-                "sum_set_claimed": claimed,
-                "sum_set_matches_claim": graph.degree == claimed,
-            }
-        )
-    return graph
+    """The family's Cayley graph, Cay(G, S) with S = ``connection_set``."""
+    return _cayley_graph(family, connection_set(family))
 
 
 def build_euclidean(q: int, m: int = 2, a: int = 1) -> Graph:
@@ -544,14 +525,14 @@ def graph_from_edges(n: int, edges) -> Graph:
     iterable of pairs or an (m, 2) integer array.  A pair repeated, in
     either order, is one edge.
 
-    BadParameter for a vertex count that is not an integer in
-    0..``_MAX_ADHOC_VERTICES``, and for the first bad pair in input order:
+    BadParameter for a vertex count that is not an integer (a bool is not)
+    in 0..``_MAX_ADHOC_VERTICES``, and for the first bad pair in input order:
     one that is not two items, holds a vertex that is not an integer, has a
     vertex outside 0..n-1 ("edge (u, v) out of range for n=N", u <= v) or is
     a loop ("loop at vertex u").  The CSR comes from one sort of the keys
     u*n + v of both directions of every pair, duplicates dropped.
     """
-    if not isinstance(n, (int, np.integer)) or not 0 <= n <= _MAX_ADHOC_VERTICES:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= _MAX_ADHOC_VERTICES:
         raise BadParameter(f"vertex count {n!r} is not an integer in 0..{_MAX_ADHOC_VERTICES}")
     n = int(n)
     pairs = _edge_pairs(n, edges)

@@ -33,7 +33,9 @@ from ramseyforge.exactmetrics import (
     girth,
     triangle_count,
 )
-from ramseyforge.graphs import FamilySpec, build_family, connection_set, graph_from_edges
+from ramseyforge.graphs import (
+    FamilySpec, alon_connection_set, alon_split, build_family, connection_set, graph_from_edges,
+)
 from ramseyforge.spectral import (
     alon_toughness_bound,
     bisection_and_bip_bounds,
@@ -318,11 +320,11 @@ def test_criterion_11_code_graphs():
     notes = []
     for k in [2, 4]:
         g = build_family(FamilySpec(kind="alon", k=k))
-        ok &= g.meta["w0_size"] == (1 << (k - 1)) - 1
-        ok &= g.meta["w1_size"] == 1 << (k - 1)
-        ok &= g.degree == g.meta["sum_set_size"]
+        w0s, w1s = alon_split(k)
+        ok &= len(w0s) == (1 << (k - 1)) - 1
+        ok &= len(w1s) == 1 << (k - 1)
+        ok &= g.degree == len(alon_connection_set(k)) and g.is_regular
         claimed = (1 << (k - 1)) * ((1 << (k - 1)) - 1)
-        ok &= g.meta["sum_set_claimed"] == claimed
         notes.append(
             f"k={k} degree {g.degree} vs claimed {claimed}"
             f"{'' if g.degree == claimed else ' (discrepancy recorded)'}"

@@ -3,6 +3,7 @@ where a test calls ``main`` in-process to time it or to run many examples."""
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -17,11 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramseyforge
-from ramseyforge import cli, graphs, limits
+from ramseyforge import certify, cli, graphs, limits
+from ramseyforge.algebra import find_nonsquare
+from ramseyforge.certify import jsonable
 from ramseyforge.cli import main
 from ramseyforge.errors import SizeLimitExceeded
+from ramseyforge.exactmetrics import metrics_report
 from ramseyforge.graphs import FamilySpec, build_family
-from ramseyforge.spectral import cayley_spectrum_abelian
+from ramseyforge.spectral import cayley_spectrum_abelian, dense_spectrum
 
 BASE = [sys.executable, "-m", "ramseyforge"]
 # the subprocess imports the package from where this process found it
@@ -85,8 +89,86 @@ def test_stats_euclidean_q7():
     assert doc["n"] == 49 and doc["degree"] == 8
 
 
+def _stats_grid():
+    """Every valid a for q <= 13 in both geometric families, D_5^3(1), BCH_2..4
+    and ALON_2 and ALON_4 (ALON_2 is disconnected)."""
+    for q in (3, 5, 7, 11, 13):
+        sigma = find_nonsquare(q)
+        for a in range(1, q):
+            yield FamilySpec(kind="euclidean", q=q, a=a)
+            if a != 4 * sigma % q:
+                yield FamilySpec(kind="noneuclidean", q=q, sigma=sigma, a=a)
+    yield FamilySpec(kind="euclidean", q=5, m=3, a=1)
+    yield from (FamilySpec(kind="bch", k=k) for k in (2, 3, 4))
+    yield from (FamilySpec(kind="alon", k=k) for k in (2, 4))
+
+
+def _spec_argv(spec):
+    return ["--family", spec.kind, *[str(arg) for f, v in spec.to_dict().items() if f != "kind"
+                                     for arg in (f"--{f}", v)]]
+
+
+@pytest.mark.parametrize("spec", list(_stats_grid()), ids=FamilySpec.label)
+def test_stats_reads_the_record_as_the_built_graph_would(capsys, spec):
+    # stats reads the distance-class quotient of the certificate record; the
+    # built graph's trivial quotient, through metrics_report, is the oracle
+    want = {"family": spec.to_dict(), **dataclasses.asdict(metrics_report(build_family(spec)))}
+    assert main(["stats", *_spec_argv(spec)]) == 0
+    assert capsys.readouterr() == (json.dumps(jsonable(want), indent=2) + "\n", "")
+
+
+@pytest.mark.parametrize("argv, max_n, entries, refusal", [
+    (["--family", "euclidean", "--q", "11"], "100", None,
+     "graph on 11^2 vertices exceeds RAMSEY_FORGE_MAX_N = 100"),
+    (["--family", "noneuclidean", "--q", "13"], "100", None,
+     "graph on 156 vertices exceeds RAMSEY_FORGE_MAX_N = 100"),
+    (["--family", "bch", "--k", "4"], "100", None, "graph on 256 vertices exceeds RAMSEY_FORGE_MAX_N = 100"),
+    (["--family", "alon", "--k", "4"], "1000", None,
+     "graph on 4096 vertices exceeds RAMSEY_FORGE_MAX_N = 1000"),
+    (["--family", "euclidean", "--q", "5", "--m", "3"], None, 3749,
+     "neighbor matrix of n*d = 125*30 = 3750 entries exceeds limits.MAX_NEIGHBOR_ENTRIES = 3749"),
+    (["--family", "noneuclidean", "--q", "13"], None, 2183,
+     "neighbor matrix of n*d = 156*14 = 2184 entries exceeds limits.MAX_NEIGHBOR_ENTRIES = 2183"),
+    (["--family", "bch", "--k", "3"], None, 447,
+     "neighbor matrix of n*d = 64*7 = 448 entries exceeds limits.MAX_NEIGHBOR_ENTRIES = 447"),
+    (["--family", "alon", "--k", "4"], None, 229375,
+     "neighbor matrix of n*d = 4096*56 = 229376 entries exceeds limits.MAX_NEIGHBOR_ENTRIES = 229375"),
+], ids=[f"{label}-{lever}" for lever in ("max_n", "entries") for label in ("D_q", "V_q", "BCH", "ALON")])
+def test_stats_refuses_where_the_build_would(capsys, monkeypatch, argv, max_n, entries, refusal):
+    # the record refuses in the words and the order of the build it replaced
+    if max_n is None:
+        monkeypatch.delenv("RAMSEY_FORGE_MAX_N", raising=False)
+        monkeypatch.setattr(limits, "MAX_NEIGHBOR_ENTRIES", entries)
+    else:
+        monkeypatch.setenv("RAMSEY_FORGE_MAX_N", max_n)
+    for command in ("stats", "build"):
+        assert main([command, *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {refusal}\n")
+
+
+def test_only_build_builds_a_graph(capsys, monkeypatch, tmp_path):
+    calls = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(f"{module.__name__}.{name}") or original(*a))
+
+    spy(cli, "build_family")
+    spy(graphs, "_cayley_graph")
+    spy(certify, "_cayley_graph")
+    for family in (["--family", "euclidean", "--q", "7"], ["--family", "noneuclidean", "--q", "7"],
+                   ["--family", "bch", "--k", "3"], ["--family", "alon", "--k", "2"]):
+        for command in ("stats", "spectrum"):
+            assert main([command, *family]) == 0
+            assert calls == [], (command, family)
+        assert main(["build", *family, "--out", str(tmp_path / "g.col")]) == 0
+        assert calls == ["ramseyforge.cli.build_family", "ramseyforge.graphs._cayley_graph"], family
+        calls.clear()
+        capsys.readouterr()  # the three payloads, read so that none is echoed
+
+
 def test_spectrum_character_route():
-    res = run("spectrum", "--family", "bch", "--k", "2", "--method", "character")
+    res = run("spectrum", "--family", "bch", "--k", "2")
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     assert doc["method"] == "character-sum"
@@ -100,16 +182,15 @@ def test_spectrum_character_route():
     ("--family", "bch", "--k", "3"),
 ])
 def test_spectrum_defaults_to_the_character_route(family):
+    # the group route is the only one: --method is gone, whatever its value
     default = run("spectrum", *family)
-    character = run("spectrum", *family, "--method", "character")
-    assert default.returncode == character.returncode == 0
-    assert default.stdout == character.stdout and default.stderr == character.stderr == ""
-    auto = run("spectrum", *family, "--method", "auto")
-    assert auto.returncode == 2 and auto.stdout == ""
-    assert auto.stderr.startswith("usage: ")
-    assert auto.stderr.endswith(
-        "error: argument --method: invalid choice: 'auto' (choose from 'dense', 'character')\n"
-    )
+    assert default.returncode == 0 and default.stderr == ""
+    assert json.loads(default.stdout)["method"] in ("affine-irreps", "character-sum")
+    for method in ("character", "dense", "auto"):
+        res = run("spectrum", *family, "--method", method)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("usage: ")
+        assert res.stderr.endswith(f"error: unrecognized arguments: --method {method}\n")
 
 
 def test_spectrum_default_uses_affine_irreps_for_half_plane():
@@ -119,9 +200,10 @@ def test_spectrum_default_uses_affine_irreps_for_half_plane():
     doc = json.loads(res.stdout)
     assert doc["method"] == "affine-irreps"
     assert abs(doc["eigenvalues"][0] - 6.0) < 1e-8
-    dense = run(*args, "--method", "dense")
-    assert dense.returncode == 0
-    assert json.loads(dense.stdout)["method"] == "dense"
+    # the dense route is the library's test oracle, not a CLI route
+    dense = dense_spectrum(build_family(FamilySpec(kind="noneuclidean", q=5, sigma=2, a=1)))
+    assert len(doc["eigenvalues"]) == dense.n == 20
+    assert max(abs(a - b) for a, b in zip(doc["eigenvalues"], dense.eigenvalues.tolist())) < 1e-8
 
 
 @pytest.mark.parametrize("spec", [
@@ -136,9 +218,6 @@ def test_spectrum_reads_the_connection_set_without_a_build(capsys, monkeypatch, 
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["eigenvalues"] == want
     assert builds == []
-    assert main(argv + ["--method", "dense"]) == 0  # only the dense route builds
-    assert json.loads(capsys.readouterr().out)["method"] == "dense"
-    assert builds == [spec]
 
 
 # ---------------------------------------------------------------------------

@@ -192,14 +192,15 @@ def test_alon_connection_set_is_the_pairwise_sum_set(k):
     assert alon_connection_set(k) == sorted({pack(w0) ^ pack(w1) for w0 in w0s for w1 in w1s})
 
 
-def test_alon_graph_meta():
+def test_alon_graph_has_the_claimed_sum_set_degree():
+    # the partition and sum-set facts are the alon_partition and alon_degree
+    # claims of the code suite; the graph is Cay(G, S) and carries none of them
     g = build("alon", k=2)
     assert g.n == 64 and g.degree == 2
-    assert g.meta["w0_size"] == 1
-    assert g.meta["w1_size"] == 2
-    assert g.meta["sum_set_size"] == 2
-    assert g.meta["sum_set_claimed"] == 2
-    assert g.meta["sum_set_matches_claim"] is True
+    w0s, w1s = alon_split(2)
+    assert (len(w0s), len(w1s)) == (1, 2)
+    assert g.degree == len(alon_connection_set(2)) == 2 * (2 - 1)
+    assert not hasattr(g, "meta")
 
 
 def test_bch_graph_shape():
@@ -765,10 +766,12 @@ def test_graph_from_edges_reports_the_first_bad_pair(edges, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("n", [-1, 2.0, "3", graphs._MAX_ADHOC_VERTICES + 1])
+@pytest.mark.parametrize("n", [-1, 2.0, "3", graphs._MAX_ADHOC_VERTICES + 1, True, False, np.True_])
 def test_graph_from_edges_refuses_a_bad_vertex_count(n):
-    with pytest.raises(BadParameter, match="is not an integer in 0.."):
+    # a bool is refused like np.True_, as _check_int refuses it elsewhere
+    with pytest.raises(BadParameter) as info:
         graph_from_edges(n, [])
+    assert str(info.value) == f"vertex count {n!r} is not an integer in 0..{graphs._MAX_ADHOC_VERTICES}"
 
 
 def _oracle_csr(n, edges):

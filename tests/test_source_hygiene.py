@@ -4,9 +4,9 @@ class or constant is referenced somewhere in the package besides its own
 definition, every public module-level function is exported or referenced
 likewise, size refusals go through ``limits.check``, which reads each limit
 when it runs and names a lever the README cap table lists, certify builds a
-graph only through ``_Measured``, the measuring modules do not import the
-graph module, and every import is the standard library, the package itself
-or a declared dependency."""
+graph only through ``_Measured`` and the CLI only in ``build``, the
+measuring modules do not import the graph module, and every import is the
+standard library, the package itself or a declared dependency."""
 
 import ast
 import pathlib
@@ -179,25 +179,40 @@ def test_neighbor_entry_limit_guards_builds_only():
     assert naming == {"graphs.py"}, f"modules naming MAX_NEIGHBOR_ENTRIES: {sorted(naming)}"
 
 
+_BUILDERS = {"build_family", "build_euclidean", "build_non_euclidean", "build_code_graph_bch",
+             "build_code_graph_alon", "_cayley_graph"}
+
+
+def _builders_outside(module: str, owner: str) -> list:
+    """The lines of ``module`` that name a graph builder outside its one
+    top-level definition ``owner``; fails if only import lines name one."""
+    tree = TREES[module]
+    owners = [node for node in tree.body if getattr(node, "name", None) == owner]
+    assert len(owners) == 1
+    inside = {id(node) for node in ast.walk(owners[0])}
+    named = [
+        node for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in _BUILDERS)
+        or (isinstance(node, ast.Attribute) and node.attr in _BUILDERS)
+    ]
+    assert named, f"{module} no longer builds graphs in {owner}"
+    return [f"line {node.lineno}" for node in named if id(node) not in inside]
+
+
 def test_certify_builds_graphs_only_inside_measured():
     # a certificate builds a family graph only when an exact oracle asks
     # _Measured for one; a builder named anywhere else in certify would be
     # an eager build that the distance-class quotients made unnecessary.
     # _Measured builds through graphs._cayley_graph, from its own S
-    builders = {"build_family", "build_euclidean", "build_non_euclidean", "build_code_graph_bch",
-                "build_code_graph_alon", "_cayley_graph"}
-    tree = TREES["certify.py"]
-    measured = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Measured"]
-    assert len(measured) == 1
-    inside = {id(node) for node in ast.walk(measured[0])}
-    named = [
-        node for node in ast.walk(tree)
-        if (isinstance(node, ast.Name) and node.id in builders)
-        or (isinstance(node, ast.Attribute) and node.attr in builders)
-    ]
-    assert named, "certify no longer builds graphs through _Measured"
-    outside = [f"line {node.lineno}" for node in named if id(node) not in inside]
+    outside = _builders_outside("certify.py", "_Measured")
     assert not outside, f"certify names a graph builder outside _Measured: {outside}"
+
+
+def test_cli_builds_graphs_only_in_the_build_command():
+    # stats reads the certificate record and spectrum the connection set;
+    # only the build command exports a graph, so only it builds one
+    outside = _builders_outside("cli.py", "_cmd_build")
+    assert not outside, f"cli names a graph builder outside _cmd_build: {outside}"
 
 
 def _imports_graphs(node) -> bool:
