@@ -11,18 +11,12 @@ bounds.
 """
 from . import errors, limits
 from .algebra import (
-    circle_points,
-    find_generator,
     find_nonsquare,
-    gf2k_add,
     gf2k_mul,
     gf2k_pow,
     is_generator,
-    mod_inv,
-    poincare_distance,
     predicted_intersections,
     predicted_intersections_null,
-    quadrance,
     quadratic_character,
 )
 from .certify import (
@@ -51,7 +45,6 @@ from .exactmetrics import (
     exact_max_cut_and_bisection,
     exact_toughness,
     girth,
-    greedy_coloring,
     metrics_report,
     triangle_count,
 )
@@ -78,7 +71,6 @@ from .spectral import (
     least_eigenvalue,
     ramanujan_check,
     ratio_independence_bound,
-    rayleigh_quotient,
 )
 
 __version__ = "0.1.0"

@@ -1,11 +1,10 @@
-"""Arithmetic over F_q, its quadratic extension, and GF(2^k).
+"""Arithmetic over F_q and GF(2^k).
 
-Field elements are plain ints reduced mod q.  Points in F_q^m are int tuples.
-Elements of F_q(sqrt(sigma)) are pairs (x, y) meaning x + y*sqrt(sigma).
-GF(2^k) elements are ints whose bit i is the coefficient of x^i in the
-polynomial basis fixed by GF2K_MODULI.
+Field elements are plain ints reduced mod q.  GF(2^k) elements are ints
+whose bit i is the coefficient of x^i in the polynomial basis fixed by
+GF2K_MODULI.
 """
-from .errors import BadParameter, DimensionMismatch, NotInHalfPlane, ZeroParameter
+from .errors import BadParameter, ZeroParameter
 
 # Irreducible moduli for GF(2^k), bit i = coefficient of x^i.
 GF2K_MODULI = {
@@ -50,14 +49,6 @@ def is_odd_prime(q: int) -> bool:
     return True
 
 
-def mod_inv(a: int, q: int) -> int:
-    """Multiplicative inverse of a mod q."""
-    a %= q
-    if a == 0:
-        raise ZeroDivisionError(f"0 has no inverse mod {q}")
-    return pow(a, -1, q)
-
-
 def quadratic_character(a: int, q: int) -> int:
     """chi(a): +1 for a nonzero square, 0 at 0, -1 for a non-square.
 
@@ -95,32 +86,6 @@ def is_generator(g: int, q: int) -> bool:
     return all(pow(g, order // p, q) != 1 for p in factors)
 
 
-def find_generator(q: int) -> int:
-    """Smallest primitive root modulo the odd prime q."""
-    for g in range(2, q):
-        if is_generator(g, q):
-            return g
-    raise BadParameter(f"no generator mod {q}; q must be an odd prime")
-
-
-def quadrance(x_pt, y_pt, q: int) -> int:
-    """Sum of squared coordinate differences of two points in F_q^m."""
-    if len(x_pt) != len(y_pt):
-        raise DimensionMismatch(f"points of dimension {len(x_pt)} and {len(y_pt)}")
-    return sum((xc - yc) ** 2 for xc, yc in zip(x_pt, y_pt)) % q
-
-
-def circle_points(center, k: int, q: int):
-    """All points of F_q^2 at quadrance k from center, as a set of tuples."""
-    cx, cy = center
-    return {
-        (x, y)
-        for x in range(q)
-        for y in range(q)
-        if ((x - cx) ** 2 + (y - cy) ** 2) % q == k % q
-    }
-
-
 def predicted_intersections(i: int, j: int, k: int, q: int) -> int:
     """Intersection count of two circles of radii i, j with centers at quadrance k.
 
@@ -128,7 +93,7 @@ def predicted_intersections(i: int, j: int, k: int, q: int) -> int:
     """
     if i % q == 0 or j % q == 0 or k % q == 0:
         raise ZeroParameter("i, j, k must all be nonzero")
-    f = (i * j - (k - i - j) ** 2 * mod_inv(4, q)) % q
+    f = (i * j - (k - i - j) ** 2 * pow(4, -1, q)) % q
     return quadratic_character(f, q) + 1
 
 
@@ -139,45 +104,7 @@ def predicted_intersections_null(i: int, j: int, q: int) -> int:
     return 0 if i % q == j % q else 1
 
 
-def count_intersections_bruteforce(x_pt, y_pt, i: int, j: int, q: int) -> int:
-    """|C_i(X) ∩ C_j(Y)| by exhaustive scan of F_q^2."""
-    if len(x_pt) != 2 or len(y_pt) != 2:
-        raise DimensionMismatch("circle intersection is a planar operation")
-    count = 0
-    for px in range(q):
-        for py in range(q):
-            p = (px, py)
-            if quadrance(p, x_pt, q) == i % q and quadrance(p, y_pt, q) == j % q:
-                count += 1
-    return count
-
-
-# --- quadratic extension F_q(sqrt(sigma)) -----------------------------------
-
-def quad_sub(z, w, q):
-    return ((z[0] - w[0]) % q, (z[1] - w[1]) % q)
-
-
-def quad_norm(z, sigma, q) -> int:
-    """N(x + y*sqrt(sigma)) = x^2 - sigma*y^2."""
-    x, y = z
-    return (x * x - sigma * y * y) % q
-
-
-def poincare_distance(z, w, sigma: int, q: int) -> int:
-    """d(z, w) = N(z - w) / (Im z * Im w) on the half-plane y != 0."""
-    if z[1] % q == 0 or w[1] % q == 0:
-        raise NotInHalfPlane("both points need nonzero imaginary part")
-    num = quad_norm(quad_sub(z, w, q), sigma, q)
-    return (num * mod_inv(z[1] * w[1], q)) % q
-
-
 # --- GF(2^k) -----------------------------------------------------------------
-
-def gf2k_add(a: int, b: int) -> int:
-    """Addition in GF(2^k) is bitwise XOR."""
-    return a ^ b
-
 
 def gf2k_mul(a: int, b: int, k: int) -> int:
     """Carry-less product reduced mod the table polynomial for GF(2^k)."""

@@ -9,10 +9,10 @@ IO error.  Stdout carries only the payload (JSON, DIMACS, or JSON lines);
 diagnostics go to stderr.
 
 One table per command decides which selectors it reads, the first of them
-required, and any other one given is refused: ``_FAMILY_SELECTORS`` for the
-family commands, ``_SUITES`` for the verify suites, which also holds the call
-that makes each suite's certificate.  The parser is built once per process,
-on the first ``main`` call.
+required, and any other one given is refused: ``graphs.FAMILY_FIELDS`` for
+the family commands, ``_SUITES`` for the verify suites, which also holds the
+call that makes each suite's certificate.  The parser is built once per
+process, on the first ``main`` call.
 """
 import argparse
 import dataclasses
@@ -36,14 +36,12 @@ from .certify import (
     verify_mt1,
 )
 from .errors import NotTriangleFree
-from .graphs import FamilySpec, build_family, connection_set, export_graph
+from .graphs import FAMILY_FIELDS, FamilySpec, build_family, connection_set, export_graph
 from .spectral import cayley_spectrum_abelian
-
-FAMILIES = ("euclidean", "noneuclidean", "bch", "alon")
 
 
 def _add_selectors(sub):
-    sub.add_argument("--family", choices=FAMILIES, required=True)
+    sub.add_argument("--family", choices=tuple(FAMILY_FIELDS), required=True)
     sub.add_argument("--q", type=int, help="field size (odd prime)")
     sub.add_argument("--m", type=int, help="dimension for the euclidean family (default 2)")
     sub.add_argument("--a", type=int, help="quadrance / distance parameter")
@@ -52,18 +50,8 @@ def _add_selectors(sub):
     sub.add_argument("--k", type=int, help="code-family parameter, 2..8")
 
 
-# The selectors each family reads, the first of them required; any other one
-# given is refused.
-_FAMILY_SELECTORS = {
-    "euclidean": ("q", "m", "a"),
-    "noneuclidean": ("q", "a", "sigma"),
-    "bch": ("k",),
-    "alon": ("k",),
-}
-
-
 def _spec_from_args(args) -> FamilySpec:
-    reads = _FAMILY_SELECTORS[args.family]
+    reads = FAMILY_FIELDS[args.family]
     _check_selectors(args, ("q", "m", "a", "sigma", "k"), reads, f"{args.family} family")
     return FamilySpec(kind=args.family, **{flag: getattr(args, flag) for flag in reads})
 

@@ -5,20 +5,8 @@ subclass RuntimeError.  Index errors and IO errors use the builtins.
 """
 
 
-class DimensionMismatch(ValueError):
-    """Points of different dimension were combined."""
-
-
 class ZeroParameter(ValueError):
     """A circle radius parameter that must be nonzero was zero."""
-
-
-class NotInHalfPlane(ValueError):
-    """A point with zero imaginary part was passed where Im != 0 is required."""
-
-
-class ZeroVector(ValueError):
-    """A vector that must be nonzero (after projection) was zero."""
 
 
 class BadParameter(ValueError):

@@ -763,25 +763,6 @@ def exact_max_cut_and_bisection(graph):
     return max_cut, bisection
 
 
-def greedy_coloring(graph, order: str = "degree-descending"):
-    """(number of colors, color array). order: 'degree-descending' sorts by
-    descending degree with index ties, 'index' takes vertices as numbered."""
-    if order == "degree-descending":
-        verts = sorted(range(graph.n), key=lambda v: (-graph.degree_of(v), v))
-    elif order == "index":
-        verts = range(graph.n)
-    else:
-        raise BadParameter(f"unknown order {order!r}")
-    colors = [-1] * graph.n
-    for v in verts:
-        used = {colors[int(u)] for u in graph.neighbors(v)}
-        c = 0
-        while c in used:
-            c += 1
-        colors[v] = c
-    return max(colors) + 1 if colors else 0, colors
-
-
 def metrics_report(graph) -> MetricsReport:
     """Exact metrics; an ad-hoc graph takes one ``_root_walk`` from all
     roots, a family graph one walk of ``quotient_invariants`` and one

@@ -20,6 +20,7 @@ their invariants from it instead of from a built graph.  The vertex codec,
 between indices and domain points, is written once, in
 ``FamilySpec.coordinates`` and ``FamilySpec.index``.
 """
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -45,9 +46,22 @@ def _check_int(value, what: str) -> None:
         raise BadParameter(f"{what} must be an integer, got {value!r}")
 
 
+# The parameters each family reads, the first of them required; FamilySpec
+# refuses any other one, and the CLI any other selector.
+FAMILY_FIELDS = {
+    "euclidean": ("q", "m", "a"),
+    "noneuclidean": ("q", "a", "sigma"),
+    "bch": ("k",),
+    "alon": ("k",),
+}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
-    """Which family a graph belongs to, with its parameters normalized."""
+    """Which family a graph belongs to, with its parameters normalized.
+    BadParameter for an unknown kind, for a parameter that is not an
+    integer or that the family does not read, and for a missing first
+    parameter (``FAMILY_FIELDS``)."""
 
     kind: str
     q: Optional[int] = None
@@ -57,11 +71,18 @@ class FamilySpec:
     k: Optional[int] = None
 
     def __post_init__(self):
+        reads = FAMILY_FIELDS.get(self.kind)
+        if reads is None:
+            raise BadParameter(f"unknown family kind {self.kind!r}")
         for field in ("q", "m", "a", "sigma", "k"):
             value = getattr(self, field)
             if value is not None:
                 _check_int(value, field)
+                if field not in reads:
+                    raise BadParameter(f"{field}={value} is not read by the {self.kind} family")
                 object.__setattr__(self, field, int(value))
+        if getattr(self, reads[0]) is None:
+            raise BadParameter(f"{reads[0]} is required for the {self.kind} family")
         if self.kind == "euclidean":
             if not is_odd_prime(self.q):
                 raise BadParameter(f"q={self.q} is not an odd prime")
@@ -85,16 +106,11 @@ class FamilySpec:
                 raise DegenerateDistance(f"a={a} is in {{0, 4*sigma}} mod {self.q}")
             object.__setattr__(self, "sigma", sigma)
             object.__setattr__(self, "a", a)
-        elif self.kind == "bch":
-            if self.k not in GF2K_MODULI:
-                raise BadParameter(f"k={self.k} outside 2..8")
-        elif self.kind == "alon":
-            if self.k not in GF2K_MODULI:
-                raise BadParameter(f"k={self.k} outside 2..8")
-            if self.k % 3 == 0:
-                raise BadParameter(f"k={self.k} divisible by 3: alpha -> alpha^7 is not a bijection")
         else:
-            raise BadParameter(f"unknown family kind {self.kind!r}")
+            if self.k not in GF2K_MODULI:
+                raise BadParameter(f"k={self.k} outside 2..8")
+            if self.kind == "alon" and self.k % 3 == 0:
+                raise BadParameter(f"k={self.k} divisible by 3: alpha -> alpha^7 is not a bijection")
 
     @property
     def n(self) -> int:
@@ -189,13 +205,6 @@ class Graph:
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
-
-    def degree_of(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
-
-    @property
-    def is_regular(self) -> bool:
-        return self.degree is not None
 
     def adjacency_oracle(self, u: int, v: int) -> bool:
         """Membership test on the sorted neighbor list of u.  BadParameter
@@ -490,7 +499,7 @@ def _checked_pairs(n: int, items) -> np.ndarray:
         except (TypeError, ValueError):
             raise BadParameter(f"edge entry {item!r} is not a pair (u, v)") from None
         for x in (u, v):
-            if not isinstance(x, (int, np.integer, np.bool_)):
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
                 raise BadParameter(f"vertex {x!r} of edge entry {item!r} is not an integer")
         lo, hi = sorted((int(u), int(v)))
         if lo < 0 or hi >= n:
@@ -514,8 +523,12 @@ def _edge_pairs(n: int, edges) -> np.ndarray:
         pairs = np.asarray(items)
     except (TypeError, ValueError):  # ragged, or entries numpy cannot stack
         return _checked_pairs(n, items)
-    if pairs.ndim == 2 and pairs.shape[1] == 2 and pairs.dtype.kind in "biu":
-        if not ((pairs < 0) | (pairs >= n)).any() and not (pairs[:, 0] == pairs[:, 1]).any():
+    if pairs.ndim == 2 and pairs.shape[1] == 2 and pairs.dtype.kind in "iu":
+        # numpy reads a bool among integers as 0 or 1, so a list is scanned for one
+        bools = not isinstance(items, np.ndarray) and not {bool, np.bool_}.isdisjoint(
+            map(type, itertools.chain.from_iterable(items))
+        )
+        if not bools and not ((pairs < 0) | (pairs >= n)).any() and not (pairs[:, 0] == pairs[:, 1]).any():
             return pairs.astype(np.int64, copy=False)
     return _checked_pairs(n, items)
 
@@ -527,10 +540,11 @@ def graph_from_edges(n: int, edges) -> Graph:
 
     BadParameter for a vertex count that is not an integer (a bool is not)
     in 0..``_MAX_ADHOC_VERTICES``, and for the first bad pair in input order:
-    one that is not two items, holds a vertex that is not an integer, has a
-    vertex outside 0..n-1 ("edge (u, v) out of range for n=N", u <= v) or is
-    a loop ("loop at vertex u").  The CSR comes from one sort of the keys
-    u*n + v of both directions of every pair, duplicates dropped.
+    one that is not two items, holds a vertex that is not an integer (nor
+    is a bool), has a vertex outside 0..n-1 ("edge (u, v) out of range for
+    n=N", u <= v) or is a loop ("loop at vertex u").  The CSR comes from one
+    sort of the keys u*n + v of both directions of every pair, duplicates
+    dropped.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= _MAX_ADHOC_VERTICES:
         raise BadParameter(f"vertex count {n!r} is not an integer in 0..{_MAX_ADHOC_VERTICES}")

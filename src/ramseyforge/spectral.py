@@ -17,8 +17,8 @@ Eigenvalues come by four routes:
                     dense route's least eigenvalue, each less a margin of
                     1e-10 relative
   * dense           symmetric diagonalization of the n x n adjacency matrix;
-                    used for ``spectrum --method dense``, as the test oracle
-                    and for an ad-hoc graph that is not a circulant
+                    the test oracle of the other routes, and the route of an
+                    ad-hoc graph that is not a circulant
 
 The two group routes read only a connection set, so they need no built
 graph.  Tests cross-check them against the dense one, and
@@ -44,12 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limits
-from .errors import (
-    BadParameter,
-    NoConvergence,
-    UnsupportedFamily,
-    ZeroVector,
-)
+from .errors import BadParameter, NoConvergence, UnsupportedFamily
 
 
 @dataclass(frozen=True)
@@ -238,23 +233,6 @@ def ratio_independence_bound(n: int, d: float, theta_n: float) -> float:
 def bisection_and_bip_bounds(n: int, theta2: float, theta_n: float):
     """(bisection width lower bound, bipartite subgraph upper bound)."""
     return n * theta2 / 4.0, n * theta_n / 4.0
-
-
-def rayleigh_quotient(graph, x) -> float:
-    """Laplacian Rayleigh quotient of x projected against the constant vector.
-
-    For a connected regular graph the value lies in [theta_2, theta_n].
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (graph.n,):
-        raise BadParameter(f"vector length {x.shape} does not match n={graph.n}")
-    y = x - x.mean()
-    norm = float(np.linalg.norm(y))
-    if norm < 1e-9 * max(1.0, float(np.linalg.norm(x))):
-        raise ZeroVector("projection against the constant vector is numerically zero")
-    us, vs = graph.edge_arrays()
-    energy = float(((y[us] - y[vs]) ** 2).sum())
-    return energy / (norm * norm)
 
 
 def chromatic_lower_bound(n: int, alpha_upper: float) -> float:

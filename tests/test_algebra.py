@@ -1,37 +1,28 @@
-"""Tests for modular arithmetic, characters, quadrance, half-plane distance, and GF(2^k)."""
+"""Tests for primality, characters, the circle predictors and GF(2^k), and
+for the brute-force quadrance, circle and half-plane distance oracles."""
 
 import pytest
+from bruteforce import circle_points, count_intersections_bruteforce, poincare_distance, quadrance
 
+from ramseyforge import certify
 from ramseyforge.algebra import (
-    circle_points,
-    count_intersections_bruteforce,
-    find_generator,
     find_nonsquare,
-    gf2k_add,
     gf2k_mul,
     gf2k_pow,
     is_generator,
     is_odd_prime,
-    mod_inv,
     modular_sqrts,
-    poincare_distance,
     predicted_intersections,
     predicted_intersections_null,
-    quadrance,
     quadratic_character,
 )
-from ramseyforge.errors import (
-    BadParameter,
-    DimensionMismatch,
-    NotInHalfPlane,
-    ZeroParameter,
-)
+from ramseyforge.errors import BadParameter, ZeroParameter
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17]
 
 
 # ---------------------------------------------------------------------------
-# primes and inverses
+# primes
 # ---------------------------------------------------------------------------
 
 def _odd_prime_by_trial_division(q):
@@ -73,22 +64,6 @@ def test_is_odd_prime_refuses_past_exact_bound():
         is_odd_prime(bound)
 
 
-def test_mod_inv_frozen():
-    assert mod_inv(4, 7) == 2
-    assert mod_inv(4, 13) == 10
-
-
-def test_mod_inv_exhaustive():
-    for q in SMALL_PRIMES:
-        for a in range(1, q):
-            assert (a * mod_inv(a, q)) % q == 1
-
-
-def test_mod_inv_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        mod_inv(0, 7)
-
-
 # ---------------------------------------------------------------------------
 # quadratic character
 # ---------------------------------------------------------------------------
@@ -128,14 +103,6 @@ def test_find_nonsquare():
         assert quadratic_character(find_nonsquare(q), q) == -1
 
 
-def test_find_generator():
-    assert find_generator(5) == 2
-    for q in SMALL_PRIMES:
-        g = find_generator(q)
-        powers = {pow(g, e, q) for e in range(q - 1)}
-        assert powers == set(range(1, q))
-
-
 def test_is_generator_matches_multiplicative_order():
     for q in [p for p in range(3, 60) if is_odd_prime(p)]:
         for g in range(2 * q):
@@ -158,7 +125,7 @@ def test_quadrance_frozen():
 
 
 def test_quadrance_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="dimension 2 and 3"):
         quadrance((0, 0), (1, 2, 3), 7)
 
 
@@ -203,17 +170,30 @@ def test_predicted_intersections_null_frozen():
 
 
 def test_intersections_match_bruteforce_q7():
-    """One concrete triple checked against the brute-force counter.
-
-    The full sweep over all (i, j, k) lives in the certification layer and
-    the acceptance gate; this guards the oracle's calling convention.
-    """
+    """One concrete triple checked against the brute-force counter."""
     q = 7
     centers = circle_points((0, 0), 4, q)
     assert len(centers) == 8
     x = min(centers)
     n = count_intersections_bruteforce((0, 0), x, 1, 1, q)
     assert n == predicted_intersections(1, 1, 4, q)
+
+
+@pytest.mark.parametrize("q", [5, 7, 13])
+def test_bruteforce_counts_match_the_whole_predictor_table(q):
+    # translations and O(2, q) carry any centre pair to (0, 0) and a centre
+    # of the same quadrance k (Witt's theorem), so one centre per nonzero k,
+    # and one null centre when q = 1 mod 4, covers every pair of centres
+    pred, null = certify._circle_predictor_tables(q)
+    centres = [(k, min(circle_points((0, 0), k, q))) for k in range(1, q)]
+    nulls = sorted(circle_points((0, 0), 0, q) - {(0, 0)})
+    assert bool(nulls) == (q % 4 == 1)
+    centres += [(0, c) for c in nulls[:1]]
+    for k, centre in centres:
+        want = pred[k - 1] if k else null
+        counts = [[count_intersections_bruteforce((0, 0), centre, i, j, q) for j in range(1, q)]
+                  for i in range(1, q)]
+        assert counts == want.tolist(), (k, centre)
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +207,9 @@ def test_poincare_distance_frozen():
 
 
 def test_poincare_distance_off_plane():
-    with pytest.raises(NotInHalfPlane):
+    with pytest.raises(ValueError, match="nonzero imaginary part"):
         poincare_distance((1, 0), (2, 1), 2, 5)
-    with pytest.raises(NotInHalfPlane):
+    with pytest.raises(ValueError, match="nonzero imaginary part"):
         poincare_distance((1, 1), (2, 0), 2, 5)
 
 
@@ -265,11 +245,6 @@ def test_gf2k_group_order():
             assert gf2k_pow(z, order, k) == 1
 
 
-def test_gf2k_add_is_xor():
-    assert gf2k_add(5, 3) == 6
-    assert gf2k_add(7, 7) == 0
-
-
 def test_gf2k_field_axioms_small():
     for k in [2, 3, 4]:
         n = 1 << k
@@ -277,8 +252,8 @@ def test_gf2k_field_axioms_small():
             for b in range(n):
                 assert gf2k_mul(a, b, k) == gf2k_mul(b, a, k)
                 for c in range(0, n, 3):
-                    lhs = gf2k_mul(a, gf2k_add(b, c), k)
-                    rhs = gf2k_add(gf2k_mul(a, b, k), gf2k_mul(a, c, k))
+                    lhs = gf2k_mul(a, b ^ c, k)
+                    rhs = gf2k_mul(a, b, k) ^ gf2k_mul(a, c, k)
                     assert lhs == rhs
 
 

@@ -22,7 +22,6 @@ from ramseyforge.exactmetrics import (
     exact_max_cut_and_bisection,
     exact_toughness,
     girth,
-    greedy_coloring,
     metrics_report,
     quotient_invariants,
     quotient_triangles,
@@ -854,8 +853,8 @@ def _independence_graphs():
     edges = [(hub, v) for v in range(n) if v != hub and v % 29]
     edges += [(u, v) for u, v in itertools.combinations(range(250, n), 2) if rng.random() < 0.3]
     wide = graph_from_edges(n, edges)
-    assert wide.degree_of(hub) >= 256
-    graphs.append((f"hub of degree {wide.degree_of(hub)}", wide))
+    assert len(wide.neighbors(hub)) >= 256
+    graphs.append((f"hub of degree {len(wide.neighbors(hub))}", wide))
     return graphs
 
 
@@ -1217,32 +1216,6 @@ def test_caps_are_read_when_the_oracle_runs(monkeypatch, lever, call, arg, size,
     assert str(exc.value) == f"{what} exceeds {named} = {size - 1}"
     set_limit(size)
     call(arg)
-
-
-# ---------------------------------------------------------------------------
-# greedy coloring
-# ---------------------------------------------------------------------------
-
-def test_greedy_coloring_small():
-    assert greedy_coloring(cycle(4))[0] == 2
-    assert greedy_coloring(cycle(5))[0] == 3
-    assert greedy_coloring(complete(4))[0] == 4
-
-
-def test_greedy_coloring_d3():
-    # both vertex orders land on 4 colors for this graph
-    g = build("euclidean", q=3, a=1)
-    assert greedy_coloring(g, order="degree-descending")[0] == 4
-    assert greedy_coloring(g, order="index")[0] == 4
-
-
-def test_greedy_coloring_is_proper():
-    g = build("euclidean", q=5, a=2)
-    count, colors = greedy_coloring(g, order="degree-descending")
-    assert count == len(set(colors))
-    for u in range(g.n):
-        for v in g.neighbors(u):
-            assert colors[u] != colors[v]
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from bruteforce import poincare_distance, quadrance
 
 from ramseyforge import graphs, limits
-from ramseyforge.algebra import gf2k_pow, is_odd_prime, poincare_distance, quadrance, quadratic_character
+from ramseyforge.algebra import gf2k_pow, is_odd_prime, quadratic_character
 from ramseyforge.errors import (
     BadParameter,
     BadSigma,
@@ -74,7 +75,7 @@ def test_half_plane_regular_q_plus_one():
             if a == (4 * sigma) % q:
                 continue
             g = build("noneuclidean", q=q, sigma=sigma, a=a)
-            assert g.is_regular and g.degree == q + 1
+            assert g.degree == q + 1
 
 
 def test_half_plane_degenerate_a():
@@ -131,6 +132,36 @@ def test_family_spec_refuses_non_integer_parameters(kwargs, message):
     with pytest.raises(BadParameter) as exc:
         FamilySpec(**kwargs)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(kind="bch", k=3, q=7, sigma=5), "q=7 is not read by the bch family"),
+    (dict(kind="alon", k=2, a=1), "a=1 is not read by the alon family"),
+    (dict(kind="euclidean", q=7, sigma=3), "sigma=3 is not read by the euclidean family"),
+    (dict(kind="euclidean", q=7, k=2), "k=2 is not read by the euclidean family"),
+    (dict(kind="noneuclidean", q=7, m=2), "m=2 is not read by the noneuclidean family"),
+    (dict(kind="noneuclidean", q=7, k=np.int64(2)), "k=2 is not read by the noneuclidean family"),
+    (dict(kind="hyperbolic", q=7), "unknown family kind 'hyperbolic'"),
+    (dict(kind="euclidean", m=2), "q is required for the euclidean family"),
+    (dict(kind="noneuclidean", sigma=3), "q is required for the noneuclidean family"),
+    (dict(kind="bch"), "k is required for the bch family"),
+    (dict(kind="alon"), "k is required for the alon family"),
+], ids=repr)
+def test_family_spec_takes_only_the_parameters_its_family_reads(kwargs, message):
+    # a field outside the family's own would land in to_dict(), so in the
+    # certificate's "family" entry, though nothing reads it; a missing q
+    # would reach the primality test as None
+    with pytest.raises(BadParameter) as exc:
+        FamilySpec(**kwargs)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kind", list(graphs.FAMILY_FIELDS))
+def test_family_spec_keeps_exactly_the_fields_its_family_reads(kind):
+    reads = graphs.FAMILY_FIELDS[kind]
+    values = {"q": 7, "m": 2, "a": 1, "sigma": 3, "k": 2}
+    spec = FamilySpec(kind=kind, **{field: values[field] for field in reads})
+    assert set(spec.to_dict()) == {"kind", *reads}
 
 
 def test_family_spec_takes_numpy_integers_as_ints():
@@ -208,7 +239,6 @@ def test_bch_graph_shape():
         g = build("bch", k=k)
         assert g.n == 1 << (2 * k)
         assert g.degree == (1 << k) - 1
-        assert g.is_regular
 
 
 def test_bch_k2_neighbors_of_zero():
@@ -725,14 +755,12 @@ def test_graph_from_edges():
     assert g.n == 4
     assert g.degree == 2
     assert list(g.neighbors(0)) == [1, 3]
-    assert g.is_regular
 
 
 def test_graph_from_edges_irregular():
     g = graph_from_edges(3, [(0, 1), (1, 2)])
     assert g.degree is None
-    assert not g.is_regular
-    assert g.degree_of(1) == 2
+    assert list(g.neighbors(1)) == [0, 2]
 
 
 def test_graph_from_edges_validation():
@@ -759,6 +787,10 @@ def test_graph_from_edges_validation():
     ([(0, 1), (0, 1.5), (9, 9)], "vertex 1.5 of edge entry (0, 1.5) is not an integer"),
     (np.array([[0, 1], [1, 1], [0, 5]]), "loop at vertex 1"),
     (5, "edges 5 is not an iterable of pairs"),
+    ([(True, 2)], "vertex True of edge entry (True, 2) is not an integer"),
+    ([(np.True_, 2)], "vertex np.True_ of edge entry (np.True_, 2) is not an integer"),
+    ([(0, 1), (2, False)], "vertex False of edge entry (2, False) is not an integer"),
+    (np.array([[True, False]]), "vertex np.True_ of edge entry array([ True, False]) is not an integer"),
 ])
 def test_graph_from_edges_reports_the_first_bad_pair(edges, message):
     with pytest.raises(BadParameter) as info:

@@ -6,7 +6,9 @@ likewise, size refusals go through ``limits.check``, which reads each limit
 when it runs and names a lever the README cap table lists, certify builds a
 graph only through ``_Measured`` and the CLI only in ``build``, the
 measuring modules do not import the graph module, and every import is the
-standard library, the package itself or a declared dependency."""
+standard library, the package itself or a declared dependency.  The test
+oracles in ``tests/bruteforce.py`` import the standard library alone, and
+no module in ``tests/`` shares its name with one in ``perfbench/``."""
 
 import ast
 import pathlib
@@ -16,7 +18,8 @@ from collections import Counter
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "ramseyforge"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "ramseyforge"
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
 
 
@@ -86,8 +89,6 @@ UNREFERENCED_ON_PURPOSE = {
     # leaves with its entry in the benchmark's list of traced functions, which
     # only a change to the benchmark may edit
     ("algebra.py", "modular_sqrts"),
-    # the independent oracle the circle-intersection tests compare against
-    ("algebra.py", "count_intersections_bruteforce"),
 }
 
 
@@ -248,3 +249,28 @@ def test_every_import_is_stdlib_the_package_or_a_declared_dependency():
                 continue
             found += [f"{module}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
     assert not found, f"imports outside the stdlib, the package and [project] dependencies: {found}"
+
+
+def test_bruteforce_oracles_import_only_the_standard_library():
+    # an oracle that imported the package could share the code of the route
+    # it is compared against, and agree with it on the same mistake
+    found = []
+    for node in ast.walk(ast.parse((TESTS / "bruteforce.py").read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]  # a relative import starts with "."
+        else:
+            continue
+        found += [
+            f"line {node.lineno} {name}" for name in names if name.split(".")[0] not in sys.stdlib_module_names
+        ]
+    assert not found, f"bruteforce.py imports outside the standard library: {found}"
+
+
+def test_no_test_module_shares_a_name_with_a_benchmark_module():
+    # pytest puts tests/ and perfbench/ on sys.path in one session, so a
+    # shared name imports whichever module loaded first in both places
+    names = {path.name for path in TESTS.glob("*.py")}
+    shared = sorted(names & {path.name for path in (TESTS.parent / "perfbench").glob("*.py")})
+    assert not shared, f"modules in both tests/ and perfbench/: {shared}"

@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 from ramseyforge import limits, spectral
 from ramseyforge.algebra import find_nonsquare
 from ramseyforge.cli import main
-from ramseyforge.errors import (
-    BadParameter,
-    TooLarge,
-    UnsupportedFamily,
-    ZeroVector,
-)
+from ramseyforge.errors import BadParameter, TooLarge, UnsupportedFamily
 from ramseyforge.exactmetrics import (
     connected_components,
     exact_max_cut_and_bisection,
@@ -39,7 +34,6 @@ from ramseyforge.spectral import (
     least_eigenvalue,
     ramanujan_check,
     ratio_independence_bound,
-    rayleigh_quotient,
 )
 
 
@@ -461,49 +455,6 @@ def test_bisection_and_bip_bounds_values():
 def test_chromatic_lower_bound_values():
     assert chromatic_lower_bound(9, 3) == pytest.approx(3.0)
     assert chromatic_lower_bound(49, 38.77) == pytest.approx(49 / 38.77)
-
-
-# ---------------------------------------------------------------------------
-# Rayleigh quotients
-# ---------------------------------------------------------------------------
-
-def test_rayleigh_quotient_in_laplacian_range():
-    g = build("euclidean", q=3, a=1)
-    s = dense_spectrum(g)
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        x = rng.normal(size=g.n)
-        r = rayleigh_quotient(g, x)
-        assert s.theta2 - 1e-9 <= r <= s.theta_n + 1e-9
-
-
-def test_rayleigh_quotient_frozen():
-    g = build("euclidean", q=3, a=1)
-    assert rayleigh_quotient(g, np.arange(9, dtype=float)) == pytest.approx(3.0)
-
-
-def test_rayleigh_cut_vector_identity():
-    """For the centered indicator of S, the quotient is n|dS|/(|S|(n-|S|))."""
-    g = build("euclidean", q=3, a=1)
-    n = g.n
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        size = int(rng.integers(1, n))
-        s = set(int(v) for v in rng.choice(n, size, replace=False))
-        x = np.array([1.0 if v in s else 0.0 for v in range(n)])
-        cut = sum(
-            1 for u in range(n) for v in g.neighbors(u) if u < v and (u in s) != (v in s)
-        )
-        want = n * cut / (len(s) * (n - len(s)))
-        assert rayleigh_quotient(g, x) == pytest.approx(want)
-
-
-def test_rayleigh_constant_vector_rejected():
-    g = cycle(4)
-    with pytest.raises(ZeroVector):
-        rayleigh_quotient(g, np.ones(4))
-    with pytest.raises(ZeroVector):
-        rayleigh_quotient(g, np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
