@@ -36,7 +36,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -1236,18 +1235,47 @@ def _replacing(path: str, newline=None):
         raise
 
 
+def _sweep_rows(specs) -> list:
+    """The rows of one worker's share of the sweep jobs, in order."""
+    return [_sweep_row(spec) for spec in specs]
+
+
 def run_sweep(config: SweepConfig) -> dict:
     """Run every qualifying graph job, write one certificate JSON per graph
     plus summary.csv; failures are recorded per row, never abort the sweep.
-    Output bytes are independent of the thread count."""
+
+    ``config.threads`` counts worker processes, capped at the jobs and at
+    the CPUs this process may use.  The jobs are dealt into that many
+    interleaved shares; the calling process runs the first share and a
+    forked worker each other one.  Forking costs a few milliseconds per
+    worker, where spawning would import the package again, and the workers
+    see any limit or environment override set before the call.  A caller
+    whose own threads must not be forked passes ``threads=1``.  The output
+    directory is made before any row runs; a worker that dies raises
+    BrokenProcessPool, a RuntimeError, before any result file is written.
+    Output bytes are independent of the worker count."""
     limits.max_vertices()  # a bad override fails the sweep, not every row
     jobs = _sweep_jobs(config)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(_sweep_row, jobs))
-    else:
-        results = [_sweep_row(spec) for spec in jobs]
     os.makedirs(config.out_dir, exist_ok=True)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = max(1, min(config.threads, len(jobs), cpus))
+    with contextlib.ExitStack() as stack:
+        futures = []
+        if workers > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            if "fork" in multiprocessing.get_all_start_methods():
+                pool = stack.enter_context(
+                    ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork"))
+                )
+                futures = [pool.submit(_sweep_rows, jobs[i::workers]) for i in range(1, workers)]
+            else:
+                workers = 1
+        shares = [_sweep_rows(jobs[::workers])] + [future.result() for future in futures]
+    results = [None] * len(jobs)
+    for i, share in enumerate(shares):
+        results[i::workers] = share
     json_files = []
     for spec, (_, cert) in zip(jobs, results):
         path = os.path.join(config.out_dir, _json_name(spec))

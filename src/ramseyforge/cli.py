@@ -187,7 +187,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="run verifiers over a parameter range")
     p.add_argument("--config", required=True, help="JSON file in the SweepConfig schema")
-    p.add_argument("--threads", type=int, help="worker pool size override")
+    p.add_argument(
+        "--threads", type=int,
+        help="worker process count override (forked; capped at the usable CPUs)",
+    )
     p.add_argument("--out-dir", help="output directory override")
     p.set_defaults(func=_cmd_sweep)
     return parser

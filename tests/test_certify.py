@@ -1,9 +1,12 @@
 """Tests for certificates: theorem verifiers, JSON serialization, and sweeps."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
+import pathlib
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -733,30 +736,102 @@ def test_sweep_bch_rows(tmp_path):
     assert [r.split(",")[tri_col] for r in rows] == ["0", "0", "0"]
 
 
-def test_sweep_thread_count_invariance(tmp_path):
+def _sweep_bytes(res) -> dict:
+    """Every file a sweep wrote, by name."""
+    paths = map(pathlib.Path, res["json_files"] + [res["csv"]])
+    return {path.name: path.read_bytes() for path in paths}
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_sweep_thread_count_invariance(tmp_path, threads):
+    # 9 rows: a multiple of neither 2 nor 4 workers, so the last share is short
     cfg1 = SweepConfig(
         q_min=3, q_max=19, families=("euclidean", "bch"), ks=(2, 3),
         out_dir=str(tmp_path / "t1"), threads=1,
     )
-    cfg4 = SweepConfig(
-        q_min=3, q_max=19, families=("euclidean", "bch"), ks=(2, 3),
-        out_dir=str(tmp_path / "t4"), threads=4,
-    )
-    res1, res4 = run_sweep(cfg1), run_sweep(cfg4)
-    assert [os.path.basename(p) for p in res1["json_files"]] == [
-        os.path.basename(p) for p in res4["json_files"]
-    ]
-    for p1, p4 in zip(res1["json_files"], res4["json_files"]):
-        with open(p1, "rb") as fh:
-            b1 = fh.read()
-        with open(p4, "rb") as fh:
-            b4 = fh.read()
-        assert b1 == b4, os.path.basename(p1)
-    with open(res1["csv"], "rb") as fh:
-        c1 = fh.read()
-    with open(res4["csv"], "rb") as fh:
-        c4 = fh.read()
-    assert c1 == c4
+    cfgn = dataclasses.replace(cfg1, out_dir=str(tmp_path / "tn"), threads=threads)
+    res1, resn = run_sweep(cfg1), run_sweep(cfgn)
+    assert res1["rows"] == 9
+    assert list(_sweep_bytes(res1)) == list(_sweep_bytes(resn))
+    assert _sweep_bytes(res1) == _sweep_bytes(resn)
+    assert multiprocessing.active_children() == []
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_sweep_workers_are_capped_at_the_usable_cpus(tmp_path, monkeypatch, fork):
+    # no process is started: the stand-in executor records the worker count
+    # asked for and runs each share at once in this process
+    requested = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers, mp_context=None):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    if not fork:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    cfg1 = SweepConfig(q_min=3, q_max=19, families=("euclidean",), out_dir=str(tmp_path / "t1"))
+    res1 = run_sweep(cfg1)
+    assert requested == []
+    resn = run_sweep(dataclasses.replace(cfg1, out_dir=str(tmp_path / "tn"), threads=10**6))
+    workers = min(_usable_cpus(), res1["rows"])
+    assert requested == ([workers - 1] if fork and workers > 1 else [])
+    assert all(w <= _usable_cpus() - 1 for w in requested)
+    assert _sweep_bytes(res1) == _sweep_bytes(resn)
+
+
+def test_sweep_out_dir_is_made_before_any_row_runs(tmp_path, monkeypatch, capsys):
+    rows = []
+    monkeypatch.setattr(certify, "_sweep_row", lambda spec: rows.append(spec))
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    cfg = SweepConfig(q_min=3, q_max=31, families=("euclidean",), out_dir=str(out))
+    with pytest.raises(OSError):
+        run_sweep(cfg)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"q_max": 31, "out_dir": str(out)}))
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("io error:")
+    assert rows == []
+
+
+def test_a_dead_sweep_worker_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    if _usable_cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs two usable CPUs and the fork start method")
+    parent = os.getpid()
+    row = certify._sweep_row
+
+    def dying_row(spec):
+        # q = 5 is the first job of share 1, which a forked worker runs
+        if spec.q == 5:
+            assert os.getpid() != parent, "share 1 ran in the calling process"
+            os._exit(1)
+        return row(spec)
+
+    monkeypatch.setattr(certify, "_sweep_row", dying_row)
+    out = tmp_path / "out"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"q_max": 11, "threads": 2, "out_dir": str(out)}))
+    assert main(["sweep", "--config", str(config)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, errors
+    assert os.listdir(out) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_records_errors_per_row(tmp_path, monkeypatch):

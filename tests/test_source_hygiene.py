@@ -4,11 +4,12 @@ class or constant is referenced somewhere in the package besides its own
 definition, every public module-level function is exported or referenced
 likewise, size refusals go through ``limits.check``, which reads each limit
 when it runs and names a lever the README cap table lists, certify builds a
-graph only through ``_Measured`` and the CLI only in ``build``, the
-measuring modules do not import the graph module, and every import is the
-standard library, the package itself or a declared dependency.  The test
-oracles in ``tests/bruteforce.py`` import the standard library alone, and
-no module in ``tests/`` shares its name with one in ``perfbench/``."""
+graph only through ``_Measured`` and the CLI only in ``build``, only
+``certify.run_sweep`` names multiprocessing, concurrent.futures or os.fork,
+the measuring modules do not import the graph module, and every import is
+the standard library, the package itself or a declared dependency.  The
+test oracles in ``tests/bruteforce.py`` import the standard library alone,
+and no module in ``tests/`` shares its name with one in ``perfbench/``."""
 
 import ast
 import pathlib
@@ -184,20 +185,38 @@ _BUILDERS = {"build_family", "build_euclidean", "build_non_euclidean", "build_co
              "build_code_graph_alon", "_cayley_graph"}
 
 
-def _builders_outside(module: str, owner: str) -> list:
-    """The lines of ``module`` that name a graph builder outside its one
-    top-level definition ``owner``; fails if only import lines name one."""
+def _names_a_builder(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id in _BUILDERS) or (
+        isinstance(node, ast.Attribute) and node.attr in _BUILDERS
+    )
+
+
+def _names_a_process_api(node) -> bool:
+    """An import of multiprocessing or concurrent.futures, a use of either,
+    or os.fork."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] in ("multiprocessing", "concurrent") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.split(".")[0] in ("multiprocessing", "concurrent") or (
+            module == "os" and any(alias.name == "fork" for alias in node.names)
+        )
+    if isinstance(node, ast.Name):
+        return node.id in ("multiprocessing", "concurrent")
+    return isinstance(node, ast.Attribute) and node.attr == "fork" and (
+        isinstance(node.value, ast.Name) and node.value.id == "os"
+    )
+
+
+def _named_outside(module: str, owner: str, names) -> list:
+    """The lines of ``module`` with a node for which ``names`` holds outside
+    its one top-level definition ``owner``; fails if no node inside it does."""
     tree = TREES[module]
     owners = [node for node in tree.body if getattr(node, "name", None) == owner]
     assert len(owners) == 1
     inside = {id(node) for node in ast.walk(owners[0])}
-    named = [
-        node for node in ast.walk(tree)
-        if (isinstance(node, ast.Name) and node.id in _BUILDERS)
-        or (isinstance(node, ast.Attribute) and node.attr in _BUILDERS)
-    ]
-    assert named, f"{module} no longer builds graphs in {owner}"
-    return [f"line {node.lineno}" for node in named if id(node) not in inside]
+    assert any(names(node) for node in ast.walk(owners[0])), f"nothing in {owner} of {module} matches {names.__name__}"
+    return [f"line {node.lineno}" for node in ast.walk(tree) if names(node) and id(node) not in inside]
 
 
 def test_certify_builds_graphs_only_inside_measured():
@@ -205,15 +224,26 @@ def test_certify_builds_graphs_only_inside_measured():
     # _Measured for one; a builder named anywhere else in certify would be
     # an eager build that the distance-class quotients made unnecessary.
     # _Measured builds through graphs._cayley_graph, from its own S
-    outside = _builders_outside("certify.py", "_Measured")
+    outside = _named_outside("certify.py", "_Measured", _names_a_builder)
     assert not outside, f"certify names a graph builder outside _Measured: {outside}"
 
 
 def test_cli_builds_graphs_only_in_the_build_command():
     # stats reads the certificate record and spectrum the connection set;
     # only the build command exports a graph, so only it builds one
-    outside = _builders_outside("cli.py", "_cmd_build")
+    outside = _named_outside("cli.py", "_cmd_build", _names_a_builder)
     assert not outside, f"cli names a graph builder outside _cmd_build: {outside}"
+
+
+def test_only_run_sweep_starts_processes():
+    # the sweep forks its workers lazily, inside run_sweep: importing the
+    # pool costs every command about 10 ms, and a forked process elsewhere
+    # would copy whatever threads and state its caller holds
+    found = [f"certify.py {line}" for line in _named_outside("certify.py", "run_sweep", _names_a_process_api)]
+    for module, tree in TREES.items():
+        if module != "certify.py":
+            found += [f"{module} line {node.lineno}" for node in ast.walk(tree) if _names_a_process_api(node)]
+    assert not found, f"process APIs named outside certify.run_sweep: {found}"
 
 
 def _imports_graphs(node) -> bool:
