@@ -14,22 +14,22 @@ search when feasible, else a spectral ratio bound).
 Every certificate and sweep row measures its graph through one ``_Measured``
 record, which builds the graph only when an exact oracle needs it: exact
 independence up to limits.VERIFY_ALPHA_CAP vertices and exact toughness.
-Every family graph reads girth, diameter and components from one quotient:
-the distance-class quotient (``graphs.distance_quotient``) for the
-Euclidean and half-plane families, read with their connection set S from
-the record's one computation of the classes (``graphs.distance_classes``),
-and for the code families the trivial quotient, every vertex's products
-v*S by the group law (``graphs._product``).  They come from one walk over it,
-``exactmetrics.quotient_invariants``.  Triangles come from the identity's
-neighbours in S (``exactmetrics.quotient_triangles`` on a distance-class
-quotient, the products over S x S for a code family), with no walk.  The
-half-plane girth/diameter suite reads all of its distances a from that same
-computation, so a sweep row computes its classes once.  Every family reads
-its spectrum from its connection set S, and its spectral bounds (the eight
-spectral CSV columns) from one ``_bounds`` per record, which the sweep row
-and the theorem certificate both read.  Its exact metrics (n, degree |S|,
-girth, diameter, triangles, components) come likewise from one ``_metrics``,
-which the sweep row and the ``stats`` command both read.
+A Euclidean or half-plane graph reads girth, diameter and components from
+one walk (``exactmetrics.quotient_invariants``) over its distance-class
+quotient (``graphs.distance_quotient``), read with its connection set S
+from the record's one computation of the classes
+(``graphs.distance_classes``), and triangles from the identity's neighbours
+in S (``exactmetrics.quotient_triangles``), with no walk.  A code graph
+reads all of them from the Walsh-Hadamard transform of S: triangles from its
+integer spectrum, and the walk by convolutions
+(``exactmetrics.xor_cayley_invariants``).  The half-plane girth/diameter
+suite reads all of its distances a from that same computation, so a sweep
+row computes its classes once.  Every family reads its spectrum from its
+connection set S, and its spectral bounds (the eight spectral CSV columns)
+from one ``_bounds`` per record, which the sweep row and the theorem
+certificate both read.  Its exact metrics (n, degree |S|, girth, diameter,
+triangles, components) come likewise from one ``_metrics``, which the sweep
+row and the ``stats`` command both read.
 """
 import contextlib
 import csv
@@ -58,12 +58,12 @@ from .errors import (
 )
 from .exactmetrics import (
     MetricsReport,
-    _identity_triangles,
     exact_independence,
     exact_toughness,
     quotient_invariants,
     quotient_triangles,
     triangle_count,
+    xor_cayley_invariants,
 )
 from .graphs import (
     FamilySpec,
@@ -267,14 +267,14 @@ class _Measured:
     connection set S, by the oracles that need one: exact alpha
     (n <= limits.VERIFY_ALPHA_CAP) with its Ramsey witness and exact
     toughness.  Every family reads its spectrum from the connection set S,
-    and girth, diameter and components from its ``_quotient``.  A Euclidean
-    or half-plane graph computes its classes once (``_partition``), reads S
-    and its distance-class quotient from them (``_distance_classes``), and
-    triangles from that quotient; a code graph, which is fully given by S,
-    reads triangles from the products over S x S, its greedy independent
-    set from the neighbours v*S and its quotient from the products v*S for
-    every v, so it is built for none of them.  The spectral bounds of a
-    family graph come once, from ``_bounds``.
+    and girth, diameter and components from its ``_walk``.  A Euclidean or
+    half-plane graph computes its classes once (``_partition``), reads S and
+    its distance-class quotient from them (``_distance_classes``), and its
+    walk and triangles from that quotient; a code graph, which is fully
+    given by S, reads triangles from its spectrum, its walk from the
+    transform of S and its greedy independent set from the neighbours v*S,
+    so it is built for none of them.  The spectral bounds of a family graph
+    come once, from ``_bounds``.
     """
 
     def __init__(self, source):
@@ -313,37 +313,25 @@ def _distance_classes(m) -> tuple:
     return distance_quotient(m.family, m(_partition), m.family.a)
 
 
-def _quotient(m) -> tuple:
-    """The (sizes, nbr) quotient of a family graph: the distance-class
-    quotient of a Euclidean or half-plane graph; for a code family the
-    trivial one, every class one vertex, with nbr[v] the products v*s, s in
-    S, from the group law (a built graph's rows, unsorted).  Only the walk
-    (``_walk``) reads a code family's, so only a sweep row computes it."""
-    fam = m.family
-    if fam.kind in ("bch", "alon"):
-        conn, n = m(_connection_set), m.n
-        nbr = np.empty((n, len(conn)), dtype=np.int64)
-        return np.ones(n, dtype=np.int64), _product(fam, np.arange(n, dtype=np.int64), conn, nbr)
-    return m(_distance_classes)[1]
-
-
 def _walk(m) -> tuple:
-    """(girth, diameter, components) of a family graph."""
-    return quotient_invariants(*m(_quotient))
+    """(girth, diameter, components) of a family graph: a code graph's by
+    Walsh-Hadamard convolutions of S, any other's from its class quotient."""
+    if m.family.kind in ("bch", "alon"):
+        return xor_cayley_invariants(m.n, m(_connection_set))
+    return quotient_invariants(*m(_distance_classes)[1])
 
 
 def _triangles(m) -> int:
-    """Triangles: a code graph's from the products s*t over S x S (the
-    group law, no build), a Euclidean or half-plane graph's from its
-    distance-class quotient, an ad-hoc graph's by ``triangle_count``."""
-    fam = m.family
-    if fam is None:
+    """Triangles: a code graph's from its integer spectrum, any other family
+    graph's from its class quotient, an ad-hoc graph's by ``triangle_count``."""
+    if m.family is None:
         return triangle_count(m.graph)
-    if fam.kind in ("bch", "alon"):
-        conn = m(_connection_set)
-        products = _product(fam, conn, conn, np.empty((len(conn), len(conn)), dtype=np.int64))
-        return _identity_triangles(m.n, conn, np.ones(len(conn), dtype=np.int64), products)
-    return quotient_triangles(*m(_quotient))
+    if m.family.kind in ("bch", "alon"):
+        # trace(A^3) = sum of lambda^3 = 6 * triangles.  Its true value is
+        # n * #{(s, t) in S x S : s ^ t in S} <= n * |S|^2, which fits int64,
+        # so int64 arithmetic that wraps around on the way returns it exactly
+        return int((m(_spectrum).eigenvalues.astype(np.int64) ** 3).sum()) // 6
+    return quotient_triangles(*m(_distance_classes)[1])
 
 
 def _metrics(m) -> MetricsReport:

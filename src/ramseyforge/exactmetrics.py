@@ -8,10 +8,11 @@ graphs should use the spectral module instead.
 Graphs built by the family constructors are Cayley graphs, hence vertex
 transitive, and are measured through one quotient form (sizes, nbr): a
 built graph is its own quotient with every class one vertex
-(``_cayley_quotient``), and certificates read every family from a quotient
-made without a build (``certify._quotient``) instead.  One walk from the
-identity, ``quotient_invariants``, gives girth, diameter and components, and
-``quotient_triangles`` reads triangles from the identity's neighbour rows.
+(``_cayley_quotient``), and certificates read a Euclidean or half-plane
+family from its distance-class quotient instead.  One walk from the
+identity, ``quotient_invariants``, gives girth, diameter and components
+(for a code graph, ``xor_cayley_invariants`` by Walsh-Hadamard transforms),
+and ``quotient_triangles`` reads triangles from the identity's neighbour rows.
 ``eccentricity_uniformity_check`` spot-checks transitivity; the tests run it
 on built family graphs.
 
@@ -40,6 +41,7 @@ import numpy as np
 
 from . import limits
 from .errors import BadParameter
+from .spectral import walsh_hadamard
 
 
 @dataclass(frozen=True)
@@ -192,42 +194,22 @@ def diameter(graph) -> float:
     return max(_root_walk(graph, np.arange(graph.n))[1], default=0)
 
 
-def quotient_invariants(sizes: np.ndarray, nbr: np.ndarray) -> tuple:
-    """(girth, diameter, components) of a Cayley graph Cay(G, S) from a
-    quotient (sizes, nbr): sizes[k] vertices in class k, the neighbours of
-    each in the classes nbr[k], and class 0 the identity alone.  A built
-    family graph is its own quotient (``_cayley_quotient``).
-
-    One frontier BFS from class 0, one vectorized step per level, in which
-    hits[j] counts the entries class j has in the rows of the level, row k
-    counting sizes[k] times: since sizes[k]*T[k, j] = sizes[j]*T[j, k] for
-    T[k, j] neighbours in class j of a vertex of class k, hits[j] is
-    sizes[j] times the level's neighbours of a vertex of class j.  A level's
-    rows are gathered in chunks of at most ``_BFS_WORD_BUDGET`` entries (one
-    row at least), and all of them are counted before the next level is
-    marked, so memory stays O(c) plus one chunk for c classes.  At level k
-    the Itai-Rodeh test reads the girth: an edge inside the level closes a
-    walk of length 2k + 1, an unseen class with two level-k neighbours one
-    of length 2k + 2.  By transitivity girth and diameter are exact,
-    math.inf for no cycle or a disconnected graph.  The components are the
-    cosets of the subgroup S generates, all the size of the one the BFS
-    reaches.
-    """
-    c, d = nbr.shape
-    step = max(1, _BFS_WORD_BUDGET // max(1, d))
-    weighted = sizes.max() > 1
-    dist = np.full(c, -1, dtype=np.int64)
+def _level_walk(sizes: np.ndarray, level_hits) -> tuple:
+    """(girth, diameter, components) of a Cayley graph by one frontier BFS
+    from class 0, the identity alone, over classes of sizes[k] vertices, in
+    which level_hits(L)[j] is sizes[j] times the neighbours in L of a vertex
+    of class j.  At level k the Itai-Rodeh test reads the girth: an edge
+    inside the level closes a walk of length 2k + 1, an unseen class with two
+    level-k neighbours one of length 2k + 2.  By transitivity girth and
+    diameter are exact, math.inf for no cycle or a disconnected graph.  The
+    components are the cosets of the subgroup S generates, all the size of
+    the one the BFS reaches."""
+    dist = np.full(len(sizes), -1, dtype=np.int64)
     dist[0] = 0
     frontier = np.zeros(1, dtype=np.int64)
     best, k = math.inf, 0
     while True:
-        hits = np.zeros(c, dtype=np.int64)
-        for lo in range(0, frontier.size, step):
-            rows = frontier[lo:lo + step]
-            if weighted:
-                np.add.at(hits, nbr[rows].ravel(), np.repeat(sizes[rows], d))
-            else:
-                hits += np.bincount(nbr[rows].ravel(), minlength=c)
+        hits = level_hits(frontier)
         if best == math.inf:
             unseen = dist < 0
             if hits[dist == k].any():
@@ -245,27 +227,62 @@ def quotient_invariants(sizes: np.ndarray, nbr: np.ndarray) -> tuple:
     return best, k if reached == n else math.inf, n // reached
 
 
+def quotient_invariants(sizes: np.ndarray, nbr: np.ndarray) -> tuple:
+    """(girth, diameter, components) of a Cayley graph Cay(G, S) from a
+    quotient (sizes, nbr): sizes[k] vertices in class k, the neighbours of
+    each in the classes nbr[k], and class 0 the identity alone.  A built
+    family graph is its own quotient (``_cayley_quotient``).
+
+    The walk is ``_level_walk``, whose hits[j] count the entries class j has
+    in the rows of the level, row k counting sizes[k] times: since
+    sizes[k]*T[k, j] = sizes[j]*T[j, k] for T[k, j] neighbours in class j of
+    a vertex of class k, hits[j] is sizes[j] times the level's neighbours of
+    a vertex of class j.  A level's rows are gathered in chunks of at most
+    ``_BFS_WORD_BUDGET`` entries (one row at least), and all of them are
+    counted before the next level is marked, so memory stays O(c) plus one
+    chunk for c classes.
+    """
+    c, d = nbr.shape
+    step = max(1, _BFS_WORD_BUDGET // max(1, d))
+    weighted = sizes.max() > 1
+
+    def level_hits(frontier):
+        hits = np.zeros(c, dtype=np.int64)
+        for lo in range(0, frontier.size, step):
+            rows = frontier[lo:lo + step]
+            if weighted:
+                np.add.at(hits, nbr[rows].ravel(), np.repeat(sizes[rows], d))
+            else:
+                hits += np.bincount(nbr[rows].ravel(), minlength=c)
+        return hits
+    return _level_walk(sizes, level_hits)
+
+
+def xor_cayley_invariants(n: int, conn: np.ndarray) -> tuple:
+    """(girth, diameter, components) of Cay(GF(2)^m, S), n = 2^m, from S
+    alone: ``_level_walk`` on the trivial quotient, whose level counts
+    #{v in L : v ^ x in S} are the XOR convolution WHT(WHT(1_L) * WHT(1_S)) / n
+    (``spectral.walsh_hadamard``), two transforms and one product per level,
+    in O(n) memory and int64 arithmetic, which is exact since the result,
+    n times a count of at most |S|, fits even where a partial sum wraps."""
+    character = walsh_hadamard(np.bincount(conn, minlength=n))
+
+    def level_hits(frontier):
+        return walsh_hadamard(walsh_hadamard(np.bincount(frontier, minlength=n)) * character) // n
+    return _level_walk(np.ones(n, dtype=np.int64), level_hits)
+
+
 def quotient_triangles(sizes: np.ndarray, nbr: np.ndarray) -> int:
     """Triangles of Cay(G, S) from a quotient of ``quotient_invariants``:
-    O(|S|^2) on a built graph, one row on a distance-class quotient.  The
-    classes in row 0 make up S, each standing for sizes[j] elements of S,
-    and row j lists the neighbour classes of a vertex of class j
-    (``_identity_triangles``)."""
+    O(|S|^2) on a built graph, one row on a distance-class quotient, read at
+    the identity.  The classes in row 0 make up S, class j standing for
+    sizes[j] elements of S, and row j lists the neighbour classes of a
+    vertex of class j, which so has as many neighbours in S as row j has
+    entries in row 0's classes.  The sum of sizes[j] times that counts the
+    adjacent pairs (s, t) in S x S, twice the triangles at the identity; n
+    times the sum counts every triangle six times."""
     conn = np.unique(nbr[0])
-    return _identity_triangles(int(sizes.sum()), conn, sizes[conn], nbr[conn])
-
-
-def _identity_triangles(n: int, conn: np.ndarray, weights: np.ndarray, rows: np.ndarray) -> int:
-    """Triangles of a Cayley graph Cay(G, S) on n vertices, read at the
-    identity.  ``conn`` holds the sorted labels of S (its elements, or its
-    classes in a quotient), weights[i] the elements of S that conn[i] stands
-    for, and rows[i] the labels of the neighbours of (a vertex of) conn[i]:
-    for a code graph, the products s*t over S x S (``graphs._product``).  A
-    vertex of conn[i] has as many neighbours in S as rows[i] has entries in
-    conn, so the sum of weights[i] times that counts the adjacent pairs
-    (s, t) in S x S, twice the triangles at the identity; n times the sum
-    counts every triangle six times."""
-    total = n * int(weights @ np.isin(rows, conn).sum(axis=1))
+    total = int(sizes.sum()) * int(sizes[conn] @ np.isin(nbr[conn], conn).sum(axis=1))
     if total % 6:
         raise AssertionError("Cayley triangle total not divisible by 6")
     return total // 6

@@ -134,6 +134,22 @@ def least_eigenvalue(graph) -> float:
     return _below(float(dense_spectrum(graph).eigenvalues[-1]))
 
 
+def walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """The Walsh-Hadamard transform of an int64 array of length 2^m, the DFT
+    on GF(2)^m (Fino & Algazi, IEEE Trans. Computers, 1976): m
+    constant-geometry passes (Pease, J. ACM, 1968), each the butterfly
+    (a, b) -> (a + b, a - b) from (x[2i], x[2i + 1]) to entries i and n/2 + i
+    of a second buffer, every read and write 1-D of stride at most 2.
+    ``values`` is overwritten; applied twice the transform multiplies by 2^m."""
+    half, out = len(values) // 2, np.empty_like(values)
+    for _ in range(len(values).bit_length() - 1):
+        even, odd = values[0::2], values[1::2]
+        np.add(even, odd, out=out[:half])
+        np.subtract(even, odd, out=out[half:])
+        values, out = out, values
+    return values
+
+
 def _character_spectrum(shape, conn: np.ndarray) -> np.ndarray:
     """Spectrum of the Cayley graph Cay(Z_p1 x ... x Z_pm, S), with
     ``shape`` = (p1, ..., pm): the DFT of the indicator of S.
@@ -143,26 +159,14 @@ def _character_spectrum(shape, conn: np.ndarray) -> np.ndarray:
     lives on Z_n, shape (n,).  S = -S makes the transform real.
 
     On GF(2)^m (the code graphs, every axis of length 2) the characters are
-    +-1 and the DFT is the Walsh-Hadamard transform of the indicator (Fino &
-    Algazi, IEEE Trans. Computers, 1976): m in-place integer passes, each the
-    butterfly (a, b) -> (a + b, a - b), one subtract and one add over a
-    (-1, 2, h) view.  The eigenvalues are exact integers, returned as
+    +-1 and the DFT is the Walsh-Hadamard transform of the indicator
+    (``walsh_hadamard``): the eigenvalues are exact integers, returned as
     float64.  Other shapes (D_q^m(a), circulants on Z_n, n > 2) take the
     FFT.
     """
     n = math.prod(shape)
     if set(shape) == {2}:
-        spectrum = np.zeros(n, dtype=np.int64)
-        spectrum[conn] = 1
-        h = 1
-        while h < n:
-            pairs = spectrum.reshape(-1, 2, h)
-            low, high = pairs[:, 0], pairs[:, 1]
-            difference = low - high
-            low += high
-            high[...] = difference
-            h *= 2
-        return spectrum.astype(np.float64)
+        return walsh_hadamard(np.bincount(conn, minlength=n)).astype(np.float64)
     indicator = np.zeros(n)
     indicator[conn] = 1.0
     return np.fft.fftn(indicator.reshape(shape)).real.ravel()

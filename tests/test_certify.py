@@ -411,19 +411,25 @@ def test_group_law_greedy_matches_the_csr_greedy(spec):
     ids=FamilySpec.label,
 )
 @pytest.mark.parametrize("extra", [0, 3])
-def test_code_triangles_from_s_times_s_match_the_bitset_count(monkeypatch, spec, extra):
+def test_code_record_walk_and_triangles_match_the_built_graph(monkeypatch, spec, extra):
     # the code graphs are triangle-free, so the same connection set with
     # extra elements s0 ^ s, s in S, which close triangles {0, s0, s0 ^ s},
-    # checks the count where it is not 0
+    # checks the count where it is not 0, and a girth of 3 from the walk.
+    # The record reads triangles from its spectrum and the walk from
+    # Walsh-Hadamard transforms of S; the oracles are the all-roots kernel,
+    # the CSR component search and the bitset count on the built graph
     conn = graphs.connection_set(spec)
     conn = np.union1d(conn, conn[0] ^ conn[1:1 + extra])
     monkeypatch.setattr(certify, "connection_set", lambda family: conn)
     monkeypatch.setattr(graphs, "connection_set", lambda family: conn)
     m = certify._Measured(spec)
-    got = certify._triangles(m)
+    got = certify._metrics(m)
     assert m._graph is None
-    assert got == exactmetrics._triangles_bitset(build_family(spec))
-    assert (got > 0) == (extra > 0)
+    g = build_family(spec)
+    shortest, ecc = exactmetrics._root_walk(g, np.arange(g.n))
+    want = shortest, max(ecc), exactmetrics.connected_components(g)[0], exactmetrics._triangles_bitset(g)
+    assert (got.girth, got.diameter, got.components, got.triangles) == want
+    assert (got.triangles > 0) == (extra > 0) == (got.girth == 3)
 
 
 def test_code_graphs_bad_k():
@@ -848,7 +854,8 @@ def test_sweep_records_errors_per_row(tmp_path, monkeypatch):
         "error:SizeLimitExceeded",
     ]
     # the error rows still produce readable certificates
-    doc = json.loads(open(res["json_files"][-1]).read())
+    with open(res["json_files"][-1]) as fh:
+        doc = json.load(fh)
     assert doc["overall"] == "fail"
     assert doc["kind"] == "sweep-error"
 
@@ -920,7 +927,7 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
     monkeypatch.setattr(graphs, "_classes", counting_classes)
     oracles = (
         "triangle_count", "exact_independence", "cayley_spectrum_abelian", "connection_set",
-        "_quotient",
+        "_walk",
     )
     for name in oracles:
         monkeypatch.setattr(certify, name, counting_oracle(getattr(certify, name)))
@@ -942,10 +949,11 @@ def test_sweep_measures_each_row_graph_once(tmp_path, monkeypatch):
     # S, its quotient, the half-plane suite's every a and the graph it
     # builds for exact alpha
     assert classes == Counter({s: 1 for s in jobs if s.kind in geometric})
-    # every row reads girth, diameter and components from one quotient, a
-    # code row's from the group law, and no row counts triangles on a graph
+    # every row reads girth, diameter and components from one walk, a code
+    # row's by Walsh-Hadamard transforms of S, and no row counts triangles
+    # on a graph
     for spec in jobs:
-        assert calls["_quotient", spec] == 1, spec
+        assert calls["_walk", spec] == 1, spec
         assert calls["triangle_count", spec] == 0, spec
     assert max(calls.values()) == 1, calls
 

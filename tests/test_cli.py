@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -165,6 +166,26 @@ def test_only_build_builds_a_graph(capsys, monkeypatch, tmp_path):
         assert calls == ["ramseyforge.cli.build_family", "ramseyforge.graphs._cayley_graph"], family
         calls.clear()
         capsys.readouterr()  # the three payloads, read so that none is echoed
+
+
+def test_code_stats_builds_nothing_and_traces_o_n_memory(capsys, monkeypatch):
+    # a code record reads its walk and triangles from Walsh-Hadamard
+    # transforms of S, arrays of n int64; the n x |S| products of every
+    # vertex it walked before traced 162 MiB on BCH_8
+    def no_build(*args):
+        raise AssertionError("stats built a graph")
+
+    monkeypatch.setattr(graphs, "_cayley_graph", no_build)
+    monkeypatch.setattr(certify, "_cayley_graph", no_build)
+    tracemalloc.start()
+    try:
+        assert main(["stats", "--family", "bch", "--k", "8"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["n"], doc["degree"], doc["triangles"], doc["components"]) == (1 << 16, 255, 0, 1)
+    assert peak < 16 * 2**20, peak
 
 
 def test_spectrum_character_route():

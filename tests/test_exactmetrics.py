@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ramseyforge import exactmetrics, limits
+from ramseyforge import certify, exactmetrics, limits
 from ramseyforge.algebra import find_nonsquare
 from ramseyforge.certify import ramsey_certificate, verify_circle_lemma
 from ramseyforge.errors import SizeLimitExceeded, TooLarge
@@ -26,6 +26,7 @@ from ramseyforge.exactmetrics import (
     quotient_invariants,
     quotient_triangles,
     triangle_count,
+    xor_cayley_invariants,
 )
 from ramseyforge.graphs import FamilySpec, Graph, build_family, graph_from_edges
 from ramseyforge.spectral import dense_spectrum, least_eigenvalue
@@ -443,19 +444,39 @@ def test_components_trace_memory_linear_in_the_graph():
     assert peak < 64 * (star.n + len(star.indices)), peak
 
 
+@pytest.mark.parametrize("m, size", [(1, 1), (3, 1), (3, 2), (4, 3), (5, 6), (6, 4), (6, 20), (7, 9)])
+def test_xor_walk_matches_root_set_kernels_on_random_connection_sets(m, size):
+    """Cay(GF(2)^m, S) for a random S of nonzero vectors, built from its edge
+    list as an ad-hoc graph: a matching (|S| = 1, no cycle), disconnected
+    graphs and girth 3 included."""
+    n = 1 << m
+    conn = np.sort(np.random.default_rng(8 * m + size).choice(np.arange(1, n), size, replace=False))
+    g = graph_from_edges(n, [(v, v ^ s) for v in range(n) for s in conn.tolist() if v < v ^ s])
+    shortest, ecc = exactmetrics._root_walk(g, np.arange(n))
+    assert xor_cayley_invariants(n, conn) == (shortest, max(ecc), connected_components(g)[0])
+
+
 @pytest.mark.parametrize("spec", [FamilySpec(kind="bch", k=k) for k in range(2, 7)] + [
     FamilySpec(kind="alon", k=k) for k in (2, 4)
 ], ids=FamilySpec.label)
 def test_code_graph_walk_matches_root_set_kernels(spec):
     """A built code graph is its own quotient: the walk from the identity and
     the triangle rows give what the all-roots kernels, the CSR component
-    search and the bitset count give, disconnected graphs included."""
+    search and the bitset count give, disconnected graphs included.  So does
+    the certificate record, which builds nothing: its walk runs on
+    Walsh-Hadamard transforms of S and its triangles come from its spectrum."""
     g = build_family(spec)
     quotient = exactmetrics._cayley_quotient(g)
     shortest, ecc = exactmetrics._root_walk(g, np.arange(g.n))
     want = shortest, max(ecc), connected_components(g)[0]
+    triangles = exactmetrics._triangles_bitset(g)
     assert quotient_invariants(*quotient) == want
-    assert quotient_triangles(*quotient) == exactmetrics._triangles_bitset(g)
+    assert quotient_triangles(*quotient) == triangles
+    assert xor_cayley_invariants(g.n, g.neighbors(0)) == want
+    record = certify._Measured(spec)
+    got = certify._metrics(record)
+    assert (got.girth, got.diameter, got.components, got.triangles) == (*want, triangles)
+    assert record._graph is None
     disconnected = spec.label() in ("BCH_2", "ALON_2", "ALON_4")
     assert (want[1] == math.inf) == disconnected and (want[2] > 1) == disconnected
 

@@ -4,7 +4,9 @@ class or constant is referenced somewhere in the package besides its own
 definition, every public module-level function is exported or referenced
 likewise, size refusals go through ``limits.check``, which reads each limit
 when it runs and names a lever the README cap table lists, certify builds a
-graph only through ``_Measured`` and the CLI only in ``build``, only
+graph only through ``_Measured`` and the CLI only in ``build``, certify
+takes group products only for its greedy independent set, the
+Walsh-Hadamard butterfly is written once, only
 ``certify.run_sweep`` names multiprocessing, concurrent.futures or os.fork,
 the measuring modules do not import the graph module, and every import is
 the standard library, the package itself or a declared dependency.  The
@@ -226,6 +228,44 @@ def test_certify_builds_graphs_only_inside_measured():
     # _Measured builds through graphs._cayley_graph, from its own S
     outside = _named_outside("certify.py", "_Measured", _names_a_builder)
     assert not outside, f"certify names a graph builder outside _Measured: {outside}"
+
+
+def _names_the_group_law(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "_product") or (
+        isinstance(node, ast.Attribute) and node.attr == "_product"
+    )
+
+
+def test_certify_takes_group_products_only_for_the_greedy():
+    # a code record reads its walk and triangles from Walsh-Hadamard
+    # transforms of S, and a Euclidean or half-plane record from its
+    # distance-class quotient; only the greedy independent set visits the
+    # neighbours v*S, so no n x |S| or |S| x |S| product matrix is made
+    outside = _named_outside("certify.py", "_greedy_independent_size", _names_the_group_law)
+    assert not outside, f"certify names graphs._product outside _greedy_independent_size: {outside}"
+
+
+def _pairs_a_butterfly(node) -> bool:
+    """The pairing of a Walsh-Hadamard pass: a stride-2 slice, x[0::2] or
+    x[1::2], or a reshape to the (-1, 2, h) pair view."""
+    if isinstance(node, ast.Slice):
+        return node.step is not None and ast.unparse(node.step) == "2"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "reshape":
+        return len(node.args) == 3 and [ast.unparse(arg) for arg in node.args[:2]] == ["-1", "2"]
+    return False
+
+
+def test_the_walsh_hadamard_butterfly_is_written_once():
+    # the code spectrum and the code walk share spectral.walsh_hadamard; a
+    # second butterfly would be a second route to the same transform
+    writers = {
+        (module, node.name)
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_pairs_a_butterfly(inner) for inner in ast.walk(node))
+    }
+    assert writers == {("spectral.py", "walsh_hadamard")}, f"functions that write a butterfly: {sorted(writers)}"
 
 
 def test_cli_builds_graphs_only_in_the_build_command():

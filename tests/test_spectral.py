@@ -364,6 +364,17 @@ def test_code_graph_spectrum_is_the_exact_character_sum(spec):
     assert group_spectrum(spec).eigenvalues.tolist() == sorted(want, reverse=True)
 
 
+@pytest.mark.parametrize("m", range(11))
+def test_walsh_hadamard_is_the_sylvester_matrix_product(m):
+    # signed entries, as the code walk transforms products of transforms,
+    # and every m, odd ones included, where the result lands in the second
+    # buffer; the oracle is H[x, y] = (-1)^popcount(x & y) in Python ints
+    n = 1 << m
+    values = np.random.default_rng(m).integers(-10**6, 10**6, n)
+    want = [sum(v if (x & y).bit_count() % 2 == 0 else -v for y, v in enumerate(values.tolist())) for x in range(n)]
+    assert spectral.walsh_hadamard(values.copy()).tolist() == want
+
+
 @pytest.mark.parametrize(
     "spec",
     [FamilySpec(kind="bch", k=k) for k in range(2, 8)] + [FamilySpec(kind="alon", k=k) for k in (2, 4, 5)],
