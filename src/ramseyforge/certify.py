@@ -335,8 +335,9 @@ def _triangles(m) -> int:
 
 
 def _metrics(m) -> MetricsReport:
-    """The ``stats`` report of a family graph, read in the order the size
-    refusals come in: n, the degree |S|, the walk, the triangles."""
+    """The ``stats`` report of a family graph: n first, which the vertex
+    limit refuses before any work, then the degree |S|, the walk and the
+    triangles."""
     n, degree = m.n, len(m(_connection_set))
     girth, diameter, components = m(_walk)
     return MetricsReport(
@@ -958,15 +959,15 @@ def _alon(m) -> Certificate:
 def verify_code_graphs(k: int) -> Certificate:
     """Certificate covering both code families at parameter k; the second
     family is skipped (recorded) when k is divisible by 3 or when its graph
-    exceeds the size limits."""
+    exceeds the vertex limit."""
     bch_cert = _bch(_Measured(FamilySpec(kind="bch", k=k)))
     claims = list(bch_cert.claims)
     evidence = {"k": _ev(k, "computed-exact")}
     skipped = "the sum-set family needs alpha -> alpha^7 bijective, which fails when 3 divides k"
     if k % 3:
         try:
-            # _alon reads the connection set first, which refuses as the
-            # build would, so a refusal comes before any claim
+            # _alon reads the connection set first, which refuses past the
+            # vertex limit, so a refusal comes before any claim
             alon = _alon(_Measured(FamilySpec(kind="alon", k=k)))
         except SizeLimitExceeded as exc:
             skipped = "the sum-set graph exceeds the size limits"

@@ -1,8 +1,9 @@
 """Command-line surface: build/export graphs, print metrics and spectra,
 run theorem-verification suites, emit Ramsey certificates, drive sweeps.
 
-Only ``build`` builds a graph: ``stats`` reads the family's certificate
-record (``certify._metrics``), ``spectrum`` the group irreps over S.
+Only ``build`` builds a graph: ``stats`` and ``spectrum`` read the family's
+certificate record (``certify._metrics``, and ``certify._spectrum``, the
+group irreps over S).
 
 Exit codes: 0 all claims pass or recorded, 1 any claim failed, 2 usage or
 IO error.  Stdout carries only the payload (JSON, DIMACS, or JSON lines);
@@ -24,6 +25,7 @@ from .certify import (
     SweepConfig,
     _Measured,
     _metrics,
+    _spectrum,
     certificate_to_json,
     jsonable,
     ramsey_certificate,
@@ -36,8 +38,7 @@ from .certify import (
     verify_mt1,
 )
 from .errors import NotTriangleFree
-from .graphs import FAMILY_FIELDS, FamilySpec, build_family, connection_set, export_graph
-from .spectral import cayley_spectrum_abelian
+from .graphs import FAMILY_FIELDS, FamilySpec, build_family, export_graph
 
 
 def _add_selectors(sub):
@@ -82,7 +83,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     spec = _spec_from_args(args)
-    summary = cayley_spectrum_abelian(spec, connection_set(spec))
+    summary = _Measured(spec)(_spectrum)
     _print_json(
         {
             "family": spec.to_dict(),

@@ -263,15 +263,6 @@ class Graph:
         return fam.index(tuple(map(int, coords)))
 
 
-def _check_size(n: int, degree: int):
-    """Refuse a graph whose (n, degree) neighbor matrix would exceed
-    limits.MAX_NEIGHBOR_ENTRIES, before allocating it."""
-    entries = n * degree
-    limits.check(
-        "MAX_NEIGHBOR_ENTRIES", entries, f"neighbor matrix of n*d = {n}*{degree} = {entries} entries"
-    )
-
-
 def _csr_from_rows(rows: np.ndarray) -> tuple:
     """CSR arrays from an (n, d) neighbor matrix; rows get sorted in place."""
     rows.sort(axis=1)
@@ -320,7 +311,7 @@ def _product(family: FamilySpec, g: np.ndarray, conn: np.ndarray, out: np.ndarra
 def _classes(family: FamilySpec) -> np.ndarray:
     """Distance class of every vertex of a Euclidean or half-plane family,
     with the identity alone in class 0 and the connection set at distance a
-    the class a.  Called once the size limits have passed.
+    the class a.  Called once the vertex limit has passed.
 
     For D_q^m(a) the class of x is Q(x), except that the nonzero null vectors
     make up class q.  For V_q(sigma, a) it is the Poincare distance of (x, y)
@@ -348,9 +339,13 @@ _ROW_BLOCK_ENTRIES = 1 << 18
 def _cayley_graph(family: FamilySpec, conn: np.ndarray) -> Graph:
     """Cayley graph Cay(G, S) on the family's group G, with S = ``conn`` its
     sorted connection set, as ``connection_set`` or ``distance_quotient``
-    gives it once the size limits have passed: row g of the neighbour matrix
-    lists the products g*s, s in S."""
+    gives it: row g of the neighbour matrix lists the products g*s, s in S.
+
+    This is the one allocation of an (n, |S|) matrix in the package, so the
+    one check of limits.MAX_NEIGHBOR_ENTRIES, made before it is allocated.
+    """
     n, d = family.n, len(conn)
+    limits.check("MAX_NEIGHBOR_ENTRIES", n * d, f"neighbor matrix of n*d = {n}*{d} = {n * d} entries")
     rows = np.empty((n, d), dtype=np.int64)
     step = max(1, _ROW_BLOCK_ENTRIES // max(1, d))
     for lo in range(0, n, step):
@@ -378,8 +373,8 @@ def _class_members(classes: np.ndarray, a: int, degree: int) -> np.ndarray:
 def distance_classes(family: FamilySpec) -> tuple:
     """(classes, reps, sizes) of a Euclidean or half-plane family: the
     distance class of every vertex (``_classes``), one representative of
-    each class, and its size.  Refused where building the family's graph
-    would be, with the same message, before any work.
+    each class, and its size.  Refused past the vertex limit
+    (``FamilySpec.n``) before any work; every array it makes has n entries.
 
     The classes are the orbits of the identity's stabiliser among the
     automorphisms of every graph of the family: for D_q^m(a), O(m, q) keeps
@@ -390,8 +385,7 @@ def distance_classes(family: FamilySpec) -> tuple:
     partition for every distance a (Godsil & Royle, Algebraic Graph Theory,
     ch. 9), and ``distance_quotient`` reads each a from it.
     """
-    n = family.n  # refused here, before the degree formula takes q^(m-1)
-    _check_size(n, _degree(family, family.a))
+    family.n  # the vertex limit refuses here, before any work
     classes = _classes(family)
     _, reps, sizes = np.unique(classes, return_index=True, return_counts=True)
     return classes, reps, sizes
@@ -445,18 +439,15 @@ def connection_set(family: FamilySpec) -> np.ndarray:
     neighbour list of vertex 0, which is the identity in every codec, and
     for the Euclidean and half-plane families the class a of ``_classes``.
 
-    Refused where building the graph would be, with the same message, before
-    any work: the vertex limit (``FamilySpec.n``) first, then the (n, |S|)
-    neighbour matrix.
+    Refused past the vertex limit (``FamilySpec.n``) before any work.  No
+    (n, |S|) matrix is made here: ``_cayley_graph`` bounds the one a build
+    allocates.
     """
-    n = family.n  # refused here, before the degree formula takes q^(m-1)
+    family.n  # the vertex limit refuses here, before any work
     if family.kind in ("bch", "alon"):
         conn = bch_connection_set(family.k) if family.kind == "bch" else alon_connection_set(family.k)
-        _check_size(n, len(conn))
         return np.sort(np.asarray(conn, dtype=np.int64))
-    degree = _degree(family, family.a)
-    _check_size(n, degree)
-    return _class_members(_classes(family), family.a, degree)
+    return _class_members(_classes(family), family.a, _degree(family, family.a))
 
 
 def build_family(family: FamilySpec) -> Graph:

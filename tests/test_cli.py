@@ -14,6 +14,7 @@ import time
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,33 +119,48 @@ def test_stats_reads_the_record_as_the_built_graph_would(capsys, spec):
     assert capsys.readouterr() == (json.dumps(jsonable(want), indent=2) + "\n", "")
 
 
-@pytest.mark.parametrize("argv, max_n, entries, refusal", [
-    (["--family", "euclidean", "--q", "11"], "100", None,
-     "graph on 11^2 vertices exceeds RAMSEY_FORGE_MAX_N = 100"),
-    (["--family", "noneuclidean", "--q", "13"], "100", None,
-     "graph on 156 vertices exceeds RAMSEY_FORGE_MAX_N = 100"),
-    (["--family", "bch", "--k", "4"], "100", None, "graph on 256 vertices exceeds RAMSEY_FORGE_MAX_N = 100"),
-    (["--family", "alon", "--k", "4"], "1000", None,
-     "graph on 4096 vertices exceeds RAMSEY_FORGE_MAX_N = 1000"),
-    (["--family", "euclidean", "--q", "5", "--m", "3"], None, 3749,
-     "neighbor matrix of n*d = 125*30 = 3750 entries exceeds limits.MAX_NEIGHBOR_ENTRIES = 3749"),
-    (["--family", "noneuclidean", "--q", "13"], None, 2183,
-     "neighbor matrix of n*d = 156*14 = 2184 entries exceeds limits.MAX_NEIGHBOR_ENTRIES = 2183"),
-    (["--family", "bch", "--k", "3"], None, 447,
-     "neighbor matrix of n*d = 64*7 = 448 entries exceeds limits.MAX_NEIGHBOR_ENTRIES = 447"),
-    (["--family", "alon", "--k", "4"], None, 229375,
-     "neighbor matrix of n*d = 4096*56 = 229376 entries exceeds limits.MAX_NEIGHBOR_ENTRIES = 229375"),
-], ids=[f"{label}-{lever}" for lever in ("max_n", "entries") for label in ("D_q", "V_q", "BCH", "ALON")])
-def test_stats_refuses_where_the_build_would(capsys, monkeypatch, argv, max_n, entries, refusal):
-    # the record refuses in the words and the order of the build it replaced
-    if max_n is None:
-        monkeypatch.delenv("RAMSEY_FORGE_MAX_N", raising=False)
-        monkeypatch.setattr(limits, "MAX_NEIGHBOR_ENTRIES", entries)
-    else:
-        monkeypatch.setenv("RAMSEY_FORGE_MAX_N", max_n)
+@pytest.mark.parametrize("argv, max_n, refusal", [
+    (["--family", "euclidean", "--q", "11"], "100", "graph on 11^2 vertices exceeds RAMSEY_FORGE_MAX_N = 100"),
+    (["--family", "noneuclidean", "--q", "13"], "100", "graph on 156 vertices exceeds RAMSEY_FORGE_MAX_N = 100"),
+    (["--family", "bch", "--k", "4"], "100", "graph on 256 vertices exceeds RAMSEY_FORGE_MAX_N = 100"),
+    (["--family", "alon", "--k", "4"], "1000", "graph on 4096 vertices exceeds RAMSEY_FORGE_MAX_N = 1000"),
+], ids=[f"{label}-max_n" for label in ("D_q", "V_q", "BCH", "ALON")])
+def test_stats_refuses_where_the_build_would(capsys, monkeypatch, argv, max_n, refusal):
+    # the record refuses past the vertex limit in the words of the build
+    monkeypatch.setenv("RAMSEY_FORGE_MAX_N", max_n)
     for command in ("stats", "build"):
         assert main([command, *argv]) == 2
         assert capsys.readouterr() == ("", f"error: {refusal}\n")
+
+
+@pytest.mark.parametrize("family, suites, matrix", [
+    (["--family", "euclidean", "--q", "19"],
+     [["--suite", "main", "--q", "19"], ["--suite", "girth-diameter", "--q", "19"]], "361*20 = 7220"),
+    (["--family", "noneuclidean", "--q", "17", "--sigma", "3", "--a", "6"],
+     [["--suite", "mt1", "--q", "17"], ["--suite", "girth-diameter", "--family", "noneuclidean", "--q", "17"]],
+     "272*18 = 4896"),
+    (["--family", "bch", "--k", "4"], [["--suite", "code", "--k", "4"]], "256*15 = 3840"),
+    (["--family", "alon", "--k", "4"], [["--suite", "code", "--k", "4"]], "4096*56 = 229376"),
+], ids=["D_19(1)", "V_17(3,6)", "BCH_4", "ALON_4"])
+def test_neighbor_entry_limit_refuses_only_the_build(capsys, monkeypatch, family, suites, matrix):
+    # limits.MAX_NEIGHBOR_ENTRIES bounds the (n, |S|) matrix a build
+    # allocates.  These graphs are past limits.VERIFY_ALPHA_CAP, so no other
+    # command builds them, and with the lever at 0 each answers as at the
+    # default: same stdout, stderr and exit code
+    argvs = [[command, *family] for command in ("stats", "spectrum", "certify-ramsey")]
+    argvs += [["verify", *suite] for suite in suites]
+
+    def answers():
+        return [(main(argv), capsys.readouterr()) for argv in argvs]
+
+    at_default = answers()
+    assert all(out and not err for _, (out, err) in at_default)
+    monkeypatch.setattr(limits, "MAX_NEIGHBOR_ENTRIES", 0)
+    assert answers() == at_default
+    assert main(["build", *family]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: neighbor matrix of n*d = {matrix} entries exceeds limits.MAX_NEIGHBOR_ENTRIES = 0\n"
+    )
 
 
 def test_only_build_builds_a_graph(capsys, monkeypatch, tmp_path):
@@ -186,6 +202,36 @@ def test_code_stats_builds_nothing_and_traces_o_n_memory(capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert (doc["n"], doc["degree"], doc["triangles"], doc["components"]) == (1 << 16, 255, 0, 1)
     assert peak < 16 * 2**20, peak
+
+
+def _sphere_triangles_and_reach(q, m, a):
+    """Oracle for D_q^m(a) from its connection set S alone, no quotient: S
+    from the definition Q(x) = a, its triangles n #{(s, t) in S x S :
+    s - t in S} / 6, and whether S and S + S cover every nonzero vertex."""
+    n = q**m
+    idx = np.arange(n)
+    coords = np.stack([idx // q**i % q for i in range(m)])
+    in_s = (coords**2).sum(axis=0) % q == a
+    conn, place = coords[:, in_s], q ** np.arange(m)
+    closed, reached = 0, in_s.copy()
+    reached[0] = True
+    for lo in range(0, conn.shape[1], 64):
+        block = conn[:, lo:lo + 64, None]
+        closed += int(in_s[np.tensordot(place, (block - conn[:, None]) % q, axes=1)].sum())
+        reached[np.tensordot(place, (block + conn[:, None]) % q, axes=1)] = True
+    return n * closed // 6, bool(reached.all())
+
+
+def test_stats_d53_cubed_past_the_neighbor_entry_limit(capsys):
+    # D_53^3(1) would need 148,877 * 2,862 neighbour entries, past the
+    # default limits.MAX_NEIGHBOR_ENTRIES; stats builds nothing, so it answers
+    assert 53**3 * 2862 > limits.MAX_NEIGHBOR_ENTRIES
+    assert main(["stats", "--family", "euclidean", "--q", "53", "--m", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["n"], doc["degree"], doc["components"]) == (53**3, 2862, 1)
+    triangles, within_two = _sphere_triangles_and_reach(53, 3, 1)
+    assert doc["triangles"] == triangles == 3_692_745_108
+    assert within_two and doc["diameter"] == 2
 
 
 def test_spectrum_character_route():
@@ -365,8 +411,6 @@ def test_verify_code_refuses_when_the_bch_graph_is_past_the_size_limit():
 
 @pytest.mark.parametrize("max_n, q, refusal", [
     ("100", 13, "graph on 156 vertices exceeds RAMSEY_FORGE_MAX_N = 100"),
-    ("1000000", 601, "neighbor matrix of n*d = 360600*602 = 217081200 entries "
-                     "exceeds limits.MAX_NEIGHBOR_ENTRIES = 134217728"),
 ])
 def test_halfplane_suite_refuses_where_the_graph_build_would(capsys, monkeypatch, max_n, q, refusal):
     # the suite builds no graph, yet refuses where building V_q(sigma, a) would,
@@ -391,20 +435,21 @@ def test_graphless_certificates_refuse_where_the_build_would(argv, refusal):
     assert (res.returncode, res.stdout, res.stderr) == (2, "", f"error: {refusal}\n")
 
 
-def test_main_suite_refuses_a_large_neighbor_matrix_before_any_work(capsys, monkeypatch):
-    # D_19(1) has 361 * 20 neighbor entries, one more than allowed here
-    monkeypatch.setattr(limits, "MAX_NEIGHBOR_ENTRIES", 361 * 20 - 1)
+def test_main_suite_refuses_where_its_exact_alpha_build_would(capsys, monkeypatch):
+    # D_7(1) has 49 <= limits.VERIFY_ALPHA_CAP vertices, so the main suite
+    # builds it for the exact alpha, and that build reads the neighbour
+    # entry limit: 49 * 8 entries pass, one fewer refuses in the build's words
+    argv = ["verify", "--suite", "main", "--q", "7"]
+    monkeypatch.setattr(limits, "MAX_NEIGHBOR_ENTRIES", 49 * 8)
+    assert main(argv) == 1  # the known-false edge corollary, as at the default
+    assert json.loads(capsys.readouterr().out)["claims"][-1]["claim_id"] == "independence_exact"
+    monkeypatch.setattr(limits, "MAX_NEIGHBOR_ENTRIES", 49 * 8 - 1)
     with pytest.raises(SizeLimitExceeded) as built:
-        build_family(FamilySpec(kind="euclidean", q=19, a=1))
+        build_family(FamilySpec(kind="euclidean", q=7, a=1))
     assert str(built.value) == (
-        "neighbor matrix of n*d = 361*20 = 7220 entries exceeds limits.MAX_NEIGHBOR_ENTRIES = 7219"
+        "neighbor matrix of n*d = 49*8 = 392 entries exceeds limits.MAX_NEIGHBOR_ENTRIES = 391"
     )
-
-    def no_coordinates(*args):
-        raise AssertionError("the quotient started work before its size check")
-
-    monkeypatch.setattr(graphs, "_classes", no_coordinates)
-    assert main(["verify", "--suite", "main", "--q", "19"]) == 2
+    assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {built.value}\n")
 
 
@@ -418,6 +463,34 @@ def test_certify_ramsey_pass():
     doc = json.loads(res.stdout)
     assert doc["ramsey"]["t"] == 15
     assert doc["ramsey"]["n"] == 49
+
+
+def test_certify_ramsey_alon_7_past_the_default_vertex_limit(capsys, monkeypatch):
+    # ALON_7: 8^7 = 2,097,152 vertices of degree 4,032.  Its record holds
+    # Walsh-Hadamard arrays of n entries; the build's neighbour matrix would
+    # hold n * |S| and stays refused
+    monkeypatch.setenv("RAMSEY_FORGE_MAX_N", "2097152")
+    argv = ["--family", "alon", "--k", "7"]
+    tracemalloc.start()
+    try:
+        code = main(["certify-ramsey", *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["overall"] == "pass"
+    assert (doc["ramsey"]["n"], doc["ramsey"]["t"]) == (2_097_152, 197_845)
+    claims = {claim["claim_id"]: claim for claim in doc["claims"]}
+    assert claims["triangle_free"]["evidence"]["triangles"]["value"] == 0
+    assert peak <= 96 * 2**20, peak
+
+    def no_product(*args):
+        raise AssertionError("the build took a product before its size check")
+
+    monkeypatch.setattr(graphs, "_product", no_product)
+    assert main(["build", *argv]) == 2
+    assert capsys.readouterr() == ("", "error: neighbor matrix of n*d = 2097152*4032 = 8455716864 entries "
+                                       "exceeds limits.MAX_NEIGHBOR_ENTRIES = 134217728\n")
 
 
 def test_certify_ramsey_triangles_exit_one():

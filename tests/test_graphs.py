@@ -26,7 +26,7 @@ from ramseyforge.exactmetrics import (
 )
 from ramseyforge.graphs import (
     FamilySpec,
-    _check_size,
+    _cayley_graph,
     _classes,
     _product,
     alon_connection_set,
@@ -530,20 +530,20 @@ def own_distance_quotient(spec):
     return distance_quotient(spec, distance_classes(spec), spec.a)
 
 
-@pytest.mark.parametrize("lever", ["RAMSEY_FORGE_MAX_N", "MAX_NEIGHBOR_ENTRIES"])
-@pytest.mark.parametrize("route, spec", [
+_GRAPHLESS_ROUTES = pytest.mark.parametrize("route, spec", [
     (own_distance_quotient, FamilySpec(kind="euclidean", q=19, a=1)),
     (own_distance_quotient, FamilySpec(kind="noneuclidean", q=29, sigma=3, a=6)),
     (connection_set, FamilySpec(kind="euclidean", q=19, a=1)),
     (connection_set, FamilySpec(kind="noneuclidean", q=29, sigma=3, a=6)),
     (connection_set, FamilySpec(kind="bch", k=4)),
 ], ids=lambda v: getattr(v, "__name__", None) or v.label())
+
+
+@pytest.mark.parametrize("lever", ["RAMSEY_FORGE_MAX_N"])
+@_GRAPHLESS_ROUTES
 def test_graphless_routes_refuse_where_the_build_would(monkeypatch, route, spec, lever):
     # same exception, same message, and no coordinates computed first
-    if lever == "RAMSEY_FORGE_MAX_N":
-        monkeypatch.setenv(lever, "100")
-    else:
-        monkeypatch.setattr(limits, lever, 100)
+    monkeypatch.setenv(lever, "100")
     with pytest.raises(SizeLimitExceeded) as built:
         build_family(spec)
     monkeypatch.setattr(graphs, "_classes", _fail_if_called)
@@ -552,6 +552,22 @@ def test_graphless_routes_refuse_where_the_build_would(monkeypatch, route, spec,
         route(spec)
     assert str(read.value) == str(built.value)
     assert lever in str(read.value)
+
+
+@_GRAPHLESS_ROUTES
+def test_graphless_routes_read_no_neighbor_entry_limit(monkeypatch, route, spec):
+    # limits.MAX_NEIGHBOR_ENTRIES bounds the (n, |S|) matrix of a build; the
+    # graphless routes make none, so at 0 they answer as at the default
+    want = route(spec)
+    monkeypatch.setattr(limits, "MAX_NEIGHBOR_ENTRIES", 0)
+    with pytest.raises(SizeLimitExceeded, match=r"exceeds limits\.MAX_NEIGHBOR_ENTRIES = 0$"):
+        build_family(spec)
+    got = route(spec)
+    if route is connection_set:
+        assert np.array_equal(got, want)
+    else:
+        (conn, (sizes, nbr)), (want_conn, (want_sizes, want_nbr)) = got, want
+        assert all(map(np.array_equal, (conn, sizes, nbr), (want_conn, want_sizes, want_nbr)))
 
 
 def test_adjacency_matches_quadrance():
@@ -896,12 +912,14 @@ def test_neighbor_entry_limit_refuses_before_building(monkeypatch):
     assert build_family(spec).num_edges * 2 == entries
 
 
-def test_neighbor_entry_limit_default_refuses_large_euclidean():
-    # arithmetic only: these graphs would need gigabytes, so none is built
+def test_neighbor_entry_limit_default_refuses_large_euclidean(monkeypatch):
+    # these graphs would need gigabytes, so none is built: the builder gets a
+    # stand-in S of the true degree and refuses before it takes a product
+    monkeypatch.setattr(graphs, "_product", _fail_if_called)
     assert 19**4 <= limits.DEFAULT_MAX_VERTICES and 53**3 <= limits.DEFAULT_MAX_VERTICES
     for q, m in ((19, 4), (53, 3)):
         with pytest.raises(SizeLimitExceeded, match="MAX_NEIGHBOR_ENTRIES"):
-            _check_size(q**m, euclidean_degree(q, m, 1))
+            _cayley_graph(FamilySpec(kind="euclidean", q=q, m=m), np.zeros(euclidean_degree(q, m, 1)))
     assert 19**4 * euclidean_degree(19, 4, 1) == 891_395_640
     # the largest graph the tests and the benchmark build stays under it
-    _check_size(31**3, euclidean_degree(31, 3, 1))
+    assert 31**3 * euclidean_degree(31, 3, 1) <= limits.MAX_NEIGHBOR_ENTRIES

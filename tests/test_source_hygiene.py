@@ -4,8 +4,9 @@ class or constant is referenced somewhere in the package besides its own
 definition, every public module-level function is exported or referenced
 likewise, size refusals go through ``limits.check``, which reads each limit
 when it runs and names a lever the README cap table lists, certify builds a
-graph only through ``_Measured`` and the CLI only in ``build``, certify
-takes group products only for its greedy independent set, the
+graph only through ``_Measured`` and the CLI only in ``build``, only
+``graphs._cayley_graph`` names ``MAX_NEIGHBOR_ENTRIES``, certify takes
+group products only for its greedy independent set, the
 Walsh-Hadamard butterfly is written once, only
 ``certify.run_sweep`` names multiprocessing, concurrent.futures or os.fork,
 the measuring modules do not import the graph module, and every import is
@@ -169,18 +170,29 @@ def test_every_checked_lever_has_a_readme_row():
     assert not missing, f"levers checked in the package with no README cap table row: {missing}"
 
 
+_NEIGHBOR_LIMIT = {"MAX_NEIGHBOR_ENTRIES", "_check_size"}
+
+
+def _names_the_neighbor_limit(node) -> bool:
+    return (
+        (isinstance(node, ast.Constant) and node.value in _NEIGHBOR_LIMIT)
+        or (isinstance(node, ast.Name) and node.id in _NEIGHBOR_LIMIT)
+        or (isinstance(node, ast.Attribute) and node.attr in _NEIGHBOR_LIMIT)
+    )
+
+
 def test_neighbor_entry_limit_guards_builds_only():
-    # MAX_NEIGHBOR_ENTRIES bounds the (n, d) neighbour matrix a Cayley
-    # builder allocates; the measures read CSR lists and columns, which are
-    # the graph's own size, so no other module may name the lever
-    naming = {
-        module for module, tree in TREES.items() if module != "limits.py" and any(
-            (isinstance(node, ast.Constant) and node.value == "MAX_NEIGHBOR_ENTRIES")
-            or (isinstance(node, ast.Attribute) and node.attr == "MAX_NEIGHBOR_ENTRIES")
-            for node in ast.walk(tree)
-        )
-    }
-    assert naming == {"graphs.py"}, f"modules naming MAX_NEIGHBOR_ENTRIES: {sorted(naming)}"
+    # MAX_NEIGHBOR_ENTRIES bounds the (n, d) neighbour matrix that
+    # graphs._cayley_graph allocates, the only such matrix in the package.
+    # Every other route holds arrays of at most n entries, which the vertex
+    # limit bounds, so the lever is named nowhere else (limits.py defines it)
+    naming = sorted(
+        module for module, tree in TREES.items()
+        if module not in ("limits.py", "graphs.py") and any(map(_names_the_neighbor_limit, ast.walk(tree)))
+    )
+    assert not naming, f"modules naming MAX_NEIGHBOR_ENTRIES: {naming}"
+    outside = _named_outside("graphs.py", "_cayley_graph", _names_the_neighbor_limit)
+    assert not outside, f"graphs names MAX_NEIGHBOR_ENTRIES outside _cayley_graph: {outside}"
 
 
 _BUILDERS = {"build_family", "build_euclidean", "build_non_euclidean", "build_code_graph_bch",
@@ -211,14 +223,18 @@ def _names_a_process_api(node) -> bool:
 
 
 def _named_outside(module: str, owner: str, names) -> list:
-    """The lines of ``module`` with a node for which ``names`` holds outside
-    its one top-level definition ``owner``; fails if no node inside it does."""
+    """The lines of ``module``, each with its top-level definition, that hold
+    a node for which ``names`` holds outside the one top-level definition
+    ``owner``; fails if there are none and no node inside ``owner`` matches."""
     tree = TREES[module]
     owners = [node for node in tree.body if getattr(node, "name", None) == owner]
     assert len(owners) == 1
-    inside = {id(node) for node in ast.walk(owners[0])}
-    assert any(names(node) for node in ast.walk(owners[0])), f"nothing in {owner} of {module} matches {names.__name__}"
-    return [f"line {node.lineno}" for node in ast.walk(tree) if names(node) and id(node) not in inside]
+    outside = [
+        f"{getattr(top, 'name', 'module level')} line {node.lineno}"
+        for top in tree.body if top is not owners[0] for node in ast.walk(top) if names(node)
+    ]
+    assert outside or any(map(names, ast.walk(owners[0]))), f"nothing in {owner} of {module} matches {names.__name__}"
+    return outside
 
 
 def test_certify_builds_graphs_only_inside_measured():
