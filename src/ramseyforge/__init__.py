@@ -69,6 +69,7 @@ from .spectral import (
     chromatic_lower_bound,
     dense_spectrum,
     least_eigenvalue,
+    quotient_spectrum,
     ramanujan_check,
     ratio_independence_bound,
 )

@@ -24,12 +24,12 @@ reads all of them from the Walsh-Hadamard transform of S: triangles from its
 integer spectrum, and the walk by convolutions
 (``exactmetrics.xor_cayley_invariants``).  The half-plane girth/diameter
 suite reads all of its distances a from that same computation, so a sweep
-row computes its classes once.  Every family reads its spectrum from its
-connection set S, and its spectral bounds (the eight spectral CSV columns)
-from one ``_bounds`` per record, which the sweep row and the theorem
-certificate both read.  Its exact metrics (n, degree |S|, girth, diameter,
-triangles, components) come likewise from one ``_metrics``, which the sweep
-row and the ``stats`` command both read.
+row computes its classes once.  A half-plane graph reads its spectrum from
+that quotient too (``spectral.quotient_spectrum``), any other family from
+the characters over S.  The spectral bounds (the eight spectral CSV
+columns) and the exact metrics (n, degree |S|, girth, diameter, triangles,
+components) come from one ``_bounds`` and one ``_metrics`` per record: the
+sweep row reads both, a theorem certificate the bounds, ``stats`` the metrics.
 """
 import contextlib
 import csv
@@ -83,6 +83,7 @@ from .spectral import (
     cayley_spectrum_abelian,
     chromatic_lower_bound,
     least_eigenvalue,
+    quotient_spectrum,
     ramanujan_check,
     ratio_independence_bound,
 )
@@ -266,11 +267,10 @@ class _Measured:
     A graph is built only on first use of ``graph``, from the record's own
     connection set S, by the oracles that need one: exact alpha
     (n <= limits.VERIFY_ALPHA_CAP) with its Ramsey witness and exact
-    toughness.  Every family reads its spectrum from the connection set S,
-    and girth, diameter and components from its ``_walk``.  A Euclidean or
-    half-plane graph computes its classes once (``_partition``), reads S and
-    its distance-class quotient from them (``_distance_classes``), and its
-    walk and triangles from that quotient; a code graph, which is fully
+    toughness.  A Euclidean or half-plane graph computes its classes once
+    (``_partition``), reads S and its distance-class quotient from them
+    (``_distance_classes``), and its walk, triangles and, for a half-plane
+    graph, spectrum from that quotient; a code graph, which is fully
     given by S, reads triangles from its spectrum, its walk from the
     transform of S and its greedy independent set from the neighbours v*S,
     so it is built for none of them.  The spectral bounds of a family graph
@@ -353,9 +353,11 @@ def _connection_set(m):
 
 
 def _spectrum(m):
-    """The group route for the four families, from the connection set.  An
-    ad-hoc graph has no spectrum here: its ratio bound reads only the least
-    eigenvalue (``_ratio_bound``)."""
+    """A half-plane graph's spectrum from its class quotient, any other
+    family graph's from the characters over S.  An ad-hoc graph has no
+    spectrum here: its ratio bound reads only the least eigenvalue."""
+    if m.family.kind == "noneuclidean":
+        return quotient_spectrum(*m(_distance_classes)[1])
     return cayley_spectrum_abelian(m.family, m(_connection_set))
 
 

@@ -3,7 +3,7 @@ run theorem-verification suites, emit Ramsey certificates, drive sweeps.
 
 Only ``build`` builds a graph: ``stats`` and ``spectrum`` read the family's
 certificate record (``certify._metrics``, and ``certify._spectrum``, the
-group irreps over S).
+class quotient or the characters over S).
 
 Exit codes: 0 all claims pass or recorded, 1 any claim failed, 2 usage or
 IO error.  Stdout carries only the payload (JSON, DIMACS, or JSON lines);
@@ -170,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_selectors(p)
     p.set_defaults(func=_cmd_stats)
 
-    p = subs.add_parser("spectrum", help="print the adjacency spectrum (group irreps) as JSON")
+    p = subs.add_parser("spectrum", help="print the adjacency spectrum as JSON")
     _add_selectors(p)
     p.set_defaults(func=_cmd_spectrum)
 

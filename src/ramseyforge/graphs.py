@@ -553,12 +553,11 @@ def graph_from_edges(n: int, edges) -> Graph:
 
 
 def export_graph(graph: Graph, fmt: str) -> bytes:
-    """Serialize as DIMACS ('p edge n m', 1-based 'e u v') or edge JSON lines."""
+    """Serialize as DIMACS ('p edge n m', 1-based 'e u v') or edge JSON lines (none for no edges)."""
     us, vs = graph.edge_arrays()
     if fmt == "dimacs":
-        lines = [f"p edge {graph.n} {len(us)}"]
-        lines.extend(f"e {u + 1} {v + 1}" for u, v in zip(us.tolist(), vs.tolist()))
-        return ("\n".join(lines) + "\n").encode()
+        edges = "".join(f"e {u + 1} {v + 1}\n" for u, v in zip(us.tolist(), vs.tolist()))
+        return (f"p edge {graph.n} {len(us)}\n" + edges).encode()
     if fmt == "edge-jsonl":
         # each line is json.dumps({"u": u, "v": v, "pu": ..., "pv": ...}),
         # with every vertex's point formatted once: a coordinate tuple as a
@@ -569,9 +568,8 @@ def export_graph(graph: Graph, fmt: str) -> bytes:
             points = [f"[{', '.join(map(str, p))}]" for p in zip(*(c.tolist() for c in coords))]
         else:
             points = list(map(str, coords.tolist()))
-        lines = [
-            f'{{"u": {u}, "v": {v}, "pu": {points[u]}, "pv": {points[v]}}}'
+        return "".join(
+            f'{{"u": {u}, "v": {v}, "pu": {points[u]}, "pv": {points[v]}}}\n'
             for u, v in zip(us.tolist(), vs.tolist())
-        ]
-        return ("\n".join(lines) + "\n").encode()
+        ).encode()
     raise BadParameter(f"unknown export format {fmt!r}")

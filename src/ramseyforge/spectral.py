@@ -2,29 +2,21 @@
 
 Eigenvalues come by four routes:
 
-  * affine irreps   half-plane graphs are Cayley graphs on Aff(1, q); the
-                    q - 1 linear characters and the one (q - 1)-dimensional
-                    irrep give two (q - 1) x (q - 1) eigenproblems
-  * character sums  the abelian Cayley families live on (Z_p)^m: p = q for
-                    D_q^m(a), p = 2 for the code graphs.  One DFT of the
-                    connection-set indicator gives every eigenvalue: for the
-                    code graphs an integer Walsh-Hadamard transform, so exact
-                    integers, and an FFT of floats for D_q^m(a).  An ad-hoc
-                    circulant, Cay(Z_n, S), takes the FFT too
-  * least only      ``least_eigenvalue``, behind the ratio bound of an ad-hoc
-                    graph (the only number of its spectrum a certificate
-                    reads): the least character sum of a circulant, else the
-                    dense route's least eigenvalue, each less a margin of
-                    1e-10 relative
-  * dense           symmetric diagonalization of the n x n adjacency matrix;
-                    the test oracle of the other routes, and the route of an
-                    ad-hoc graph that is not a circulant
-
-The two group routes read only a connection set, so they need no built
-graph.  Tests cross-check them against the dense one, and
-``least_eigenvalue`` against closed forms.  The dense route holds an n x n
-matrix and is capped at limits.DENSE_SPECTRUM_CAP vertices; a circulant is
-not.
+  * class quotient  a half-plane graph, a Cayley graph on Aff(1, q): one
+                    real eigensolve of its q x q distance-class quotient
+  * character sums  the abelian Cayley families on (Z_p)^m, p = q for
+                    D_q^m(a) and p = 2 for the code graphs, and ad-hoc
+                    circulants on Z_n: one DFT of the connection-set
+                    indicator, an integer Walsh-Hadamard transform when
+                    p = 2, else an FFT
+  * least only      ``least_eigenvalue``, the one number of an ad-hoc
+                    graph's spectrum its ratio bound reads: a circulant's
+                    least character sum, else the dense route's, less a
+                    margin of 1e-10 relative
+  * dense           symmetric diagonalization of the n x n adjacency
+                    matrix, capped at limits.DENSE_SPECTRUM_CAP vertices:
+                    the test oracle of the other routes, and the route of
+                    an ad-hoc graph that is not a circulant
 
 Bound conventions, for a d-regular graph on n vertices with adjacency
 eigenvalues d = lambda_1 >= ... >= lambda_n and Laplacian eigenvalues
@@ -172,52 +164,58 @@ def _character_spectrum(shape, conn: np.ndarray) -> np.ndarray:
     return np.fft.fftn(indicator.reshape(shape)).real.ravel()
 
 
-def _character_spectrum_affine(family, conn: np.ndarray) -> np.ndarray:
-    """Spectrum of Cay(Aff(1, q), S) from the irreps of Aff(1, q).
-
-    With S decoded as points (t, v) (``family.coordinates``), M_j[c, c*v]
-    sums exp(2 pi i j c t / q) over S for c in F_q*, row and column c
-    numbered c - 1.  M_0 carries the q - 1 linear characters (multiplicity 1
-    each); M_1 is the (q - 1)-dimensional irrep, whose eigenvalues each occur
-    q - 1 times: (q - 1) + (q - 1)^2 = n.
-    """
-    q = family.q
-    t, v = family.coordinates(conn)
-    c = np.arange(1, q, dtype=np.int64)[:, None]
-    rows = np.broadcast_to(c - 1, (q - 1, len(t)))
-    cols = c * v % q - 1
-    m0 = np.zeros((q - 1, q - 1))
-    np.add.at(m0, (rows, cols), 1.0)
-    m1 = np.zeros((q - 1, q - 1), dtype=np.complex128)
-    np.add.at(m1, (rows, cols), np.exp(2j * np.pi * ((c * t) % q) / q))
-    try:
-        linear, irrep = np.linalg.eigvalsh(m0), np.linalg.eigvalsh(m1)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"irrep eigensolver failed: {exc}") from exc
-    return np.concatenate([linear, np.tile(irrep, q - 1)])
-
-
 def cayley_spectrum_abelian(family, conn: np.ndarray) -> SpectralSummary:
-    """Eigenvalues of a Cayley family graph from its group's irreps, read from
-    the family (a FamilySpec) and its sorted connection set
-    (``graphs.connection_set``, the neighbours of vertex 0); no graph is
-    needed.
+    """Eigenvalues of a Euclidean or code family graph from the characters
+    of its group (Z_p)^m, one DFT of the indicator of its sorted connection
+    set (``graphs.connection_set``): exact integers for the code graphs,
+    floats for D_q^m(a).  Half-plane graphs, on the non-abelian Aff(1, q),
+    take ``quotient_spectrum``; they and ad-hoc graphs are rejected."""
+    if family is None or family.kind == "noneuclidean":
+        raise UnsupportedFamily("character spectra need a Euclidean or code family")
+    p, m = (family.q, family.m) if family.kind == "euclidean" else (2, family.n.bit_length() - 1)
+    eig = np.sort(_character_spectrum((p,) * m, conn))[::-1]
+    return SpectralSummary(n=family.n, d=len(conn), eigenvalues=eig, method="character-sum")
 
-    Covers all four Cayley families.  The Euclidean and code families live on
-    abelian groups (Z_p)^m, whose characters give the eigenvalues as one DFT:
-    exact integers for the code graphs, floats for D_q^m(a).  Half-plane
-    graphs use the Aff(1, q) irreps.  Ad-hoc graphs (family None) are
-    rejected.
-    """
-    if family is None:
-        raise UnsupportedFamily("group spectra need a known family")
-    if family.kind == "noneuclidean":
-        eig, method = _character_spectrum_affine(family, conn), "affine-irreps"
-    else:
-        p, m = (family.q, family.m) if family.kind == "euclidean" else (2, family.n.bit_length() - 1)
-        eig, method = _character_spectrum((p,) * m, conn), "character-sum"
-    eig = np.sort(eig)[::-1]
-    return SpectralSummary(n=family.n, d=len(conn), eigenvalues=eig, method=method)
+
+# Quotient eigenvalues within _TIE * max(1, d) are one eigenvalue: over 5,667
+# half-plane quotients (q <= 211) ties lay within 4e-14, distinct eigenvalues
+# 4.5e-7 or more apart (V_67(2, 66)), and weights missed integers by <= 1.7e-6.
+_TIE = 1e-11
+_WEIGHT_SLACK = 1e-3
+
+
+def quotient_spectrum(sizes: np.ndarray, nbr: np.ndarray) -> SpectralSummary:
+    """Spectrum of a vertex-transitive graph from an equitable partition with
+    vertex 0 alone in class 0, such as a half-plane graph's distance classes,
+    the class quotient of a Gelfand pair (Terras, Fourier Analysis on Finite
+    Groups and Applications, ch. 19-20).  sizes[k] counts class k, and row k
+    of nbr (``graphs.distance_quotient``) holds the classes of the
+    neighbours of one vertex of class k, B[k, j] of them in class j.
+
+    sizes[k] * B[k, j] = sizes[j] * B[j, k] is checked (BadParameter).  The
+    symmetric D^1/2 B D^-1/2, D = diag(sizes), has the distinct eigenvalues
+    of the graph, and n * sum u[0]^2 over the unit eigenvectors u of one is
+    its multiplicity (Bannai & Ito, Algebraic Combinatorics I, ch. 2):
+    NoConvergence unless these are positive integers within _WEIGHT_SLACK
+    that sum to n."""
+    c, d = nbr.shape
+    n = int(sizes.sum())
+    b = np.bincount(np.arange(c).repeat(d) * c + nbr.ravel(), minlength=c * c).reshape(c, c)
+    edges = sizes[:, None] * b
+    if not np.array_equal(edges, edges.T):
+        raise BadParameter("class quotient is not equitable: sizes[k]*B[k, j] != sizes[j]*B[j, k]")
+    root = np.sqrt(sizes.astype(np.float64))
+    try:
+        eig, vec = np.linalg.eigh(b * root[:, None] / root)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"quotient eigensolver failed: {exc}") from exc
+    starts = np.flatnonzero(np.diff(eig, prepend=-np.inf) > _TIE * max(1, d))
+    weights = np.add.reduceat(n * vec[0] ** 2, starts)
+    mult = np.rint(weights).astype(np.int64)
+    if (np.abs(weights - mult) > _WEIGHT_SLACK).any() or (mult < 1).any() or mult.sum() != n:
+        raise NoConvergence(f"quotient multiplicities {weights.tolist()} are not integers >= 1 summing to {n}")
+    eig = np.repeat(eig[starts], mult)[::-1].copy()
+    return SpectralSummary(n=n, d=d, eigenvalues=eig, method="class-quotient")
 
 
 def alon_toughness_bound(d: float, lam: float) -> float:

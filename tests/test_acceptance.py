@@ -34,13 +34,15 @@ from ramseyforge.exactmetrics import (
     triangle_count,
 )
 from ramseyforge.graphs import (
-    FamilySpec, alon_connection_set, alon_split, build_family, connection_set, graph_from_edges,
+    FamilySpec, alon_connection_set, alon_split, build_family, connection_set, distance_classes,
+    distance_quotient, graph_from_edges,
 )
 from ramseyforge.spectral import (
     alon_toughness_bound,
     bisection_and_bip_bounds,
     cayley_spectrum_abelian,
     dense_spectrum,
+    quotient_spectrum,
     ramanujan_check,
     ratio_independence_bound,
 )
@@ -169,17 +171,17 @@ def test_criterion_05_ramanujan_bound():
             s = dense_spectrum(halfplane(q, sigma, a))
             ok &= ramanujan_check(s, q)
             graphs += 1
-    # past the dense cap: the Aff(1, q) irrep route only
+    # past the dense cap: the distance-class quotient route only
     for q in [53, 89, 101]:
         spec = FamilySpec(kind="noneuclidean", q=q, sigma=3, a=6)
-        s = cayley_spectrum_abelian(spec, connection_set(spec))
-        ok &= s.method == "affine-irreps" and s.n == q * (q - 1)
+        s = quotient_spectrum(*distance_quotient(spec, distance_classes(spec), spec.a)[1])
+        ok &= s.method == "class-quotient" and s.n == q * (q - 1)
         ok &= ramanujan_check(s, q)
     ok = report(
         5, ok,
         "every nontrivial eigenvalue obeys |lambda| <= 2*sqrt(q) + 1e-6 for "
         f"D_q(1) q <= 31, {graphs} half-plane graphs q <= 17 and V_q(3,6) "
-        "q in {53, 89, 101}; dense and character-sum spectra agree within 1e-6",
+        "q in {53, 89, 101} (class quotient); dense and character-sum spectra agree within 1e-6",
         t0, 600,
     )
     assert ok

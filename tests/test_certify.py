@@ -281,7 +281,7 @@ def test_mt1_q17_layout():
 
 
 def test_mt1_q53_past_the_dense_cap(capsys):
-    # n = 2756 > 2500: the spectrum comes from the Aff(1, 53) irreps
+    # n = 2756 > 2500: the spectrum comes from the distance-class quotient
     cert = verify_mt1(53)
     assert cert.overall == "pass"
     assert cert.ramsey["method"] == "spectral-ratio"

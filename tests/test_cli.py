@@ -26,8 +26,8 @@ from ramseyforge.certify import jsonable
 from ramseyforge.cli import main
 from ramseyforge.errors import SizeLimitExceeded
 from ramseyforge.exactmetrics import metrics_report
-from ramseyforge.graphs import FamilySpec, build_family
-from ramseyforge.spectral import cayley_spectrum_abelian, dense_spectrum
+from ramseyforge.graphs import FamilySpec, build_family, distance_classes, distance_quotient
+from ramseyforge.spectral import cayley_spectrum_abelian, dense_spectrum, quotient_spectrum
 
 BASE = [sys.executable, "-m", "ramseyforge"]
 # the subprocess imports the package from where this process found it
@@ -249,10 +249,11 @@ def test_spectrum_character_route():
     ("--family", "bch", "--k", "3"),
 ])
 def test_spectrum_defaults_to_the_character_route(family):
-    # the group route is the only one: --method is gone, whatever its value
+    # each family has one route: --method is gone, whatever its value
     default = run("spectrum", *family)
     assert default.returncode == 0 and default.stderr == ""
-    assert json.loads(default.stdout)["method"] in ("affine-irreps", "character-sum")
+    want = "class-quotient" if "noneuclidean" in family else "character-sum"
+    assert json.loads(default.stdout)["method"] == want
     for method in ("character", "dense", "auto"):
         res = run("spectrum", *family, "--method", method)
         assert res.returncode == 2 and res.stdout == ""
@@ -260,12 +261,12 @@ def test_spectrum_defaults_to_the_character_route(family):
         assert res.stderr.endswith(f"error: unrecognized arguments: --method {method}\n")
 
 
-def test_spectrum_default_uses_affine_irreps_for_half_plane():
+def test_spectrum_uses_the_class_quotient_for_half_plane():
     args = ("spectrum", "--family", "noneuclidean", "--q", "5", "--sigma", "2", "--a", "1")
     res = run(*args)
     assert res.returncode == 0
     doc = json.loads(res.stdout)
-    assert doc["method"] == "affine-irreps"
+    assert doc["method"] == "class-quotient"
     assert abs(doc["eigenvalues"][0] - 6.0) < 1e-8
     # the dense route is the library's test oracle, not a CLI route
     dense = dense_spectrum(build_family(FamilySpec(kind="noneuclidean", q=5, sigma=2, a=1)))
@@ -278,13 +279,27 @@ def test_spectrum_default_uses_affine_irreps_for_half_plane():
 ], ids=FamilySpec.label)
 def test_spectrum_reads_the_connection_set_without_a_build(capsys, monkeypatch, spec):
     g = build_family(spec)
-    want = cayley_spectrum_abelian(g.family, g.neighbors(0)).eigenvalues.tolist()
+    if spec.kind == "noneuclidean":
+        want = quotient_spectrum(*distance_quotient(spec, distance_classes(spec), spec.a)[1])
+    else:
+        want = cayley_spectrum_abelian(g.family, g.neighbors(0))
+    want = want.eigenvalues.tolist()
     builds = []
     monkeypatch.setattr(cli, "build_family", lambda s: builds.append(s) or build_family(s))
     argv = ["spectrum", "--family", spec.kind, "--q", str(spec.q)]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["eigenvalues"] == want
     assert builds == []
+
+
+@pytest.mark.parametrize("command", ["spectrum", "stats", "certify-ramsey"])
+def test_a_half_plane_command_computes_the_distance_classes_once(monkeypatch, capsys, command):
+    # S, the walk, the triangles and the spectrum all read one quotient
+    calls, classes = [], graphs._classes
+    monkeypatch.setattr(graphs, "_classes", lambda family: calls.append(family) or classes(family))
+    assert main([command, "--family", "noneuclidean", "--q", "41", "--sigma", "3", "--a", "6"]) == 0
+    capsys.readouterr()
+    assert [family.q for family in calls] == [41]
 
 
 # ---------------------------------------------------------------------------

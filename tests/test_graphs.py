@@ -40,7 +40,7 @@ from ramseyforge.graphs import (
     export_graph,
     graph_from_edges,
 )
-from ramseyforge.spectral import cayley_spectrum_abelian
+from ramseyforge.spectral import cayley_spectrum_abelian, quotient_spectrum
 
 
 def build(kind, **kw):
@@ -511,13 +511,20 @@ def test_euclidean_distance_quotient_matches_the_built_graph(q, m, a_values):
 ], ids=FamilySpec.label)
 def test_spectrum_from_the_spec_is_the_built_graphs(spec):
     # the connection set holds the neighbours of vertex 0 in the same order,
-    # so the group route gives the same bits with or without a built graph
+    # so the character route gives the same bits with or without a built
+    # graph; a half-plane graph's class quotient gives the spectrum of the
+    # built graph's trivial quotient, every vertex a class of its own
     g = build_family(spec)
     conn = connection_set(spec)
     assert np.array_equal(conn, g.neighbors(0))
-    from_spec = cayley_spectrum_abelian(spec, conn)
-    built = cayley_spectrum_abelian(g.family, g.neighbors(0))
-    assert np.array_equal(from_spec.eigenvalues, built.eigenvalues)
+    if spec.kind == "noneuclidean":
+        from_spec = quotient_spectrum(*own_distance_quotient(spec)[1])
+        built = quotient_spectrum(np.ones(g.n, dtype=np.int64), g.indices.reshape(g.n, g.degree))
+        assert np.max(np.abs(from_spec.eigenvalues - built.eigenvalues)) < 1e-9
+    else:
+        from_spec = cayley_spectrum_abelian(spec, conn)
+        built = cayley_spectrum_abelian(g.family, g.neighbors(0))
+        assert np.array_equal(from_spec.eigenvalues, built.eigenvalues)
     assert (from_spec.n, from_spec.d, from_spec.method) == (built.n, built.d, built.method)
     assert (from_spec.n, from_spec.d) == (g.n, g.degree)
 
@@ -736,7 +743,7 @@ def _edge_jsonl_per_edge(g) -> bytes:
         pu = list(pu) if isinstance(pu, tuple) else pu
         pv = list(pv) if isinstance(pv, tuple) else pv
         lines.append(json.dumps({"u": u, "v": v, "pu": pu, "pv": pv}))
-    return ("\n".join(lines) + "\n").encode()
+    return "".join(line + "\n" for line in lines).encode()
 
 
 @pytest.mark.parametrize("make", [
@@ -752,8 +759,27 @@ def test_edge_jsonl_export_matches_per_edge_json_dumps(make):
     assert export_graph(g, "edge-jsonl") == _edge_jsonl_per_edge(g)
 
 
-def test_edge_jsonl_export_of_an_edgeless_graph_is_one_newline():
-    assert export_graph(graph_from_edges(3, []), "edge-jsonl") == b"\n"
+def test_edge_jsonl_export_of_an_edgeless_graph_is_empty():
+    # a blank line would not be JSON; DIMACS keeps its header
+    assert export_graph(graph_from_edges(3, []), "edge-jsonl") == b""
+    assert export_graph(graph_from_edges(3, []), "dimacs") == b"p edge 3 0\n"
+
+
+@pytest.mark.parametrize("n,edges", [
+    (0, []), (1, []), (5, []), (5, [(i, (i + 1) % 5) for i in range(5)]),
+], ids=["n0", "n1", "n5", "C_5"])
+def test_every_exported_line_parses(n, edges):
+    # every edge-jsonl line is one JSON object per edge, and a DIMACS file is
+    # its header and then one 1-based "e u v" line per edge
+    g = graph_from_edges(n, edges)
+    rows = [json.loads(line) for line in export_graph(g, "edge-jsonl").decode().splitlines()]
+    assert sorted((row["u"], row["v"]) for row in rows) == sorted(tuple(sorted(e)) for e in edges)
+    header, *lines = export_graph(g, "dimacs").decode().splitlines()
+    assert header == f"p edge {n} {len(edges)}"
+    assert sorted(tuple(int(x) - 1 for x in line.split()[1:]) for line in lines) == sorted(
+        tuple(sorted(e)) for e in edges
+    )
+    assert all(line.startswith("e ") for line in lines)
 
 
 def test_export_bad_format():

@@ -7,7 +7,8 @@ when it runs and names a lever the README cap table lists, certify builds a
 graph only through ``_Measured`` and the CLI only in ``build``, only
 ``graphs._cayley_graph`` names ``MAX_NEIGHBOR_ENTRIES``, certify takes
 group products only for its greedy independent set, the
-Walsh-Hadamard butterfly is written once, only
+Walsh-Hadamard butterfly is written once, only ``spectral.dense_spectrum``
+and ``spectral.quotient_spectrum`` call an eigensolver, only
 ``certify.run_sweep`` names multiprocessing, concurrent.futures or os.fork,
 the measuring modules do not import the graph module, and every import is
 the standard library, the package itself or a declared dependency.  The
@@ -282,6 +283,35 @@ def test_the_walsh_hadamard_butterfly_is_written_once():
         and any(_pairs_a_butterfly(inner) for inner in ast.walk(node))
     }
     assert writers == {("spectral.py", "walsh_hadamard")}, f"functions that write a butterfly: {sorted(writers)}"
+
+
+_EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
+
+
+def _calls_an_eigensolver(node) -> bool:
+    """A call of np.linalg.eig, eigh, eigvals or eigvalsh, by attribute or by
+    an imported name."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Attribute) and func.attr in _EIGENSOLVERS) or (
+        isinstance(func, ast.Name) and func.id in _EIGENSOLVERS
+    )
+
+
+def test_only_the_dense_and_quotient_routes_eigensolve():
+    # one eigen route per family: the half-plane graphs take the class
+    # quotient, ad-hoc graphs and the test oracles the dense matrix, and the
+    # abelian families their characters, with no eigensolve at all
+    callers = {
+        (module, node.name)
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_calls_an_eigensolver(inner) for inner in ast.walk(node))
+    }
+    want = {("spectral.py", "dense_spectrum"), ("spectral.py", "quotient_spectrum")}
+    assert callers == want, f"functions that call an eigensolver: {sorted(callers)}"
 
 
 def test_cli_builds_graphs_only_in_the_build_command():

@@ -12,16 +12,19 @@ from hypothesis import strategies as st
 from ramseyforge import limits, spectral
 from ramseyforge.algebra import find_nonsquare
 from ramseyforge.cli import main
-from ramseyforge.errors import BadParameter, TooLarge, UnsupportedFamily
+from ramseyforge.errors import BadParameter, NoConvergence, TooLarge, UnsupportedFamily
 from ramseyforge.exactmetrics import (
     connected_components,
     exact_max_cut_and_bisection,
     exact_toughness,
+    quotient_triangles,
 )
 from ramseyforge.graphs import (
     FamilySpec,
     build_family,
     connection_set,
+    distance_classes,
+    distance_quotient,
     euclidean_degree,
     graph_from_edges,
 )
@@ -32,6 +35,7 @@ from ramseyforge.spectral import (
     chromatic_lower_bound,
     dense_spectrum,
     least_eigenvalue,
+    quotient_spectrum,
     ramanujan_check,
     ratio_independence_bound,
 )
@@ -42,8 +46,16 @@ def build(kind, **kw):
 
 
 def group_spectrum(spec):
-    """The production group route: no graph, only the spec's connection set."""
+    """The production route of a family graph, with no graph: a half-plane
+    graph's class quotient, any other's characters over its connection set."""
+    if spec.kind == "noneuclidean":
+        return quotient_spectrum(*half_plane_quotient(spec))
     return cayley_spectrum_abelian(spec, connection_set(spec))
+
+
+def half_plane_quotient(spec):
+    """(sizes, nbr), the spec's distance-class quotient at its own a."""
+    return distance_quotient(spec, distance_classes(spec), spec.a)[1]
 
 
 def cycle(n):
@@ -113,16 +125,20 @@ def test_group_route_rejects_adhoc_graph():
     with pytest.raises(UnsupportedFamily):
         g = cycle(6)
         cayley_spectrum_abelian(g.family, g.neighbors(0))
+    # Aff(1, q) is not abelian: a half-plane graph takes the class quotient
+    spec = FamilySpec(kind="noneuclidean", q=13, sigma=2, a=1)
+    with pytest.raises(UnsupportedFamily):
+        cayley_spectrum_abelian(spec, connection_set(spec))
 
 
-def _irrep_blocks(graph):
+def _irrep_blocks(spec, conn):
     """M_0 and M_1 of Aff(1, q) from their definition: for (t, v) in S and c
     in F_q*, M_j[c, c*v] += exp(2 pi i j c t / q)."""
-    q = graph.family.q
+    q = spec.q
     m0 = np.zeros((q - 1, q - 1))
     m1 = np.zeros((q - 1, q - 1), dtype=complex)
-    for s in graph.neighbors(0).tolist():
-        t, v = graph.decode(s)
+    for s in conn.tolist():
+        t, v = map(int, spec.coordinates(s))
         for c in range(1, q):
             m0[c - 1, c * v % q - 1] += 1.0
             m1[c - 1, c * v % q - 1] += cmath.exp(2j * math.pi * c * t / q)
@@ -139,17 +155,81 @@ def _half_plane_cases():
 
 @pytest.mark.parametrize("q,sigma,a", _half_plane_cases())
 def test_affine_route_matches_dense(q, sigma, a):
+    # the Aff(1, q) irreps and the dense spectrum are two oracles of the
+    # class-quotient route, which reads neither
     g = build("noneuclidean", q=q, sigma=sigma, a=a)
     dense = dense_spectrum(g).eigenvalues
-    affine = group_spectrum(g.family)
-    assert affine.method == "affine-irreps"
-    assert affine.n == g.n and affine.d == q + 1
-    assert np.max(np.abs(affine.eigenvalues - dense)) < 1e-9
-    # q - 1 linear characters once each, the (q - 1)-dimensional irrep q - 1 times
-    m0, m1 = _irrep_blocks(g)
+    quotient = group_spectrum(g.family)
+    assert quotient.method == "class-quotient"
+    assert quotient.n == g.n and quotient.d == q + 1
+    assert np.max(np.abs(quotient.eigenvalues - dense)) < 1e-9
+    blocks = _irrep_spectrum(g.family, g.neighbors(0))
+    assert np.max(np.abs(blocks - dense)) < 1e-9
+    assert np.max(np.abs(blocks - quotient.eigenvalues)) < 1e-11
+
+
+def _irrep_spectrum(spec, conn):
+    """The spectrum from the Aff(1, q) irreps, descending: the q - 1 linear
+    characters once each, the (q - 1)-dimensional irrep q - 1 times."""
+    m0, m1 = _irrep_blocks(spec, conn)
     assert np.array_equal(m0, m0.T) and np.allclose(m1, m1.conj().T, atol=1e-12)
-    blocks = np.concatenate([np.linalg.eigvalsh(m0)] + [np.linalg.eigvalsh(m1)] * (q - 1))
-    assert np.max(np.abs(np.sort(blocks)[::-1] - dense)) < 1e-9
+    blocks = np.concatenate([np.linalg.eigvalsh(m0)] + [np.linalg.eigvalsh(m1)] * (spec.q - 1))
+    return np.sort(blocks)[::-1]
+
+
+@pytest.mark.parametrize("q,sigma,a", [(67, 2, 66), (317, 3, 6)])
+def test_close_distinct_eigenvalues_stay_apart(q, sigma, a):
+    # V_67(2,66) has two distinct eigenvalues 4.5e-7 apart, the closest
+    # measured, and V_317(3,6) two 1.6e-5 apart, which grouping within
+    # 1e-7 * d would merge; neither graph can be built for the dense oracle
+    spec = FamilySpec(kind="noneuclidean", q=q, sigma=sigma, a=a)
+    quotient = group_spectrum(spec)
+    assert np.max(np.abs(_irrep_spectrum(spec, connection_set(spec)) - quotient.eigenvalues)) < 1e-10
+
+
+@pytest.mark.parametrize("q,sigma,a", [(53, 3, 6), (101, 3, 6), (197, 3, 6), (53, 2, 2)])
+def test_half_plane_spectrum_past_the_dense_cap_has_the_exact_power_sums(q, sigma, a):
+    # sum lambda^k = trace(A^k), whatever route gave the eigenvalues: 0 with
+    # no loops, n*d edge ends, 6 times the triangles (V_53(2,2) has 49,608)
+    spec = FamilySpec(kind="noneuclidean", q=q, sigma=sigma, a=a)
+    sizes, nbr = half_plane_quotient(spec)
+    s = quotient_spectrum(sizes, nbr)
+    n, d = spec.n, q + 1
+    assert (s.n, s.d) == (n, d) and n > limits.DENSE_SPECTRUM_CAP
+    assert len(s.eigenvalues) == n and np.all(np.diff(s.eigenvalues) <= 0)
+    values, mult = np.unique(s.eigenvalues, return_counts=True)
+    sums = [float(mult @ values ** k) for k in (1, 2, 3)]
+    assert [round(x) for x in sums] == [0, n * d, 6 * quotient_triangles(sizes, nbr)]
+    assert max(abs(x - round(x)) for x in sums) < 1e-6
+
+
+def test_quotient_spectrum_refuses_a_quotient_that_is_not_equitable():
+    # one neighbour of class 1 moved to another class: the edges between
+    # classes no longer count the same from both sides
+    sizes, nbr = half_plane_quotient(FamilySpec(kind="noneuclidean", q=13, sigma=2, a=1))
+    broken = nbr.copy()
+    broken[1, 0] = (broken[1, 0] + 1) % len(sizes)
+    with pytest.raises(BadParameter, match="not equitable"):
+        quotient_spectrum(sizes, broken)
+
+
+@pytest.mark.parametrize("scale", [0.9, math.sqrt(2)], ids=["fractional", "summing-to-2n"])
+def test_quotient_spectrum_refuses_weights_that_are_not_multiplicities(monkeypatch, scale):
+    # eigenvectors off the unit sphere: weights n * u[0]^2 that miss an
+    # integer (0.81 m), or integers (2 m) that do not sum to n
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0], scale * eigh(a)[1]))
+    with pytest.raises(NoConvergence, match="multiplicities"):
+        quotient_spectrum(*half_plane_quotient(FamilySpec(kind="noneuclidean", q=13, sigma=2, a=1)))
+
+
+def test_quotient_spectrum_reports_a_failed_eigensolve(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(NoConvergence, match="quotient eigensolver failed"):
+        quotient_spectrum(*half_plane_quotient(FamilySpec(kind="noneuclidean", q=13, sigma=2, a=1)))
 
 
 def test_dense_spectrum_gates():
